@@ -17,7 +17,6 @@ from .comparator import PoolingMode, attention_forward, score_unknown, verify
 from .config import ConfigError, RunConfig, parse_config, write_manifest
 from .data import (
     DataFormatError,
-    PairLabel,
     TriSample,
     concat_features,
     load_embeddings,
@@ -26,6 +25,7 @@ from .data import (
     save_embeddings,
     save_pairs,
     save_tri,
+    validate_tri,
 )
 from .evaluation import (
     Direction,
@@ -42,7 +42,7 @@ from .evaluation import (
     tri_score,
 )
 from .model_io import ModelFormatError, load_model, save_model
-from .relations import KinshipRelation
+from .relations import KinshipRelation, genders_match
 from .synth import generate_world, save_pedigree
 from .training import gradcheck, train, train_attention
 
@@ -171,6 +171,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     params = load_model(args.model)
     store = load_embeddings(args.embeddings)
     relation = KinshipRelation.from_code(args.relation)
+    g1, g2 = store.person(args.id1).gender, store.person(args.id2).gender
+    if not genders_match(relation, g1, g2):
+        raise ValueError(f"genders ({g1.value},{g2.value}) do not fit relation {relation.value}")
     score, decision = verify(
         params,
         store.embedding(args.id1),
@@ -187,7 +190,8 @@ def _cmd_tri_verify(args: argparse.Namespace) -> int:
     params = load_model(args.model)
     store = load_embeddings(args.embeddings)
     sample_gender = store.person(args.child).gender
-    sample = TriSample(args.father, args.mother, args.child, sample_gender, PairLabel.KIN)
+    sample = TriSample(args.father, args.mother, args.child, sample_gender, None)
+    validate_tri(sample, store)
     z_fc, z_mc, fused = tri_score(params, store, sample)
     threshold = args.threshold if args.threshold is not None else params.threshold
     if threshold is None:

@@ -23,6 +23,7 @@ gradients, the optimizer and serialization in one canonical order.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +99,13 @@ class _HiddenLayer:
     reads_input: bool  # True: concatenated feature; False: previous expert's z1
 
 
-def hidden_layer_plan(config: ComparatorConfig) -> list[_HiddenLayer]:
-    """Hidden-layer wiring for each expert position under the sharing mode."""
+@functools.lru_cache(maxsize=64)
+def hidden_layer_plan(config: ComparatorConfig) -> tuple[_HiddenLayer, ...]:
+    """Hidden-layer wiring for each expert position under the sharing mode.
+
+    Cached per config (frozen, hence hashable); the result is an immutable
+    tuple, so every caller can share it.
+    """
     prelu = config.activation is Activation.PRELU
     plan: list[_HiddenLayer] = []
     for i in range(config.n_experts):
@@ -117,7 +123,7 @@ def hidden_layer_plan(config: ComparatorConfig) -> list[_HiddenLayer]:
                 reads_input=reads_input,
             )
         )
-    return plan
+    return tuple(plan)
 
 
 def param_layout(config: ComparatorConfig, with_attention: bool = False) -> list[tuple[str, tuple[int, ...]]]:
@@ -237,7 +243,9 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
 def apply_activation(a: np.ndarray, kind: Activation, slope: float | None = None) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if kind is Activation.LRELU:
-        return np.where(a > 0, a, LRELU_SLOPE * a)
+        # same bits as np.where(a > 0, a, 0.2 * a), signed zeros included
+        z = np.multiply(a, LRELU_SLOPE, out=np.empty_like(a))
+        return np.maximum(a, z, out=z)
     if kind is Activation.RELU:
         return np.where(a > 0, a, 0.0)
     if kind is Activation.PRELU:
@@ -246,28 +254,71 @@ def apply_activation(a: np.ndarray, kind: Activation, slope: float | None = None
 
 
 def activation_grad(
-    a: np.ndarray, z: np.ndarray, kind: Activation, slope: float | None = None
+    upstream: np.ndarray,
+    a: np.ndarray,
+    z: np.ndarray,
+    kind: Activation,
+    slope: float | None = None,
 ) -> np.ndarray:
-    """d act(a) / d a, elementwise, with z = act(a) reused for tanh."""
-    if kind is Activation.LRELU:
-        return np.where(a > 0, 1.0, LRELU_SLOPE)
-    if kind is Activation.RELU:
-        return np.where(a > 0, 1.0, 0.0)
+    """upstream * d act(a) / d a, elementwise, with z = act(a) reused for tanh.
+
+    For lrelu and relu the factor (1 where a > 0, else the slope) is built
+    in the output buffer from the comparison as (a > 0) * (1 - slope) +
+    slope, which is exactly 1.0 or the slope for both slopes, then scaled
+    by ``upstream`` in place: the same bits as a np.where mask, without the
+    mask array or np.where's data-dependent branches.
+    """
+    if kind is Activation.TANH:
+        return upstream * (1.0 - z * z)
     if kind is Activation.PRELU:
-        return np.where(a > 0, 1.0, slope)
-    return 1.0 - z * z
+        return upstream * np.where(a > 0, 1.0, slope)
+    low = LRELU_SLOPE if kind is Activation.LRELU else 0.0
+    out = np.multiply(a > 0, 1.0 - low)
+    out += low
+    out *= upstream
+    return out
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs to replay a forward exactly."""
+    """Everything the backward pass needs to replay a forward exactly.
 
-    inputs: np.ndarray  # post-dropout features, shape (n, 2d)
-    dropout_scale: np.ndarray | None  # multiplier mask, None in eval mode
-    pre_acts: list[np.ndarray]  # per expert, shape (n, hidden)
-    hidden: list[np.ndarray]  # per expert, shape (n, hidden)
-    logits: np.ndarray  # shape (n, n_experts), pre-sigmoid
-    probs: np.ndarray  # shape (n, n_experts)
+    Rows are held in trace order: the caller's order for a full forward, or
+    ``order`` (descending relation position) for a prefix forward. Expert
+    ``i`` ran on trace rows ``starts[i] : starts[i] + counts[i]``; a full
+    forward runs every expert on all n rows.
+    """
+
+    inputs: np.ndarray  # post-dropout features in trace order, shape (n, 2d)
+    dropout_scale: np.ndarray | None  # multiplier mask in caller order, None in eval mode
+    pre_acts: list[np.ndarray]  # per expert, shape (counts[i], hidden)
+    hidden: list[np.ndarray]  # per expert, shape (counts[i], hidden)
+    logits: np.ndarray  # pre-sigmoid, caller order: (n, n_experts) full, (n,) selected
+    probs: np.ndarray  # sigmoid of logits, same shape
+    order: np.ndarray | None = None  # trace row r is caller row order[r]; None: identity
+    starts: tuple[int, ...] = ()
+    counts: tuple[int, ...] = ()
+
+
+def _prefix_rows(
+    positions: np.ndarray, n_experts: int, local: bool
+) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Row order and per-expert row spans for a relation-prefix forward.
+
+    Rows are stable-sorted by position, descending, so the rows that need
+    expert ``i`` (position >= i) form a prefix. An entirely-local expert
+    needs only the block of rows whose position is exactly ``i``.
+    """
+    order = np.argsort(-positions, kind="stable")
+    exact = np.bincount(positions, minlength=n_experts)
+    at_least = np.cumsum(exact[::-1])[::-1]  # rows with position >= i
+    if local:
+        counts = tuple(int(c) for c in exact)
+        starts = tuple(int(c - e) for c, e in zip(at_least, exact))
+    else:
+        counts = tuple(int(c) for c in at_least)
+        starts = (0,) * n_experts
+    return order, starts, counts
 
 
 def forward(
@@ -276,14 +327,21 @@ def forward(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     dropout_scale: np.ndarray | None = None,
+    positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the cascade; returns per-relation probabilities and a trace.
+    """Run the cascade; returns probabilities and a trace.
 
     ``features`` is one concatenated vector or a batch of them. Train mode
     applies inverted dropout on the features (kept entries scaled by
     1/(1-p)), drawing the mask from ``rng`` unless an explicit
     ``dropout_scale`` multiplier is supplied for replay. Eval mode is
     deterministic and never drops.
+
+    Without ``positions`` every expert runs on every row and the result
+    holds all per-relation probabilities. With ``positions`` (each row's
+    expert index) a row runs only through the experts it needs: 0..k in
+    the cascade, k alone in entirely-local mode. The result then holds each
+    row's selected probability, in the caller's order, and nothing else.
     """
     cfg = params.config
     if mode not in ("train", "eval"):
@@ -295,6 +353,13 @@ def forward(
         raise ValueError(f"feature dim {x.shape[1]} does not match model input {cfg.input_dim}")
     if not np.isfinite(x).all():
         raise FloatingPointError("non-finite entries in input features")
+    n = x.shape[0]
+    if positions is not None:
+        positions = np.atleast_1d(np.asarray(positions))
+        if positions.shape != (n,) or not np.issubdtype(positions.dtype, np.integer):
+            raise ValueError("positions must hold one integer expert index per row")
+        if n and (positions.min() < 0 or positions.max() >= cfg.n_experts):
+            raise ValueError(f"positions must lie in [0, {cfg.n_experts})")
 
     scale = None
     if mode == "train" and cfg.dropout_p > 0.0:
@@ -308,26 +373,43 @@ def forward(
         x = x * scale
 
     plan = hidden_layer_plan(cfg)
-    n = x.shape[0]
+    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
+    if positions is None:
+        order, starts, counts = None, (0,) * cfg.n_experts, (n,) * cfg.n_experts
+        logits = np.empty((n, cfg.n_experts), dtype=np.float64)
+    else:
+        order, starts, counts = _prefix_rows(positions, cfg.n_experts, local)
+        x = x[order]
+        sorted_logits = np.empty(n, dtype=np.float64)
     pre_acts: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
-    logits = np.empty((n, cfg.n_experts), dtype=np.float64)
     prev = x
     for i, layer in enumerate(plan):
-        inp = x if layer.reads_input else prev
+        lo, rows = starts[i], counts[i]
+        inp = x[lo : lo + rows] if layer.reads_input else prev[:rows]
         w1 = params.values[layer.w_key]
         b1 = params.values[layer.b_key]
         slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
-        a = inp @ w1.T + b1
+        a = inp @ w1.T
+        a += b1
         if not np.isfinite(a).all():
             raise FloatingPointError(f"non-finite pre-activation in expert {i}")
         z = apply_activation(a, cfg.activation, slope)
         w2 = params.values[f"expert{i}.W2"]
         b2 = params.values[f"expert{i}.b2"]
-        logits[:, i] = z @ w2[0] + b2[0]
+        if order is None:
+            logits[:, i] = z @ w2[0] + b2[0]
+        else:
+            # sorted rows whose position is exactly i: the whole span in
+            # entirely-local mode, the rows the next expert skips in the cascade
+            first = lo if local else (counts + (0,))[i + 1]
+            sorted_logits[first : lo + rows] = z[first - lo :] @ w2[0] + b2[0]
         pre_acts.append(a)
         hidden.append(z)
         prev = z
+    if order is not None:
+        logits = np.empty(n, dtype=np.float64)
+        logits[order] = sorted_logits
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite expert logits")
     probs = stable_sigmoid(logits)
@@ -338,6 +420,9 @@ def forward(
         hidden=hidden,
         logits=logits,
         probs=probs,
+        order=order,
+        starts=starts,
+        counts=counts,
     )
     return (probs[0] if single else probs), trace
 
@@ -370,8 +455,9 @@ def verify(
         raise ValueError("no threshold given and none stored with the model")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    z2, _ = forward(params, concat_features(f1, f2), mode="eval")
-    score = float(select_output(z2, relation, params.config))
+    pos = params.config.relation_position(relation)
+    z, _ = forward(params, concat_features(f1, f2), mode="eval", positions=pos)
+    score = float(z)
     return score, (PairLabel.KIN if score >= threshold else PairLabel.NONKIN)
 
 

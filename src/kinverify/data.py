@@ -137,7 +137,7 @@ class TriSample:
     mother_id: str
     child_id: str
     child_gender: Gender
-    label: PairLabel
+    label: PairLabel | None  # None: unknown, a triple still to be verified
 
 
 @dataclass(frozen=True)
@@ -264,6 +264,11 @@ def validate_pair(pair: KinPair, store: EmbeddingStore) -> None:
 
 
 def validate_tri(sample: TriSample, store: EmbeddingStore) -> None:
+    """Check a tri-sample against the store; raises ValueError with the reason.
+
+    The child's family is checked against the label only when the label is
+    known.
+    """
     for pid in (sample.father_id, sample.mother_id, sample.child_id):
         if pid not in store:
             raise ValueError(f"unknown person_id {pid!r}")

@@ -92,9 +92,8 @@ def score_pairs(
         if params is None:
             raise ValueError("comparator scoring needs model parameters")
         features = np.concatenate([m1, m2], axis=1)
-        z2, _ = forward(params, features, mode="eval")
         pos = np.array([params.config.relation_position(p.relation) for p in plist])
-        scores = z2[np.arange(len(plist)), pos]
+        scores, _ = forward(params, features, mode="eval", positions=pos)
     return [ScoredPair(p, float(s)) for p, s in zip(plist, scores)]
 
 
@@ -352,10 +351,18 @@ def tri_score(
     relations follow the child's gender (FS/FD and MS/MD).
     """
     fc, mc = _tri_relations(sample.child_gender)
-    z2_f, _ = forward(params, _concat_rows(store, sample.father_id, sample.child_id))
-    z2_m, _ = forward(params, _concat_rows(store, sample.mother_id, sample.child_id))
-    z_fc = float(z2_f[params.config.relation_position(fc)])
-    z_mc = float(z2_m[params.config.relation_position(mc)])
+    cfg = params.config
+    z_f, _ = forward(
+        params,
+        _concat_rows(store, sample.father_id, sample.child_id),
+        positions=cfg.relation_position(fc),
+    )
+    z_m, _ = forward(
+        params,
+        _concat_rows(store, sample.mother_id, sample.child_id),
+        positions=cfg.relation_position(mc),
+    )
+    z_fc, z_mc = float(z_f), float(z_m)
     return z_fc, z_mc, (z_fc + z_mc) / 2.0
 
 
@@ -381,17 +388,14 @@ def score_tris(
     rows_c = np.array([store.row(t.child_id) for t in samples])
     feats_f = np.concatenate([store.matrix[rows_f], store.matrix[rows_c]], axis=1)
     feats_m = np.concatenate([store.matrix[rows_m], store.matrix[rows_c]], axis=1)
-    z2_f, _ = forward(params, feats_f, mode="eval")
-    z2_m, _ = forward(params, feats_m, mode="eval")
     pos_f = np.array(
         [params.config.relation_position(_tri_relations(t.child_gender)[0]) for t in samples]
     )
     pos_m = np.array(
         [params.config.relation_position(_tri_relations(t.child_gender)[1]) for t in samples]
     )
-    idx = np.arange(len(samples))
-    z_fc = z2_f[idx, pos_f]
-    z_mc = z2_m[idx, pos_m]
+    z_fc, _ = forward(params, feats_f, mode="eval", positions=pos_f)
+    z_mc, _ = forward(params, feats_m, mode="eval", positions=pos_m)
     targets = np.array([1.0 if t.label is PairLabel.KIN else 0.0 for t in samples])
     return z_fc, z_mc, (z_fc + z_mc) / 2.0, targets
 

@@ -24,7 +24,9 @@ can never leave partial state behind.
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 import zlib
 from pathlib import Path
 
@@ -88,7 +90,22 @@ def serialize_model(params: ComparatorParams) -> bytes:
 
 
 def save_model(params: ComparatorParams, path: str | Path) -> None:
-    Path(path).write_bytes(serialize_model(params))
+    """Write the model atomically: a temp file in the same directory, then a rename.
+
+    A crash or a failed write leaves any existing file at ``path`` as it was.
+    """
+    path = Path(path)
+    blob = serialize_model(params)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def deserialize_model(blob: bytes) -> ComparatorParams:
@@ -117,6 +134,8 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
     if sharing_code not in _SHARING_BY_CODE:
         raise ModelFormatError(f"unknown sharing code {sharing_code}")
     dropout_p, threshold = struct.unpack("<dd", take(16, "dropout/threshold"))
+    if has_threshold and not 0.0 <= threshold <= 1.0:  # also rejects NaN
+        raise ModelFormatError(f"stored threshold {threshold} is not in [0, 1]")
     relations = []
     for i in range(n_experts):
         (length,) = struct.unpack("<B", take(1, f"relation {i} length"))

@@ -19,7 +19,7 @@ byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .comparator import (
     ComparatorParams,
     ForwardTrace,
     SharingMode,
+    _prefix_rows,
     activation_grad,
     add_attention_head,
     forward,
@@ -91,6 +92,8 @@ class AdamState:
     m: GradientSet
     v: GradientSet
     t: int = 0
+    # two flat work buffers, sized to the largest parameter, reused by every step
+    work: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def init_like(cls, params: ComparatorParams, keys: list[str] | None = None) -> "AdamState":
@@ -120,27 +123,43 @@ def l2_penalty(
     params: ComparatorParams,
     lam: float,
     include_biases: bool = True,
-    keys: list[str] | None = None,
+    grads: GradientSet | None = None,
 ) -> tuple[float, GradientSet]:
     """Squared-norm penalty lam * sum(p^2) and its gradient 2*lam*p.
 
     Biases (b1, b2, attention.b) can be excluded; weight matrices and PReLU
-    slopes always count.
+    slopes always count. The penalty covers the keys of ``grads`` and its
+    gradient is added into ``grads`` in place; without ``grads`` it covers
+    every parameter and the gradient comes back on its own.
     """
     if lam < 0:
         raise ValueError("l2 factor must be non-negative")
-    keys = keys if keys is not None else list(params.values)
+    if grads is None:
+        grads = {name: np.zeros_like(p) for name, p in params.values.items()}
     loss = 0.0
-    grads: GradientSet = {}
-    for name in keys:
+    work = np.empty(max((params.values[name].size for name in grads), default=0))
+    for name, g in grads.items():
         p = params.values[name]
         is_bias = name.endswith(".b1") or name.endswith(".b2") or name.endswith("attention.b")
         if is_bias and not include_biases:
-            grads[name] = np.zeros_like(p)
             continue
-        loss += lam * float(np.sum(p * p))
-        grads[name] = 2.0 * lam * p
+        sq = work[: p.size].reshape(p.shape)
+        loss += lam * float(np.sum(np.multiply(p, p, out=sq)))
+        g += np.multiply(p, 2.0 * lam, out=sq)
     return loss, grads
+
+
+def _zero_grads(params: ComparatorParams) -> GradientSet:
+    """Zero gradients for every expert parameter, views into one flat buffer."""
+    keys = params.expert_keys()
+    flat = np.zeros(sum(params.values[k].size for k in keys))
+    grads: GradientSet = {}
+    offset = 0
+    for k in keys:
+        v = params.values[k]
+        grads[k] = flat[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
+    return grads
 
 
 def backward(
@@ -152,48 +171,57 @@ def backward(
     """Gradients of the mean selected-expert BCE over the batch.
 
     ``rel_idx`` holds each sample's expert position, ``targets`` its 0/1
-    label. The trace must come from a forward on the same parameters.
+    label. The trace must come from a forward on the same parameters, full
+    or relation-prefix; each expert's gradient is taken over the trace rows
+    that expert ran on, which for a full trace is every row.
     """
     cfg = params.config
-    n, n_experts = trace.logits.shape
+    n = trace.inputs.shape[0]
     rel_idx = np.asarray(rel_idx)
     targets = np.asarray(targets, dtype=np.float64)
     if rel_idx.shape != (n,) or targets.shape != (n,):
         raise ValueError("rel_idx and targets must each have one entry per traced sample")
-    if len(trace.hidden) != n_experts or n_experts != cfg.n_experts:
+    if len(trace.hidden) != cfg.n_experts or len(trace.counts) != cfg.n_experts:
         raise ValueError("trace does not match the model configuration")
 
-    grads: GradientSet = {k: np.zeros_like(v) for k, v in params.values.items()
-                          if not k.startswith("attention.")}
-    rows = np.arange(n)
-    dlogits = np.zeros((n, n_experts), dtype=np.float64)
-    sel = trace.logits[rows, rel_idx]
-    dlogits[rows, rel_idx] = (stable_sigmoid(sel) - targets) / n
-
-    plan = hidden_layer_plan(cfg)
     cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
-    carry = np.zeros_like(trace.hidden[-1])  # grad flowing into z1[i] from expert i+1
-    for i in reversed(range(n_experts)):
+    if trace.order is None:
+        dsel = (trace.probs[np.arange(n), rel_idx] - targets) / n
+    else:
+        order, _, counts = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
+        if not (np.array_equal(order, trace.order) and counts == trace.counts):
+            raise ValueError("rel_idx differs from the positions of the traced forward")
+        dsel = ((trace.probs - targets) / n)[order]
+        rel_idx = rel_idx[order]
+
+    grads = _zero_grads(params)
+    plan = hidden_layer_plan(cfg)
+    carry = None  # grad flowing into z1[i] from expert i+1, on that expert's rows
+    for i in reversed(range(cfg.n_experts)):
+        lo, rows = trace.starts[i], trace.counts[i]
+        if rows == 0:
+            carry = None
+            continue
         layer = plan[i]
         z = trace.hidden[i]
         a = trace.pre_acts[i]
-        inp = trace.inputs if layer.reads_input else trace.hidden[i - 1]
+        inp = trace.inputs[lo : lo + rows] if layer.reads_input else trace.hidden[i - 1][:rows]
         w2 = params.values[f"expert{i}.W2"]
 
-        dz = dlogits[:, i : i + 1] * w2
-        if cascade and i < n_experts - 1:
-            dz = dz + carry
-        grads[f"expert{i}.W2"] += (dlogits[:, i] @ z)[None, :]
-        grads[f"expert{i}.b2"] += dlogits[:, i].sum(keepdims=True)
+        dlogit = np.where(rel_idx[lo : lo + rows] == i, dsel[lo : lo + rows], 0.0)
+        dz = dlogit[:, None] * w2
+        if carry is not None:
+            dz[: carry.shape[0]] += carry
+        grads[f"expert{i}.W2"] += (dlogit @ z)[None, :]
+        grads[f"expert{i}.b2"] += dlogit.sum(keepdims=True)
 
         slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
-        da = dz * activation_grad(a, z, cfg.activation, slope)
+        da = activation_grad(dz, a, z, cfg.activation, slope)
         if layer.prelu_key:
             grads[layer.prelu_key] += np.sum(dz * np.where(a > 0, 0.0, a), keepdims=True).reshape(1)
         grads[layer.w_key] += da.T @ inp
         grads[layer.b_key] += da.sum(axis=0)
-        if cascade and i > 0:
-            carry = da @ params.values[layer.w_key]
+        carry = da @ params.values[layer.w_key] if cascade and i > 0 else None
     return grads
 
 
@@ -206,22 +234,37 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[ComparatorParams, AdamState]:
-    """One bias-corrected ADAM update, in place, over the keys in ``grads``."""
+    """One bias-corrected ADAM update, in place, over the keys in ``grads``.
+
+    Every intermediate goes to the state's work buffers; the arithmetic is
+    the textbook sequence, operation for operation:
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
+    """
     state.t += 1
     t = state.t
+    size = max((g.size for g in grads.values()), default=0)
+    if state.work is None or state.work[0].size < size:
+        state.work = (np.empty(size), np.empty(size))
     for name, g in grads.items():
         p = params.values[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match {name} {p.shape}")
         m = state.m[name]
         v = state.v[name]
+        step, denom = (w[: g.size].reshape(g.shape) for w in state.work)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=step)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(g, 1.0 - beta2, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, 1.0 - beta1**t, out=step)
+        step *= lr
+        np.divide(v, 1.0 - beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
     return params, state
 
 
@@ -269,18 +312,15 @@ def train(
         for start in range(0, len(epoch_pairs), train_config.batch_size):
             stop = start + train_config.batch_size
             xb, kb, tb = features[start:stop], rel_idx[start:stop], targets[start:stop]
-            _, trace = forward(params, xb, mode="train", rng=dropout_rng)
-            sel_logits = trace.logits[np.arange(len(kb)), kb]
-            losses, _ = bce_loss(sel_logits, tb)
+            _, trace = forward(params, xb, mode="train", rng=dropout_rng, positions=kb)
+            losses, _ = bce_loss(trace.logits, tb)
             grads = backward(trace, params, kb, tb)
-            reg_loss, reg_grads = l2_penalty(
+            reg_loss, grads = l2_penalty(
                 params,
                 train_config.l2_lambda,
                 train_config.l2_includes_biases,
-                keys=list(grads),
+                grads=grads,
             )
-            for name in grads:
-                grads[name] += reg_grads[name]
             params, state = adam_step(
                 params,
                 grads,

@@ -343,3 +343,37 @@ def test_verify_without_threshold_fails(world_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "threshold" in capsys.readouterr().err
+
+
+def test_verify_rejects_relation_genders(model_dir, world_dir, capsys):
+    from kinverify.data import load_embeddings
+    from kinverify.relations import Gender
+
+    store = load_embeddings(world_dir / "embeddings.csv")
+    female = next(p for p in store.person_ids if store.person(p).gender is Gender.FEMALE)
+    male = next(p for p in store.person_ids if store.person(p).gender is Gender.MALE)
+    common = ["verify", "--model", str(model_dir / "model.kinc"),
+              "--embeddings", str(world_dir / "embeddings.csv"), "--threshold", "0.5"]
+    code = main(common + ["--id1", female, "--id2", male, "--relation", "BB"])
+    assert code == 1
+    assert "do not fit relation BB" in capsys.readouterr().err
+    # the same two people under a relation that fits their genders
+    assert main(common + ["--id1", female, "--id2", male, "--relation", "MS"]) == 0
+
+
+def test_tri_verify_validates_roles(model_dir, world_dir, capsys):
+    from kinverify.data import PairLabel, load_embeddings, load_tri
+
+    store = load_embeddings(world_dir / "embeddings.csv")
+    samples = load_tri(world_dir / "tri_val.csv", store).samples
+    common = ["tri-verify", "--model", str(model_dir / "model.kinc"),
+              "--embeddings", str(world_dir / "embeddings.csv"), "--threshold", "0.5"]
+    t = samples[0]
+    swapped = ["--father", t.mother_id, "--mother", t.father_id, "--child", t.child_id]
+    assert main(common + swapped) == 1
+    assert "is not male" in capsys.readouterr().err
+    # the label of a queried triple is unknown: a nonkin triple still scores
+    nonkin = next(s for s in samples if s.label is PairLabel.NONKIN)
+    argv = ["--father", nonkin.father_id, "--mother", nonkin.mother_id, "--child", nonkin.child_id]
+    assert main(common + argv) == 0
+    assert "fused=" in capsys.readouterr().out

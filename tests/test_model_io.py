@@ -106,3 +106,45 @@ def test_load_failure_leaves_no_file_side_effects(tmp_path):
     path.write_bytes(b"KIN")
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def test_stored_threshold_outside_unit_interval_rejected():
+    import struct
+
+    params = init_params(ComparatorConfig(input_dim=8, hidden=2, relations=("BB",)), seed=0)
+    params.threshold = 0.5
+    blob = serialize_model(params)
+    offset = 4 + 2 + 12 + 4 + 8  # magic, version, dims, flags, dropout
+    assert struct.unpack_from("<d", blob, offset)[0] == 0.5
+    for bad in (float("nan"), -0.25, 1.5, float("inf")):
+        corrupt = bytearray(blob)
+        struct.pack_into("<d", corrupt, offset, bad)
+        with pytest.raises(ModelFormatError, match="threshold"):
+            deserialize_model(bytes(corrupt))
+    for edge in (0.0, 1.0):
+        ok = bytearray(blob)
+        struct.pack_into("<d", ok, offset, edge)
+        assert deserialize_model(bytes(ok)).threshold == edge
+
+
+def test_failed_save_leaves_old_file_intact(tmp_path, monkeypatch):
+    import kinverify.model_io as model_io
+
+    config = ComparatorConfig(input_dim=8, hidden=2, relations=("BB", "FD"))
+    path = tmp_path / "model.kinc"
+    save_model(init_params(config, seed=0), path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model_io.os, "fsync", failing_fsync)
+    replacement = init_params(config, seed=1)
+    replacement.threshold = 0.75
+    with pytest.raises(OSError, match="disk full"):
+        save_model(replacement, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.kinc"]  # no temp file left
+    monkeypatch.undo()
+    save_model(replacement, path)
+    assert load_model(path).threshold == 0.75
