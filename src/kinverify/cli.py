@@ -18,6 +18,7 @@ from .config import ConfigError, RunConfig, parse_config, write_manifest
 from .data import (
     DataFormatError,
     TriSample,
+    _atomic_open,
     concat_features,
     load_embeddings,
     load_pairs,
@@ -116,7 +117,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model_path = out / "model.kinc"
     save_model(params, model_path)
     history_path = out / "history.csv"
-    with history_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(history_path) as fh:
         fh.write("epoch,lr,train_loss,val_macro_acc\n")
         for h in history:
             fh.write(f"{h.epoch},{repr(h.lr)},{repr(h.train_loss)},{repr(h.val_macro_acc)}\n")

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from .comparator import Activation, ComparatorConfig, SharingMode
+from .data import _atomic_open
 from .synth import SynthConfig
 from .training import TrainConfig
 
@@ -226,7 +227,7 @@ def write_manifest(
         "artifacts": {Path(p).name: sha256_file(p) for p in artifacts},
     }
     path = out_dir / name
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -8,12 +8,17 @@ load/save round trip is byte identical):
 * tri:        ``father_id,mother_id,child_id,label``
 
 Malformed rows abort with a line-numbered error instead of being skipped;
-silent skips would corrupt downstream accuracy statistics.
+silent skips would corrupt downstream accuracy statistics. A store rejects
+ids that hold a comma or a line break, so every store loads back as saved.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
+import re
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +36,32 @@ from .seeding import STREAM_RESAMPLE, derive_rng
 
 class DataFormatError(ValueError):
     """Malformed input file; the message names the offending line."""
+
+
+# A comma splits fields; these characters split lines for str.splitlines.
+_SEPARATORS = re.compile("[,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+@contextlib.contextmanager
+def _atomic_open(path: str | Path, mode: str = "w"):
+    """Write ``path`` via a temp file in its directory, fsynced, then renamed.
+
+    If the block raises, the temp file is removed and any old file at
+    ``path`` is left as it was. Text mode writes UTF-8 with LF line endings.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with os.fdopen(fd, mode, **text) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class PairLabel(enum.Enum):
@@ -66,7 +97,6 @@ class EmbeddingStore:
         self.dim = dim
         self._refs: dict[str, PersonRef] = {}
         self._row: dict[str, int] = {}
-        self._families: dict[str, list[str]] = {}
         matrix = np.zeros((len(rows), dim), dtype=np.float64)
         for i, (ref, vec) in enumerate(rows):
             vec = np.asarray(vec, dtype=np.float64)
@@ -80,9 +110,11 @@ class EmbeddingStore:
                 raise ValueError(f"duplicate person_id {ref.person_id!r}")
             if not ref.family_id:
                 raise ValueError(f"person {ref.person_id!r} has an empty family_id")
+            for what, value in (("person_id", ref.person_id), ("family_id", ref.family_id)):
+                if _SEPARATORS.search(value):
+                    raise ValueError(f"{what} {value!r} contains a CSV field or line separator")
             self._refs[ref.person_id] = ref
             self._row[ref.person_id] = i
-            self._families.setdefault(ref.family_id, []).append(ref.person_id)
             matrix[i] = vec
         matrix.setflags(write=False)
         self.matrix = matrix
@@ -96,10 +128,6 @@ class EmbeddingStore:
     @property
     def person_ids(self) -> tuple[str, ...]:
         return tuple(self._refs)
-
-    @property
-    def family_ids(self) -> tuple[str, ...]:
-        return tuple(self._families)
 
     def person(self, person_id: str) -> PersonRef:
         try:
@@ -115,9 +143,6 @@ class EmbeddingStore:
             return self._row[person_id]
         except KeyError:
             raise KeyError(f"unknown person_id {person_id!r}") from None
-
-    def family_members(self, family_id: str) -> tuple[str, ...]:
-        return tuple(self._families.get(family_id, ()))
 
     def family_of(self, person_id: str) -> str:
         return self.person(person_id).family_id
@@ -189,9 +214,8 @@ def _format_float(x: float) -> str:
 
 
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
-    path = Path(path)
     cols = ",".join(f"f{i}" for i in range(store.dim))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"person_id,family_id,gender,{cols}\n")
         for pid in store.person_ids:
             ref = store.person(pid)
@@ -290,8 +314,7 @@ def validate_tri(sample: TriSample, store: EmbeddingStore) -> None:
 
 
 def save_pairs(pairs: PairSet, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("id1,id2,relation,label\n")
         for p in pairs:
             fh.write(f"{p.id1},{p.id2},{p.relation.value},{p.label.value}\n")
@@ -324,8 +347,7 @@ def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
 
 
 def save_tri(tris: TriSet, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("father_id,mother_id,child_id,label\n")
         for t in tris:
             fh.write(f"{t.father_id},{t.mother_id},{t.child_id},{t.label.value}\n")
@@ -427,16 +449,20 @@ def pairs_to_arrays(
     """Vectorize pairs into (features, relation indices, kin targets).
 
     Features are the concatenated embeddings, shape (n, 2*dim). Relation
-    indices follow ``relation_codes`` (a model's expert order).
+    indices follow ``relation_codes`` (a model's expert order); a pair whose
+    relation is not among them raises ValueError.
     """
     plist = list(pairs)
     idx_of = {code: i for i, code in enumerate(relation_codes)}
     rows1 = np.fromiter((store.row(p.id1) for p in plist), dtype=np.intp, count=len(plist))
     rows2 = np.fromiter((store.row(p.id2) for p in plist), dtype=np.intp, count=len(plist))
     features = np.concatenate([store.matrix[rows1], store.matrix[rows2]], axis=1)
-    rel_idx = np.fromiter(
-        (idx_of[p.relation.value] for p in plist), dtype=np.intp, count=len(plist)
-    )
+    try:
+        rel_idx = np.fromiter(
+            (idx_of[p.relation.value] for p in plist), dtype=np.intp, count=len(plist)
+        )
+    except KeyError as exc:
+        raise ValueError(f"relation {exc.args[0]!r} not handled by this model") from None
     targets = np.fromiter(
         (1.0 if p.label is PairLabel.KIN else 0.0 for p in plist),
         dtype=np.float64,

@@ -6,6 +6,9 @@ macro average (default) or plain micro accuracy. The calibrator sweeps the
 midpoints of consecutive distinct scores plus one sentinel below and above,
 which is exhaustively optimal among all real thresholds for either
 objective.
+
+Scored pairs cross the public boundary as ``list[ScoredPair]``; inside,
+every step runs on three aligned arrays (score, relation index, kin bit).
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .comparator import CANONICAL_RELATION_CODES
 from .comparator import Activation, ComparatorConfig, ComparatorParams, forward
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
-from .relations import RELATION_ORDER, Gender, KinshipRelation
+from .data import _atomic_open, pairs_to_arrays
+from .relations import RELATION_ORDER, Gender, KinshipRelation, relation_index
 from .training import TrainConfig, train
 
 # Published RFIW-2020 challenge results for this comparator architecture,
@@ -78,11 +83,9 @@ def score_pairs(
     plist = list(pairs)
     if not plist:
         return []
-    rows1 = np.array([store.row(p.id1) for p in plist])
-    rows2 = np.array([store.row(p.id2) for p in plist])
-    m1 = store.matrix[rows1]
-    m2 = store.matrix[rows2]
     if scorer is Scorer.COSINE:
+        features, _, _ = pairs_to_arrays(store, plist, CANONICAL_RELATION_CODES)
+        m1, m2 = features[:, : store.dim], features[:, store.dim :]
         n1 = np.linalg.norm(m1, axis=1)
         n2 = np.linalg.norm(m2, axis=1)
         if np.any(n1 == 0.0) or np.any(n2 == 0.0):
@@ -91,14 +94,9 @@ def score_pairs(
     else:
         if params is None:
             raise ValueError("comparator scoring needs model parameters")
-        features = np.concatenate([m1, m2], axis=1)
-        pos = np.array([params.config.relation_position(p.relation) for p in plist])
+        features, pos, _ = pairs_to_arrays(store, plist, params.config.relations)
         scores, _ = forward(params, features, mode="eval", positions=pos)
     return [ScoredPair(p, float(s)) for p, s in zip(plist, scores)]
-
-
-def scorer_direction(scorer: Scorer) -> Direction:
-    return Direction.LOWER_IS_KIN if scorer is Scorer.COSINE else Direction.HIGHER_IS_KIN
 
 
 def filter_relations(
@@ -107,77 +105,23 @@ def filter_relations(
     return [s for s in scored if s.pair.relation in relations]
 
 
-def _split_scores(scored: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray]:
-    kin = np.array([s.score for s in scored if s.pair.label is PairLabel.KIN])
-    non = np.array([s.score for s in scored if s.pair.label is PairLabel.NONKIN])
-    return kin, non
+# The array core: each public function taking ``scored`` converts it once
+# into aligned (scores, rel, is_kin) columns and works only on those.
 
 
-def _decisions(scores: np.ndarray, threshold: float, direction: Direction) -> np.ndarray:
-    """Kin decisions; ties count as kin in both directions."""
-    if direction is Direction.HIGHER_IS_KIN:
-        return scores >= threshold
-    return scores <= threshold
+def _columns(scored: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, canonical relation index, is_kin) of a scored-pair list."""
+    n = len(scored)
+    scores = np.fromiter((s.score for s in scored), dtype=np.float64, count=n)
+    rel = np.fromiter((relation_index(s.pair.relation) for s in scored), dtype=np.intp, count=n)
+    is_kin = np.fromiter((s.pair.label is PairLabel.KIN for s in scored), dtype=bool, count=n)
+    return scores, rel, is_kin
 
 
-def calibrate_threshold(
-    scored: list[ScoredPair],
-    objective: Objective = Objective.MACRO,
-    direction: Direction = Direction.HIGHER_IS_KIN,
-) -> tuple[float, float]:
-    """Best single threshold over all candidate cuts, and its objective value.
-
-    Candidates are the midpoints between consecutive distinct scores plus
-    one sentinel below the minimum and one above the maximum. Ties are
-    broken toward the smallest threshold.
-    """
-    if not scored:
-        raise ValueError("cannot calibrate on an empty score set")
-    kin, non = _split_scores(scored)
-    if kin.size == 0 or non.size == 0:
-        raise ValueError("calibration needs both kin and nonkin samples")
-
-    distinct = np.unique(np.array([s.score for s in scored]))
-    candidates = np.concatenate(
-        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
-    )
-
-    if objective is Objective.MICRO:
-        total = kin.size + non.size
-        correct = _correct_counts(kin, non, candidates, direction)
-        values = correct / total
-    else:
-        groups: dict[KinshipRelation, list[ScoredPair]] = {}
-        for s in scored:
-            groups.setdefault(s.pair.relation, []).append(s)
-        acc_sum = np.zeros(candidates.size)
-        n_groups = 0
-        for relation_scored in groups.values():
-            k, n = _split_scores(relation_scored)
-            acc_sum += _correct_counts(k, n, candidates, direction) / (k.size + n.size)
-            n_groups += 1
-        values = acc_sum / n_groups
-
-    best = int(np.argmax(values))  # argmax takes the first, i.e. smallest threshold
-    return float(candidates[best]), float(values[best])
-
-
-def calibrate_per_relation(
-    scored: list[ScoredPair],
-    direction: Direction = Direction.HIGHER_IS_KIN,
-) -> dict[str, float]:
-    """One threshold per relation, each micro-optimal on its own pairs.
-
-    Extension beyond the published protocol, which calibrates a single
-    global threshold; useful as a ceiling when comparing scorers.
-    """
-    groups: dict[str, list[ScoredPair]] = {}
-    for s in scored:
-        groups.setdefault(s.pair.relation.value, []).append(s)
-    return {
-        code: calibrate_threshold(group, Objective.MICRO, direction)[0]
-        for code, group in groups.items()
-    }
+def _first_appearance(rel: np.ndarray) -> np.ndarray:
+    """The distinct relation labels, in the order each first appears."""
+    present, first = np.unique(rel, return_index=True)
+    return present[np.argsort(first)]
 
 
 def _correct_counts(
@@ -192,6 +136,91 @@ def _correct_counts(
         kin_correct = np.searchsorted(kin_sorted, thresholds, side="right")
         non_correct = non.size - np.searchsorted(non_sorted, thresholds, side="right")
     return kin_correct + non_correct
+
+
+def _calibrate(
+    scores: np.ndarray,
+    is_kin: np.ndarray,
+    rel: np.ndarray | None,
+    objective: Objective,
+    direction: Direction = Direction.HIGHER_IS_KIN,
+) -> tuple[float, float]:
+    """Best cut over all candidate cuts, and its objective value.
+
+    MACRO adds the per-``rel``-group accuracies in the order in which each
+    group first appears, as a dict of groups would; MICRO ignores ``rel``.
+    """
+    if scores.size == 0:
+        raise ValueError("cannot calibrate on an empty score set")
+    if is_kin.all() or not is_kin.any():
+        raise ValueError("calibration needs both kin and nonkin samples")
+
+    distinct = np.unique(scores)
+    candidates = np.concatenate(
+        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
+    )
+    if objective is Objective.MICRO:
+        correct = _correct_counts(scores[is_kin], scores[~is_kin], candidates, direction)
+        values = correct / scores.size
+    else:
+        groups = _first_appearance(rel)
+        acc_sum = np.zeros(candidates.size)
+        for g in groups:
+            mask = rel == g
+            k, n = scores[mask & is_kin], scores[mask & ~is_kin]
+            acc_sum += _correct_counts(k, n, candidates, direction) / (k.size + n.size)
+        values = acc_sum / groups.size
+
+    best = int(np.argmax(values))  # argmax takes the first, i.e. smallest threshold
+    return float(candidates[best]), float(values[best])
+
+
+def _auc(scores: np.ndarray, is_kin: np.ndarray, direction: Direction) -> float:
+    kin, non = scores[is_kin], scores[~is_kin]
+    if kin.size == 0 or non.size == 0:
+        raise ValueError("AUC needs both kin and nonkin samples")
+    if direction is Direction.LOWER_IS_KIN:
+        kin, non = -kin, -non
+    values = np.concatenate([kin, non])
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    midranks = ends - (counts - 1) / 2.0
+    ranks = midranks[inverse]
+    u = ranks[: kin.size].sum() - kin.size * (kin.size + 1) / 2.0
+    return float(u / (kin.size * non.size))
+
+
+def calibrate_threshold(
+    scored: list[ScoredPair],
+    objective: Objective = Objective.MACRO,
+    direction: Direction = Direction.HIGHER_IS_KIN,
+) -> tuple[float, float]:
+    """Best single threshold over all candidate cuts, and its objective value.
+
+    Candidates are the midpoints between consecutive distinct scores plus
+    one sentinel below the minimum and one above the maximum. Ties are
+    broken toward the smallest threshold.
+    """
+    scores, rel, is_kin = _columns(scored)
+    return _calibrate(scores, is_kin, rel, objective, direction)
+
+
+def calibrate_per_relation(
+    scored: list[ScoredPair],
+    direction: Direction = Direction.HIGHER_IS_KIN,
+) -> dict[str, float]:
+    """One threshold per relation, each micro-optimal on its own pairs.
+
+    Extension beyond the published protocol, which calibrates a single
+    global threshold; useful as a ceiling when comparing scorers.
+    """
+    scores, rel, is_kin = _columns(scored)
+    thresholds = {}
+    for g in _first_appearance(rel):
+        mask = rel == g
+        cut, _ = _calibrate(scores[mask], is_kin[mask], None, Objective.MICRO, direction)
+        thresholds[RELATION_ORDER[g].value] = cut
+    return thresholds
 
 
 @dataclass(frozen=True)
@@ -211,8 +240,7 @@ class EvaluationReport:
     missing: tuple[str, ...] = ()
 
     def save_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
+        with _atomic_open(path) as fh:
             fh.write("relation,accuracy,count\n")
             for row in self.rows:
                 fh.write(f"{row.relation},{repr(row.accuracy)},{row.count}\n")
@@ -233,31 +261,37 @@ def accuracy_report(
     Relations absent from the input are left out of the macro mean and
     listed under ``missing`` instead of being counted as zero.
     """
-    rows: list[ReportRow] = []
-    missing: list[str] = []
-    for relation in RELATION_ORDER:
-        rel_scored = [s for s in scored if s.pair.relation is relation]
-        if not rel_scored:
-            missing.append(relation.value)
-            continue
-        cut = threshold[relation.value] if isinstance(threshold, dict) else threshold
-        scores = np.array([s.score for s in rel_scored])
-        is_kin = np.array([s.pair.label is PairLabel.KIN for s in rel_scored])
-        decisions = _decisions(scores, cut, direction)
-        acc = float(np.mean(decisions == is_kin))
-        rel_auc = None
-        if include_auc and is_kin.any() and (~is_kin).any():
-            rel_auc = auc(rel_scored, direction)
-        rows.append(ReportRow(relation.value, acc, len(rel_scored), rel_auc))
-    if not rows:
+    scores, rel, is_kin = _columns(scored)
+    counts = np.bincount(rel, minlength=len(RELATION_ORDER))
+    present = np.flatnonzero(counts)
+    if present.size == 0:
         raise ValueError("no scored pairs to report on")
-    macro = float(np.mean([r.accuracy for r in rows]))
+    cut = threshold
+    if isinstance(threshold, dict):
+        cut_of = np.zeros(len(RELATION_ORDER))
+        cut_of[present] = [threshold[RELATION_ORDER[i].value] for i in present]
+        cut = cut_of[rel]
+    # ties count as kin in both directions
+    kin = scores >= cut if direction is Direction.HIGHER_IS_KIN else scores <= cut
+    correct = kin == is_kin
+    hits = np.bincount(rel, weights=correct, minlength=len(RELATION_ORDER))
+
+    rows: list[ReportRow] = []
+    for i in present:
+        rel_auc = None
+        if include_auc:
+            mask = rel == i
+            if is_kin[mask].any() and not is_kin[mask].all():
+                rel_auc = _auc(scores[mask], is_kin[mask], direction)
+        rows.append(
+            ReportRow(RELATION_ORDER[i].value, float(hits[i] / counts[i]), int(counts[i]), rel_auc)
+        )
     return EvaluationReport(
         rows=tuple(rows),
-        macro_accuracy=macro,
+        macro_accuracy=float(np.mean([r.accuracy for r in rows])),
         threshold=threshold,
         direction=direction,
-        missing=tuple(missing),
+        missing=tuple(r.value for r, c in zip(RELATION_ORDER, counts) if c == 0),
     )
 
 
@@ -282,8 +316,7 @@ class HistogramTable:
         )
 
     def save_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
+        with _atomic_open(path) as fh:
             fh.write("bin_lo,bin_hi,kin,nonkin\n")
             for i in range(self.n_bins):
                 fh.write(
@@ -305,20 +338,20 @@ def histogram(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be at least 1, got {n_bins}")
+    scores, rel, is_kin = _columns(scored)
     if relations is not None:
-        scored = filter_relations(scored, relations)
-    if not scored:
+        keep = np.isin(rel, [relation_index(r) for r in relations])
+        scores, is_kin = scores[keep], is_kin[keep]
+    if scores.size == 0:
         raise ValueError("cannot build a histogram from no scores")
     lo, hi = value_range
     if not lo < hi:
         raise ValueError(f"invalid range ({lo}, {hi})")
-    kin, non = _split_scores(scored)
-    values = np.concatenate([kin, non])
-    if values.min() < lo or values.max() > hi:
+    if scores.min() < lo or scores.max() > hi:
         raise ValueError("scores fall outside the histogram range")
     edges = np.linspace(lo, hi, n_bins + 1)
-    kin_counts, _ = np.histogram(kin, bins=edges)
-    nonkin_counts, _ = np.histogram(non, bins=edges)
+    kin_counts, _ = np.histogram(scores[is_kin], bins=edges)
+    nonkin_counts, _ = np.histogram(scores[~is_kin], bins=edges)
     return HistogramTable(edges=edges, kin_counts=kin_counts, nonkin_counts=nonkin_counts)
 
 
@@ -328,88 +361,50 @@ def auc(scored: list[ScoredPair], direction: Direction = Direction.HIGHER_IS_KIN
     Computed from midrank sums, which equals the pairwise count with ties
     worth one half.
     """
-    kin, non = _split_scores(scored)
-    if kin.size == 0 or non.size == 0:
-        raise ValueError("AUC needs both kin and nonkin samples")
-    if direction is Direction.LOWER_IS_KIN:
-        kin, non = -kin, -non
-    values = np.concatenate([kin, non])
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    midranks = ends - (counts - 1) / 2.0
-    ranks = midranks[inverse]
-    u = ranks[: kin.size].sum() - kin.size * (kin.size + 1) / 2.0
-    return float(u / (kin.size * non.size))
+    scores, _, is_kin = _columns(scored)
+    return _auc(scores, is_kin, direction)
 
 
-def tri_score(
-    params: ComparatorParams, store: EmbeddingStore, sample: TriSample
-) -> tuple[float, float, float]:
-    """Score a (father, mother, child) triple; the fusion is the exact mean.
-
-    The triple splits into a father-child and a mother-child pair whose
-    relations follow the child's gender (FS/FD and MS/MD).
-    """
-    fc, mc = _tri_relations(sample.child_gender)
-    cfg = params.config
-    z_f, _ = forward(
-        params,
-        _concat_rows(store, sample.father_id, sample.child_id),
-        positions=cfg.relation_position(fc),
-    )
-    z_m, _ = forward(
-        params,
-        _concat_rows(store, sample.mother_id, sample.child_id),
-        positions=cfg.relation_position(mc),
-    )
-    z_fc, z_mc = float(z_f), float(z_m)
-    return z_fc, z_mc, (z_fc + z_mc) / 2.0
-
-
-def _tri_relations(child_gender: Gender) -> tuple[KinshipRelation, KinshipRelation]:
-    if child_gender is Gender.MALE:
-        return KinshipRelation.FS, KinshipRelation.MS
-    return KinshipRelation.FD, KinshipRelation.MD
-
-
-def _concat_rows(store: EmbeddingStore, id1: str, id2: str) -> np.ndarray:
-    return np.concatenate([store.embedding(id1), store.embedding(id2)])
+_TRI_RELATIONS = {
+    Gender.MALE: (KinshipRelation.FS, KinshipRelation.MS),
+    Gender.FEMALE: (KinshipRelation.FD, KinshipRelation.MD),
+}
 
 
 def score_tris(
     params: ComparatorParams, store: EmbeddingStore, tris: TriSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized tri scoring: (father scores, mother scores, fused, targets)."""
+    """Vectorized tri scoring: (father scores, mother scores, fused, targets).
+
+    A triple splits into a father-child and a mother-child pair (FS/FD and
+    MS/MD by the child's gender); all of them run stacked through one
+    relation-prefix forward. The fusion is the exact mean.
+    """
     samples = list(tris)
     if not samples:
         raise ValueError("empty tri set")
-    rows_f = np.array([store.row(t.father_id) for t in samples])
-    rows_m = np.array([store.row(t.mother_id) for t in samples])
-    rows_c = np.array([store.row(t.child_id) for t in samples])
-    feats_f = np.concatenate([store.matrix[rows_f], store.matrix[rows_c]], axis=1)
-    feats_m = np.concatenate([store.matrix[rows_m], store.matrix[rows_c]], axis=1)
-    pos_f = np.array(
-        [params.config.relation_position(_tri_relations(t.child_gender)[0]) for t in samples]
-    )
-    pos_m = np.array(
-        [params.config.relation_position(_tri_relations(t.child_gender)[1]) for t in samples]
-    )
-    z_fc, _ = forward(params, feats_f, mode="eval", positions=pos_f)
-    z_mc, _ = forward(params, feats_m, mode="eval", positions=pos_m)
-    targets = np.array([1.0 if t.label is PairLabel.KIN else 0.0 for t in samples])
-    return z_fc, z_mc, (z_fc + z_mc) / 2.0, targets
+    n = len(samples)
+    rels = [_TRI_RELATIONS[t.child_gender] for t in samples]
+    pairs = [KinPair(t.father_id, t.child_id, r[0], t.label) for t, r in zip(samples, rels)]
+    pairs += [KinPair(t.mother_id, t.child_id, r[1], t.label) for t, r in zip(samples, rels)]
+    features, pos, targets = pairs_to_arrays(store, pairs, params.config.relations)
+    z, _ = forward(params, features, mode="eval", positions=pos)
+    z_fc, z_mc = z[:n], z[n:]
+    return z_fc, z_mc, (z_fc + z_mc) / 2.0, targets[:n]
+
+
+def tri_score(
+    params: ComparatorParams, store: EmbeddingStore, sample: TriSample
+) -> tuple[float, float, float]:
+    """Score one (father, mother, child) triple: (z_fc, z_mc, fused)."""
+    z_fc, z_mc, fused, _ = score_tris(params, store, TriSet((sample,)))
+    return float(z_fc[0]), float(z_mc[0]), float(fused[0])
 
 
 def binary_accuracy_best_threshold(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """Best micro accuracy for raw kin-probability scores (higher is kin)."""
-    dummy = [
-        ScoredPair(
-            KinPair("a", "b", KinshipRelation.BB, PairLabel.KIN if t else PairLabel.NONKIN),
-            float(s),
-        )
-        for s, t in zip(scores, targets)
-    ]
-    return calibrate_threshold(dummy, objective=Objective.MICRO)
+    is_kin = np.asarray(targets).astype(bool)
+    return _calibrate(np.asarray(scores, dtype=np.float64), is_kin, None, Objective.MICRO)
 
 
 @dataclass(frozen=True)
@@ -472,8 +467,7 @@ def ablation_run(
 
 
 def save_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("activation,dropout,hidden,accuracy\n")
         for r in results:
             fh.write(

@@ -24,9 +24,7 @@ can never leave partial state behind.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 import zlib
 from pathlib import Path
 
@@ -39,6 +37,7 @@ from .comparator import (
     SharingMode,
     param_layout,
 )
+from .data import _atomic_open
 
 MAGIC = b"KINC"
 VERSION = 1
@@ -94,18 +93,9 @@ def save_model(params: ComparatorParams, path: str | Path) -> None:
 
     A crash or a failed write leaves any existing file at ``path`` as it was.
     """
-    path = Path(path)
     blob = serialize_model(params)
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _atomic_open(path, "wb") as fh:
+        fh.write(blob)
 
 
 def deserialize_model(blob: bytes) -> ComparatorParams:

@@ -75,18 +75,6 @@ SYMMETRIC_RELATIONS = frozenset(
     {KinshipRelation.BB, KinshipRelation.SIBS, KinshipRelation.SS}
 )
 
-OPPOSITE_GENDER_RELATIONS = frozenset(
-    {
-        KinshipRelation.SIBS,
-        KinshipRelation.FD,
-        KinshipRelation.MS,
-        KinshipRelation.GFGD,
-        KinshipRelation.GMGS,
-    }
-)
-
-SAME_GENDER_RELATIONS = frozenset(RELATION_ORDER) - OPPOSITE_GENDER_RELATIONS
-
 
 def relation_index(relation: KinshipRelation) -> int:
     """Canonical index of ``relation``: BB is 0, GMGS is 10."""
@@ -122,8 +110,3 @@ def role2_gender(relation: KinshipRelation, gender1: Gender) -> Gender:
     if relation is KinshipRelation.SIBS:
         return gender1.opposite
     return _ROLE_GENDERS[relation][1]
-
-
-def role_genders(relation: KinshipRelation) -> tuple[Gender, Gender] | None:
-    """Fixed (role1, role2) genders, or None for SIBS (either orientation)."""
-    return _ROLE_GENDERS.get(relation)

@@ -48,6 +48,7 @@ from .data import (
     PersonRef,
     TriSample,
     TriSet,
+    _atomic_open,
     resample_nonkin,
 )
 from .relations import Gender, KinshipRelation
@@ -367,8 +368,7 @@ def _with_nonkin_tris(
 
 
 def save_pedigree(pedigree: tuple[PedigreeEntry, ...], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("person_id,family_id,gender,father_id,mother_id\n")
         for e in pedigree:
             fh.write(

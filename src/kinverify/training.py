@@ -270,10 +270,11 @@ def adam_step(
 
 def _macro_accuracy_curve(store, pairs, params):
     """Calibrated macro accuracy of the current model on an eval pair set."""
-    from .evaluation import Objective, calibrate_threshold, score_pairs
+    from .evaluation import Objective, _calibrate
 
-    scored = score_pairs(params, store, pairs)
-    _, best = calibrate_threshold(scored, objective=Objective.MACRO)
+    features, rel_idx, targets = pairs_to_arrays(store, pairs, params.config.relations)
+    scores = forward(params, features, mode="eval", positions=rel_idx)[0]  # drop the trace
+    _, best = _calibrate(scores, targets == 1.0, rel_idx, Objective.MACRO)
     return best
 
 
@@ -303,9 +304,9 @@ def train(
     for epoch in range(1, train_config.epochs + 1):
         nonkin = resample_nonkin(aug, store, train_config.seed, epoch)
         epoch_pairs = list(aug.pairs) + list(nonkin.pairs)
-        features, rel_idx, targets = pairs_to_arrays(store, epoch_pairs, comp_config.relations)
         order = derive_rng(train_config.seed, STREAM_SHUFFLE, epoch).permutation(len(epoch_pairs))
-        features, rel_idx, targets = features[order], rel_idx[order], targets[order]
+        shuffled = [epoch_pairs[i] for i in order]  # one gather, no epoch-sized copy
+        features, rel_idx, targets = pairs_to_arrays(store, shuffled, comp_config.relations)
 
         lr = train_config.lr_for_epoch(epoch)
         batch_losses: list[float] = []

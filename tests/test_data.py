@@ -1,6 +1,13 @@
+import os
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinverify.data import (
     DataFormatError,
@@ -80,6 +87,110 @@ def test_embeddings_roundtrip_byte_identical(tmp_path):
     npt.assert_array_equal(loaded.matrix, store.matrix)
     save_embeddings(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# A comma splits CSV fields; the rest split lines for str.splitlines.
+SEPARATORS = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+chars = st.one_of(
+    st.sampled_from(list(SEPARATORS) + list('" ;\t\ufeffé')),
+    st.characters(exclude_categories=("Cs",)),
+)
+clean_ids = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=SEPARATORS))
+edge_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def stores(draw):
+    dim = draw(st.integers(1, 4))
+    pids = draw(st.lists(clean_ids, max_size=6, unique=True))
+    rows = [
+        (
+            PersonRef(pid, draw(clean_ids.filter(bool)), draw(st.sampled_from(list(Gender)))),
+            np.array(draw(st.lists(edge_floats, min_size=dim, max_size=dim))),
+        )
+        for pid in pids
+    ]
+    return EmbeddingStore(dim, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stores())
+def test_embeddings_roundtrip_property(store):
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        save_embeddings(store, p1)
+        loaded = load_embeddings(p1)
+        save_embeddings(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+    assert loaded.person_ids == store.person_ids
+    # bit patterns, so that -0.0 and subnormals count
+    assert loaded.matrix.tobytes() == store.matrix.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(chars), st.sampled_from(SEPARATORS), st.text(chars), st.booleans())
+def test_store_rejects_separator_ids(head, sep, tail, as_family):
+    bad = head + sep + tail
+    ref = PersonRef("p", bad, Gender.MALE) if as_family else PersonRef(bad, "f", Gender.MALE)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        EmbeddingStore(1, [(ref, np.zeros(1))])
+
+
+def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, tiny_world):
+    from kinverify.config import RunConfig, write_manifest
+    from kinverify.evaluation import (
+        AblationCell,
+        AblationResult,
+        Scorer,
+        accuracy_report,
+        histogram,
+        save_ablation_csv,
+        score_pairs,
+    )
+    from kinverify.synth import save_pedigree
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    world = tiny_world
+    scored = score_pairs(None, world.store, world.eval_pairs["val"], Scorer.COSINE)
+    writers = {
+        "report.csv": lambda p: accuracy_report(scored, 1.0).save_csv(p),
+        "hist.csv": lambda p: histogram(scored, 5, (0.0, 2.0)).save_csv(p),
+        "emb.csv": lambda p: save_embeddings(world.store, p),
+        "pairs.csv": lambda p: save_pairs(world.eval_pairs["val"], p),
+        "tri.csv": lambda p: save_tri(world.tris["val"], p),
+        "pedigree.csv": lambda p: save_pedigree(world.pedigree, p),
+        "ablation.csv": lambda p: save_ablation_csv(
+            [AblationResult(AblationCell("lrelu", 0.2, 4), 0.5)], p
+        ),
+        "manifest.json": lambda p: write_manifest(p.parent, "x", RunConfig(), [], name=p.name),
+    }
+    for name, write in writers.items():
+        path = tmp_path / name
+        path.write_text("old contents\n")
+        before = os.stat(path).st_mode
+        with monkeypatch.context() as m:
+            m.setattr(os, "fsync", failing_fsync)
+            with pytest.raises(OSError, match="disk full"):
+                write(path)
+        assert path.read_text() == "old contents\n", name
+        write(path)
+        assert path.read_text() != "old contents\n", name
+        assert os.stat(path).st_mode == before, name  # the umask decides, as for open()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)  # no temp files
+
+    # an exception raised while rows are being written also leaves the old file
+    path = tmp_path / "tri.csv"
+    before = path.read_bytes()
+    broken = TriSet(world.tris["val"].samples + (TriSample("a", "b", "c", Gender.MALE, None),))
+    with pytest.raises(AttributeError):
+        save_tri(broken, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
 
 
 def test_load_embeddings_header_only(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kinverify.comparator import ComparatorConfig, init_params
+from kinverify.comparator import ComparatorConfig, forward, init_params
 from kinverify.data import KinPair, PairLabel
 from kinverify.evaluation import (
     REFERENCE_RELATION_PREDICTION_ACCURACY,
@@ -24,9 +26,45 @@ from kinverify.evaluation import (
     score_tris,
     tri_score,
 )
-from kinverify.relations import KinshipRelation
+from kinverify.relations import Gender, KinshipRelation
 
 from oracles import auc_bruteforce, best_threshold_bruteforce
+
+
+# Scored sets for the property tests: scores on a coarse lattice (so ties
+# are common and an even grid of cuts visits every partition), a random
+# subset of relations (so some are missing), mixed labels.
+LATTICE = 9
+
+
+@st.composite
+def scored_sets(draw, min_size=2, max_size=120):
+    n = draw(st.integers(min_size, max_size))
+    relations = draw(st.lists(st.sampled_from(list(KinshipRelation)), min_size=1, max_size=11))
+    rels = draw(st.lists(st.sampled_from(relations), min_size=n, max_size=n))
+    scores = draw(st.lists(st.integers(0, LATTICE - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels[0], labels[-1] = True, False  # both classes present
+    return [
+        ScoredPair(KinPair("a", "b", r, PairLabel.KIN if k else PairLabel.NONKIN), float(s))
+        for s, k, r in zip(scores, labels, rels)
+    ]
+
+
+def columns(scored):
+    scores = np.array([s.score for s in scored])
+    is_kin = np.array([s.pair.label is PairLabel.KIN for s in scored])
+    return scores, is_kin, [s.pair.relation.value for s in scored]
+
+
+def recount(scored, cut, direction, objective):
+    """Objective value at ``cut`` by direct per-pair counting."""
+    scores, is_kin, rels = columns(scored)
+    decided = scores >= cut if direction is Direction.HIGHER_IS_KIN else scores <= cut
+    correct = decided == is_kin
+    if objective is Objective.MICRO:
+        return correct.mean()
+    return np.mean([correct[[r == rel for r in rels]].mean() for rel in sorted(set(rels))])
 
 
 def scored_from(kin_scores, non_scores, relation=KinshipRelation.BB):
@@ -64,31 +102,17 @@ def test_calibrate_lower_is_kin():
     assert 0.2 < threshold < 0.8
 
 
-def test_calibrate_beats_bruteforce_grid():
-    rng = np.random.default_rng(42)
-    relations = list(KinshipRelation)
-    for trial in range(50):
-        n = int(rng.integers(20, 200))
-        scores = rng.random(n)
-        labels = rng.random(n) < 0.5
-        if labels.all() or not labels.any():
-            labels[0] = True
-            labels[1] = False
-        rels = [relations[i] for i in rng.integers(0, 11, n)]
-        scored = [
-            ScoredPair(
-                KinPair("a", "b", r, PairLabel.KIN if is_kin else PairLabel.NONKIN), float(s)
-            )
-            for s, is_kin, r in zip(scores, labels, rels)
-        ]
-        for objective in Objective:
-            # relations with a single class are legal inputs for micro but
-            # macro averages per-relation accuracy over whatever is present
-            _, achieved = calibrate_threshold(scored, objective)
-            brute = best_threshold_bruteforce(
-                scores, labels, [r.value for r in rels], 10_000, objective.value
-            )
-            assert achieved >= brute - 1e-12
+@settings(max_examples=150, deadline=None)
+@given(scored_sets(), st.sampled_from(list(Objective)), st.sampled_from(list(Direction)))
+def test_calibrate_beats_bruteforce_grid(scored, objective, direction):
+    # On the lattice a 201-point grid from min-1 to max+1 visits every
+    # partition of the scores, so the brute force is the true optimum.
+    scores, is_kin, rels = columns(scored)
+    higher = direction is Direction.HIGHER_IS_KIN
+    threshold, achieved = calibrate_threshold(scored, objective, direction)
+    brute = best_threshold_bruteforce(scores, is_kin, rels, 201, objective.value, higher)
+    assert achieved == pytest.approx(brute, abs=1e-12)
+    assert recount(scored, threshold, direction, objective) == pytest.approx(achieved, abs=1e-12)
 
 
 def test_accuracy_report_toy_and_order():
@@ -104,15 +128,49 @@ def test_accuracy_report_toy_and_order():
     assert all(r.count == 2 for r in report.rows)
 
 
-def test_accuracy_report_macro_is_mean_of_rows():
+@settings(max_examples=150, deadline=None)
+@given(
+    scored_sets(min_size=1),
+    st.floats(-1.0, LATTICE),
+    st.booleans(),
+    st.sampled_from(list(Direction)),
+)
+def test_accuracy_report_macro_is_mean_of_rows(scored, cut, per_relation, direction):
     rng = np.random.default_rng(3)
-    scored = []
+    fixed = []
     for relation in KinshipRelation:
         kin = rng.random(5)
         non = rng.random(5)
-        scored += scored_from(kin, non, relation)
-    report = accuracy_report(scored, threshold=0.5)
+        fixed += scored_from(kin, non, relation)
+    report = accuracy_report(fixed, threshold=0.5)
     npt.assert_allclose(report.macro_accuracy, np.mean([r.accuracy for r in report.rows]))
+
+    # every row equals a direct recount of its relation's pairs
+    threshold = cut
+    if per_relation:
+        threshold = {r.value: cut + 0.5 * i for i, r in enumerate(KinshipRelation)}
+    report = accuracy_report(scored, threshold, direction, include_auc=True)
+    present = [r for r in KinshipRelation if any(s.pair.relation is r for s in scored)]
+    assert [row.relation for row in report.rows] == [r.value for r in present]
+    assert report.missing == tuple(r.value for r in KinshipRelation if r not in present)
+    for row in report.rows:
+        mine = [s for s in scored if s.pair.relation.value == row.relation]
+        rel_cut = threshold[row.relation] if per_relation else threshold
+        hits = 0
+        for s in mine:
+            kin = s.score >= rel_cut if direction is Direction.HIGHER_IS_KIN else s.score <= rel_cut
+            hits += kin == (s.pair.label is PairLabel.KIN)
+        assert row.count == len(mine)
+        assert row.accuracy == hits / len(mine)
+        kin_scores = [s.score for s in mine if s.pair.label is PairLabel.KIN]
+        non_scores = [s.score for s in mine if s.pair.label is PairLabel.NONKIN]
+        if kin_scores and non_scores:
+            if direction is Direction.LOWER_IS_KIN:
+                kin_scores, non_scores = [-x for x in kin_scores], [-x for x in non_scores]
+            assert row.auc == auc_bruteforce(kin_scores, non_scores)
+        else:
+            assert row.auc is None
+    assert report.macro_accuracy == float(np.mean([r.accuracy for r in report.rows]))
 
 
 def test_reference_results_recorded():
@@ -155,17 +213,12 @@ def test_auc_toy_cases():
         auc(scored_from([0.5], []))
 
 
-def test_auc_matches_bruteforce_exactly():
-    rng = np.random.default_rng(8)
-    for trial in range(30):
-        n_kin = int(rng.integers(1, 100))
-        n_non = int(rng.integers(1, 100))
-        # quantized scores force plenty of ties
-        kin = np.round(rng.random(n_kin), 2)
-        non = np.round(rng.random(n_non), 2)
-        fast = auc(scored_from(kin, non))
-        brute = auc_bruteforce(kin, non)
-        assert fast == brute
+@settings(max_examples=150, deadline=None)
+@given(scored_sets(), st.sampled_from(list(Direction)))
+def test_auc_matches_bruteforce_exactly(scored, direction):
+    scores, is_kin, _ = columns(scored)
+    sign = 1.0 if direction is Direction.HIGHER_IS_KIN else -1.0
+    assert auc(scored, direction) == auc_bruteforce(sign * scores[is_kin], sign * scores[~is_kin])
 
 
 def test_auc_monotone_invariance():
@@ -187,6 +240,12 @@ def test_score_pairs_zero_params(tiny_world):
         params.values[key][:] = 0.0
     scored = score_pairs(params, world.store, world.eval_pairs["val"])
     assert all(s.score == 0.5 for s in scored)
+
+    # a pair whose relation the model has no expert for is rejected by name
+    bb_only = init_params(ComparatorConfig(config.input_dim, hidden=3, relations=("BB",)), 0)
+    fd = next(p for p in world.eval_pairs["val"] if p.relation is KinshipRelation.FD)
+    with pytest.raises(ValueError, match="'FD'"):
+        score_pairs(bb_only, world.store, [fd])
 
 
 def test_score_pairs_cosine_self_pair():
@@ -219,7 +278,9 @@ def test_score_pairs_golden_values(tiny_world):
     npt.assert_allclose([s.score for s in scored], GOLDEN_SCORES, atol=1e-9)
 
 
-def test_tri_score_is_exact_mean(tiny_world):
+def test_tri_score_is_exact_mean(tiny_world, monkeypatch):
+    import kinverify.evaluation as evaluation
+
     world = tiny_world
     config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=3)
     rng = np.random.default_rng(4)
@@ -233,8 +294,27 @@ def test_tri_score_is_exact_mean(tiny_world):
         assert fused == (z_fc + z_mc) / 2.0
         assert fused == ((z_mc + z_fc) / 2.0)  # symmetric in the two scores
 
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(len(args[1]))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward", counting_forward)
     z_fc, z_mc, fused, targets = score_tris(params, world.store, world.tris["val"])
     npt.assert_array_equal(fused, (z_fc + z_mc) / 2.0)
+    n = len(world.tris["val"])
+    assert calls == [2 * n]  # one stacked forward for both parents
+    monkeypatch.undo()
+    for i, sample in enumerate(world.tris["val"]):
+        single = tri_score(params, world.store, sample)
+        npt.assert_allclose(single, (z_fc[i], z_mc[i], fused[i]), rtol=0, atol=1e-12)
+        # each parent's score is that parent-child pair scored on its own
+        fc_rel, mc_rel = ("FS", "MS") if sample.child_gender is Gender.MALE else ("FD", "MD")
+        fc = KinPair(sample.father_id, sample.child_id, KinshipRelation(fc_rel), sample.label)
+        mc = KinPair(sample.mother_id, sample.child_id, KinshipRelation(mc_rel), sample.label)
+        pair_scores = [s.score for s in score_pairs(params, world.store, [fc, mc])]
+        npt.assert_allclose(pair_scores, (z_fc[i], z_mc[i]), rtol=0, atol=1e-12)
 
 
 def test_tri_score_zero_params(tiny_world):
@@ -277,17 +357,27 @@ def test_ablation_single_cell_equals_plain_train(tiny_world):
         grid=(cell,),
     )
     config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=4, dropout_p=0.2)
-    params, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
+    params, history = train(
+        world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg
+    )
     scored = score_pairs(params, world.store, world.eval_pairs["val"])
     _, expected = calibrate_threshold(scored, Objective.MACRO)
     assert results[0].accuracy == expected
+    assert history[-1].val_macro_acc == expected  # the array validation path, bit for bit
 
 
-def test_binary_accuracy_best_threshold():
+@settings(max_examples=100, deadline=None)
+@given(scored_sets())
+def test_binary_accuracy_best_threshold(scored):
     scores = np.array([0.9, 0.8, 0.2, 0.1])
     targets = np.array([1.0, 1.0, 0.0, 0.0])
     threshold, acc = binary_accuracy_best_threshold(scores, targets)
     assert acc == 1.0 and 0.2 < threshold < 0.8
+
+    # same result as micro calibration on the equivalent pairs
+    scores, is_kin, _ = columns(scored)
+    expected = calibrate_threshold(scored, Objective.MICRO)
+    assert binary_accuracy_best_threshold(scores, is_kin.astype(float)) == expected
 
 
 def test_per_relation_thresholds_extension():

@@ -128,7 +128,7 @@ def test_stored_threshold_outside_unit_interval_rejected():
 
 
 def test_failed_save_leaves_old_file_intact(tmp_path, monkeypatch):
-    import kinverify.model_io as model_io
+    import os
 
     config = ComparatorConfig(input_dim=8, hidden=2, relations=("BB", "FD"))
     path = tmp_path / "model.kinc"
@@ -138,7 +138,7 @@ def test_failed_save_leaves_old_file_intact(tmp_path, monkeypatch):
     def failing_fsync(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(model_io.os, "fsync", failing_fsync)
+    monkeypatch.setattr(os, "fsync", failing_fsync)
     replacement = init_params(config, seed=1)
     replacement.threshold = 0.75
     with pytest.raises(OSError, match="disk full"):
