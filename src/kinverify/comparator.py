@@ -281,18 +281,22 @@ def activation_grad(
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs to replay a forward exactly.
+    """What a forward computed; in train mode, all backward needs to replay it.
 
     Rows are held in trace order: the caller's order for a full forward, or
     ``order`` (descending relation position) for a prefix forward. Expert
     ``i`` ran on trace rows ``starts[i] : starts[i] + counts[i]``; a full
     forward runs every expert on all n rows.
+
+    Only a train-mode trace holds the per-expert activations. An eval-mode
+    forward is inference: ``pre_acts`` and ``hidden`` are empty lists, so
+    each expert's arrays are freed once the next expert has read them.
     """
 
     inputs: np.ndarray  # post-dropout features in trace order, shape (n, 2d)
     dropout_scale: np.ndarray | None  # multiplier mask in caller order, None in eval mode
-    pre_acts: list[np.ndarray]  # per expert, shape (counts[i], hidden)
-    hidden: list[np.ndarray]  # per expert, shape (counts[i], hidden)
+    pre_acts: list[np.ndarray]  # train mode: per expert, shape (counts[i], hidden)
+    hidden: list[np.ndarray]  # train mode: per expert, shape (counts[i], hidden)
     logits: np.ndarray  # pre-sigmoid, caller order: (n, n_experts) full, (n,) selected
     probs: np.ndarray  # sigmoid of logits, same shape
     order: np.ndarray | None = None  # trace row r is caller row order[r]; None: identity
@@ -334,8 +338,12 @@ def forward(
     ``features`` is one concatenated vector or a batch of them. Train mode
     applies inverted dropout on the features (kept entries scaled by
     1/(1-p)), drawing the mask from ``rng`` unless an explicit
-    ``dropout_scale`` multiplier is supplied for replay. Eval mode is
-    deterministic and never drops.
+    ``dropout_scale`` multiplier is supplied for replay, and keeps every
+    expert's pre-activation and hidden array in the trace for ``backward``.
+    Eval mode is inference: deterministic, never drops, and keeps no
+    activations, so only about three hidden blocks are alive at once. Its
+    probabilities are bit-identical to a train-mode forward without
+    dropout; ``backward`` needs a train-mode trace.
 
     Without ``positions`` every expert runs on every row and the result
     holds all per-relation probabilities. With ``positions`` (each row's
@@ -404,8 +412,9 @@ def forward(
             # entirely-local mode, the rows the next expert skips in the cascade
             first = lo if local else (counts + (0,))[i + 1]
             sorted_logits[first : lo + rows] = z[first - lo :] @ w2[0] + b2[0]
-        pre_acts.append(a)
-        hidden.append(z)
+        if mode == "train":
+            pre_acts.append(a)
+            hidden.append(z)
         prev = z
     if order is not None:
         logits = np.empty(n, dtype=np.float64)

@@ -8,8 +8,9 @@ load/save round trip is byte identical):
 * tri:        ``father_id,mother_id,child_id,label``
 
 Malformed rows abort with a line-numbered error instead of being skipped;
-silent skips would corrupt downstream accuracy statistics. A store rejects
-ids that hold a comma or a line break, so every store loads back as saved.
+silent skips would corrupt downstream accuracy statistics. A store and the
+pair and tri writers reject ids that hold a comma or a line break, so every
+file loads back as saved.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ class DataFormatError(ValueError):
 
 # A comma splits fields; these characters split lines for str.splitlines.
 _SEPARATORS = re.compile("[,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def _check_id(what: str, value: str) -> None:
+    """Reject an id that would not load back from a CSV row as written."""
+    if _SEPARATORS.search(value):
+        raise ValueError(f"{what} {value!r} contains a CSV field or line separator")
 
 
 @contextlib.contextmanager
@@ -110,9 +117,8 @@ class EmbeddingStore:
                 raise ValueError(f"duplicate person_id {ref.person_id!r}")
             if not ref.family_id:
                 raise ValueError(f"person {ref.person_id!r} has an empty family_id")
-            for what, value in (("person_id", ref.person_id), ("family_id", ref.family_id)):
-                if _SEPARATORS.search(value):
-                    raise ValueError(f"{what} {value!r} contains a CSV field or line separator")
+            _check_id("person_id", ref.person_id)
+            _check_id("family_id", ref.family_id)
             self._refs[ref.person_id] = ref
             self._row[ref.person_id] = i
             matrix[i] = vec
@@ -314,6 +320,10 @@ def validate_tri(sample: TriSample, store: EmbeddingStore) -> None:
 
 
 def save_pairs(pairs: PairSet, path: str | Path) -> None:
+    """Write a pairs CSV; an id holding a separator is rejected before any write."""
+    for p in pairs:
+        _check_id("id1", p.id1)
+        _check_id("id2", p.id2)
     with _atomic_open(path) as fh:
         fh.write("id1,id2,relation,label\n")
         for p in pairs:
@@ -347,6 +357,11 @@ def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
 
 
 def save_tri(tris: TriSet, path: str | Path) -> None:
+    """Write a tri CSV; an id holding a separator is rejected before any write."""
+    for t in tris:
+        _check_id("father_id", t.father_id)
+        _check_id("mother_id", t.mother_id)
+        _check_id("child_id", t.child_id)
     with _atomic_open(path) as fh:
         fh.write("father_id,mother_id,child_id,label\n")
         for t in tris:
@@ -413,30 +428,36 @@ def resample_nonkin(
     given epoch replays exactly while distinct epochs differ.
     """
     rng = derive_rng(base_seed, STREAM_RESAMPLE, epoch)
-    ids = np.array(store.person_ids)
-    genders = np.array([store.person(pid).gender.value for pid in ids])
-    families = np.array([store.person(pid).family_id for pid in ids])
-    by_gender = {g: np.flatnonzero(genders == g.value) for g in Gender}
+    ids = store.person_ids
+    refs = [store.person(pid) for pid in ids]
+    family_names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
+    code = {name: i for i, name in enumerate(family_names.tolist())}
+    by_gender = {}
+    for g in Gender:
+        pool = np.flatnonzero([ref.gender is g for ref in refs])
+        by_gender[g] = pool, family[pool]
 
-    cache: dict[tuple[Gender, str], np.ndarray] = {}
-    out: list[KinPair] = []
+    keys = []
     for pair in kin_pairs:
-        g1 = store.person(pair.id1).gender
-        want = role2_gender(pair.relation, g1)
-        fam1 = store.family_of(pair.id1)
-        key = (want, fam1)
-        candidates = cache.get(key)
-        if candidates is None:
-            pool = by_gender[want]
-            candidates = pool[families[pool] != fam1]
-            cache[key] = candidates
-        if candidates.size == 0:
-            raise ValueError(
-                f"no eligible nonkin partner for relation {pair.relation.value} "
-                f"outside family {fam1!r}"
-            )
-        pick = candidates[rng.integers(candidates.size)]
-        out.append(KinPair(pair.id1, str(ids[pick]), pair.relation, PairLabel.NONKIN))
+        ref = store.person(pair.id1)
+        keys.append((role2_gender(pair.relation, ref.gender), ref.family_id))
+    pools = {}  # candidate partners per (gender, family), in store order
+    for want, fam1 in dict.fromkeys(keys):
+        pool, pool_family = by_gender[want]
+        pools[want, fam1] = pool[pool_family != code[fam1]]
+    sizes = np.fromiter((pools[key].size for key in keys), dtype=np.int64, count=len(keys))
+    if not sizes.all():
+        i = int(np.argmin(sizes))
+        raise ValueError(
+            f"no eligible nonkin partner for relation {kin_pairs.pairs[i].relation.value} "
+            f"outside family {keys[i][1]!r}"
+        )
+    # array bounds draw the same stream as one scalar draw per pair, in pair order
+    picks = rng.integers(sizes).tolist()
+    out = [
+        KinPair(pair.id1, ids[pools[key][r]], pair.relation, PairLabel.NONKIN)
+        for pair, key, r in zip(kin_pairs, keys, picks)
+    ]
     note = f"nonkin(seed={base_seed},epoch={epoch})"
     return PairSet(tuple(out), provenance=note)
 

@@ -172,10 +172,15 @@ def backward(
 
     ``rel_idx`` holds each sample's expert position, ``targets`` its 0/1
     label. The trace must come from a forward on the same parameters, full
-    or relation-prefix; each expert's gradient is taken over the trace rows
+    or relation-prefix, run with ``mode="train"`` (an eval-mode trace keeps
+    no activations); each expert's gradient is taken over the trace rows
     that expert ran on, which for a full trace is every row.
     """
     cfg = params.config
+    if not trace.hidden:
+        raise ValueError(
+            "backward needs a train-mode trace; an eval-mode forward keeps no activations"
+        )
     n = trace.inputs.shape[0]
     rel_idx = np.asarray(rel_idx)
     targets = np.asarray(targets, dtype=np.float64)
@@ -466,7 +471,7 @@ def gradcheck(
             features = rng.standard_normal((4, cfg.input_dim))
             rel_idx = np.array([0, 1, 2, 1])
             targets = np.array([1.0, 0.0, 1.0, 0.0])
-            _, trace = forward(params, features, mode="eval")
+            _, trace = forward(params, features, mode="train")  # dropout_p is 0
             analytic = backward(trace, params, rel_idx, targets)
             numeric = finite_difference_grads(params, features, rel_idx, targets, step)
             for name in analytic:

@@ -95,3 +95,26 @@ def best_threshold_bruteforce(scores, is_kin, relations, n_grid, objective, high
             value = float(np.mean(accs))
         best = max(best, value)
     return best
+
+
+def resample_nonkin_loop(kin_pairs, store, base_seed, epoch):
+    """Nonkin partners drawn one scalar ``rng.integers`` call per pair, in pair order.
+
+    Returns the (id1, id2) list. Candidates for a pair are the persons of
+    the gender role 2 needs, outside id1's family, in store order.
+    """
+    from kinverify.relations import role2_gender
+    from kinverify.seeding import STREAM_RESAMPLE, derive_rng
+
+    rng = derive_rng(base_seed, STREAM_RESAMPLE, epoch)
+    out = []
+    for pair in kin_pairs:
+        ref = store.person(pair.id1)
+        want = role2_gender(pair.relation, ref.gender)
+        candidates = [
+            pid
+            for pid in store.person_ids
+            if store.person(pid).gender is want and store.family_of(pid) != ref.family_id
+        ]
+        out.append((pair.id1, candidates[rng.integers(len(candidates))]))
+    return out

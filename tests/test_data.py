@@ -31,6 +31,8 @@ from kinverify.data import (
 )
 from kinverify.relations import Gender, KinshipRelation
 
+from oracles import resample_nonkin_loop
+
 
 def small_store():
     rows = [
@@ -137,6 +139,85 @@ def test_store_rejects_separator_ids(head, sep, tail, as_family):
     ref = PersonRef("p", bad, Gender.MALE) if as_family else PersonRef(bad, "f", Gender.MALE)
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         EmbeddingStore(1, [(ref, np.zeros(1))])
+
+
+adversarial_ids = st.text(
+    st.one_of(
+        st.sampled_from(list('" ;\t\ufeffé')),
+        st.characters(exclude_categories=("Cs",), exclude_characters=SEPARATORS),
+    )
+)
+
+
+@st.composite
+def labeled_sets(draw):
+    """A store with adversarial ids, and valid pairs and triples over it."""
+    pids = draw(st.lists(adversarial_ids, min_size=3, max_size=8, unique=True))
+    families = draw(st.lists(adversarial_ids.filter(bool), min_size=2, max_size=2, unique=True))
+    refs = [
+        PersonRef(pid, draw(st.sampled_from(families)), draw(st.sampled_from(list(Gender))))
+        for pid in pids
+    ]
+    store = EmbeddingStore(1, [(ref, np.zeros(1)) for ref in refs])
+
+    def label(a, b):
+        return PairLabel.KIN if a.family_id == b.family_id else PairLabel.NONKIN
+
+    sibs = KinshipRelation.SIBS
+    sibling = {
+        (Gender.MALE, Gender.MALE): KinshipRelation.BB,
+        (Gender.FEMALE, Gender.FEMALE): KinshipRelation.SS,
+    }
+    pairs = [
+        KinPair(a.person_id, b.person_id, sibling.get((a.gender, b.gender), sibs), label(a, b))
+        for a, b in draw(st.lists(st.permutations(refs).map(lambda r: r[:2]), max_size=6))
+    ]
+    tris = [
+        TriSample(f.person_id, m.person_id, c.person_id, c.gender, label(f, c))
+        for f in refs
+        for m in refs
+        for c in refs
+        if f.gender is Gender.MALE
+        and m.gender is Gender.FEMALE
+        and f.family_id == m.family_id
+        and c not in (f, m)
+    ]
+    drawn = draw(st.lists(st.sampled_from(tris), max_size=6)) if tris else []
+    return store, PairSet(tuple(pairs)), TriSet(tuple(drawn))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_sets())
+def test_pairs_and_tri_roundtrip_property(case):
+    store, pairs, tris = case
+    with tempfile.TemporaryDirectory() as tmp:
+        pair_path, tri_path = Path(tmp) / "pairs.csv", Path(tmp) / "tri.csv"
+        save_pairs(pairs, pair_path)
+        save_tri(tris, tri_path)
+        assert load_pairs(pair_path, store).pairs == pairs.pairs
+        assert load_tri(tri_path, store).samples == tris.samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(chars), st.sampled_from(SEPARATORS), st.text(chars), st.integers(0, 4))
+def test_pair_and_tri_writers_reject_separator_ids(head, sep, tail, slot):
+    bad = head + sep + tail
+    ids = ["a", "b", "c"]
+    if slot < 2:
+        ids[slot] = bad
+        rows = PairSet((KinPair(ids[0], ids[1], KinshipRelation.BB, PairLabel.KIN),))
+        save = save_pairs
+    else:
+        ids[slot - 2] = bad
+        rows = TriSet((TriSample(*ids, Gender.MALE, PairLabel.KIN),))
+        save = save_tri
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        path.write_bytes(b"old")
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            save(rows, path)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp) == ["out.csv"]
 
 
 def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, tiny_world):
@@ -320,6 +401,14 @@ def test_resample_nonkin_contract(tiny_world):
 
         assert g2 is role2_gender(swapped.relation, g1)
         assert world.store.family_of(swapped.id1) != world.store.family_of(swapped.id2)
+
+
+def test_resample_nonkin_matches_per_pair_draws(tiny_world):
+    kin = augment_symmetric(tiny_world.kin_pairs["train"])
+    for seed, epoch in ((0, 1), (3, 2), (4, 7)):
+        out = resample_nonkin(kin, tiny_world.store, seed, epoch)
+        expected = resample_nonkin_loop(kin, tiny_world.store, seed, epoch)
+        assert [(p.id1, p.id2) for p in out] == expected
 
 
 def test_resample_nonkin_determinism_and_epoch_variation(tiny_world):

@@ -127,7 +127,7 @@ def test_single_vector_prefix_forward(case):
 def test_backward_rejects_positions_the_trace_did_not_run():
     config = ComparatorConfig(input_dim=4, hidden=2, dropout_p=0.0, relations=CODES[:3])
     params, features = _setup(config, 3, 0)
-    _, trace = forward(params, features, positions=np.array([1, 1, 0]))
+    _, trace = forward(params, features, mode="train", positions=np.array([1, 1, 0]))
     # same multiset, other rows; and a position above the traced prefix
     for rel_idx in ([0, 1, 1], [1, 0, 1], [2, 1, 0]):
         with pytest.raises(ValueError, match="traced forward"):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kinverify
 from kinverify.comparator import (
     Activation,
     ComparatorConfig,
@@ -76,7 +83,7 @@ def test_backward_gradient_zero_structure():
     fc = rng.standard_normal((1, 8))
 
     # first expert selected: only expert 0 touched
-    _, trace = forward(params, fc)
+    _, trace = forward(params, fc, mode="train")
     grads = backward(trace, params, np.array([0]), np.array([1.0]))
     for i in (1, 2):
         for part in ("W1", "b1", "W2", "b2"):
@@ -84,7 +91,7 @@ def test_backward_gradient_zero_structure():
     assert np.any(grads["expert0.W1"] != 0.0)
 
     # last expert selected: all W2/b2 below zero, every W1 may be nonzero
-    _, trace = forward(params, fc)
+    _, trace = forward(params, fc, mode="train")
     grads = backward(trace, params, np.array([2]), np.array([0.0]))
     for i in (0, 1):
         assert np.all(grads[f"expert{i}.W2"] == 0.0)
@@ -114,7 +121,7 @@ def test_gradcheck_detects_corrupted_gradient():
     fc = rng.standard_normal((2, 8))
     rel = np.array([0, 2])
     targets = np.array([1.0, 0.0])
-    _, trace = forward(params, fc)
+    _, trace = forward(params, fc, mode="train")
     analytic = backward(trace, params, rel, targets)
     analytic["expert0.W1"] = analytic["expert0.W1"] + 0.05  # fault injection
     numeric = finite_difference_grads(params, fc, rel, targets)
@@ -255,3 +262,32 @@ def test_train_config_validation():
         TrainConfig(lr_initial=0.0)
     assert TrainConfig().lr_for_epoch(2) == 0.001
     assert TrainConfig().lr_for_epoch(3) == 0.0005
+
+
+def test_model_bytes_do_not_depend_on_blas_threads():
+    # batch 200 x 128 inputs x 192 hidden is far above OpenBLAS's threading cut-off
+    script = textwrap.dedent(
+        """
+        import hashlib
+        from kinverify.comparator import ComparatorConfig
+        from kinverify.model_io import serialize_model
+        from kinverify.synth import SynthConfig, generate_world
+        from kinverify.training import TrainConfig, train
+
+        world = generate_world(SynthConfig(n_train_families=40, n_val_families=8,
+                                           n_test_families=8, seed=4))
+        params, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"],
+                          ComparatorConfig(input_dim=128), TrainConfig(epochs=2, seed=4))
+        print(hashlib.sha256(serialize_model(params)).hexdigest())
+        """
+    )
+    src = str(Path(kinverify.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1 and len(digests.pop()) == 64
