@@ -62,8 +62,6 @@ from .relations import (
     KinshipRelation,
     N_RELATIONS,
     RELATION_ORDER,
-    index_to_relation,
-    one_hot,
     relation_index,
 )
 from .synth import SynthConfig, SynthWorld, generate_world, make_person

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -25,39 +25,30 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SynthSection:
-    dim: int = 64
-    identity_dims: int = 32
-    n_train_families: int = 900
-    n_val_families: int = 90
-    n_test_families: int = 90
-    children_choices: tuple[int, ...] = (3, 4)
-    heritability: float = 1.414
-    gender_weight: float = 0.45
-    noise_weight: float = 0.33
-    founder_scale: float = 3.0
-    expression_flip_fraction: float = 0.55
-    parent_blend: str = "mean"
+def _section(name: str, library: type, leave_out: set[str]) -> type:
+    """A file section with the fields and defaults of a library config class."""
+    kept = [f for f in fields(library) if f.name not in leave_out]
+    return make_dataclass(
+        name,
+        [(f.name, f.type, field(default=f.default)) for f in kept],
+        namespace={"__module__": __name__},
+        frozen=True,
+    )
+
+
+# The seed comes from the top level; ADAM's betas and eps stay at the paper's values.
+SynthSection = _section("SynthSection", SynthConfig, {"seed"})
+TrainSection = _section(
+    "TrainSection", TrainConfig, {"seed", "adam_beta1", "adam_beta2", "adam_eps"}
+)
 
 
 @dataclass(frozen=True)
 class ModelSection:
-    hidden: int = 192
-    activation: str = "lrelu"
-    dropout: float = 0.2
-    sharing: str = "per-expert"
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    epochs: int = 4
-    batch_size: int = 200
-    lr_initial: float = 0.001
-    lr_late: float = 0.0005
-    lr_switch_after_epoch: int = 2
-    l2_lambda: float = 2e-4
-    l2_includes_biases: bool = True
+    hidden: int = ComparatorConfig.hidden
+    activation: str = ComparatorConfig.activation.value
+    dropout: float = ComparatorConfig.dropout_p
+    sharing: str = ComparatorConfig.sharing.value
 
 
 @dataclass(frozen=True)
@@ -68,29 +59,14 @@ class EvalSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 4
+    seed: int = SynthConfig.seed
     synth: SynthSection = field(default_factory=SynthSection)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
     def synth_config(self) -> SynthConfig:
-        s = self.synth
-        return SynthConfig(
-            dim=s.dim,
-            identity_dims=s.identity_dims,
-            n_train_families=s.n_train_families,
-            n_val_families=s.n_val_families,
-            n_test_families=s.n_test_families,
-            children_choices=tuple(s.children_choices),
-            heritability=s.heritability,
-            gender_weight=s.gender_weight,
-            noise_weight=s.noise_weight,
-            founder_scale=s.founder_scale,
-            expression_flip_fraction=s.expression_flip_fraction,
-            parent_blend=s.parent_blend,
-            seed=self.seed,
-        )
+        return SynthConfig(**dataclasses.asdict(self.synth), seed=self.seed)
 
     def comparator_config(self, input_dim: int) -> ComparatorConfig:
         m = self.model
@@ -108,17 +84,7 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        t = self.train
-        return TrainConfig(
-            epochs=t.epochs,
-            batch_size=t.batch_size,
-            lr_initial=t.lr_initial,
-            lr_late=t.lr_late,
-            lr_switch_after_epoch=t.lr_switch_after_epoch,
-            l2_lambda=t.l2_lambda,
-            l2_includes_biases=t.l2_includes_biases,
-            seed=self.seed,
-        )
+        return TrainConfig(**dataclasses.asdict(self.train), seed=self.seed)
 
     def to_dict(self) -> dict[str, Any]:
         out = dataclasses.asdict(self)

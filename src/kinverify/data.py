@@ -319,83 +319,82 @@ def validate_tri(sample: TriSample, store: EmbeddingStore) -> None:
         raise ValueError("nonkin tri-sample child from the parents' family")
 
 
+_PAIR_HEADER = "id1,id2,relation,label"
+_TRI_HEADER = "father_id,mother_id,child_id,label"
+
+
+def _read_rows(path: Path, header: str, build) -> list:
+    """Records of a 4-field CSV after ``header``, one ``build(*fields)`` per row.
+
+    A wrong header, a wrong field count or a ValueError or KeyError from
+    ``build`` aborts with a line-numbered DataFormatError.
+    """
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != header:
+        raise DataFormatError(f"{path}, line 1: expected header '{header}'")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise DataFormatError(f"{path}, line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            records.append(build(*parts))
+        except (ValueError, KeyError) as exc:
+            raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
+    return records
+
+
 def save_pairs(pairs: PairSet, path: str | Path) -> None:
     """Write a pairs CSV; an id holding a separator is rejected before any write."""
     for p in pairs:
         _check_id("id1", p.id1)
         _check_id("id2", p.id2)
     with _atomic_open(path) as fh:
-        fh.write("id1,id2,relation,label\n")
+        fh.write(_PAIR_HEADER + "\n")
         for p in pairs:
             fh.write(f"{p.id1},{p.id2},{p.relation.value},{p.label.value}\n")
 
 
 def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
     """Parse a pairs CSV, validating every row against the store."""
+
+    def build(id1, id2, relation, label):
+        pair = KinPair(id1, id2, KinshipRelation.from_code(relation), PairLabel.from_code(label))
+        validate_pair(pair, store)
+        return pair
+
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "id1,id2,relation,label":
-        raise DataFormatError(f"{path}, line 1: expected header 'id1,id2,relation,label'")
-    pairs: list[KinPair] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise DataFormatError(f"{path}, line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            pair = KinPair(
-                id1=parts[0],
-                id2=parts[1],
-                relation=KinshipRelation.from_code(parts[2]),
-                label=PairLabel.from_code(parts[3]),
-            )
-            validate_pair(pair, store)
-        except (ValueError, KeyError) as exc:
-            raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
-        pairs.append(pair)
-    return PairSet(tuple(pairs), provenance=str(path))
+    return PairSet(tuple(_read_rows(path, _PAIR_HEADER, build)), provenance=str(path))
 
 
 def save_tri(tris: TriSet, path: str | Path) -> None:
-    """Write a tri CSV; an id holding a separator is rejected before any write."""
+    """Write a tri CSV; a bad id or a missing label is rejected before any write."""
     for t in tris:
         _check_id("father_id", t.father_id)
         _check_id("mother_id", t.mother_id)
         _check_id("child_id", t.child_id)
+        if t.label is None:
+            raise ValueError(
+                f"tri-sample ({t.father_id!r}, {t.mother_id!r}, {t.child_id!r}) has no label"
+            )
     with _atomic_open(path) as fh:
-        fh.write("father_id,mother_id,child_id,label\n")
+        fh.write(_TRI_HEADER + "\n")
         for t in tris:
             fh.write(f"{t.father_id},{t.mother_id},{t.child_id},{t.label.value}\n")
 
 
 def load_tri(path: str | Path, store: EmbeddingStore) -> TriSet:
     """Parse a tri-subject CSV; child gender comes from the store."""
+
+    def build(father, mother, child, label):
+        child_gender = store.person(child).gender if child in store else Gender.MALE
+        sample = TriSample(father, mother, child, child_gender, PairLabel.from_code(label))
+        validate_tri(sample, store)
+        return sample
+
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "father_id,mother_id,child_id,label":
-        raise DataFormatError(
-            f"{path}, line 1: expected header 'father_id,mother_id,child_id,label'"
-        )
-    samples: list[TriSample] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise DataFormatError(f"{path}, line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            child_gender = store.person(parts[2]).gender if parts[2] in store else Gender.MALE
-            sample = TriSample(
-                father_id=parts[0],
-                mother_id=parts[1],
-                child_id=parts[2],
-                child_gender=child_gender,
-                label=PairLabel.from_code(parts[3]),
-            )
-            validate_tri(sample, store)
-        except (ValueError, KeyError) as exc:
-            raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
-        samples.append(sample)
-    return TriSet(tuple(samples), provenance=str(path))
+    return TriSet(tuple(_read_rows(path, _TRI_HEADER, build)), provenance=str(path))
 
 
 def augment_symmetric(pairs: PairSet) -> PairSet:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 
 class Gender(enum.Enum):
     MALE = "M"
@@ -79,19 +77,6 @@ SYMMETRIC_RELATIONS = frozenset(
 def relation_index(relation: KinshipRelation) -> int:
     """Canonical index of ``relation``: BB is 0, GMGS is 10."""
     return _INDEX[relation]
-
-
-def index_to_relation(index: int) -> KinshipRelation:
-    if not 0 <= index < N_RELATIONS:
-        raise ValueError(f"relation index out of range: {index}")
-    return RELATION_ORDER[index]
-
-
-def one_hot(relation: KinshipRelation) -> np.ndarray:
-    """Length-11 indicator vector with a one at the canonical index."""
-    vec = np.zeros(N_RELATIONS, dtype=np.float64)
-    vec[_INDEX[relation]] = 1.0
-    return vec
 
 
 def is_symmetric(relation: KinshipRelation) -> bool:

@@ -20,6 +20,7 @@ byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -283,6 +284,52 @@ def _macro_accuracy_curve(store, pairs, params):
     return best
 
 
+def _epochs(params, state, train_config, epoch_data, step):
+    """The epoch loop shared by ``train`` and ``train_attention``.
+
+    For each epoch ``epoch_data(epoch)`` returns the row count n and a
+    function that takes the epoch's seeded shuffle (a permutation of n) to
+    the arrays to train on. Each batch of rows goes through ``step``, which
+    returns the batch loss and the gradients, then through one ADAM update.
+    Yields (epoch, lr, batch losses) after every epoch; with epochs=0 it
+    yields nothing and leaves the parameters alone.
+    """
+    tc = train_config
+    for epoch in range(1, tc.epochs + 1):
+        n, gather = epoch_data(epoch)
+        arrays = gather(derive_rng(tc.seed, STREAM_SHUFFLE, epoch).permutation(n))
+        lr = tc.lr_for_epoch(epoch)
+        losses = []
+        for start in range(0, n, tc.batch_size):
+            loss, grads = step(*(a[start : start + tc.batch_size] for a in arrays))
+            adam_step(params, grads, state, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
+            losses.append(loss)
+        yield epoch, lr, losses
+
+
+def _expert_step(params, train_config, dropout_rng, features, rel_idx, targets):
+    """Loss and gradients of one expert batch: selected BCE plus the L2 penalty."""
+    _, trace = forward(params, features, mode="train", rng=dropout_rng, positions=rel_idx)
+    losses, _ = bce_loss(trace.logits, targets)
+    grads = backward(trace, params, rel_idx, targets)
+    reg_loss, grads = l2_penalty(
+        params, train_config.l2_lambda, train_config.l2_includes_biases, grads=grads
+    )
+    return float(losses.mean()) + reg_loss, grads
+
+
+def _attention_step(params, features, rel_idx):
+    """Mean softmax cross-entropy of the relation head and its gradients."""
+    rows = np.arange(len(rel_idx))
+    logits = features @ params.values["attention.W"].T + params.values["attention.b"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.exp(shifted).sum(axis=1)) - shifted[rows, rel_idx]))
+    dlogits = stable_softmax(logits)  # a fresh array, updated in place
+    dlogits[rows, rel_idx] -= 1.0
+    dlogits /= len(rel_idx)
+    return loss, {"attention.W": dlogits.T @ features, "attention.b": dlogits.sum(axis=0)}
+
+
 def train(
     store: EmbeddingStore,
     kin_pairs: PairSet,
@@ -293,59 +340,28 @@ def train(
     """Full training run; returns the model and per-epoch history.
 
     ``kin_pairs`` are raw kin pairs; symmetric relations are duplicated and
-    swapped here, once, before the epoch loop. ``val_pairs`` is a fixed
-    kin+nonkin set used only for the history's macro accuracy (computed at
-    the per-epoch calibrated threshold). With epochs=0 the initialized
-    parameters come back untouched with empty history.
+    swapped here, once, before the epoch loop. Every epoch draws fresh
+    nonkin pairs, shuffles the pairs and vectorizes them once. ``val_pairs``
+    is a fixed kin+nonkin set used only for the history's macro accuracy
+    (computed at the per-epoch calibrated threshold). With epochs=0 the
+    initialized parameters come back untouched with empty history.
     """
-    params = init_params(comp_config, train_config.seed)
+    seed = train_config.seed
+    params = init_params(comp_config, seed)
+    aug = augment_symmetric(kin_pairs)
+
+    def epoch_data(epoch):
+        pairs = list(aug.pairs) + list(resample_nonkin(aug, store, seed, epoch).pairs)
+        return len(pairs), lambda order: pairs_to_arrays(
+            store, [pairs[i] for i in order], comp_config.relations
+        )
+
+    step = partial(_expert_step, params, train_config, derive_rng(seed, STREAM_DROPOUT))
     state = AdamState.init_like(params)
     history: list[EpochStats] = []
-    if train_config.epochs == 0:
-        return params, history
-
-    aug = augment_symmetric(kin_pairs)
-    dropout_rng = derive_rng(train_config.seed, STREAM_DROPOUT)
-    for epoch in range(1, train_config.epochs + 1):
-        nonkin = resample_nonkin(aug, store, train_config.seed, epoch)
-        epoch_pairs = list(aug.pairs) + list(nonkin.pairs)
-        order = derive_rng(train_config.seed, STREAM_SHUFFLE, epoch).permutation(len(epoch_pairs))
-        shuffled = [epoch_pairs[i] for i in order]  # one gather, no epoch-sized copy
-        features, rel_idx, targets = pairs_to_arrays(store, shuffled, comp_config.relations)
-
-        lr = train_config.lr_for_epoch(epoch)
-        batch_losses: list[float] = []
-        for start in range(0, len(epoch_pairs), train_config.batch_size):
-            stop = start + train_config.batch_size
-            xb, kb, tb = features[start:stop], rel_idx[start:stop], targets[start:stop]
-            _, trace = forward(params, xb, mode="train", rng=dropout_rng, positions=kb)
-            losses, _ = bce_loss(trace.logits, tb)
-            grads = backward(trace, params, kb, tb)
-            reg_loss, grads = l2_penalty(
-                params,
-                train_config.l2_lambda,
-                train_config.l2_includes_biases,
-                grads=grads,
-            )
-            params, state = adam_step(
-                params,
-                grads,
-                state,
-                lr,
-                train_config.adam_beta1,
-                train_config.adam_beta2,
-                train_config.adam_eps,
-            )
-            batch_losses.append(float(losses.mean()) + reg_loss)
+    for epoch, lr, losses in _epochs(params, state, train_config, epoch_data, step):
         val_acc = _macro_accuracy_curve(store, val_pairs, params)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                lr=lr,
-                train_loss=float(np.mean(batch_losses)),
-                val_macro_acc=val_acc,
-            )
-        )
+        history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
     return params, history
 
 
@@ -364,40 +380,15 @@ def train_attention(
     epochs=0 it stays zero (the uniform predictor).
     """
     params = add_attention_head(params.copy())
-    if train_config.epochs == 0:
-        return params
-    cfg = params.config
     aug = augment_symmetric(kin_pairs)
-    features, rel_idx, _ = pairs_to_arrays(store, list(aug.pairs), cfg.relations)
-    att_keys = params.attention_keys()
-    state = AdamState.init_like(params, keys=att_keys)
-    n_experts = cfg.n_experts
-    for epoch in range(1, train_config.epochs + 1):
-        order = derive_rng(train_config.seed, STREAM_SHUFFLE, epoch).permutation(len(rel_idx))
-        xs, ks = features[order], rel_idx[order]
-        lr = train_config.lr_for_epoch(epoch)
-        for start in range(0, len(ks), train_config.batch_size):
-            stop = start + train_config.batch_size
-            xb, kb = xs[start:stop], ks[start:stop]
-            n = len(kb)
-            logits = xb @ params.values["attention.W"].T + params.values["attention.b"]
-            probs = stable_softmax(logits)
-            dlogits = probs.copy()
-            dlogits[np.arange(n), kb] -= 1.0
-            dlogits /= n
-            grads: GradientSet = {
-                "attention.W": dlogits.T @ xb,
-                "attention.b": dlogits.sum(axis=0),
-            }
-            params, state = adam_step(
-                params,
-                grads,
-                state,
-                lr,
-                train_config.adam_beta1,
-                train_config.adam_beta2,
-                train_config.adam_eps,
-            )
+    features, rel_idx, _ = pairs_to_arrays(store, list(aug.pairs), params.config.relations)
+    state = AdamState.init_like(params, keys=params.attention_keys())
+
+    def epoch_data(epoch):
+        return len(rel_idx), lambda order: (features[order], rel_idx[order])
+
+    for _ in _epochs(params, state, train_config, epoch_data, partial(_attention_step, params)):
+        pass
     return params
 
 

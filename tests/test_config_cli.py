@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from kinverify.cli import main
+from kinverify.comparator import ComparatorConfig
 from kinverify.config import ConfigError, RunConfig, parse_config
+from kinverify.synth import SynthConfig
+from kinverify.training import TrainConfig
 
 
 def test_defaults_match_published_training_recipe():
@@ -49,6 +52,52 @@ def test_parse_config_type_errors(tmp_path):
     path.write_text(json.dumps({"model": {"hidden": "big"}}))
     with pytest.raises(ConfigError, match="model.hidden"):
         parse_config(path)
+
+
+# the manifest "config" block of a run with every default
+DEFAULT_CONFIG_DICT = {
+    "eval": {"bins": 50, "objective": "macro"},
+    "model": {"activation": "lrelu", "dropout": 0.2, "hidden": 192, "sharing": "per-expert"},
+    "seed": 4,
+    "synth": {
+        "children_choices": [3, 4],
+        "dim": 64,
+        "expression_flip_fraction": 0.55,
+        "founder_scale": 3.0,
+        "gender_weight": 0.45,
+        "heritability": 1.414,
+        "identity_dims": 32,
+        "n_test_families": 90,
+        "n_train_families": 900,
+        "n_val_families": 90,
+        "noise_weight": 0.33,
+        "parent_blend": "mean",
+    },
+    "train": {
+        "batch_size": 200,
+        "epochs": 4,
+        "l2_includes_biases": True,
+        "l2_lambda": 0.0002,
+        "lr_initial": 0.001,
+        "lr_late": 0.0005,
+        "lr_switch_after_epoch": 2,
+    },
+}
+
+
+def test_config_surface_is_pinned():
+    assert RunConfig().to_dict() == DEFAULT_CONFIG_DICT
+    for key in ("train.adam_beta1", "train.seed", "synth.seed"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(overrides={key: 1})
+
+
+def test_section_defaults_are_the_library_defaults():
+    config = RunConfig()
+    assert config.seed == SynthConfig().seed
+    assert config.synth_config() == SynthConfig()
+    assert config.train_config() == TrainConfig(seed=config.seed)
+    assert config.comparator_config(input_dim=128) == ComparatorConfig(input_dim=128)
 
 
 SYNTH_ARGS = [

@@ -220,6 +220,21 @@ def test_pair_and_tri_writers_reject_separator_ids(head, sep, tail, slot):
         assert os.listdir(tmp) == ["out.csv"]
 
 
+def test_tri_writer_rejects_unlabeled_triple(tmp_path):
+    rows = TriSet(
+        (
+            TriSample("f", "m", "c", Gender.MALE, PairLabel.KIN),
+            TriSample("f2", "m2", "c2", Gender.FEMALE, None),
+        )
+    )
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match=re.escape("('f2', 'm2', 'c2') has no label")):
+        save_tri(rows, path)
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
 def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, tiny_world):
     from kinverify.config import RunConfig, write_manifest
     from kinverify.evaluation import (
@@ -267,7 +282,8 @@ def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, tiny_world):
     # an exception raised while rows are being written also leaves the old file
     path = tmp_path / "tri.csv"
     before = path.read_bytes()
-    broken = TriSet(world.tris["val"].samples + (TriSample("a", "b", "c", Gender.MALE, None),))
+    # a label of the wrong type passes the checks and fails at its row
+    broken = TriSet(world.tris["val"].samples + (TriSample("a", "b", "c", Gender.MALE, "kin"),))
     with pytest.raises(AttributeError):
         save_tri(broken, path)
     assert path.read_bytes() == before

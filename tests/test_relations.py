@@ -6,9 +6,7 @@ from kinverify.relations import (
     N_RELATIONS,
     RELATION_ORDER,
     genders_match,
-    index_to_relation,
     is_symmetric,
-    one_hot,
     relation_index,
     role2_gender,
 )
@@ -21,26 +19,9 @@ def test_canonical_order_endpoints():
 
 
 def test_relation_index_is_bijection():
-    indices = {relation_index(r) for r in KinshipRelation}
-    assert indices == set(range(11))
+    assert {relation_index(r) for r in KinshipRelation} == set(range(N_RELATIONS))
     for r in KinshipRelation:
-        assert index_to_relation(relation_index(r)) is r
-
-
-def test_index_to_relation_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        index_to_relation(11)
-    with pytest.raises(ValueError):
-        index_to_relation(-1)
-
-
-def test_one_hot():
-    bb = one_hot(KinshipRelation.BB)
-    assert bb.tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
-    fd = one_hot(KinshipRelation.FD)
-    assert fd[3] == 1.0 and fd.sum() == 1.0
-    for r in KinshipRelation:
-        assert one_hot(r).sum() == 1.0
+        assert RELATION_ORDER[relation_index(r)] is r
 
 
 def test_symmetric_relations():

@@ -13,12 +13,15 @@ from kinverify.comparator import (
     Activation,
     ComparatorConfig,
     SharingMode,
+    add_attention_head,
     forward,
     init_params,
+    stable_softmax,
 )
 from kinverify.model_io import serialize_model
 from kinverify.training import (
     AdamState,
+    _attention_step,
     TrainConfig,
     adam_step,
     backward,
@@ -251,6 +254,46 @@ def test_train_attention_freezes_experts(tiny_world):
     # zero-epoch head training keeps the uniform head
     untouched = train_attention(params, world.store, world.kin_pairs["train"], TrainConfig(epochs=0, seed=3))
     assert np.all(untouched.values["attention.W"] == 0.0)
+
+
+def test_attention_step_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    params = add_attention_head(init_params(TINY, 0))
+    for key in params.attention_keys():
+        params.values[key] = 0.5 * rng.standard_normal(params.values[key].shape)
+    features = rng.standard_normal((6, TINY.input_dim))
+    rel_idx = np.array([0, 1, 2, 1, 0, 2])
+
+    loss, analytic = _attention_step(params, features, rel_idx)
+    logits = features @ params.values["attention.W"].T + params.values["attention.b"]
+    expected = -np.log(stable_softmax(logits)[np.arange(6), rel_idx]).mean()
+    assert loss == pytest.approx(expected, rel=1e-12)
+
+    step = 1e-6
+    assert sorted(analytic) == sorted(params.attention_keys())
+    for name, grad in analytic.items():
+        flat = params.values[name].reshape(-1)
+        numeric = np.zeros(flat.size)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            up = _attention_step(params, features, rel_idx)[0]
+            flat[j] = orig - step
+            down = _attention_step(params, features, rel_idx)[0]
+            flat[j] = orig
+            numeric[j] = (up - down) / (2.0 * step)
+        npt.assert_allclose(grad.reshape(-1), numeric, atol=1e-8)
+
+
+def test_train_attention_determinism_bytes(tiny_world):
+    world = tiny_world
+    config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=4)
+    tcfg = TrainConfig(epochs=2, batch_size=64, seed=3)
+    params, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
+    a = train_attention(params, world.store, world.kin_pairs["train"], tcfg)
+    b = train_attention(params, world.store, world.kin_pairs["train"], tcfg)
+    assert np.any(a.values["attention.W"] != 0.0)
+    assert serialize_model(a) == serialize_model(b)
 
 
 def test_train_config_validation():
