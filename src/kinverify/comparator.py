@@ -35,6 +35,14 @@ from .seeding import STREAM_INIT, derive_rng
 LRELU_SLOPE = 0.2
 PRELU_INIT_SLOPE = 0.25
 
+# Rows per block of a large eval-mode forward (see _block_cuts). A block's
+# hidden arrays (1,024 x 192 float64, 1.5 MB each) stay in a 2 MB L2 cache,
+# and each GEMV of a blocked forward covers fewer than 2,048 rows, below
+# OpenBLAS's threading cut-off (2,400 rows at hidden 192), so eval scores do
+# not depend on the BLAS thread count. A multiple of 4, because OpenBLAS's
+# GEMV sums rows in groups of four counted from the first row of each call.
+EVAL_BLOCK_ROWS = 1024
+
 CANONICAL_RELATION_CODES = tuple(r.value for r in RELATION_ORDER)
 
 
@@ -240,16 +248,36 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def _prelu_gate(a: np.ndarray, slope: float) -> np.ndarray:
+    """1.0 where a > 0, else ``slope``: np.where(a > 0, 1.0, slope) by arithmetic.
+
+    A kept entry is 1 + (+-0) and a dropped one slope + 0, both exact for
+    any slope but -0.0, so the gate has np.where's bits without its
+    data-dependent branches.
+    """
+    gate = np.multiply(a <= 0, slope)
+    gate += a > 0
+    return gate
+
+
 def apply_activation(a: np.ndarray, kind: Activation, slope: float | None = None) -> np.ndarray:
+    """act(a) elementwise, with the bits of the np.where form, signed zeros included.
+
+    The where-form is lrelu ``np.where(a > 0, a, 0.2 * a)``, relu
+    ``np.where(a > 0, a, 0.0)`` and prelu ``np.where(a > 0, a, slope * a)``;
+    the arithmetic forms here give the same bits for every input but NaN.
+    """
     a = np.asarray(a, dtype=np.float64)
     if kind is Activation.LRELU:
-        # same bits as np.where(a > 0, a, 0.2 * a), signed zeros included
         z = np.multiply(a, LRELU_SLOPE, out=np.empty_like(a))
         return np.maximum(a, z, out=z)
     if kind is Activation.RELU:
-        return np.where(a > 0, a, 0.0)
+        # np.maximum returns its second operand on a tie, so -0.0 maps to +0.0
+        return np.maximum(a, 0.0)
     if kind is Activation.PRELU:
-        return np.where(a > 0, a, slope * a)
+        z = _prelu_gate(a, slope)
+        z *= a
+        return z
     return np.tanh(a)
 
 
@@ -266,17 +294,29 @@ def activation_grad(
     in the output buffer from the comparison as (a > 0) * (1 - slope) +
     slope, which is exactly 1.0 or the slope for both slopes, then scaled
     by ``upstream`` in place: the same bits as a np.where mask, without the
-    mask array or np.where's data-dependent branches.
+    mask array or np.where's data-dependent branches. PReLU's learned slope
+    takes the gate of ``_prelu_gate`` instead.
     """
     if kind is Activation.TANH:
         return upstream * (1.0 - z * z)
     if kind is Activation.PRELU:
-        return upstream * np.where(a > 0, 1.0, slope)
+        out = _prelu_gate(a, slope)
+        out *= upstream
+        return out
     low = LRELU_SLOPE if kind is Activation.LRELU else 0.0
     out = np.multiply(a > 0, 1.0 - low)
     out += low
     out *= upstream
     return out
+
+
+def prelu_slope_grad(upstream: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum(upstream * d prelu(a) / d slope), shape (1,): the gradient of a PReLU slope.
+
+    For finite ``a`` the factor a * (a <= 0) has the bits of
+    np.where(a > 0, 0.0, a), signed zeros included.
+    """
+    return np.sum(upstream * (a * (a <= 0)), keepdims=True).reshape(1)
 
 
 @dataclass
@@ -325,6 +365,79 @@ def _prefix_rows(
     return order, starts, counts
 
 
+def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
+    """Row cuts of a blocked eval forward over ``n`` trace rows.
+
+    ``ends`` lists, ascending, the trace row where each position's rows end
+    (``n`` alone for a full forward). A cut lies a multiple of ``block``
+    rows after the start of its position's rows, at least ``block`` rows
+    before their end and at least ``block`` rows after the previous cut.
+    So every block holds at least ``block`` rows, and fewer than twice that
+    unless it takes in positions with fewer than ``block`` rows. An expert
+    then runs on a block over at least ``block`` rows or over exactly its
+    unblocked rows, and each position's logits come in pieces that start
+    where the unblocked GEMV's groups of four rows start and end where it
+    ends: what OpenBLAS needs to give each row the unblocked call's bits.
+    """
+    cuts = [0]
+    lo = 0
+    for hi in ends:
+        for cut in range(lo, hi - block + 1, block):
+            if cut - cuts[-1] >= block:
+                cuts.append(cut)
+        lo = hi
+    return cuts + [n]
+
+
+def _run_experts(
+    params: ComparatorParams,
+    plan: tuple[_HiddenLayer, ...],
+    x: np.ndarray,
+    starts: tuple[int, ...],
+    counts: tuple[int, ...],
+    experts: range | list[int],
+    logits: np.ndarray,
+    keep: bool,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run ``experts`` on rows of ``x`` and write their logits; the cascade's inner loop.
+
+    Expert ``i`` runs on rows ``starts[i] : starts[i] + counts[i]``. An
+    (n, n_experts) ``logits`` takes every expert's column; an (n,) one takes
+    each row's own expert: the whole span in entirely-local mode, in the
+    cascade the rows the next expert skips. With ``keep`` the per-expert
+    pre-activation and hidden arrays are returned for ``backward``.
+    """
+    cfg = params.config
+    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
+    pre_acts: list[np.ndarray] = []
+    hidden: list[np.ndarray] = []
+    prev = x
+    for i in experts:
+        layer = plan[i]
+        lo, rows = starts[i], counts[i]
+        inp = x[lo : lo + rows] if layer.reads_input else prev[:rows]
+        w1 = params.values[layer.w_key]
+        b1 = params.values[layer.b_key]
+        slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
+        a = inp @ w1.T
+        a += b1
+        if not np.isfinite(a).all():
+            raise FloatingPointError(f"non-finite pre-activation in expert {i}")
+        z = apply_activation(a, cfg.activation, slope)
+        w2 = params.values[f"expert{i}.W2"]
+        b2 = params.values[f"expert{i}.b2"]
+        if logits.ndim == 2:
+            logits[:, i] = z @ w2[0] + b2[0]
+        else:
+            first = lo if local else (counts + (0,))[i + 1]
+            logits[first : lo + rows] = z[first - lo :] @ w2[0] + b2[0]
+        if keep:
+            pre_acts.append(a)
+            hidden.append(z)
+        prev = z
+    return pre_acts, hidden
+
+
 def forward(
     params: ComparatorParams,
     features: np.ndarray,
@@ -341,15 +454,20 @@ def forward(
     ``dropout_scale`` multiplier is supplied for replay, and keeps every
     expert's pre-activation and hidden array in the trace for ``backward``.
     Eval mode is inference: deterministic, never drops, and keeps no
-    activations, so only about three hidden blocks are alive at once. Its
-    probabilities are bit-identical to a train-mode forward without
-    dropout; ``backward`` needs a train-mode trace.
+    activations. Its probabilities are bit-identical to a train-mode
+    forward without dropout; ``backward`` needs a train-mode trace.
 
     Without ``positions`` every expert runs on every row and the result
     holds all per-relation probabilities. With ``positions`` (each row's
     expert index) a row runs only through the experts it needs: 0..k in
     the cascade, k alone in entirely-local mode. The result then holds each
     row's selected probability, in the caller's order, and nothing else.
+
+    An eval batch of more than ``EVAL_BLOCK_ROWS`` rows runs block by block
+    (see ``_block_cuts``): all experts on one block of trace rows, then the
+    next, so each block's hidden arrays stay in cache and each GEMV stays
+    single-threaded. The trace is the same as an unblocked one, and so are
+    the probabilities when the hidden layer has two or more units.
     """
     cfg = params.config
     if mode not in ("train", "eval"):
@@ -381,43 +499,34 @@ def forward(
         x = x * scale
 
     plan = hidden_layer_plan(cfg)
-    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
     if positions is None:
         order, starts, counts = None, (0,) * cfg.n_experts, (n,) * cfg.n_experts
         logits = np.empty((n, cfg.n_experts), dtype=np.float64)
     else:
+        local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
         order, starts, counts = _prefix_rows(positions, cfg.n_experts, local)
         x = x[order]
-        sorted_logits = np.empty(n, dtype=np.float64)
-    pre_acts: list[np.ndarray] = []
-    hidden: list[np.ndarray] = []
-    prev = x
-    for i, layer in enumerate(plan):
-        lo, rows = starts[i], counts[i]
-        inp = x[lo : lo + rows] if layer.reads_input else prev[:rows]
-        w1 = params.values[layer.w_key]
-        b1 = params.values[layer.b_key]
-        slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
-        a = inp @ w1.T
-        a += b1
-        if not np.isfinite(a).all():
-            raise FloatingPointError(f"non-finite pre-activation in expert {i}")
-        z = apply_activation(a, cfg.activation, slope)
-        w2 = params.values[f"expert{i}.W2"]
-        b2 = params.values[f"expert{i}.b2"]
-        if order is None:
-            logits[:, i] = z @ w2[0] + b2[0]
-        else:
-            # sorted rows whose position is exactly i: the whole span in
-            # entirely-local mode, the rows the next expert skips in the cascade
-            first = lo if local else (counts + (0,))[i + 1]
-            sorted_logits[first : lo + rows] = z[first - lo :] @ w2[0] + b2[0]
-        if mode == "train":
-            pre_acts.append(a)
-            hidden.append(z)
-        prev = z
+        logits = np.empty(n, dtype=np.float64)  # trace order until unsorted below
+    experts = range(cfg.n_experts)
+    if mode == "train" or n <= EVAL_BLOCK_ROWS:
+        pre_acts, hidden = _run_experts(
+            params, plan, x, starts, counts, experts, logits, mode == "train"
+        )
+    else:
+        pre_acts, hidden = [], []
+        ends = sorted(lo + rows for lo, rows in zip(starts, counts))
+        cuts = _block_cuts(ends, n, EVAL_BLOCK_ROWS)
+        for b0, b1 in zip(cuts, cuts[1:]):
+            # each expert's rows clipped to the block, in block coordinates
+            los = [min(max(lo - b0, 0), b1 - b0) for lo in starts]
+            his = [min(max(lo + rows - b0, 0), b1 - b0) for lo, rows in zip(starts, counts)]
+            block_counts = tuple(hi - lo for lo, hi in zip(los, his))
+            _run_experts(
+                params, plan, x[b0:b1], tuple(los), block_counts,
+                [i for i in experts if block_counts[i]], logits[b0:b1], False,
+            )
     if order is not None:
-        logits = np.empty(n, dtype=np.float64)
+        sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
         logits[order] = sorted_logits
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite expert logits")

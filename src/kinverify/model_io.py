@@ -9,11 +9,11 @@ Layout (all integers little-endian):
     n_experts       u32
     activation      u8       0 lrelu, 1 relu, 2 prelu, 3 tanh
     sharing         u8       0 per-expert, 1 shared-trunk, 2 entirely-local
-    has_attention   u8
-    has_threshold   u8
+    has_attention   u8       0 or 1
+    has_threshold   u8       0 or 1
     dropout_p       f64
     threshold       f64      0.0 when has_threshold = 0
-    relations       n_experts x (u8 length + ascii code)
+    relations       n_experts x (u8 length + ascii relation code, e.g. BB)
     payload         parameter arrays, row-major f64, in param_layout order
     crc32           u32      zlib.crc32 of the payload bytes
 
@@ -38,6 +38,7 @@ from .comparator import (
     param_layout,
 )
 from .data import _atomic_open
+from .relations import KinshipRelation
 
 MAGIC = b"KINC"
 VERSION = 1
@@ -55,6 +56,7 @@ _SHARING_CODES = {
 }
 _ACTIVATION_BY_CODE = {v: k for k, v in _ACTIVATION_CODES.items()}
 _SHARING_BY_CODE = {v: k for k, v in _SHARING_CODES.items()}
+_RELATION_CODES = frozenset(r.value.encode("ascii") for r in KinshipRelation)
 
 
 class ModelFormatError(ValueError):
@@ -123,13 +125,19 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
         raise ModelFormatError(f"unknown activation code {act_code}")
     if sharing_code not in _SHARING_BY_CODE:
         raise ModelFormatError(f"unknown sharing code {sharing_code}")
+    for name, flag in (("has_attention", has_attention), ("has_threshold", has_threshold)):
+        if flag not in (0, 1):
+            raise ModelFormatError(f"{name} flag byte is {flag}, not 0 or 1")
     dropout_p, threshold = struct.unpack("<dd", take(16, "dropout/threshold"))
     if has_threshold and not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise ModelFormatError(f"stored threshold {threshold} is not in [0, 1]")
     relations = []
     for i in range(n_experts):
         (length,) = struct.unpack("<B", take(1, f"relation {i} length"))
-        relations.append(bytes(take(length, f"relation {i}")).decode("ascii"))
+        code = bytes(take(length, f"relation {i}"))
+        if code not in _RELATION_CODES:
+            raise ModelFormatError(f"relation {i} has unknown code {code!r}")
+        relations.append(code.decode("ascii"))
 
     try:
         config = ComparatorConfig(

@@ -36,6 +36,7 @@ from .comparator import (
     forward,
     hidden_layer_plan,
     init_params,
+    prelu_slope_grad,
     stable_sigmoid,
     stable_softmax,
 )
@@ -224,7 +225,7 @@ def backward(
         slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
         da = activation_grad(dz, a, z, cfg.activation, slope)
         if layer.prelu_key:
-            grads[layer.prelu_key] += np.sum(dz * np.where(a > 0, 0.0, a), keepdims=True).reshape(1)
+            grads[layer.prelu_key] += prelu_slope_grad(dz, a)
         grads[layer.w_key] += da.T @ inp
         grads[layer.b_key] += da.sum(axis=0)
         carry = da @ params.values[layer.w_key] if cascade and i > 0 else None

@@ -63,6 +63,26 @@ def dense_forward_oracle(params, fc):
     return np.array(probs)
 
 
+def where_activation(a, kind, slope=None):
+    """The piecewise activations in their np.where form (kind is the Activation value)."""
+    if kind == "lrelu":
+        return np.where(a > 0, a, 0.2 * a)
+    if kind == "relu":
+        return np.where(a > 0, a, 0.0)
+    return np.where(a > 0, a, slope * a)
+
+
+def where_activation_grad(upstream, a, kind, slope=None):
+    """upstream * d act(a) / d a for the piecewise activations, as a np.where mask."""
+    low = {"lrelu": 0.2, "relu": 0.0, "prelu": slope}[kind]
+    return upstream * np.where(a > 0, 1.0, low)
+
+
+def where_prelu_slope_term(a):
+    """d prelu(a) / d slope: a where a <= 0, else 0."""
+    return np.where(a > 0, 0.0, a)
+
+
 def auc_bruteforce(kin_scores, non_scores):
     """Pairwise count with ties worth one half."""
     total = 0.0
@@ -75,24 +95,24 @@ def auc_bruteforce(kin_scores, non_scores):
     return total / (len(kin_scores) * len(non_scores))
 
 
-def best_threshold_bruteforce(scores, is_kin, relations, n_grid, objective, higher_is_kin=True):
-    """Best objective over an even grid of thresholds (plus the endpoints)."""
+def best_threshold_bruteforce(scores, is_kin, relations, objective, higher_is_kin=True):
+    """Best objective over every threshold, tried one partition at a time.
+
+    The cuts are each distinct score plus one below the minimum and one
+    above the maximum, so every split a threshold can make is visited.
+    """
     scores = np.asarray(scores)
     is_kin = np.asarray(is_kin, dtype=bool)
-    lo, hi = scores.min() - 1.0, scores.max() + 1.0
-    grid = np.linspace(lo, hi, n_grid)
+    cuts = np.concatenate(([scores.min() - 1.0], np.unique(scores), [scores.max() + 1.0]))
+    masks = [np.asarray([r == rel for r in relations]) for rel in sorted(set(relations))]
     best = -1.0
-    for t in grid:
+    for t in cuts:
         decided_kin = scores >= t if higher_is_kin else scores <= t
         correct = decided_kin == is_kin
         if objective == "micro":
             value = correct.mean()
         else:
-            accs = []
-            for rel in sorted(set(relations)):
-                mask = np.asarray([r == rel for r in relations])
-                accs.append(correct[mask].mean())
-            value = float(np.mean(accs))
+            value = float(np.mean([correct[mask].mean() for mask in masks]))
         best = max(best, value)
     return best
 

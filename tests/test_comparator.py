@@ -1,8 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kinverify.comparator import (
     Activation,
@@ -11,10 +15,12 @@ from kinverify.comparator import (
     PoolingMode,
     SharingMode,
     add_attention_head,
+    activation_grad,
     apply_activation,
     attention_forward,
     forward,
     init_params,
+    prelu_slope_grad,
     score_unknown,
     select_output,
     stable_sigmoid,
@@ -23,7 +29,12 @@ from kinverify.comparator import (
 from kinverify.data import PairLabel
 from kinverify.relations import KinshipRelation
 
-from oracles import dense_forward_oracle
+from oracles import (
+    dense_forward_oracle,
+    where_activation,
+    where_activation_grad,
+    where_prelu_slope_term,
+)
 
 TINY = ComparatorConfig(input_dim=8, hidden=3, dropout_p=0.0, relations=("BB", "FD", "GMGS"))
 
@@ -44,6 +55,56 @@ def test_activation_values():
     assert apply_activation(np.array(0.0), Activation.TANH) == 0.0
     assert apply_activation(np.array(-2.0), Activation.RELU) == 0.0
     assert apply_activation(np.array(-2.0), Activation.PRELU, slope=0.25) == pytest.approx(-0.5)
+
+
+def _blocks(elements):
+    return hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=9), elements=elements)
+
+
+# Signed zeros, subnormals and infinities included; NaN is left out because
+# forward rejects a non-finite pre-activation before any activation runs.
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf])
+PRE_ACTS = _blocks(st.floats(allow_nan=False) | SPECIAL)
+# A learned slope is finite (the loader rejects anything else); -0.0 is the
+# one slope the arithmetic gate turns into +0.0.
+SLOPES = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda s: s != 0.0 or math.copysign(1.0, s) > 0
+)
+PIECEWISE = [Activation.LRELU, Activation.RELU, Activation.PRELU]
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(PRE_ACTS, st.sampled_from(PIECEWISE), SLOPES)
+def test_activation_has_the_bits_of_the_where_form(a, kind, slope):
+    slope = slope if kind is Activation.PRELU else None
+    with np.errstate(all="ignore"):  # huge slopes overflow, in both forms alike
+        assert same_bits(apply_activation(a, kind, slope), where_activation(a, kind.value, slope))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PRE_ACTS, st.sampled_from(PIECEWISE), SLOPES, st.data())
+def test_activation_grad_has_the_bits_of_the_where_form(a, kind, slope, data):
+    upstream = data.draw(hnp.arrays(np.float64, a.shape, elements=st.floats(-1e6, 1e6)))
+    slope = slope if kind is Activation.PRELU else None
+    with np.errstate(all="ignore"):
+        z = apply_activation(a, kind, slope)
+        got = activation_grad(upstream, a, z, kind, slope)
+        assert same_bits(got, where_activation_grad(upstream, a, kind.value, slope))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 5e-324])), st.data())
+def test_prelu_slope_grad_has_the_bits_of_the_where_form(a, data):
+    # pre-activations are finite wherever backward takes this gradient
+    upstream = data.draw(hnp.arrays(np.float64, a.shape, elements=st.floats(-1e6, 1e6)))
+    with np.errstate(all="ignore"):
+        reference = np.sum(upstream * where_prelu_slope_term(a), keepdims=True).reshape(1)
+        assert same_bits(prelu_slope_grad(upstream, a), reference)
 
 
 def test_zero_params_give_half():

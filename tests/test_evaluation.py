@@ -105,12 +105,11 @@ def test_calibrate_lower_is_kin():
 @settings(max_examples=150, deadline=None)
 @given(scored_sets(), st.sampled_from(list(Objective)), st.sampled_from(list(Direction)))
 def test_calibrate_beats_bruteforce_grid(scored, objective, direction):
-    # On the lattice a 201-point grid from min-1 to max+1 visits every
-    # partition of the scores, so the brute force is the true optimum.
+    # The brute force visits every partition of the scores, so it is the true optimum.
     scores, is_kin, rels = columns(scored)
     higher = direction is Direction.HIGHER_IS_KIN
     threshold, achieved = calibrate_threshold(scored, objective, direction)
-    brute = best_threshold_bruteforce(scores, is_kin, rels, 201, objective.value, higher)
+    brute = best_threshold_bruteforce(scores, is_kin, rels, objective.value, higher)
     assert achieved == pytest.approx(brute, abs=1e-12)
     assert recount(scored, threshold, direction, objective) == pytest.approx(achieved, abs=1e-12)
 

@@ -8,18 +8,21 @@ blocks at a time instead of two per expert.
 
 import dataclasses
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinverify import comparator
 from kinverify.comparator import (
     Activation,
     ComparatorConfig,
     ComparatorParams,
     PoolingMode,
     SharingMode,
+    _block_cuts,
     forward,
     init_params,
     score_unknown,
@@ -30,11 +33,11 @@ CODES = ("BB", "SIBS", "SS", "FD", "FS")
 
 
 @st.composite
-def cases(draw):
+def cases(draw, min_hidden=1):
     n_experts = draw(st.integers(1, len(CODES)))
     config = ComparatorConfig(
         input_dim=2 * draw(st.integers(1, 4)),
-        hidden=draw(st.integers(1, 5)),
+        hidden=draw(st.integers(min_hidden, 5)),
         activation=draw(st.sampled_from(Activation)),
         dropout_p=draw(st.sampled_from([0.0, 0.3])),
         sharing=draw(st.sampled_from(SharingMode)),
@@ -93,3 +96,49 @@ def test_score_unknown_peak_memory_is_a_few_hidden_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * block + features.nbytes
+
+
+# Blocked eval forward. With the block size patched down to a few rows, a
+# batch of up to 12 rows runs in several blocks. Blocks of one row and hidden
+# layers of one unit are left out: numpy hands such a product to GEMV or dot
+# instead of GEMM, whose sums run in another order, so its last bit can move.
+@settings(max_examples=300, deadline=None)
+@given(cases(min_hidden=2), st.integers(2, 4))
+def test_blocked_eval_equals_unblocked_train(case, block):
+    config, n, positions, seed = case
+    rng = np.random.default_rng(seed)
+    params = init_params(config, seed)
+    for key in params.values:
+        params.values[key] += 0.4 * rng.standard_normal(params.values[key].shape)
+    features = rng.standard_normal((n, config.input_dim))
+    no_dropout = ComparatorParams(dataclasses.replace(config, dropout_p=0.0), params.values)
+
+    train_probs, train_trace = forward(no_dropout, features, mode="train", positions=positions)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
+        probs, trace = forward(params, features, mode="eval", positions=positions)
+    assert np.array_equal(probs, train_probs)
+    assert np.array_equal(trace.logits, train_trace.logits)
+    assert np.array_equal(trace.inputs, train_trace.inputs)
+    assert (trace.order is None) == (positions is None)
+    if positions is not None:
+        assert np.array_equal(trace.order, train_trace.order)
+    assert (trace.starts, trace.counts) == (train_trace.starts, train_trace.counts)
+    assert trace.pre_acts == [] and trace.hidden == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=6), st.integers(1, 8))
+def test_block_cuts_keep_positions_aligned(sizes, block):
+    ends = list(accumulate(sizes))
+    n = ends[-1]
+    cuts = _block_cuts(ends, n, block)
+    spans = [(lo, hi) for lo, hi in zip([0] + ends, ends) if hi > lo]
+    assert cuts[0] == 0 and cuts[-1] == n
+    for cut in cuts[1:-1]:  # a multiple of block into a position's rows, block before their end
+        lo, hi = next((lo, hi) for lo, hi in spans if lo <= cut < hi)
+        assert (cut - lo) % block == 0 and hi - cut >= block
+    for a, b in zip(cuts, cuts[1:]):
+        assert b - a >= min(block, n)
+        if b - a >= 2 * block:  # only positions of fewer than block rows make a block this long
+            assert any(hi - lo < block for lo, hi in spans if lo < b and hi > a)

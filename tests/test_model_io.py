@@ -148,3 +148,39 @@ def test_failed_save_leaves_old_file_intact(tmp_path, monkeypatch):
     monkeypatch.undo()
     save_model(replacement, path)
     assert load_model(path).threshold == 0.75
+
+
+def _header_blob(relations=("BB", "FD")):
+    params = init_params(ComparatorConfig(input_dim=8, hidden=2, relations=relations), seed=0)
+    return serialize_model(params)
+
+
+FLAGS = 4 + 2 + 12  # magic, version, dims: then activation, sharing, has_attention, has_threshold
+RELATIONS = FLAGS + 4 + 16  # flags, dropout, threshold: then (length, code) per relation
+
+
+def test_non_ascii_relation_code_rejected():
+    blob = bytearray(_header_blob())
+    assert blob[RELATIONS : RELATIONS + 3] == b"\x02BB"
+    blob[RELATIONS + 1] = 0xC3  # a non-ASCII byte
+    with pytest.raises(ModelFormatError, match="relation 0"):
+        deserialize_model(bytes(blob))
+
+
+def test_unknown_relation_code_rejected():
+    blob = bytearray(_header_blob())
+    blob[RELATIONS + 1 : RELATIONS + 3] = b"XX"
+    with pytest.raises(ModelFormatError, match="XX"):
+        deserialize_model(bytes(blob))
+
+
+@pytest.mark.parametrize("flag", ["has_attention", "has_threshold"])
+def test_flag_bytes_other_than_zero_and_one_rejected(flag):
+    offset = FLAGS + (2 if flag == "has_attention" else 3)
+    blob = _header_blob()
+    assert blob[offset] == 0
+    for bad in (2, 0x80, 0xFF):
+        corrupt = bytearray(blob)
+        corrupt[offset] = bad
+        with pytest.raises(ModelFormatError, match=flag):
+            deserialize_model(bytes(corrupt))

@@ -324,13 +324,42 @@ def test_model_bytes_do_not_depend_on_blas_threads():
         print(hashlib.sha256(serialize_model(params)).hexdigest())
         """
     )
+    digests = _stdout_per_blas_threads(script)
+    assert len(digests) == 1 and len(digests.pop()) == 64
+
+
+def test_eval_scores_do_not_depend_on_blas_threads():
+    # 10,006 rows: the full cascade's logit GEMV over all rows, and the prefix
+    # one over the ~3,770 rows of position 10, are far above OpenBLAS's
+    # threading cut-off, and half of either is not a multiple of four rows
+    script = textwrap.dedent(
+        """
+        import hashlib
+        import numpy as np
+        from kinverify.comparator import ComparatorConfig, forward, init_params
+
+        params = init_params(ComparatorConfig(input_dim=128), 5)
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((10_006, 128))
+        positions = np.minimum(rng.integers(0, 16, len(features)), 10)
+        for pos in (None, positions):
+            probs, _ = forward(params, features, positions=pos)
+            print(hashlib.sha256(probs.tobytes()).hexdigest())
+        """
+    )
+    digests = _stdout_per_blas_threads(script)
+    assert len(digests) == 1 and len(digests.pop().split()) == 2
+
+
+def _stdout_per_blas_threads(script: str) -> set[str]:
+    """The set of what ``script`` prints under one and under two OpenBLAS threads."""
     src = str(Path(kinverify.__file__).resolve().parents[1])
-    digests = set()
+    out = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
         )
         assert done.returncode == 0, done.stderr
-        digests.add(done.stdout.strip())
-    assert len(digests) == 1 and len(digests.pop()) == 64
+        out.add(done.stdout.strip())
+    return out
