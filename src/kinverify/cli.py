@@ -13,7 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparator import PoolingMode, attention_forward, score_unknown, verify
+from .comparator import (
+    PoolingMode,
+    attention_forward,
+    check_threshold,
+    score_unknown,
+    verify,
+)
 from .config import ConfigError, RunConfig, parse_config, write_manifest
 from .data import (
     DataFormatError,
@@ -128,8 +134,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked_threshold(args: argparse.Namespace) -> float | None:
+    """The --threshold flag, rejected unless it lies in [0, 1]."""
+    return None if args.threshold is None else check_threshold(args.threshold)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args, {"eval.objective": args.objective})
+    flag_threshold = _checked_threshold(args)
     params = load_model(args.model)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
@@ -144,8 +156,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params.threshold = threshold
         save_model(params, args.model)
         print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
-    elif args.threshold is not None:
-        threshold = args.threshold
+    elif flag_threshold is not None:
+        threshold = flag_threshold
     elif params.threshold is not None:
         threshold = params.threshold
     else:
@@ -169,6 +181,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    flag_threshold = _checked_threshold(args)
     params = load_model(args.model)
     store = load_embeddings(args.embeddings)
     relation = KinshipRelation.from_code(args.relation)
@@ -180,21 +193,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         store.embedding(args.id1),
         store.embedding(args.id2),
         relation,
-        args.threshold,
+        flag_threshold,
     )
-    used = args.threshold if args.threshold is not None else params.threshold
+    used = flag_threshold if flag_threshold is not None else params.threshold
     print(f"score={score:.6f} threshold={used:.6f} decision={decision.value}")
     return 0
 
 
 def _cmd_tri_verify(args: argparse.Namespace) -> int:
+    flag_threshold = _checked_threshold(args)
     params = load_model(args.model)
     store = load_embeddings(args.embeddings)
     sample_gender = store.person(args.child).gender
     sample = TriSample(args.father, args.mother, args.child, sample_gender, None)
     validate_tri(sample, store)
     z_fc, z_mc, fused = tri_score(params, store, sample)
-    threshold = args.threshold if args.threshold is not None else params.threshold
+    threshold = flag_threshold if flag_threshold is not None else params.threshold
     if threshold is None:
         raise ValueError("model has no stored threshold; pass --threshold")
     decision = "kin" if fused >= threshold else "nonkin"

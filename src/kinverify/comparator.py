@@ -555,6 +555,16 @@ def select_output(z2: np.ndarray, relation: KinshipRelation | str, config: Compa
     return float(z2[pos]) if z2.ndim == 1 else z2[:, pos]
 
 
+def check_threshold(threshold: float) -> float:
+    """Return a decision threshold that lies in [0, 1]; raise ValueError otherwise.
+
+    NaN fails the range test too, so it is rejected.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    return threshold
+
+
 def verify(
     params: ComparatorParams,
     f1: np.ndarray,
@@ -571,8 +581,7 @@ def verify(
         threshold = params.threshold
     if threshold is None:
         raise ValueError("no threshold given and none stored with the model")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    check_threshold(threshold)
     pos = params.config.relation_position(relation)
     z, _ = forward(params, concat_features(f1, f2), mode="eval", positions=pos)
     score = float(z)

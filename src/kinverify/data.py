@@ -412,6 +412,64 @@ def augment_symmetric(pairs: PairSet) -> PairSet:
     return PairSet(tuple(pairs.pairs) + tuple(reversed_pairs), provenance=note)
 
 
+def _nonkin_draw(store: EmbeddingStore, kin_pairs: PairSet):
+    """The nonkin partner draw of ``kin_pairs``: generator -> partner store rows.
+
+    A pair's candidates are the persons of the gender its role 2 needs,
+    outside the family of its id1, in store order. No candidate list is
+    built: persons are sorted by (gender, family, store order), and each
+    family member keeps its rank among the persons of its gender. If a
+    family's members of that gender have ranks k_0 < k_1 < ..., then
+    k_j - j candidates come before member j, so candidate r has rank
+    r + #{j : k_j - j <= r}: one ``searchsorted`` over all pairs at once.
+    The tables take O(persons + pairs) memory, and each draw is one
+    ``rng.integers`` call over the candidate counts. Raises ValueError,
+    naming the first pair without a candidate, when a pair has none.
+    """
+    refs = [store.person(pid) for pid in store.person_ids]
+    n = len(refs)
+    family_names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
+    male = np.fromiter((ref.gender is Gender.MALE for ref in refs), dtype=np.intp, count=n)
+    n_gender = np.bincount(male, minlength=2)
+    gender_start = np.array([0, n_gender[0]])
+    by_gender = np.argsort(male, kind="stable")  # females, then males, each in store order
+    rank = np.empty(n, dtype=np.intp)  # rank among the persons of one's gender
+    rank[by_gender] = np.arange(n) - gender_start[male[by_gender]]
+
+    # (gender, family) segments, persons sorted by segment and then store order
+    segment = male * len(family_names) + family
+    seg_order = np.argsort(segment, kind="stable")
+    seg_size = np.bincount(segment, minlength=2 * len(family_names))
+    seg_first = np.cumsum(seg_size) - seg_size
+    sorted_segment = segment[seg_order]
+    before = rank[seg_order] - (np.arange(n) - seg_first[sorted_segment])  # k_j - j
+    keys = sorted_segment * (n + 1) + before  # nondecreasing, as 0 <= k_j - j <= n
+
+    rows1 = [store.row(p.id1) for p in kin_pairs]
+    want = np.fromiter(
+        (role2_gender(p.relation, refs[r].gender) is Gender.MALE for p, r in zip(kin_pairs, rows1)),
+        dtype=np.intp,
+        count=len(rows1),
+    )
+    pair_segment = want * len(family_names) + family[rows1]
+    sizes = n_gender[want] - seg_size[pair_segment]
+    if not sizes.all():
+        i = int(np.argmin(sizes))
+        raise ValueError(
+            f"no eligible nonkin partner for relation {kin_pairs.pairs[i].relation.value} "
+            f"outside family {refs[rows1[i]].family_id!r}"
+        )
+    base = gender_start[want] - seg_first[pair_segment]
+    seg_key = pair_segment * (n + 1)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        # array bounds draw the same stream as one scalar draw per pair, in pair order
+        r = rng.integers(sizes)
+        return by_gender[base + np.searchsorted(keys, seg_key + r, side="right") + r]
+
+    return draw
+
+
 def resample_nonkin(
     kin_pairs: PairSet,
     store: EmbeddingStore,
@@ -424,59 +482,35 @@ def resample_nonkin(
     uniformly from persons whose gender fits role 2 and whose family differs
     from id1's. The draw order is the input pair order with one draw per
     pair, seeded from (base_seed, epoch) via :mod:`kinverify.seeding`, so a
-    given epoch replays exactly while distinct epochs differ.
+    given epoch replays exactly while distinct epochs differ. The candidate
+    pools are never materialised: the draw works on tables of
+    O(persons + pairs) memory, the same tables ``train`` draws from each
+    epoch.
     """
-    rng = derive_rng(base_seed, STREAM_RESAMPLE, epoch)
+    draw = _nonkin_draw(store, kin_pairs)
+    rows2 = draw(derive_rng(base_seed, STREAM_RESAMPLE, epoch)).tolist()
     ids = store.person_ids
-    refs = [store.person(pid) for pid in ids]
-    family_names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
-    code = {name: i for i, name in enumerate(family_names.tolist())}
-    by_gender = {}
-    for g in Gender:
-        pool = np.flatnonzero([ref.gender is g for ref in refs])
-        by_gender[g] = pool, family[pool]
-
-    keys = []
-    for pair in kin_pairs:
-        ref = store.person(pair.id1)
-        keys.append((role2_gender(pair.relation, ref.gender), ref.family_id))
-    pools = {}  # candidate partners per (gender, family), in store order
-    for want, fam1 in dict.fromkeys(keys):
-        pool, pool_family = by_gender[want]
-        pools[want, fam1] = pool[pool_family != code[fam1]]
-    sizes = np.fromiter((pools[key].size for key in keys), dtype=np.int64, count=len(keys))
-    if not sizes.all():
-        i = int(np.argmin(sizes))
-        raise ValueError(
-            f"no eligible nonkin partner for relation {kin_pairs.pairs[i].relation.value} "
-            f"outside family {keys[i][1]!r}"
-        )
-    # array bounds draw the same stream as one scalar draw per pair, in pair order
-    picks = rng.integers(sizes).tolist()
-    out = [
-        KinPair(pair.id1, ids[pools[key][r]], pair.relation, PairLabel.NONKIN)
-        for pair, key, r in zip(kin_pairs, keys, picks)
-    ]
-    note = f"nonkin(seed={base_seed},epoch={epoch})"
-    return PairSet(tuple(out), provenance=note)
+    out = tuple(
+        KinPair(pair.id1, ids[r], pair.relation, PairLabel.NONKIN)
+        for pair, r in zip(kin_pairs, rows2)
+    )
+    return PairSet(out, provenance=f"nonkin(seed={base_seed},epoch={epoch})")
 
 
-def pairs_to_arrays(
+def _pair_rows(
     store: EmbeddingStore,
     pairs: PairSet | list[KinPair],
     relation_codes: tuple[str, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorize pairs into (features, relation indices, kin targets).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Store rows of both persons, relation indices and kin targets of ``pairs``.
 
-    Features are the concatenated embeddings, shape (n, 2*dim). Relation
-    indices follow ``relation_codes`` (a model's expert order); a pair whose
-    relation is not among them raises ValueError.
+    Relation indices follow ``relation_codes`` (a model's expert order); a
+    pair whose relation is not among them raises ValueError.
     """
     plist = list(pairs)
     idx_of = {code: i for i, code in enumerate(relation_codes)}
     rows1 = np.fromiter((store.row(p.id1) for p in plist), dtype=np.intp, count=len(plist))
     rows2 = np.fromiter((store.row(p.id2) for p in plist), dtype=np.intp, count=len(plist))
-    features = np.concatenate([store.matrix[rows1], store.matrix[rows2]], axis=1)
     try:
         rel_idx = np.fromiter(
             (idx_of[p.relation.value] for p in plist), dtype=np.intp, count=len(plist)
@@ -488,4 +522,23 @@ def pairs_to_arrays(
         dtype=np.float64,
         count=len(plist),
     )
-    return features, rel_idx, targets
+    return rows1, rows2, rel_idx, targets
+
+
+def _gather_features(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """Concatenated embeddings of row pairs of ``matrix``, shape (n, 2*dim)."""
+    return np.concatenate([matrix[rows1], matrix[rows2]], axis=1)
+
+
+def pairs_to_arrays(
+    store: EmbeddingStore,
+    pairs: PairSet | list[KinPair],
+    relation_codes: tuple[str, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorize pairs into (features, relation indices, kin targets).
+
+    Features are the concatenated embeddings, shape (n, 2*dim); indices and
+    targets are those of ``_pair_rows``.
+    """
+    rows1, rows2, rel_idx, targets = _pair_rows(store, pairs, relation_codes)
+    return _gather_features(store.matrix, rows1, rows2), rel_idx, targets

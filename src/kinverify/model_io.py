@@ -76,7 +76,8 @@ def serialize_model(params: ComparatorParams) -> bytes:
         1 if params.has_attention else 0,
         1 if params.threshold is not None else 0,
     )
-    head += struct.pack("<dd", cfg.dropout_p, params.threshold or 0.0)
+    threshold = params.threshold if params.threshold is not None else 0.0  # keeps -0.0
+    head += struct.pack("<dd", cfg.dropout_p, threshold)
     for code in cfg.relations:
         raw = code.encode("ascii")
         head += struct.pack("<B", len(raw)) + raw

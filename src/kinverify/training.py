@@ -43,11 +43,13 @@ from .comparator import (
 from .data import (
     EmbeddingStore,
     PairSet,
+    _gather_features,
+    _nonkin_draw,
+    _pair_rows,
     augment_symmetric,
     pairs_to_arrays,
-    resample_nonkin,
 )
-from .seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
+from .seeding import STREAM_DROPOUT, STREAM_RESAMPLE, STREAM_SHUFFLE, derive_rng
 
 GradientSet = dict[str, np.ndarray]
 
@@ -151,19 +153,6 @@ def l2_penalty(
     return loss, grads
 
 
-def _zero_grads(params: ComparatorParams) -> GradientSet:
-    """Zero gradients for every expert parameter, views into one flat buffer."""
-    keys = params.expert_keys()
-    flat = np.zeros(sum(params.values[k].size for k in keys))
-    grads: GradientSet = {}
-    offset = 0
-    for k in keys:
-        v = params.values[k]
-        grads[k] = flat[offset : offset + v.size].reshape(v.shape)
-        offset += v.size
-    return grads
-
-
 def backward(
     trace: ForwardTrace,
     params: ComparatorParams,
@@ -177,6 +166,12 @@ def backward(
     or relation-prefix, run with ``mode="train"`` (an eval-mode trace keeps
     no activations); each expert's gradient is taken over the trace rows
     that expert ran on, which for a full trace is every row.
+
+    The gradients are views into one flat buffer. Each parameter takes the
+    GEMM or sum output of the first expert that reaches it in place; only a
+    hidden layer that several experts share (the trunk) accumulates the
+    later ones with ``+=``. The parameters of experts that ran on no rows
+    are zeroed.
     """
     cfg = params.config
     if not trace.hidden:
@@ -192,7 +187,8 @@ def backward(
         raise ValueError("trace does not match the model configuration")
 
     cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
-    if trace.order is None:
+    prefix = trace.order is not None
+    if not prefix:
         dsel = (trace.probs[np.arange(n), rel_idx] - targets) / n
     else:
         order, _, counts = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
@@ -201,8 +197,16 @@ def backward(
         dsel = ((trace.probs - targets) / n)[order]
         rel_idx = rel_idx[order]
 
-    grads = _zero_grads(params)
+    keys = params.expert_keys()
+    flat = np.empty(sum(params.values[k].size for k in keys))
+    grads: GradientSet = {}
+    offset = 0
+    for k in keys:
+        v = params.values[k]
+        grads[k] = flat[offset : offset + v.size].reshape(v.shape)
+        offset += v.size
     plan = hidden_layer_plan(cfg)
+    written: set[str] = set()
     carry = None  # grad flowing into z1[i] from expert i+1, on that expert's rows
     for i in reversed(range(cfg.n_experts)):
         lo, rows = trace.starts[i], trace.counts[i]
@@ -215,20 +219,42 @@ def backward(
         inp = trace.inputs[lo : lo + rows] if layer.reads_input else trace.hidden[i - 1][:rows]
         w2 = params.values[f"expert{i}.W2"]
 
-        dlogit = np.where(rel_idx[lo : lo + rows] == i, dsel[lo : lo + rows], 0.0)
-        dz = dlogit[:, None] * w2
-        if carry is not None:
-            dz[: carry.shape[0]] += carry
-        grads[f"expert{i}.W2"] += (dlogit @ z)[None, :]
-        grads[f"expert{i}.b2"] += dlogit.sum(keepdims=True)
+        if not prefix:
+            dlogit = np.where(rel_idx == i, dsel, 0.0)
+            dz = dlogit[:, None] * w2
+            if carry is not None:
+                dz += carry
+        else:
+            # trace rows [first, rows) select this expert; the rows before
+            # them select a later one and take only the carry from expert i+1
+            first = 0 if carry is None else carry.shape[0]
+            dlogit = np.zeros(rows)
+            dlogit[first:] = dsel[lo + first : lo + rows]
+            dz = np.empty((rows, cfg.hidden))
+            if carry is not None:
+                dz[:first] = carry
+            np.multiply(dlogit[first:, None], w2, out=dz[first:])
+        np.matmul(dlogit, z, out=grads[f"expert{i}.W2"][0])
+        np.sum(dlogit, keepdims=True, out=grads[f"expert{i}.b2"])
+        written.update((f"expert{i}.W2", f"expert{i}.b2"))
 
         slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
         da = activation_grad(dz, a, z, cfg.activation, slope)
-        if layer.prelu_key:
-            grads[layer.prelu_key] += prelu_slope_grad(dz, a)
-        grads[layer.w_key] += da.T @ inp
-        grads[layer.b_key] += da.sum(axis=0)
+        if layer.w_key in written:  # a shared trunk, already written by a later expert
+            if layer.prelu_key:
+                grads[layer.prelu_key] += prelu_slope_grad(dz, a)
+            grads[layer.w_key] += da.T @ inp
+            grads[layer.b_key] += da.sum(axis=0)
+        else:
+            if layer.prelu_key:
+                grads[layer.prelu_key][...] = prelu_slope_grad(dz, a)
+            np.matmul(da.T, inp, out=grads[layer.w_key])
+            np.sum(da, axis=0, out=grads[layer.b_key])
+            written.update((layer.w_key, layer.b_key, layer.prelu_key))
         carry = da @ params.values[layer.w_key] if cascade and i > 0 else None
+    for k in keys:
+        if k not in written:  # the parameters of experts that ran on no rows
+            grads[k].fill(0.0)
     return grads
 
 
@@ -308,8 +334,13 @@ def _epochs(params, state, train_config, epoch_data, step):
         yield epoch, lr, losses
 
 
-def _expert_step(params, train_config, dropout_rng, features, rel_idx, targets):
-    """Loss and gradients of one expert batch: selected BCE plus the L2 penalty."""
+def _expert_step(params, train_config, dropout_rng, matrix, rows1, rows2, rel_idx, targets):
+    """Loss and gradients of one expert batch: selected BCE plus the L2 penalty.
+
+    The batch's features are gathered here from the store's embedding
+    matrix by the store rows of each pair's two persons.
+    """
+    features = _gather_features(matrix, rows1, rows2)
     _, trace = forward(params, features, mode="train", rng=dropout_rng, positions=rel_idx)
     losses, _ = bce_loss(trace.logits, targets)
     grads = backward(trace, params, rel_idx, targets)
@@ -342,22 +373,38 @@ def train(
 
     ``kin_pairs`` are raw kin pairs; symmetric relations are duplicated and
     swapped here, once, before the epoch loop. Every epoch draws fresh
-    nonkin pairs, shuffles the pairs and vectorizes them once. ``val_pairs``
-    is a fixed kin+nonkin set used only for the history's macro accuracy
-    (computed at the per-epoch calibrated threshold). With epochs=0 the
-    initialized parameters come back untouched with empty history.
+    nonkin partners (the draw of ``resample_nonkin``) and shuffles the
+    pairs. ``val_pairs`` is a fixed kin+nonkin set used only for the
+    history's macro accuracy (computed at the per-epoch calibrated
+    threshold). With epochs=0 the initialized parameters come back
+    untouched with empty history; the kin pairs are still vectorized and
+    checked first, so an unhandled relation or a pair without a nonkin
+    candidate raises ValueError either way.
+
+    The epoch works on store-row index arrays, not pair objects: the kin
+    pairs are vectorized once per call, each epoch's nonkin draw and
+    shuffle touch only index arrays, and each batch gathers its features
+    from ``store.matrix``. Beyond the model, its ADAM state and one
+    batch, memory is O(persons + pairs) index arrays; no per-epoch
+    feature matrix or candidate pool is built.
     """
     seed = train_config.seed
     params = init_params(comp_config, seed)
     aug = augment_symmetric(kin_pairs)
+    rows1, rows2, rel_idx, targets = _pair_rows(store, aug, comp_config.relations)
+    draw_nonkin = _nonkin_draw(store, aug)
+    rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])
+    targets = np.concatenate([targets, np.zeros_like(targets)])
 
     def epoch_data(epoch):
-        pairs = list(aug.pairs) + list(resample_nonkin(aug, store, seed, epoch).pairs)
-        return len(pairs), lambda order: pairs_to_arrays(
-            store, [pairs[i] for i in order], comp_config.relations
+        partners = np.concatenate([rows2, draw_nonkin(derive_rng(seed, STREAM_RESAMPLE, epoch))])
+        return len(rows1), lambda order: (
+            rows1[order], partners[order], rel_idx[order], targets[order]
         )
 
-    step = partial(_expert_step, params, train_config, derive_rng(seed, STREAM_DROPOUT))
+    step = partial(
+        _expert_step, params, train_config, derive_rng(seed, STREAM_DROPOUT), store.matrix
+    )
     state = AdamState.init_like(params)
     history: list[EpochStats] = []
     for epoch, lr, losses in _epochs(params, state, train_config, epoch_data, step):

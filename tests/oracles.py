@@ -138,3 +138,104 @@ def resample_nonkin_loop(kin_pairs, store, base_seed, epoch):
         ]
         out.append((pair.id1, candidates[rng.integers(len(candidates))]))
     return out
+
+
+def backward_zero_filled(trace, params, rel_idx, targets):
+    """Selected-BCE gradients as zero-filled arrays that every expert adds into.
+
+    The reference for ``training.backward``: each expert's dlogit comes from
+    a np.where over its rows, its dz is dlogit * w2 plus the carry from the
+    expert above, and every gradient, the shared trunk's or an expert's
+    own, starts at zero and takes each expert's GEMM output with ``+=``.
+    """
+    from kinverify.comparator import (
+        SharingMode,
+        _prefix_rows,
+        activation_grad,
+        hidden_layer_plan,
+        prelu_slope_grad,
+    )
+
+    cfg = params.config
+    n = trace.inputs.shape[0]
+    rel_idx = np.asarray(rel_idx)
+    targets = np.asarray(targets, dtype=np.float64)
+    cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
+    if trace.order is None:
+        dsel = (trace.probs[np.arange(n), rel_idx] - targets) / n
+    else:
+        order, _, _ = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
+        dsel = ((trace.probs - targets) / n)[order]
+        rel_idx = rel_idx[order]
+    grads = {k: np.zeros_like(params.values[k]) for k in params.expert_keys()}
+    plan = hidden_layer_plan(cfg)
+    carry = None
+    for i in reversed(range(cfg.n_experts)):
+        lo, rows = trace.starts[i], trace.counts[i]
+        if rows == 0:
+            carry = None
+            continue
+        layer = plan[i]
+        z, a = trace.hidden[i], trace.pre_acts[i]
+        inp = trace.inputs[lo : lo + rows] if layer.reads_input else trace.hidden[i - 1][:rows]
+        dlogit = np.where(rel_idx[lo : lo + rows] == i, dsel[lo : lo + rows], 0.0)
+        dz = dlogit[:, None] * params.values[f"expert{i}.W2"]
+        if carry is not None:
+            dz[: carry.shape[0]] += carry
+        grads[f"expert{i}.W2"] += (dlogit @ z)[None, :]
+        grads[f"expert{i}.b2"] += dlogit.sum(keepdims=True)
+        slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
+        da = activation_grad(dz, a, z, cfg.activation, slope)
+        if layer.prelu_key:
+            grads[layer.prelu_key] += prelu_slope_grad(dz, a)
+        grads[layer.w_key] += da.T @ inp
+        grads[layer.b_key] += da.sum(axis=0)
+        carry = da @ params.values[layer.w_key] if cascade and i > 0 else None
+    return grads
+
+
+def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
+    """The training recipe on pair objects, the way ``training.train`` once ran it.
+
+    Every epoch draws a ``resample_nonkin`` pair set, shuffles the list of
+    ``KinPair`` objects, vectorizes it with ``pairs_to_arrays`` and trains
+    on batches of that epoch matrix with ``backward_zero_filled``
+    gradients. Returns the parameters and the (loss, val macro) history.
+    """
+    from kinverify.comparator import forward, init_params
+    from kinverify.data import augment_symmetric, pairs_to_arrays, resample_nonkin
+    from kinverify.seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
+    from kinverify.training import (
+        AdamState,
+        _macro_accuracy_curve,
+        adam_step,
+        bce_loss,
+        l2_penalty,
+    )
+
+    tc = train_config
+    params = init_params(comp_config, tc.seed)
+    state = AdamState.init_like(params)
+    dropout_rng = derive_rng(tc.seed, STREAM_DROPOUT)
+    aug = augment_symmetric(kin_pairs)
+    history = []
+    for epoch in range(1, tc.epochs + 1):
+        pairs = list(aug.pairs) + list(resample_nonkin(aug, store, tc.seed, epoch).pairs)
+        order = derive_rng(tc.seed, STREAM_SHUFFLE, epoch).permutation(len(pairs))
+        features, rel_idx, targets = pairs_to_arrays(
+            store, [pairs[i] for i in order], comp_config.relations
+        )
+        losses = []
+        for start in range(0, len(pairs), tc.batch_size):
+            batch = slice(start, start + tc.batch_size)
+            _, trace = forward(
+                params, features[batch], mode="train", rng=dropout_rng, positions=rel_idx[batch]
+            )
+            loss, _ = bce_loss(trace.logits, targets[batch])
+            grads = backward_zero_filled(trace, params, rel_idx[batch], targets[batch])
+            reg, grads = l2_penalty(params, tc.l2_lambda, tc.l2_includes_biases, grads=grads)
+            lr = tc.lr_for_epoch(epoch)
+            adam_step(params, grads, state, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
+            losses.append(float(loss.mean()) + reg)
+        history.append((float(np.mean(losses)), _macro_accuracy_curve(store, val_pairs, params)))
+    return params, history

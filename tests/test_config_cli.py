@@ -426,3 +426,26 @@ def test_tri_verify_validates_roles(model_dir, world_dir, capsys):
     argv = ["--father", nonkin.father_id, "--mother", nonkin.mother_id, "--child", nonkin.child_id]
     assert main(common + argv) == 0
     assert "fused=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, value",
+    [("tri-verify", "1.5"), ("tri-verify", "nan"), ("tri-verify", "-3"), ("eval", "nan")],
+)
+def test_threshold_flag_outside_unit_interval_fails(
+    model_dir, world_dir, tmp_path, capsys, command, value
+):
+    from kinverify.data import load_embeddings, load_tri
+
+    embeddings = world_dir / "embeddings.csv"
+    common = [command, "--model", str(model_dir / "model.kinc"), "--embeddings", str(embeddings)]
+    if command == "tri-verify":
+        t = load_tri(world_dir / "tri_val.csv", load_embeddings(embeddings)).samples[0]
+        argv = common + ["--father", t.father_id, "--mother", t.mother_id, "--child", t.child_id]
+    else:
+        argv = common + ["--pairs", str(world_dir / "pairs_val.csv"), "--out", str(tmp_path)]
+    assert main(argv + ["--threshold", value]) == 1
+    captured = capsys.readouterr()
+    assert "threshold must lie in [0, 1]" in captured.err
+    assert "decision=" not in captured.out and "macro accuracy" not in captured.out
+    assert not (tmp_path / "report.csv").exists()

@@ -448,6 +448,82 @@ def test_resample_nonkin_no_candidates():
         resample_nonkin(kin, store, 0, 1)
 
 
+@st.composite
+def nonkin_worlds(draw):
+    """A store of a few persons whose families interleave in store order, and kin pairs on it."""
+    n_families = draw(st.integers(1, 4))
+    people = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_families - 1), st.sampled_from(Gender)),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    rows = [
+        (PersonRef(f"p{i}", f"fam{family}", gender), np.full(2, float(i)))
+        for i, (family, gender) in enumerate(people)
+    ]
+    store = EmbeddingStore(2, rows)
+    picks = st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(KinshipRelation))
+    kin = PairSet(
+        tuple(
+            KinPair(f"p{i}", f"p{i}", relation, PairLabel.KIN)
+            for i, relation in draw(st.lists(picks, max_size=20))
+        )
+    )
+    return store, kin, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 9))
+
+
+@settings(max_examples=400, deadline=None)
+@given(nonkin_worlds())
+def test_pool_free_draw_matches_per_pair_loop(world):
+    from kinverify.relations import role2_gender
+
+    store, kin, seed, epoch = world
+    empty = [
+        p
+        for p in kin
+        if not any(
+            store.person(q).gender is role2_gender(p.relation, store.person(p.id1).gender)
+            and store.family_of(q) != store.family_of(p.id1)
+            for q in store.person_ids
+        )
+    ]
+    if empty:
+        message = (
+            f"no eligible nonkin partner for relation {empty[0].relation.value} "
+            f"outside family {store.family_of(empty[0].id1)!r}"
+        )
+        with pytest.raises(ValueError) as exc:
+            resample_nonkin(kin, store, seed, epoch)
+        assert str(exc.value) == message
+        return
+    out = resample_nonkin(kin, store, seed, epoch)
+    assert [(p.id1, p.id2) for p in out] == resample_nonkin_loop(kin, store, seed, epoch)
+    assert all(p.label is PairLabel.NONKIN for p in out)
+    assert [p.relation for p in out] == [p.relation for p in kin]
+
+
+def test_train_raises_the_empty_pool_error():
+    from kinverify.comparator import ComparatorConfig
+    from kinverify.training import TrainConfig, train
+
+    rows = [
+        (PersonRef("a", "f1", Gender.MALE), np.ones(2)),
+        (PersonRef("b", "f1", Gender.FEMALE), np.ones(2)),
+        (PersonRef("c", "f2", Gender.MALE), np.ones(2)),
+    ]
+    store = EmbeddingStore(2, rows)
+    kin = PairSet((KinPair("a", "b", KinshipRelation.FD, PairLabel.KIN),))
+    message = "no eligible nonkin partner for relation FD outside family 'f1'"
+    with pytest.raises(ValueError) as exc:
+        resample_nonkin(kin, store, 0, 1)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        train(store, kin, kin, ComparatorConfig(input_dim=4, hidden=2), TrainConfig(epochs=1))
+    assert str(exc.value) == message
+
+
 def test_store_rejects_duplicates_and_bad_shapes():
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingStore(

@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinverify.comparator import (
     Activation,
@@ -9,6 +13,7 @@ from kinverify.comparator import (
     add_attention_head,
     init_params,
 )
+from kinverify.relations import RELATION_ORDER
 from kinverify.model_io import (
     ModelFormatError,
     deserialize_model,
@@ -184,3 +189,61 @@ def test_flag_bytes_other_than_zero_and_one_rejected(flag):
         corrupt[offset] = bad
         with pytest.raises(ModelFormatError, match=flag):
             deserialize_model(bytes(corrupt))
+
+
+# signed zeros, the smallest subnormal, a mid subnormal, the smallest normal
+# and the largest finite double, each with both signs
+ADVERSARIAL = [
+    sign * x
+    for x in (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308)
+    for sign in (1.0, -1.0)
+]
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def models(draw):
+    """A small model of every activation, sharing, attention and threshold kind."""
+    codes = draw(st.permutations([r.value for r in RELATION_ORDER]))
+    in_unit = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    config = ComparatorConfig(
+        input_dim=2 * draw(st.integers(1, 3)),
+        hidden=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(Activation)),
+        dropout_p=draw(in_unit.filter(lambda p: p < 1.0)),
+        sharing=draw(st.sampled_from(SharingMode)),
+        relations=tuple(codes[: draw(st.integers(1, 3))]),
+    )
+    params = init_params(config, seed=0, with_attention=draw(st.booleans()))
+    palette = draw(
+        st.lists(
+            st.sampled_from(ADVERSARIAL) | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for key, value in params.values.items():
+        params.values[key] = rng.choice(np.array(palette), size=value.shape)
+    params.threshold = draw(st.none() | in_unit)
+    return params
+
+
+@settings(max_examples=300, deadline=None)
+@given(models())
+def test_model_bytes_roundtrip_property(params):
+    blob = serialize_model(params)
+    loaded = deserialize_model(blob)
+    assert serialize_model(loaded) == blob
+    assert loaded.config == params.config
+    assert _bits(loaded.config.dropout_p) == _bits(params.config.dropout_p)
+    if params.threshold is None:
+        assert loaded.threshold is None
+    else:
+        assert _bits(loaded.threshold) == _bits(params.threshold)
+    assert list(loaded.values) == list(params.values)
+    for key, value in params.values.items():
+        assert loaded.values[key].tobytes() == value.tobytes(), key

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kinverify
 from kinverify.comparator import (
@@ -32,6 +34,8 @@ from kinverify.training import (
     train,
     train_attention,
 )
+
+from oracles import backward_zero_filled, train_object_path
 
 TINY = ComparatorConfig(input_dim=8, hidden=3, dropout_p=0.0, relations=("BB", "FD", "GMGS"))
 
@@ -213,6 +217,60 @@ def test_train_determinism_bytes(tiny_world):
     a, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
     b, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
     assert serialize_model(a) == serialize_model(b)
+
+
+@pytest.mark.parametrize("activation", [Activation.LRELU, Activation.PRELU])
+@pytest.mark.parametrize("sharing", list(SharingMode))
+def test_train_equals_object_path(tiny_world, activation, sharing):
+    # index arrays, one nonkin draw table and in-place gradients give the
+    # bytes of per-epoch pair objects, pairs_to_arrays and zero-filled +=
+    world = tiny_world
+    config = ComparatorConfig(
+        input_dim=2 * world.store.dim, hidden=5, activation=activation, sharing=sharing
+    )
+    tcfg = TrainConfig(epochs=3, batch_size=32, lr_switch_after_epoch=1, seed=3)
+    args = (world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
+    params, history = train(*args)
+    expected, expected_history = train_object_path(*args)
+    assert serialize_model(params) == serialize_model(expected)
+    assert [(h.train_loss, h.val_macro_acc) for h in history] == expected_history
+
+
+@st.composite
+def backward_cases(draw):
+    codes = ("BB", "SIBS", "SS", "FD", "FS")
+    n_experts = draw(st.integers(1, len(codes)))
+    config = ComparatorConfig(
+        input_dim=2 * draw(st.integers(1, 4)),
+        hidden=draw(st.integers(1, 5)),
+        activation=draw(st.sampled_from(Activation)),
+        dropout_p=draw(st.sampled_from([0.0, 0.3])),
+        sharing=draw(st.sampled_from(SharingMode)),
+        relations=codes[:n_experts],
+    )
+    n = draw(st.integers(1, 12))
+    # the highest position is often below the last expert, so some experts get no rows
+    top = draw(st.integers(0, n_experts - 1))
+    rel_idx = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    targets = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    return config, rel_idx, targets, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(backward_cases())
+def test_backward_equals_zero_filled_accumulation(case):
+    config, rel_idx, targets, prefix, seed = case
+    params = rand_params(config, seed, spread=0.4)
+    features = np.random.default_rng(seed).standard_normal((len(rel_idx), config.input_dim))
+    rng = np.random.default_rng(seed + 1)
+    positions = rel_idx if prefix else None
+    _, trace = forward(params, features, mode="train", rng=rng, positions=positions)
+    got = backward(trace, params, rel_idx, targets)
+    expected = backward_zero_filled(trace, params, rel_idx, targets)
+    assert list(got) == list(expected) == params.expert_keys()
+    for key in expected:
+        assert got[key].shape == expected[key].shape
+        assert np.array_equal(got[key], expected[key]), key
 
 
 def test_l2_raises_loss(tiny_world):
