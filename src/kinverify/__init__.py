@@ -19,7 +19,6 @@ from .comparator import (
     forward,
     init_params,
     score_unknown,
-    select_output,
     verify,
 )
 from .data import (
@@ -33,7 +32,6 @@ from .data import (
     TriSet,
     augment_symmetric,
     concat_features,
-    cosine_distance,
     load_embeddings,
     load_pairs,
     load_tri,

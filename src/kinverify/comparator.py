@@ -321,7 +321,7 @@ def prelu_slope_grad(upstream: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardTrace:
-    """What a forward computed; in train mode, all backward needs to replay it.
+    """What a forward computed; for a train-mode prefix forward, all backward needs.
 
     Rows are held in trace order: the caller's order for a full forward, or
     ``order`` (descending relation position) for a prefix forward. Expert
@@ -443,25 +443,25 @@ def forward(
     features: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    dropout_scale: np.ndarray | None = None,
     positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the cascade; returns probabilities and a trace.
 
     ``features`` is one concatenated vector or a batch of them. Train mode
-    applies inverted dropout on the features (kept entries scaled by
-    1/(1-p)), drawing the mask from ``rng`` unless an explicit
-    ``dropout_scale`` multiplier is supplied for replay, and keeps every
-    expert's pre-activation and hidden array in the trace for ``backward``.
-    Eval mode is inference: deterministic, never drops, and keeps no
-    activations. Its probabilities are bit-identical to a train-mode
-    forward without dropout; ``backward`` needs a train-mode trace.
+    applies inverted dropout on the features, drawing the mask from ``rng``
+    and computing exactly ``features * scale`` (kept entries scaled by
+    1/(1-p)), and keeps every expert's pre-activation and hidden array in
+    the trace. Eval mode is inference: deterministic, never drops, and
+    keeps no activations. Its probabilities are bit-identical to those of
+    a train-mode forward without dropout; on ``features * scale`` they are
+    those of the train-mode forward whose trace has that ``dropout_scale``.
 
     Without ``positions`` every expert runs on every row and the result
     holds all per-relation probabilities. With ``positions`` (each row's
     expert index) a row runs only through the experts it needs: 0..k in
     the cascade, k alone in entirely-local mode. The result then holds each
     row's selected probability, in the caller's order, and nothing else.
+    ``backward`` needs the trace of a train-mode forward with ``positions``.
 
     An eval batch of more than ``EVAL_BLOCK_ROWS`` rows runs block by block
     (see ``_block_cuts``): all experts on one block of trace rows, then the
@@ -489,13 +489,10 @@ def forward(
 
     scale = None
     if mode == "train" and cfg.dropout_p > 0.0:
-        if dropout_scale is not None:
-            scale = dropout_scale
-        else:
-            if rng is None:
-                raise ValueError("train-mode forward with dropout needs an rng")
-            keep = 1.0 - cfg.dropout_p
-            scale = (rng.random(x.shape) < keep) / keep
+        if rng is None:
+            raise ValueError("train-mode forward with dropout needs an rng")
+        keep = 1.0 - cfg.dropout_p
+        scale = (rng.random(x.shape) < keep) / keep
         x = x * scale
 
     plan = hidden_layer_plan(cfg)
@@ -543,16 +540,6 @@ def forward(
         counts=counts,
     )
     return (probs[0] if single else probs), trace
-
-
-def select_output(z2: np.ndarray, relation: KinshipRelation | str, config: ComparatorConfig) -> float | np.ndarray:
-    """Pick the probability of the expert handling ``relation``.
-
-    Equivalent to the dot product of z2 with the relation's one-hot code.
-    """
-    pos = config.relation_position(relation)
-    z2 = np.asarray(z2)
-    return float(z2[pos]) if z2.ndim == 1 else z2[:, pos]
 
 
 def check_threshold(threshold: float) -> float:

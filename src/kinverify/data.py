@@ -174,7 +174,6 @@ class TriSample:
 @dataclass(frozen=True)
 class PairSet:
     pairs: tuple[KinPair, ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -186,7 +185,6 @@ class PairSet:
 @dataclass(frozen=True)
 class TriSet:
     samples: tuple[TriSample, ...]
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -202,17 +200,6 @@ def concat_features(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     if f1.shape != f2.shape or f1.ndim != 1:
         raise ValueError(f"cannot concatenate shapes {f1.shape} and {f2.shape}")
     return np.concatenate([f1, f2])
-
-
-def cosine_distance(f1: np.ndarray, f2: np.ndarray) -> float:
-    """1 minus cosine similarity; 0 for parallel vectors, 2 for antipodal."""
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    n1 = np.linalg.norm(f1)
-    n2 = np.linalg.norm(f2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("cosine distance is undefined for zero-norm vectors")
-    return float(1.0 - np.dot(f1, f2) / (n1 * n2))
 
 
 def _format_float(x: float) -> str:
@@ -364,8 +351,7 @@ def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
         validate_pair(pair, store)
         return pair
 
-    path = Path(path)
-    return PairSet(tuple(_read_rows(path, _PAIR_HEADER, build)), provenance=str(path))
+    return PairSet(tuple(_read_rows(Path(path), _PAIR_HEADER, build)))
 
 
 def save_tri(tris: TriSet, path: str | Path) -> None:
@@ -393,8 +379,7 @@ def load_tri(path: str | Path, store: EmbeddingStore) -> TriSet:
         validate_tri(sample, store)
         return sample
 
-    path = Path(path)
-    return TriSet(tuple(_read_rows(path, _TRI_HEADER, build)), provenance=str(path))
+    return TriSet(tuple(_read_rows(Path(path), _TRI_HEADER, build)))
 
 
 def augment_symmetric(pairs: PairSet) -> PairSet:
@@ -408,36 +393,40 @@ def augment_symmetric(pairs: PairSet) -> PairSet:
         for p in pairs
         if is_symmetric(p.relation)
     ]
-    note = f"{pairs.provenance}+swapped" if pairs.provenance else "swapped"
-    return PairSet(tuple(pairs.pairs) + tuple(reversed_pairs), provenance=note)
+    return PairSet(tuple(pairs.pairs) + tuple(reversed_pairs))
 
 
-def _nonkin_draw(store: EmbeddingStore, kin_pairs: PairSet):
-    """The nonkin partner draw of ``kin_pairs``: generator -> partner store rows.
+def _cross_family_draw(
+    store: EmbeddingStore, pool: np.ndarray, want_male: np.ndarray, family_rows: np.ndarray
+):
+    """A seeded draw, per query, of one ``pool`` member outside a family: (sizes, draw).
 
-    A pair's candidates are the persons of the gender its role 2 needs,
-    outside the family of its id1, in store order. No candidate list is
-    built: persons are sorted by (gender, family, store order), and each
-    family member keeps its rank among the persons of its gender. If a
-    family's members of that gender have ranks k_0 < k_1 < ..., then
-    k_j - j candidates come before member j, so candidate r has rank
-    r + #{j : k_j - j <= r}: one ``searchsorted`` over all pairs at once.
-    The tables take O(persons + pairs) memory, and each draw is one
-    ``rng.integers`` call over the candidate counts. Raises ValueError,
-    naming the first pair without a candidate, when a pair has none.
+    ``pool`` holds ascending store rows. Query q's candidates are the pool
+    members of gender ``want_male[q]`` (1 male, 0 female) outside the
+    family of store row ``family_rows[q]``, in store order; ``sizes`` holds
+    their counts. ``draw(rng)`` returns one candidate's store row per
+    query, by one ``rng.integers(sizes)`` call, so a zero size must be
+    rejected first.
+
+    No candidate list is built: pool members are sorted by (gender,
+    family, store order), and each keeps its rank among the members of its
+    gender. If a family's members of that gender have ranks
+    k_0 < k_1 < ..., then k_j - j candidates come before member j, so
+    candidate r has rank r + #{j : k_j - j <= r}: one ``searchsorted``
+    over all queries at once. The tables take O(persons + queries) memory.
     """
     refs = [store.person(pid) for pid in store.person_ids]
-    n = len(refs)
     family_names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
-    male = np.fromiter((ref.gender is Gender.MALE for ref in refs), dtype=np.intp, count=n)
+    n = len(pool)
+    male = np.fromiter((refs[r].gender is Gender.MALE for r in pool), dtype=np.intp, count=n)
     n_gender = np.bincount(male, minlength=2)
     gender_start = np.array([0, n_gender[0]])
     by_gender = np.argsort(male, kind="stable")  # females, then males, each in store order
-    rank = np.empty(n, dtype=np.intp)  # rank among the persons of one's gender
+    rank = np.empty(n, dtype=np.intp)  # rank among the pool members of one's gender
     rank[by_gender] = np.arange(n) - gender_start[male[by_gender]]
 
-    # (gender, family) segments, persons sorted by segment and then store order
-    segment = male * len(family_names) + family
+    # (gender, family) segments, members sorted by segment and then store order
+    segment = male * len(family_names) + family[pool]
     seg_order = np.argsort(segment, kind="stable")
     seg_size = np.bincount(segment, minlength=2 * len(family_names))
     seg_first = np.cumsum(seg_size) - seg_size
@@ -445,28 +434,42 @@ def _nonkin_draw(store: EmbeddingStore, kin_pairs: PairSet):
     before = rank[seg_order] - (np.arange(n) - seg_first[sorted_segment])  # k_j - j
     keys = sorted_segment * (n + 1) + before  # nondecreasing, as 0 <= k_j - j <= n
 
-    rows1 = [store.row(p.id1) for p in kin_pairs]
-    want = np.fromiter(
-        (role2_gender(p.relation, refs[r].gender) is Gender.MALE for p, r in zip(kin_pairs, rows1)),
-        dtype=np.intp,
-        count=len(rows1),
-    )
-    pair_segment = want * len(family_names) + family[rows1]
-    sizes = n_gender[want] - seg_size[pair_segment]
-    if not sizes.all():
-        i = int(np.argmin(sizes))
-        raise ValueError(
-            f"no eligible nonkin partner for relation {kin_pairs.pairs[i].relation.value} "
-            f"outside family {refs[rows1[i]].family_id!r}"
-        )
-    base = gender_start[want] - seg_first[pair_segment]
-    seg_key = pair_segment * (n + 1)
+    query_segment = want_male * len(family_names) + family[family_rows]
+    sizes = n_gender[want_male] - seg_size[query_segment]
+    base = gender_start[want_male] - seg_first[query_segment]
+    seg_key = query_segment * (n + 1)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        # array bounds draw the same stream as one scalar draw per pair, in pair order
+        # array bounds draw the same stream as one scalar draw per query, in order
         r = rng.integers(sizes)
-        return by_gender[base + np.searchsorted(keys, seg_key + r, side="right") + r]
+        return pool[by_gender[base + np.searchsorted(keys, seg_key + r, side="right") + r]]
 
+    return sizes, draw
+
+
+def _nonkin_draw(store: EmbeddingStore, kin_pairs: PairSet):
+    """The nonkin partner draw of ``kin_pairs``: generator -> partner store rows.
+
+    A pair's candidates are the persons of the gender its role 2 needs,
+    outside the family of its id1, in store order (``_cross_family_draw``
+    over the whole store). Raises ValueError, naming the first pair
+    without a candidate, when a pair has none.
+    """
+    n = len(kin_pairs)
+    rows1 = np.fromiter((store.row(p.id1) for p in kin_pairs), dtype=np.intp, count=n)
+    want = np.fromiter(
+        (role2_gender(p.relation, store.person(p.id1).gender) is Gender.MALE for p in kin_pairs),
+        dtype=np.intp,
+        count=n,
+    )
+    sizes, draw = _cross_family_draw(store, np.arange(len(store)), want, rows1)
+    if not sizes.all():
+        i = int(np.argmin(sizes))
+        pair = kin_pairs.pairs[i]
+        raise ValueError(
+            f"no eligible nonkin partner for relation {pair.relation.value} "
+            f"outside family {store.family_of(pair.id1)!r}"
+        )
     return draw
 
 
@@ -494,7 +497,7 @@ def resample_nonkin(
         KinPair(pair.id1, ids[r], pair.relation, PairLabel.NONKIN)
         for pair, r in zip(kin_pairs, rows2)
     )
-    return PairSet(out, provenance=f"nonkin(seed={base_seed},epoch={epoch})")
+    return PairSet(out)
 
 
 def _pair_rows(

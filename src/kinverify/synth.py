@@ -49,6 +49,7 @@ from .data import (
     TriSample,
     TriSet,
     _atomic_open,
+    _cross_family_draw,
     resample_nonkin,
 )
 from .relations import Gender, KinshipRelation
@@ -310,12 +311,10 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     eval_pairs: dict[str, PairSet] = {}
     tris: dict[str, TriSet] = {}
     for split in SPLITS:
-        kin_set = PairSet(tuple(split_kin[split]), provenance=f"{split} kin")
+        kin_set = PairSet(tuple(split_kin[split]))
         kin_pairs[split] = kin_set
         nonkin = resample_nonkin(kin_set, store, config.seed, 0)
-        eval_pairs[split] = PairSet(
-            kin_set.pairs + nonkin.pairs, provenance=f"{split} kin+nonkin(epoch0)"
-        )
+        eval_pairs[split] = PairSet(kin_set.pairs + nonkin.pairs)
         tris[split] = _with_nonkin_tris(
             split_tri_kin[split], split_children, store, config.seed, split
         )
@@ -341,30 +340,22 @@ def _with_nonkin_tris(
 
     The replacement child has the same gender, comes from a different
     family and is itself a child (not a founder), drawn from the whole
-    world's child pool in one seeded pass per split.
+    world's child pool, in store order, in one seeded pass per split.
     """
-    rng = derive_rng(seed, STREAM_TRI, SPLITS.index(split))
-    all_children = [cid for s in SPLITS for cid in split_children[s]]
-    by_gender = {
-        g: np.array([cid for cid in all_children if store.person(cid).gender is g])
-        for g in Gender
-    }
-    fams_by_gender = {
-        g: np.array([store.family_of(cid) for cid in pool])
-        for g, pool in by_gender.items()
-    }
-    samples = list(kin_tris)
-    for t in kin_tris:
-        fam = store.family_of(t.child_id)
-        pool = by_gender[t.child_gender]
-        candidates = pool[fams_by_gender[t.child_gender] != fam]
-        if candidates.size == 0:
-            raise ValueError(f"no cross-family child of gender {t.child_gender.value}")
-        swapped = str(candidates[rng.integers(candidates.size)])
-        samples.append(
-            TriSample(t.father_id, t.mother_id, swapped, t.child_gender, PairLabel.NONKIN)
-        )
-    return TriSet(tuple(samples), provenance=f"{split} tri kin+nonkin")
+    pool = np.sort(np.array([store.row(cid) for s in SPLITS for cid in split_children[s]]))
+    want = np.array([t.child_gender is Gender.MALE for t in kin_tris], dtype=np.intp)
+    child_rows = np.array([store.row(t.child_id) for t in kin_tris], dtype=np.intp)
+    sizes, draw = _cross_family_draw(store, pool, want, child_rows)
+    if not sizes.all():
+        gender = kin_tris[int(np.argmin(sizes))].child_gender
+        raise ValueError(f"no cross-family child of gender {gender.value}")
+    ids = store.person_ids
+    swapped = draw(derive_rng(seed, STREAM_TRI, SPLITS.index(split)))
+    nonkin = (
+        TriSample(t.father_id, t.mother_id, ids[r], t.child_gender, PairLabel.NONKIN)
+        for t, r in zip(kin_tris, swapped.tolist())
+    )
+    return TriSet(tuple(kin_tris) + tuple(nonkin))
 
 
 def save_pedigree(pedigree: tuple[PedigreeEntry, ...], path: str | Path) -> None:

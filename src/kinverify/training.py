@@ -5,8 +5,9 @@ sample's selected expert output. Because only the selected logit enters the
 loss, the per-sample gradient flows from expert k back through the chain of
 hidden layers k-1, ..., 0 and is exactly zero for the output heads of all
 other experts and, in per-expert mode, for every parameter of experts above
-k. ``gradcheck`` verifies the whole thing against central finite
-differences.
+k. So training runs each sample through experts 0..k only (a relation-prefix
+forward), and ``backward`` works on that trace alone. ``gradcheck`` verifies
+it against central finite differences of the full cascade's loss.
 
 Training follows a fixed recipe: symmetric duplication of the kin pairs
 once, a fresh 1:1 nonkin resample every epoch, seeded shuffling, batches of
@@ -162,10 +163,11 @@ def backward(
     """Gradients of the mean selected-expert BCE over the batch.
 
     ``rel_idx`` holds each sample's expert position, ``targets`` its 0/1
-    label. The trace must come from a forward on the same parameters, full
-    or relation-prefix, run with ``mode="train"`` (an eval-mode trace keeps
-    no activations); each expert's gradient is taken over the trace rows
-    that expert ran on, which for a full trace is every row.
+    label. The trace must come from a relation-prefix forward on the same
+    parameters, run with ``mode="train"`` and ``positions=rel_idx``: an
+    eval-mode trace keeps no activations, and a full forward's trace (whose
+    ``order`` is None) raises ValueError. Each expert's gradient is taken
+    over the trace rows that expert ran on.
 
     The gradients are views into one flat buffer. Each parameter takes the
     GEMM or sum output of the first expert that reaches it in place; only a
@@ -178,6 +180,8 @@ def backward(
         raise ValueError(
             "backward needs a train-mode trace; an eval-mode forward keeps no activations"
         )
+    if trace.order is None:
+        raise ValueError("backward needs a relation-prefix trace: run forward with positions")
     n = trace.inputs.shape[0]
     rel_idx = np.asarray(rel_idx)
     targets = np.asarray(targets, dtype=np.float64)
@@ -187,15 +191,10 @@ def backward(
         raise ValueError("trace does not match the model configuration")
 
     cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
-    prefix = trace.order is not None
-    if not prefix:
-        dsel = (trace.probs[np.arange(n), rel_idx] - targets) / n
-    else:
-        order, _, counts = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
-        if not (np.array_equal(order, trace.order) and counts == trace.counts):
-            raise ValueError("rel_idx differs from the positions of the traced forward")
-        dsel = ((trace.probs - targets) / n)[order]
-        rel_idx = rel_idx[order]
+    order, _, counts = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
+    if not (np.array_equal(order, trace.order) and counts == trace.counts):
+        raise ValueError("rel_idx differs from the positions of the traced forward")
+    dsel = ((trace.probs - targets) / n)[order]
 
     keys = params.expert_keys()
     flat = np.empty(sum(params.values[k].size for k in keys))
@@ -219,21 +218,15 @@ def backward(
         inp = trace.inputs[lo : lo + rows] if layer.reads_input else trace.hidden[i - 1][:rows]
         w2 = params.values[f"expert{i}.W2"]
 
-        if not prefix:
-            dlogit = np.where(rel_idx == i, dsel, 0.0)
-            dz = dlogit[:, None] * w2
-            if carry is not None:
-                dz += carry
-        else:
-            # trace rows [first, rows) select this expert; the rows before
-            # them select a later one and take only the carry from expert i+1
-            first = 0 if carry is None else carry.shape[0]
-            dlogit = np.zeros(rows)
-            dlogit[first:] = dsel[lo + first : lo + rows]
-            dz = np.empty((rows, cfg.hidden))
-            if carry is not None:
-                dz[:first] = carry
-            np.multiply(dlogit[first:, None], w2, out=dz[first:])
+        # trace rows [first, rows) select this expert; the rows before them
+        # select a later one and take only the carry from expert i+1
+        first = 0 if carry is None else carry.shape[0]
+        dlogit = np.zeros(rows)
+        dlogit[first:] = dsel[lo + first : lo + rows]
+        dz = np.empty((rows, cfg.hidden))
+        if carry is not None:
+            dz[:first] = carry
+        np.multiply(dlogit[first:, None], w2, out=dz[first:])
         np.matmul(dlogit, z, out=grads[f"expert{i}.W2"][0])
         np.sum(dlogit, keepdims=True, out=grads[f"expert{i}.b2"])
         written.update((f"expert{i}.W2", f"expert{i}.b2"))
@@ -301,11 +294,13 @@ def adam_step(
     return params, state
 
 
-def _macro_accuracy_curve(store, pairs, params):
-    """Calibrated macro accuracy of the current model on an eval pair set."""
+def _macro_accuracy_curve(params, features, rel_idx, targets):
+    """Calibrated macro accuracy of the current model on a vectorized eval pair set.
+
+    The arguments after ``params`` are those ``pairs_to_arrays`` returns.
+    """
     from .evaluation import Objective, _calibrate
 
-    features, rel_idx, targets = pairs_to_arrays(store, pairs, params.config.relations)
     scores = forward(params, features, mode="eval", positions=rel_idx)[0]  # drop the trace
     _, best = _calibrate(scores, targets == 1.0, rel_idx, Objective.MACRO)
     return best
@@ -377,22 +372,23 @@ def train(
     pairs. ``val_pairs`` is a fixed kin+nonkin set used only for the
     history's macro accuracy (computed at the per-epoch calibrated
     threshold). With epochs=0 the initialized parameters come back
-    untouched with empty history; the kin pairs are still vectorized and
-    checked first, so an unhandled relation or a pair without a nonkin
-    candidate raises ValueError either way.
+    untouched with empty history; the kin and val pairs are still
+    vectorized and checked first, so an unhandled relation in either set
+    or a kin pair without a nonkin candidate raises ValueError either way.
 
     The epoch works on store-row index arrays, not pair objects: the kin
-    pairs are vectorized once per call, each epoch's nonkin draw and
+    and val pairs are vectorized once per call, each epoch's nonkin draw and
     shuffle touch only index arrays, and each batch gathers its features
-    from ``store.matrix``. Beyond the model, its ADAM state and one
-    batch, memory is O(persons + pairs) index arrays; no per-epoch
-    feature matrix or candidate pool is built.
+    from ``store.matrix``. Beyond the model, its ADAM state, the val
+    features and one batch, memory is O(persons + pairs) index arrays; no
+    per-epoch feature matrix or candidate pool is built.
     """
     seed = train_config.seed
     params = init_params(comp_config, seed)
     aug = augment_symmetric(kin_pairs)
     rows1, rows2, rel_idx, targets = _pair_rows(store, aug, comp_config.relations)
     draw_nonkin = _nonkin_draw(store, aug)
+    val = pairs_to_arrays(store, val_pairs, comp_config.relations)
     rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])
     targets = np.concatenate([targets, np.zeros_like(targets)])
 
@@ -408,7 +404,7 @@ def train(
     state = AdamState.init_like(params)
     history: list[EpochStats] = []
     for epoch, lr, losses in _epochs(params, state, train_config, epoch_data, step):
-        val_acc = _macro_accuracy_curve(store, val_pairs, params)
+        val_acc = _macro_accuracy_curve(params, *val)
         history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
     return params, history
 
@@ -448,11 +444,18 @@ def finite_difference_grads(
     step: float = 1e-6,
     dropout_scale: np.ndarray | None = None,
 ) -> GradientSet:
-    """Central-difference gradients of the mean selected BCE, every entry."""
+    """Central-difference gradients of the mean selected BCE, every entry.
+
+    The loss comes from a full-cascade eval forward, independent of the
+    prefix rows ``backward`` works on. With ``dropout_scale`` (a train
+    trace's mask) the forward runs on ``features * dropout_scale``, the
+    bits a train-mode forward with that mask computes.
+    """
+    if dropout_scale is not None:
+        features = features * dropout_scale
 
     def loss_at(p: ComparatorParams) -> float:
-        mode = "train" if dropout_scale is not None else "eval"
-        _, trace = forward(p, features, mode=mode, dropout_scale=dropout_scale)
+        _, trace = forward(p, features, mode="eval")
         sel = trace.logits[np.arange(len(rel_idx)), rel_idx]
         losses, _ = bce_loss(sel, targets)
         return float(losses.mean())
@@ -495,7 +498,9 @@ def gradcheck(
     """Max relative error between backward and central finite differences.
 
     Runs tiny configurations over every requested activation and sharing
-    mode, with batches mixing relations and targets. Relative error per
+    mode, with batches mixing relations and targets, through the path
+    ``train`` runs: a train-mode prefix forward, then ``backward``. The
+    finite differences are taken on the full cascade. Relative error per
     entry is |ga - gn| / max(1, |ga|, |gn|), which reads as absolute error
     for small gradients and relative error for large ones.
     """
@@ -510,7 +515,7 @@ def gradcheck(
             features = rng.standard_normal((4, cfg.input_dim))
             rel_idx = np.array([0, 1, 2, 1])
             targets = np.array([1.0, 0.0, 1.0, 0.0])
-            _, trace = forward(params, features, mode="train")  # dropout_p is 0
+            _, trace = forward(params, features, "train", positions=rel_idx)  # dropout_p is 0
             analytic = backward(trace, params, rel_idx, targets)
             numeric = finite_difference_grads(params, features, rel_idx, targets, step)
             for name in analytic:

@@ -140,13 +140,40 @@ def resample_nonkin_loop(kin_pairs, store, base_seed, epoch):
     return out
 
 
+def nonkin_tris_loop(kin_tris, children, store, seed, split_index):
+    """Nonkin triples the way ``synth`` once drew them: a child-pool mask per triple.
+
+    ``children`` lists every child id of the world in store order. Each
+    kin triple, in order, takes one scalar ``rng.integers`` draw over the
+    children of its child's gender outside its child's family.
+    """
+    from kinverify.data import PairLabel, TriSample
+    from kinverify.seeding import STREAM_TRI, derive_rng
+
+    rng = derive_rng(seed, STREAM_TRI, split_index)
+    out = []
+    for t in kin_tris:
+        family = store.family_of(t.child_id)
+        candidates = [
+            cid
+            for cid in children
+            if store.person(cid).gender is t.child_gender and store.family_of(cid) != family
+        ]
+        swapped = candidates[rng.integers(len(candidates))]
+        out.append(TriSample(t.father_id, t.mother_id, swapped, t.child_gender, PairLabel.NONKIN))
+    return out
+
+
 def backward_zero_filled(trace, params, rel_idx, targets):
     """Selected-BCE gradients as zero-filled arrays that every expert adds into.
 
-    The reference for ``training.backward``: each expert's dlogit comes from
-    a np.where over its rows, its dz is dlogit * w2 plus the carry from the
-    expert above, and every gradient, the shared trunk's or an expert's
-    own, starts at zero and takes each expert's GEMM output with ``+=``.
+    The full-cascade gradient reference, and the reference for
+    ``training.backward``: it takes a train-mode trace of a full forward
+    (every expert on every row) as well as one of a prefix forward. Each
+    expert's dlogit comes from a np.where over its rows, its dz is
+    dlogit * w2 plus the carry from the expert above, and every gradient,
+    the shared trunk's or an expert's own, starts at zero and takes each
+    expert's GEMM output with ``+=``.
     """
     from kinverify.comparator import (
         SharingMode,
@@ -237,5 +264,6 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
             lr = tc.lr_for_epoch(epoch)
             adam_step(params, grads, state, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
             losses.append(float(loss.mean()) + reg)
-        history.append((float(np.mean(losses)), _macro_accuracy_curve(store, val_pairs, params)))
+        val = pairs_to_arrays(store, val_pairs, comp_config.relations)
+        history.append((float(np.mean(losses)), _macro_accuracy_curve(params, *val)))
     return params, history

@@ -149,7 +149,7 @@ def test_c03_cascade_locality():
         for s in range(100):
             k = int(rng.integers(5))
             target = np.array([float(rng.integers(2))])
-            _, trace = forward(params, features[s : s + 1], mode="train")
+            _, trace = forward(params, features[s : s + 1], mode="train", positions=np.array([k]))
             grads = backward(trace, params, np.array([k]), target)
             for i in range(5):
                 if i != k and not (

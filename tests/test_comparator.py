@@ -22,12 +22,10 @@ from kinverify.comparator import (
     init_params,
     prelu_slope_grad,
     score_unknown,
-    select_output,
     stable_sigmoid,
     verify,
 )
 from kinverify.data import PairLabel
-from kinverify.relations import KinshipRelation
 
 from oracles import (
     dense_forward_oracle,
@@ -261,20 +259,6 @@ def test_outputs_strictly_inside_unit_interval():
         params = rand_params(TINY, seed=int(rng.integers(1000)))
         z, _ = forward(params, rng.standard_normal(8))
         assert np.all(z > 0.0) and np.all(z < 1.0)
-
-
-def test_select_output():
-    z2 = np.full(11, 0.5)
-    config = ComparatorConfig(input_dim=8)
-    assert select_output(z2, KinshipRelation.BB, config) == 0.5
-    z2[3] = 0.9
-    assert select_output(z2, KinshipRelation.FD, config) == pytest.approx(0.9)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        z2 = rng.random(11)
-        for i, r in enumerate(KinshipRelation):
-            one_hot = np.eye(11)[i]
-            assert select_output(z2, r, config) == pytest.approx(float(z2 @ one_hot))
 
 
 def test_verify_decision_convention():

@@ -18,7 +18,6 @@ from kinverify.data import (
     PersonRef,
     augment_symmetric,
     concat_features,
-    cosine_distance,
     load_embeddings,
     load_pairs,
     load_tri,
@@ -57,26 +56,6 @@ def test_concat_features():
 def test_concat_length_for_default_dim():
     f = np.ones(512)
     assert concat_features(f, f).shape == (1024,)
-
-
-def test_cosine_distance_basics():
-    v = np.array([0.3, -1.2, 2.0])
-    assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-12)
-    assert cosine_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
-    assert cosine_distance(v, 3.0 * v) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        cosine_distance(np.zeros(3), v)
-
-
-def test_cosine_distance_properties():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = rng.standard_normal(6)
-        b = rng.standard_normal(6)
-        d = cosine_distance(a, b)
-        assert 0.0 - 1e-12 <= d <= 2.0 + 1e-12
-        assert d == pytest.approx(cosine_distance(b, a), abs=1e-12)
-        assert d == pytest.approx(cosine_distance(1.7 * a, b), abs=1e-10)
 
 
 def test_embeddings_roundtrip_byte_identical(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinverify.comparator import ComparatorConfig, forward, init_params
-from kinverify.data import KinPair, PairLabel
+from kinverify.data import EmbeddingStore, KinPair, PairLabel, PersonRef
 from kinverify.evaluation import (
     REFERENCE_RELATION_PREDICTION_ACCURACY,
     REFERENCE_TRI_ACCURACY,
@@ -262,6 +262,44 @@ def test_score_pairs_cosine_self_pair():
     pair = KinPair("a", "b", KinshipRelation.BB, PairLabel.KIN)
     scored = score_pairs(None, store, [pair], Scorer.COSINE)
     assert scored[0].score == pytest.approx(0.0, abs=1e-12)
+
+
+def cosine_scores(vectors, index_pairs):
+    """Cosine scores of ``score_pairs`` for pairs of rows of ``vectors``."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    store = EmbeddingStore(
+        vectors.shape[1],
+        [(PersonRef(f"p{i}", f"f{i}", Gender.MALE), v) for i, v in enumerate(vectors)],
+    )
+    pairs = [KinPair(f"p{i}", f"p{j}", KinshipRelation.BB, PairLabel.KIN) for i, j in index_pairs]
+    return np.array([s.score for s in score_pairs(None, store, pairs, Scorer.COSINE)])
+
+
+def test_score_pairs_cosine_basics():
+    v = np.array([0.3, -1.2, 2.0])
+    vectors = [v, 3.0 * v, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], np.zeros(3)]
+    parallel, scaled, orthogonal = cosine_scores(vectors, [(0, 0), (0, 1), (2, 3)])
+    assert parallel == pytest.approx(0.0, abs=1e-12)
+    assert orthogonal == pytest.approx(1.0)
+    assert scaled == pytest.approx(0.0, abs=1e-12)
+    for zero_pair in [(4, 0), (0, 4)]:
+        with pytest.raises(ValueError, match="zero-norm"):
+            cosine_scores(vectors, [(2, 3), zero_pair])
+
+
+def test_score_pairs_cosine_properties():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((200, 6))
+    b = rng.standard_normal((200, 6))
+    vectors = np.concatenate([a, b, 1.7 * a])
+    i = np.arange(200)
+    d, swapped, scaled = (
+        cosine_scores(vectors, zip(first, second))
+        for first, second in [(i, 200 + i), (200 + i, i), (400 + i, 200 + i)]
+    )
+    assert np.all((d >= -1e-12) & (d <= 2.0 + 1e-12))
+    npt.assert_allclose(swapped, d, atol=1e-12, rtol=0)
+    npt.assert_allclose(scaled, d, atol=1e-10, rtol=0)
 
 
 # Frozen from the first verified run: seeded init params (seed 123) on the

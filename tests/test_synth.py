@@ -226,3 +226,36 @@ def test_convex_blend_mode():
     )
     world = generate_world(config)
     assert len(world.store) > 0
+
+
+@pytest.mark.parametrize("seed", [4, 1])
+def test_nonkin_tris_match_per_triple_draw(seed):
+    from dataclasses import replace
+
+    from oracles import nonkin_tris_loop
+
+    world = generate_world(replace(TINY_SYNTH, seed=seed))
+    children = [e.person_id for e in world.pedigree if e.person_id.split("_")[-1].startswith("c")]
+    for index, split in enumerate(SPLITS):
+        samples = world.tris[split].samples
+        kin = [t for t in samples if t.label is PairLabel.KIN]
+        assert len(samples) == 2 * len(kin)
+        assert list(samples[len(kin) :]) == nonkin_tris_loop(kin, children, world.store, seed, index)
+
+
+def test_nonkin_tris_without_cross_family_child():
+    from kinverify.data import EmbeddingStore, PersonRef, TriSample
+    from kinverify.synth import _with_nonkin_tris
+
+    # the only male child belongs to the kin triple's own family
+    people = [
+        ("f", "f1", Gender.MALE),
+        ("m", "f1", Gender.FEMALE),
+        ("c0", "f1", Gender.MALE),
+        ("c1", "f2", Gender.FEMALE),
+    ]
+    store = EmbeddingStore(2, [(PersonRef(p, fam, g), np.ones(2)) for p, fam, g in people])
+    children = {"train": ["c0", "c1"], "val": [], "test": []}
+    kin = [TriSample("f", "m", "c0", Gender.MALE, PairLabel.KIN)]
+    with pytest.raises(ValueError, match="no cross-family child of gender M"):
+        _with_nonkin_tris(kin, children, store, 0, "train")

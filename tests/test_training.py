@@ -90,7 +90,7 @@ def test_backward_gradient_zero_structure():
     fc = rng.standard_normal((1, 8))
 
     # first expert selected: only expert 0 touched
-    _, trace = forward(params, fc, mode="train")
+    _, trace = forward(params, fc, mode="train", positions=np.array([0]))
     grads = backward(trace, params, np.array([0]), np.array([1.0]))
     for i in (1, 2):
         for part in ("W1", "b1", "W2", "b2"):
@@ -98,13 +98,24 @@ def test_backward_gradient_zero_structure():
     assert np.any(grads["expert0.W1"] != 0.0)
 
     # last expert selected: all W2/b2 below zero, every W1 may be nonzero
-    _, trace = forward(params, fc, mode="train")
+    _, trace = forward(params, fc, mode="train", positions=np.array([2]))
     grads = backward(trace, params, np.array([2]), np.array([0.0]))
     for i in (0, 1):
         assert np.all(grads[f"expert{i}.W2"] == 0.0)
         assert np.all(grads[f"expert{i}.b2"] == 0.0)
     for i in (0, 1, 2):
         assert np.any(grads[f"expert{i}.W1"] != 0.0)
+
+
+def test_backward_rejects_a_full_forward_trace():
+    # backward takes only the relation-prefix trace that train gives it
+    params = rand_params(TINY, seed=1)
+    fc = np.random.default_rng(5).standard_normal((3, 8))
+    rel = np.array([0, 2, 1])
+    _, trace = forward(params, fc, mode="train")
+    assert trace.order is None
+    with pytest.raises(ValueError, match="relation-prefix trace"):
+        backward(trace, params, rel, np.array([1.0, 0.0, 1.0]))
 
 
 def test_gradcheck_all_modes_fast():
@@ -128,7 +139,7 @@ def test_gradcheck_detects_corrupted_gradient():
     fc = rng.standard_normal((2, 8))
     rel = np.array([0, 2])
     targets = np.array([1.0, 0.0])
-    _, trace = forward(params, fc, mode="train")
+    _, trace = forward(params, fc, mode="train", positions=rel)
     analytic = backward(trace, params, rel, targets)
     analytic["expert0.W1"] = analytic["expert0.W1"] + 0.05  # fault injection
     numeric = finite_difference_grads(params, fc, rel, targets)
@@ -146,7 +157,7 @@ def test_backward_matches_fd_with_dropout_mask():
     fc = rng.standard_normal((3, 8))
     rel = np.array([0, 1, 1])
     targets = np.array([1.0, 0.0, 1.0])
-    _, trace = forward(params, fc, mode="train", rng=rng)
+    _, trace = forward(params, fc, mode="train", rng=rng, positions=rel)
     analytic = backward(trace, params, rel, targets)
     numeric = finite_difference_grads(
         params, fc, rel, targets, dropout_scale=trace.dropout_scale
@@ -253,18 +264,17 @@ def backward_cases(draw):
     top = draw(st.integers(0, n_experts - 1))
     rel_idx = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
     targets = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
-    return config, rel_idx, targets, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return config, rel_idx, targets, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(backward_cases())
 def test_backward_equals_zero_filled_accumulation(case):
-    config, rel_idx, targets, prefix, seed = case
+    config, rel_idx, targets, seed = case
     params = rand_params(config, seed, spread=0.4)
     features = np.random.default_rng(seed).standard_normal((len(rel_idx), config.input_dim))
     rng = np.random.default_rng(seed + 1)
-    positions = rel_idx if prefix else None
-    _, trace = forward(params, features, mode="train", rng=rng, positions=positions)
+    _, trace = forward(params, features, mode="train", rng=rng, positions=rel_idx)
     got = backward(trace, params, rel_idx, targets)
     expected = backward_zero_filled(trace, params, rel_idx, targets)
     assert list(got) == list(expected) == params.expert_keys()
