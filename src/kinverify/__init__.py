@@ -70,7 +70,6 @@ from .training import (
     backward,
     bce_loss,
     gradcheck,
-    l2_penalty,
     train,
     train_attention,
 )

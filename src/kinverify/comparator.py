@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairLabel, concat_features
-from .relations import RELATION_ORDER, KinshipRelation
+from .relations import CANONICAL_RELATION_CODES, KinshipRelation
 from .seeding import STREAM_INIT, derive_rng
 
 LRELU_SLOPE = 0.2
@@ -42,8 +42,6 @@ PRELU_INIT_SLOPE = 0.25
 # not depend on the BLAS thread count. A multiple of 4, because OpenBLAS's
 # GEMV sums rows in groups of four counted from the first row of each call.
 EVAL_BLOCK_ROWS = 1024
-
-CANONICAL_RELATION_CODES = tuple(r.value for r in RELATION_ORDER)
 
 
 class Activation(enum.Enum):
@@ -209,13 +207,11 @@ def init_params(
     for name, shape in param_layout(config, with_attention):
         if name.endswith(".prelu"):
             values[name] = np.full(shape, PRELU_INIT_SLOPE, dtype=np.float64)
-        elif name.startswith("attention."):
-            values[name] = np.zeros(shape, dtype=np.float64)
         elif name.endswith(".W1") or name.endswith(".W2"):
             fan_out, fan_in = shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             values[name] = rng.uniform(-limit, limit, shape)
-        else:
+        else:  # biases and the attention head
             values[name] = np.zeros(shape, dtype=np.float64)
     return ComparatorParams(config=config, values=values)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import os
 import re
 import secrets
@@ -26,10 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .relations import (
+    CANONICAL_RELATION_CODES,
     Gender,
     KinshipRelation,
     genders_match,
     is_symmetric,
+    relation_index,
     role2_gender,
 )
 from .seeding import STREAM_RESAMPLE, derive_rng
@@ -152,6 +155,16 @@ class EmbeddingStore:
 
     def family_of(self, person_id: str) -> str:
         return self.person(person_id).family_id
+
+    @functools.cached_property
+    def _person_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per store row the family index and male flag (1/0), then the sorted family ids."""
+        refs = list(self._refs.values())
+        names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
+        male = np.fromiter((r.gender is Gender.MALE for r in refs), dtype=np.intp, count=len(refs))
+        for table in (family, male, names):
+            table.setflags(write=False)
+        return family, male, names
 
 
 @dataclass(frozen=True)
@@ -415,10 +428,9 @@ def _cross_family_draw(
     candidate r has rank r + #{j : k_j - j <= r}: one ``searchsorted``
     over all queries at once. The tables take O(persons + queries) memory.
     """
-    refs = [store.person(pid) for pid in store.person_ids]
-    family_names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
+    family, male, family_names = store._person_tables
     n = len(pool)
-    male = np.fromiter((refs[r].gender is Gender.MALE for r in pool), dtype=np.intp, count=n)
+    male = male[pool]
     n_gender = np.bincount(male, minlength=2)
     gender_start = np.array([0, n_gender[0]])
     by_gender = np.argsort(male, kind="stable")  # females, then males, each in store order
@@ -447,28 +459,30 @@ def _cross_family_draw(
     return sizes, draw
 
 
-def _nonkin_draw(store: EmbeddingStore, kin_pairs: PairSet):
-    """The nonkin partner draw of ``kin_pairs``: generator -> partner store rows.
+def _nonkin_draw(
+    store: EmbeddingStore, rows1: np.ndarray, rel_idx: np.ndarray, relation_codes: tuple[str, ...]
+):
+    """The nonkin partner draw of kin pairs: generator -> partner store rows.
 
-    A pair's candidates are the persons of the gender its role 2 needs,
-    outside the family of its id1, in store order (``_cross_family_draw``
-    over the whole store). Raises ValueError, naming the first pair
-    without a candidate, when a pair has none.
+    A pair is given by the store row of its id1 and the index of its
+    relation in ``relation_codes``. Its candidates are the persons of the
+    gender its role 2 needs, outside the family of its id1, in store order
+    (``_cross_family_draw`` over the whole store). Raises ValueError,
+    naming the first pair without a candidate, when a pair has none.
     """
-    n = len(kin_pairs)
-    rows1 = np.fromiter((store.row(p.id1) for p in kin_pairs), dtype=np.intp, count=n)
-    want = np.fromiter(
-        (role2_gender(p.relation, store.person(p.id1).gender) is Gender.MALE for p in kin_pairs),
-        dtype=np.intp,
-        count=n,
+    family, male, family_names = store._person_tables
+    relations = [KinshipRelation(code) for code in relation_codes]
+    genders = (Gender.FEMALE, Gender.MALE)  # indexed by the male flag of id1
+    role2_male = np.array(
+        [[role2_gender(r, g) is Gender.MALE for r in relations] for g in genders], dtype=np.intp
     )
+    want = role2_male[male[rows1], rel_idx]
     sizes, draw = _cross_family_draw(store, np.arange(len(store)), want, rows1)
     if not sizes.all():
         i = int(np.argmin(sizes))
-        pair = kin_pairs.pairs[i]
         raise ValueError(
-            f"no eligible nonkin partner for relation {pair.relation.value} "
-            f"outside family {store.family_of(pair.id1)!r}"
+            f"no eligible nonkin partner for relation {relation_codes[rel_idx[i]]} "
+            f"outside family {str(family_names[family[rows1[i]]])!r}"
         )
     return draw
 
@@ -490,7 +504,10 @@ def resample_nonkin(
     O(persons + pairs) memory, the same tables ``train`` draws from each
     epoch.
     """
-    draw = _nonkin_draw(store, kin_pairs)
+    n = len(kin_pairs)
+    rows1 = np.fromiter((store.row(p.id1) for p in kin_pairs), dtype=np.intp, count=n)
+    rel_idx = np.fromiter((relation_index(p.relation) for p in kin_pairs), dtype=np.intp, count=n)
+    draw = _nonkin_draw(store, rows1, rel_idx, CANONICAL_RELATION_CODES)
     rows2 = draw(derive_rng(base_seed, STREAM_RESAMPLE, epoch)).tolist()
     ids = store.person_ids
     out = tuple(
@@ -520,12 +537,25 @@ def _pair_rows(
         )
     except KeyError as exc:
         raise ValueError(f"relation {exc.args[0]!r} not handled by this model") from None
-    targets = np.fromiter(
-        (1.0 if p.label is PairLabel.KIN else 0.0 for p in plist),
-        dtype=np.float64,
-        count=len(plist),
-    )
+    targets = np.array([p.label is PairLabel.KIN for p in plist], dtype=np.float64)
     return rows1, rows2, rel_idx, targets
+
+
+def _symmetric_rows(
+    store: EmbeddingStore, kin_pairs: PairSet, relation_codes: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_pair_rows`` of ``augment_symmetric(kin_pairs)``, computed on the raw pairs.
+
+    The rows of the pairs with a symmetric relation follow, swapped, in pair order.
+    """
+    rows1, rows2, rel_idx, targets = _pair_rows(store, kin_pairs, relation_codes)
+    symmetric = np.array([is_symmetric(KinshipRelation(c)) for c in relation_codes])[rel_idx]
+    return (
+        np.concatenate([rows1, rows2[symmetric]]),
+        np.concatenate([rows2, rows1[symmetric]]),
+        np.concatenate([rel_idx, rel_idx[symmetric]]),
+        np.concatenate([targets, targets[symmetric]]),
+    )
 
 
 def _gather_features(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparator import CANONICAL_RELATION_CODES
 from .comparator import Activation, ComparatorConfig, ComparatorParams, forward
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
 from .data import _atomic_open, pairs_to_arrays
-from .relations import RELATION_ORDER, Gender, KinshipRelation, relation_index
+from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender, KinshipRelation
+from .relations import relation_index
 from .training import TrainConfig, train
 
 # Published RFIW-2020 challenge results for this comparator architecture,

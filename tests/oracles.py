@@ -221,28 +221,56 @@ def backward_zero_filled(trace, params, rel_idx, targets):
     return grads
 
 
+def l2_penalty(params, lam, include_biases, grads):
+    """Squared-norm penalty lam * sum(p^2) over the keys of ``grads``, one array at a time.
+
+    The gradient 2*lam*p is added into ``grads`` in place. Biases (b1, b2,
+    attention.b) count only with ``include_biases``.
+    """
+    loss = 0.0
+    for name, g in grads.items():
+        if name.endswith((".b1", ".b2", "attention.b")) and not include_biases:
+            continue
+        p = params.values[name]
+        loss += lam * float(np.sum(p * p))
+        g += p * (2.0 * lam)
+    return loss, grads
+
+
+class TextbookAdam:
+    """Bias-corrected ADAM, one parameter array at a time, in plain expressions."""
+
+    def __init__(self, params, keys):
+        self.m = {k: np.zeros_like(params.values[k]) for k in keys}
+        self.v = {k: np.zeros_like(params.values[k]) for k in keys}
+        self.t = 0
+
+    def step(self, params, grads, lr, beta1, beta2, eps):
+        self.t += 1
+        for name, g in grads.items():
+            p, m, v = params.values[name], self.m[name], self.v[name]
+            m[...] = m * beta1 + g * (1.0 - beta1)
+            v[...] = v * beta2 + (g * (1.0 - beta2)) * g
+            p -= (m / (1.0 - beta1**self.t) * lr) / (np.sqrt(v / (1.0 - beta2**self.t)) + eps)
+
+
 def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
     """The training recipe on pair objects, the way ``training.train`` once ran it.
 
     Every epoch draws a ``resample_nonkin`` pair set, shuffles the list of
     ``KinPair`` objects, vectorizes it with ``pairs_to_arrays`` and trains
     on batches of that epoch matrix with ``backward_zero_filled``
-    gradients. Returns the parameters and the (loss, val macro) history.
+    gradients, the per-array ``l2_penalty`` and ``TextbookAdam``. Returns
+    the parameters and the (loss, val macro) history.
     """
     from kinverify.comparator import forward, init_params
     from kinverify.data import augment_symmetric, pairs_to_arrays, resample_nonkin
     from kinverify.seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
-    from kinverify.training import (
-        AdamState,
-        _macro_accuracy_curve,
-        adam_step,
-        bce_loss,
-        l2_penalty,
-    )
+    from kinverify.training import _macro_accuracy_curve, bce_loss
 
     tc = train_config
     params = init_params(comp_config, tc.seed)
-    state = AdamState.init_like(params)
+    adam = TextbookAdam(params, params.expert_keys())
     dropout_rng = derive_rng(tc.seed, STREAM_DROPOUT)
     aug = augment_symmetric(kin_pairs)
     history = []
@@ -262,7 +290,7 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
             grads = backward_zero_filled(trace, params, rel_idx[batch], targets[batch])
             reg, grads = l2_penalty(params, tc.l2_lambda, tc.l2_includes_biases, grads=grads)
             lr = tc.lr_for_epoch(epoch)
-            adam_step(params, grads, state, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
+            adam.step(params, grads, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
             losses.append(float(loss.mean()) + reg)
         val = pairs_to_arrays(store, val_pairs, comp_config.relations)
         history.append((float(np.mean(losses)), _macro_accuracy_curve(params, *val)))

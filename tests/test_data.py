@@ -27,8 +27,12 @@ from kinverify.data import (
     save_tri,
     TriSample,
     TriSet,
+    _nonkin_draw,
+    _pair_rows,
+    _symmetric_rows,
 )
-from kinverify.relations import Gender, KinshipRelation
+from kinverify.relations import RELATION_ORDER, Gender, KinshipRelation
+from kinverify.seeding import STREAM_RESAMPLE, derive_rng
 
 from oracles import resample_nonkin_loop
 
@@ -443,11 +447,12 @@ def nonkin_worlds(draw):
         for i, (family, gender) in enumerate(people)
     ]
     store = EmbeddingStore(2, rows)
-    picks = st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(KinshipRelation))
+    person = st.integers(0, len(rows) - 1)
+    picks = st.tuples(person, person, st.sampled_from(KinshipRelation))
     kin = PairSet(
         tuple(
-            KinPair(f"p{i}", f"p{i}", relation, PairLabel.KIN)
-            for i, relation in draw(st.lists(picks, max_size=20))
+            KinPair(f"p{i}", f"p{j}", relation, PairLabel.KIN)
+            for i, j, relation in draw(st.lists(picks, max_size=20))
         )
     )
     return store, kin, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 9))
@@ -481,6 +486,29 @@ def test_pool_free_draw_matches_per_pair_loop(world):
     assert [(p.id1, p.id2) for p in out] == resample_nonkin_loop(kin, store, seed, epoch)
     assert all(p.label is PairLabel.NONKIN for p in out)
     assert [p.relation for p in out] == [p.relation for p in kin]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonkin_worlds(), st.permutations([r.value for r in RELATION_ORDER]))
+def test_train_rows_and_draw_match_the_augmented_pairs(world, codes):
+    # train's walk over the raw pairs gives the rows, the draws and the
+    # first-empty-pair error of augment_symmetric + _pair_rows + resample_nonkin
+    store, kin, seed, epoch = world
+    codes = tuple(codes)
+    aug = augment_symmetric(kin)
+    rows = _symmetric_rows(store, kin, codes)
+    for got, expected in zip(rows, _pair_rows(store, aug, codes)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    try:
+        expected = resample_nonkin(aug, store, seed, epoch)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _nonkin_draw(store, rows[0], rows[2], codes)
+        assert str(got.value) == str(exc)
+        return
+    draw = _nonkin_draw(store, rows[0], rows[2], codes)
+    partners = draw(derive_rng(seed, STREAM_RESAMPLE, epoch))
+    assert [store.person_ids[r] for r in partners] == [p.id2 for p in expected]
 
 
 def test_train_raises_the_empty_pool_error():

@@ -14,12 +14,14 @@ import kinverify
 from kinverify.comparator import (
     Activation,
     ComparatorConfig,
+    ComparatorParams,
     SharingMode,
     add_attention_head,
     forward,
     init_params,
     stable_softmax,
 )
+from kinverify.data import PairSet
 from kinverify.model_io import serialize_model
 from kinverify.training import (
     AdamState,
@@ -30,12 +32,11 @@ from kinverify.training import (
     bce_loss,
     finite_difference_grads,
     gradcheck,
-    l2_penalty,
     train,
     train_attention,
 )
 
-from oracles import backward_zero_filled, train_object_path
+from oracles import TextbookAdam, backward_zero_filled, l2_penalty, train_object_path
 
 TINY = ComparatorConfig(input_dim=8, hidden=3, dropout_p=0.0, relations=("BB", "FD", "GMGS"))
 
@@ -65,21 +66,28 @@ def test_bce_loss_values():
 
 
 def test_l2_penalty():
+    # adam_step returns the penalty of the parameters before the update and
+    # adds its gradient into the state's gradients; lr 0 keeps the parameters
+    def penalty_and_grads(include_biases=True):
+        state = AdamState.init_like(params)
+        penalty = adam_step(state, 0.0, l2_lambda=2e-4, l2_includes_biases=include_biases)
+        return penalty, state.grads
+
     params = init_params(TINY, seed=0)
     for key in params.values:
         params.values[key][:] = 0.0
-    loss, grads = l2_penalty(params, 2e-4)
+    loss, grads = penalty_and_grads()
     assert loss == 0.0
     assert all(np.all(g == 0.0) for g in grads.values())
 
     params.values["expert0.W1"][0, 0] = 3.0
-    loss, grads = l2_penalty(params, 2e-4)
+    loss, grads = penalty_and_grads()
     assert loss == pytest.approx(1.8e-3)
     assert grads["expert0.W1"][0, 0] == pytest.approx(1.2e-3)
 
     params.values["expert0.b1"][0] = 2.0
-    with_biases, _ = l2_penalty(params, 2e-4, include_biases=True)
-    without, grads = l2_penalty(params, 2e-4, include_biases=False)
+    with_biases, _ = penalty_and_grads(include_biases=True)
+    without, grads = penalty_and_grads(include_biases=False)
     assert with_biases == pytest.approx(without + 2e-4 * 4.0)
     assert np.all(grads["expert0.b1"] == 0.0)
 
@@ -170,11 +178,10 @@ def test_backward_matches_fd_with_dropout_mask():
 def test_adam_first_step_magnitude():
     params = init_params(TINY, seed=0)
     state = AdamState.init_like(params)
-    grads = {k: np.zeros_like(v) for k, v in params.values.items()}
-    grads["expert0.b2"][0] = 0.3
+    state.grads["expert0.b2"][0] = 0.3
     before = params.values["expert0.b2"][0]
     w_before = params.values["expert0.W1"].copy()
-    adam_step(params, grads, state, lr=0.001)
+    adam_step(state, lr=0.001)
     update = before - params.values["expert0.b2"][0]
     assert update == pytest.approx(0.001 * 0.3 / (0.3 + 1e-8))
     npt.assert_array_equal(params.values["expert0.W1"], w_before)  # zero grad: unchanged
@@ -185,11 +192,79 @@ def test_adam_zero_gradient_never_moves():
     params = init_params(TINY, seed=0)
     reference = {k: v.copy() for k, v in params.values.items()}
     state = AdamState.init_like(params)
-    zero = {k: np.zeros_like(v) for k, v in params.values.items()}
     for _ in range(5):
-        adam_step(params, zero, state, lr=0.01)
+        adam_step(state, lr=0.01)
     for key in reference:
         npt.assert_array_equal(params.values[key], reference[key])
+
+
+def test_adam_state_lays_the_trained_arrays_out_flat():
+    # the trained arrays are copied into one buffer and rebound to its views
+    params = init_params(TINY, seed=0)
+    state = AdamState.init_like(params)
+    assert state.param.size == sum(v.size for v in params.values.values())
+    assert all(np.shares_memory(state.param, v) for v in params.values.values())
+    params = rand_params(TINY, seed=1)
+    expected = {k: v.copy() for k, v in params.values.items()}
+    state = AdamState.init_like(params, keys=["expert1.W1", "expert0.b2"])
+    assert np.shares_memory(state.param, params.values["expert1.W1"])
+    assert not np.shares_memory(state.param, params.values["expert0.W1"])
+    for key, value in expected.items():
+        assert params.values[key].tobytes() == value.tobytes()
+
+
+@st.composite
+def optimizer_cases(draw):
+    """Mixed layouts, gradients holding +-0.0, several steps, and the L2 settings."""
+    # 1, 192 and 36,864 elements occur in the default model; 70,000 is over one chunk
+    sizes = draw(st.lists(st.sampled_from([1, 192, 36_864, 70_000]), min_size=1, max_size=5))
+    kind = st.sampled_from(["W1", "b1", "W2", "b2", "prelu"])
+    kinds = draw(st.lists(kind, min_size=len(sizes), max_size=len(sizes)))
+    shapes = [(192, 192) if size == 36_864 else (size,) for size in sizes]
+    layout = [(f"expert{i}.{kind}", shape) for i, (kind, shape) in enumerate(zip(kinds, shapes))]
+    layout += [("attention.W", (11, 128)), ("attention.b", (11,))]
+    return (
+        layout,
+        draw(st.booleans()),  # train the attention keys only
+        draw(st.sampled_from([0.0, 2e-4])),
+        draw(st.booleans()),  # l2_includes_biases
+        draw(st.integers(1, 3)),  # steps
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(optimizer_cases())
+def test_fused_step_equals_textbook_optimizer(case):
+    layout, attention_only, lam, include_biases, steps, seed = case
+    rng = np.random.default_rng(seed)
+
+    def signed_zeros(shape):
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < 0.2] = 0.0
+        a[rng.random(shape) < 0.2] = -0.0
+        return a
+
+    values = {name: signed_zeros(shape) for name, shape in layout}
+    params = ComparatorParams(TINY, {k: v.copy() for k, v in values.items()})
+    expected = ComparatorParams(TINY, {k: v.copy() for k, v in values.items()})
+    keys = [k for k in values if k.startswith("attention.")] if attention_only else list(values)
+    state = AdamState.init_like(params, keys)
+    adam = TextbookAdam(expected, keys)
+    for _ in range(steps):
+        grads = {k: signed_zeros(values[k].shape) for k in keys}
+        for k in keys:
+            state.grads[k][...] = grads[k]
+        penalty = adam_step(state, 0.001, 0.9, 0.999, 1e-8, lam, include_biases)
+        reg, grads = l2_penalty(expected, lam, include_biases, grads)
+        adam.step(expected, grads, 0.001, 0.9, 0.999, 1e-8)
+        assert penalty == reg
+        # with lam 0 the reference still adds p * 0.0, which can turn a -0.0 into 0.0
+        assert np.array_equal(state.grad, np.concatenate([grads[k].ravel() for k in keys]))
+    for key in values:
+        assert params.values[key].tobytes() == expected.values[key].tobytes(), key
+    for got, moments in ((state.m, adam.m), (state.v, adam.v)):
+        assert got.tobytes() == np.concatenate([moments[k].ravel() for k in keys]).tobytes()
 
 
 def test_train_zero_epochs_returns_init(tiny_world):
@@ -245,6 +320,28 @@ def test_train_equals_object_path(tiny_world, activation, sharing):
     expected, expected_history = train_object_path(*args)
     assert serialize_model(params) == serialize_model(expected)
     assert [(h.train_loss, h.val_macro_acc) for h in history] == expected_history
+
+
+def test_train_equals_object_path_without_bias_l2(tiny_world):
+    world = tiny_world
+    config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=5)
+    tcfg = TrainConfig(epochs=2, batch_size=32, l2_includes_biases=False, seed=5)
+    args = (world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
+    params, history = train(*args)
+    expected, expected_history = train_object_path(*args)
+    assert serialize_model(params) == serialize_model(expected)
+    assert [(h.train_loss, h.val_macro_acc) for h in history] == expected_history
+
+
+def test_train_rejects_an_empty_kin_or_val_set(tiny_world):
+    world = tiny_world
+    config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=4)
+    kin, val = world.kin_pairs["train"], world.eval_pairs["val"]
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match="non-empty kin pair set"):
+            train(world.store, PairSet(()), val, config, TrainConfig(epochs=epochs))
+        with pytest.raises(ValueError, match="non-empty val pair set"):
+            train(world.store, kin, PairSet(()), config, TrainConfig(epochs=epochs))
 
 
 @st.composite
@@ -332,12 +429,14 @@ def test_attention_step_matches_finite_differences():
     features = rng.standard_normal((6, TINY.input_dim))
     rel_idx = np.array([0, 1, 2, 1, 0, 2])
 
-    loss, analytic = _attention_step(params, features, rel_idx)
+    grads = {k: np.empty_like(params.values[k]) for k in params.attention_keys()}
+    loss, analytic = _attention_step(params, grads, features, rel_idx)
     logits = features @ params.values["attention.W"].T + params.values["attention.b"]
     expected = -np.log(stable_softmax(logits)[np.arange(6), rel_idx]).mean()
     assert loss == pytest.approx(expected, rel=1e-12)
 
     step = 1e-6
+    scratch = {k: np.empty_like(g) for k, g in grads.items()}  # the difference quotients' own
     assert sorted(analytic) == sorted(params.attention_keys())
     for name, grad in analytic.items():
         flat = params.values[name].reshape(-1)
@@ -345,9 +444,9 @@ def test_attention_step_matches_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            up = _attention_step(params, features, rel_idx)[0]
+            up = _attention_step(params, scratch, features, rel_idx)[0]
             flat[j] = orig - step
-            down = _attention_step(params, features, rel_idx)[0]
+            down = _attention_step(params, scratch, features, rel_idx)[0]
             flat[j] = orig
             numeric[j] = (up - down) / (2.0 * step)
         npt.assert_allclose(grad.reshape(-1), numeric, atol=1e-8)
@@ -371,6 +470,16 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(lr_initial=0.0)
+    for bad in (
+        {"adam_beta1": -0.5},
+        {"adam_beta1": 1.0},
+        {"adam_beta2": 1.0},
+        {"adam_beta2": float("nan")},
+        {"adam_eps": 0.0},
+        {"adam_eps": -1e-8},
+    ):
+        with pytest.raises(ValueError, match="adam_"):
+            TrainConfig(**bad)
     assert TrainConfig().lr_for_epoch(2) == 0.001
     assert TrainConfig().lr_for_epoch(3) == 0.0005
 
