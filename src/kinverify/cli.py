@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .comparator import (
+    ComparatorParams,
     PoolingMode,
     attention_forward,
     check_threshold,
@@ -23,15 +24,19 @@ from .comparator import (
 from .config import ConfigError, RunConfig, parse_config, write_manifest
 from .data import (
     DataFormatError,
+    EmbeddingStore,
+    KinPair,
+    PairSet,
     TriSample,
-    _atomic_open,
+    _check_people,
+    _write_rows,
     concat_features,
     load_embeddings,
     load_pairs,
-    load_tri,
     save_embeddings,
     save_pairs,
     save_tri,
+    validate_pair,
     validate_tri,
 )
 from .evaluation import (
@@ -42,15 +47,14 @@ from .evaluation import (
     ablation_run,
     calibrate_per_relation,
     calibrate_threshold,
-    default_ablation_grid,
     histogram,
     save_ablation_csv,
     score_pairs,
     tri_score,
 )
 from .model_io import ModelFormatError, load_model, save_model
-from .relations import KinshipRelation, genders_match
-from .synth import generate_world, save_pedigree
+from .relations import KinshipRelation
+from .synth import SPLITS, generate_world, save_pedigree
 from .training import gradcheck, train, train_attention
 
 GRADCHECK_BOUND = 1e-6
@@ -67,6 +71,13 @@ def _run_config(args: argparse.Namespace, extra: dict | None = None) -> RunConfi
     return parse_config(getattr(args, "config", None), overrides)
 
 
+def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
+    """The store, training kin pairs and validation pairs of a ``synth`` directory."""
+    store = load_embeddings(data / "embeddings.csv")
+    kin, val = (load_pairs(data / f"pairs_{split}.csv", store) for split in ("train", "val"))
+    return store, kin, val
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _run_config(
         args,
@@ -81,18 +92,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     world = generate_world(cfg.synth_config())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = [out / "embeddings.csv", out / "pedigree.csv"]
-    save_embeddings(world.store, out / "embeddings.csv")
-    save_pedigree(world.pedigree, out / "pedigree.csv")
-    save_pairs(world.kin_pairs["train"], out / "pairs_train.csv")
-    artifacts.append(out / "pairs_train.csv")
-    for split in ("val", "test"):
-        save_pairs(world.eval_pairs[split], out / f"pairs_{split}.csv")
-        artifacts.append(out / f"pairs_{split}.csv")
-    for split in ("train", "val", "test"):
-        save_tri(world.tris[split], out / f"tri_{split}.csv")
-        artifacts.append(out / f"tri_{split}.csv")
-    write_manifest(out, "synth", cfg, artifacts)
+    writes = [("embeddings.csv", save_embeddings, world.store)]
+    writes.append(("pedigree.csv", save_pedigree, world.pedigree))
+    writes.append(("pairs_train.csv", save_pairs, world.kin_pairs["train"]))
+    writes += [(f"pairs_{s}.csv", save_pairs, world.eval_pairs[s]) for s in ("val", "test")]
+    writes += [(f"tri_{s}.csv", save_tri, world.tris[s]) for s in SPLITS]
+    for name, save, table in writes:
+        save(table, out / name)
+    write_manifest(out, "synth", cfg, [out / name for name, _, _ in writes])
     print(f"world written to {out} ({len(world.store)} persons, dim {world.store.dim})")
     return 0
 
@@ -109,10 +116,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             "train.batch_size": args.batch_size,
         },
     )
-    data = Path(args.data)
-    store = load_embeddings(data / "embeddings.csv")
-    kin = load_pairs(data / "pairs_train.csv", store)
-    val = load_pairs(data / "pairs_val.csv", store)
+    store, kin, val = _load_world(Path(args.data))
     comp_cfg = cfg.comparator_config(input_dim=2 * store.dim)
     params, history = train(store, kin, val, comp_cfg, cfg.train_config())
     if args.attention:
@@ -123,10 +127,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model_path = out / "model.kinc"
     save_model(params, model_path)
     history_path = out / "history.csv"
-    with _atomic_open(history_path) as fh:
-        fh.write("epoch,lr,train_loss,val_macro_acc\n")
-        for h in history:
-            fh.write(f"{h.epoch},{repr(h.lr)},{repr(h.train_loss)},{repr(h.val_macro_acc)}\n")
+    rows = ((str(h.epoch), repr(h.lr), repr(h.train_loss), repr(h.val_macro_acc)) for h in history)
+    _write_rows(history_path, "epoch,lr,train_loss,val_macro_acc", rows)
     write_manifest(out, "train", cfg, [model_path, history_path])
     for h in history:
         print(f"epoch {h.epoch}: lr={h.lr} loss={h.train_loss:.4f} val_macro={h.val_macro_acc:.4f}")
@@ -134,15 +136,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checked_threshold(args: argparse.Namespace) -> float | None:
-    """The --threshold flag, rejected unless it lies in [0, 1]."""
-    return None if args.threshold is None else check_threshold(args.threshold)
+def _model_and_threshold(args: argparse.Namespace) -> tuple[ComparatorParams, float | None]:
+    """The model and its threshold: --threshold, rejected outside [0, 1], else the stored one."""
+    flag = None if args.threshold is None else check_threshold(args.threshold)
+    params = load_model(args.model)
+    return params, flag if flag is not None else params.threshold
+
+
+def _query_inputs(args: argparse.Namespace) -> tuple[ComparatorParams, EmbeddingStore, float]:
+    """Model, store and decision threshold of a query; a threshold is required."""
+    params, threshold = _model_and_threshold(args)
+    if threshold is None:
+        raise ValueError("model has no stored threshold; pass --threshold")
+    return params, load_embeddings(args.embeddings), threshold
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args, {"eval.objective": args.objective})
-    flag_threshold = _checked_threshold(args)
-    params = load_model(args.model)
+    params, threshold = _model_and_threshold(args)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
     scored = score_pairs(params, store, pairs)
@@ -156,11 +167,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         params.threshold = threshold
         save_model(params, args.model)
         print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
-    elif flag_threshold is not None:
-        threshold = flag_threshold
-    elif params.threshold is not None:
-        threshold = params.threshold
-    else:
+    elif threshold is None:
         raise ValueError("model has no stored threshold; pass --calibrate or --threshold")
     report = accuracy_report(scored, threshold, Direction.HIGHER_IS_KIN, include_auc=args.auc)
     out = Path(args.out)
@@ -181,36 +188,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    flag_threshold = _checked_threshold(args)
-    params = load_model(args.model)
-    store = load_embeddings(args.embeddings)
-    relation = KinshipRelation.from_code(args.relation)
-    g1, g2 = store.person(args.id1).gender, store.person(args.id2).gender
-    if not genders_match(relation, g1, g2):
-        raise ValueError(f"genders ({g1.value},{g2.value}) do not fit relation {relation.value}")
-    score, decision = verify(
-        params,
-        store.embedding(args.id1),
-        store.embedding(args.id2),
-        relation,
-        flag_threshold,
-    )
-    used = flag_threshold if flag_threshold is not None else params.threshold
-    print(f"score={score:.6f} threshold={used:.6f} decision={decision.value}")
+    params, store, threshold = _query_inputs(args)
+    pair = KinPair(args.id1, args.id2, KinshipRelation.from_code(args.relation), None)
+    validate_pair(pair, store)
+    f1, f2 = store.embedding(pair.id1), store.embedding(pair.id2)
+    score, decision = verify(params, f1, f2, pair.relation, threshold)
+    print(f"score={score:.6f} threshold={threshold:.6f} decision={decision.value}")
     return 0
 
 
 def _cmd_tri_verify(args: argparse.Namespace) -> int:
-    flag_threshold = _checked_threshold(args)
-    params = load_model(args.model)
-    store = load_embeddings(args.embeddings)
+    params, store, threshold = _query_inputs(args)
     sample_gender = store.person(args.child).gender
     sample = TriSample(args.father, args.mother, args.child, sample_gender, None)
     validate_tri(sample, store)
     z_fc, z_mc, fused = tri_score(params, store, sample)
-    threshold = flag_threshold if flag_threshold is not None else params.threshold
-    if threshold is None:
-        raise ValueError("model has no stored threshold; pass --threshold")
     decision = "kin" if fused >= threshold else "nonkin"
     print(f"z_father_child={z_fc:.6f} z_mother_child={z_mc:.6f} fused={fused:.6f} decision={decision}")
     return 0
@@ -228,8 +220,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     relations = None
     if args.relations:
         relations = {KinshipRelation.from_code(c) for c in args.relations.split(",")}
-    default_range = (0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0)
-    value_range = default_range
+    value_range = (0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0)
     if args.range:
         lo, hi = args.range.split(",")
         value_range = (float(lo), float(hi))
@@ -244,17 +235,13 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _run_config(args, {"train.epochs": args.epochs})
-    data = Path(args.data)
-    store = load_embeddings(data / "embeddings.csv")
-    kin = load_pairs(data / "pairs_train.csv", store)
-    val = load_pairs(data / "pairs_val.csv", store)
+    store, kin, val = _load_world(Path(args.data))
     results = ablation_run(
         store,
         kin,
         val,
         input_dim=2 * store.dim,
         train_config=cfg.train_config(),
-        grid=default_ablation_grid(),
         objective=Objective(cfg.eval.objective),
     )
     out = Path(args.out)
@@ -281,6 +268,7 @@ def _cmd_predict_relation(args: argparse.Namespace) -> int:
     if not params.has_attention:
         raise ValueError("model has no attention head; train with --attention")
     store = load_embeddings(args.embeddings)
+    _check_people(store, "pair", args.id1, args.id2)
     features = concat_features(store.embedding(args.id1), store.embedding(args.id2))
     probs = attention_forward(params, features)
     order = np.argsort(probs)[::-1]
@@ -299,6 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kinship verification with cascaded local-expert comparators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    model_flags = argparse.ArgumentParser(add_help=False)
+    model_flags.add_argument("--model", required=True, type=Path)
+    model_flags.add_argument("--embeddings", required=True, type=Path)
 
     p = sub.add_parser("synth", help="generate a synthetic embedding world")
     _add_config_flags(p)
@@ -323,32 +314,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attention", action="store_true", help="also train the relation head")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="report per-relation accuracy on a pairs file")
+    p = sub.add_parser(
+        "eval", parents=[model_flags], help="report per-relation accuracy on a pairs file"
+    )
     _add_config_flags(p)
-    p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--embeddings", required=True, type=Path)
     p.add_argument("--pairs", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--calibrate", action="store_true", help="calibrate and store the threshold")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--per-relation", action="store_true",
-                   help="extension: calibrate one threshold per relation (not stored)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--calibrate", action="store_true",
+                        help="calibrate and store the threshold")
+    source.add_argument("--threshold", type=float, default=None)
+    source.add_argument("--per-relation", action="store_true",
+                        help="extension: calibrate one threshold per relation (not stored)")
     p.add_argument("--objective", choices=["macro", "micro"], default=None)
     p.add_argument("--auc", action="store_true", help="include per-relation AUC")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("verify", help="score one pair under a stated relation")
-    p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--embeddings", required=True, type=Path)
+    p = sub.add_parser(
+        "verify", parents=[model_flags], help="score one pair under a stated relation"
+    )
     p.add_argument("--id1", required=True)
     p.add_argument("--id2", required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--threshold", type=float, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("tri-verify", help="score a father-mother-child triple")
-    p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--embeddings", required=True, type=Path)
+    p = sub.add_parser(
+        "tri-verify", parents=[model_flags], help="score a father-mother-child triple"
+    )
     p.add_argument("--father", required=True)
     p.add_argument("--mother", required=True)
     p.add_argument("--child", required=True)
@@ -378,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("predict-relation", help="predict the relation of a pair")
-    p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--embeddings", required=True, type=Path)
+    p = sub.add_parser(
+        "predict-relation", parents=[model_flags], help="predict the relation of a pair"
+    )
     p.add_argument("--id1", required=True)
     p.add_argument("--id2", required=True)
     p.add_argument("--pooling", choices=["soft", "hard", "mean", "max"], default=None)
@@ -394,12 +387,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError, ModelFormatError, ValueError, KeyError) as exc:
+    except (ConfigError, DataFormatError, ModelFormatError, ValueError, KeyError,
+            FileNotFoundError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

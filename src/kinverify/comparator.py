@@ -162,6 +162,18 @@ def param_layout(config: ComparatorConfig, with_attention: bool = False) -> list
     return layout
 
 
+def _flat_views(
+    flat: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]
+) -> dict[str, np.ndarray]:
+    """Name -> view of the next ``prod(shape)`` elements of 1-D ``flat``, in layout order."""
+    views, offset = {}, 0
+    for name, shape in layout:
+        size = int(np.prod(shape))
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 @dataclass
 class ComparatorParams:
     """Entire trainable state: flat name->array dict plus metadata.
@@ -221,9 +233,9 @@ def add_attention_head(params: ComparatorParams) -> ComparatorParams:
     if params.has_attention:
         return params
     out = params.copy()
-    n, d2 = params.config.n_experts, params.config.input_dim
-    out.values["attention.W"] = np.zeros((n, d2), dtype=np.float64)
-    out.values["attention.b"] = np.zeros(n, dtype=np.float64)
+    for name, shape in param_layout(params.config, with_attention=True):
+        if name.startswith("attention."):
+            out.values[name] = np.zeros(shape, dtype=np.float64)
     return out
 
 
@@ -391,25 +403,24 @@ def _run_experts(
     x: np.ndarray,
     starts: tuple[int, ...],
     counts: tuple[int, ...],
-    experts: range | list[int],
     logits: np.ndarray,
     keep: bool,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run ``experts`` on rows of ``x`` and write their logits; the cascade's inner loop.
+    """Run every expert on rows of ``x`` and write its logits; the cascade's inner loop.
 
-    Expert ``i`` runs on rows ``starts[i] : starts[i] + counts[i]``. An
-    (n, n_experts) ``logits`` takes every expert's column; an (n,) one takes
-    each row's own expert: the whole span in entirely-local mode, in the
-    cascade the rows the next expert skips. With ``keep`` the per-expert
-    pre-activation and hidden arrays are returned for ``backward``.
+    Expert ``i`` runs on rows ``starts[i] : starts[i] + counts[i]``, which
+    may be none. An (n, n_experts) ``logits`` takes every expert's column;
+    an (n,) one takes each row's own expert: the whole span in
+    entirely-local mode, in the cascade the rows the next expert skips.
+    With ``keep`` the per-expert pre-activation and hidden arrays are
+    returned for ``backward``.
     """
     cfg = params.config
     local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
     pre_acts: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
     prev = x
-    for i in experts:
-        layer = plan[i]
+    for i, layer in enumerate(plan):
         lo, rows = starts[i], counts[i]
         inp = x[lo : lo + rows] if layer.reads_input else prev[:rows]
         w1 = params.values[layer.w_key]
@@ -459,11 +470,13 @@ def forward(
     row's selected probability, in the caller's order, and nothing else.
     ``backward`` needs the trace of a train-mode forward with ``positions``.
 
-    An eval batch of more than ``EVAL_BLOCK_ROWS`` rows runs block by block
-    (see ``_block_cuts``): all experts on one block of trace rows, then the
-    next, so each block's hidden arrays stay in cache and each GEMV stays
-    single-threaded. The trace is the same as an unblocked one, and so are
-    the probabilities when the hidden layer has two or more units.
+    The experts run block by block over the trace rows: all experts on one
+    block, then the next. Train mode takes all rows as one block. Eval mode
+    cuts blocks of about ``EVAL_BLOCK_ROWS`` rows (see ``_block_cuts``; up
+    to that many rows make one block), so each block's hidden arrays stay
+    in cache and each GEMV stays single-threaded. The trace is the same as
+    an unblocked one, and so are the probabilities when the hidden layer
+    has two or more units.
     """
     cfg = params.config
     if mode not in ("train", "eval"):
@@ -500,24 +513,16 @@ def forward(
         order, starts, counts = _prefix_rows(positions, cfg.n_experts, local)
         x = x[order]
         logits = np.empty(n, dtype=np.float64)  # trace order until unsorted below
-    experts = range(cfg.n_experts)
-    if mode == "train" or n <= EVAL_BLOCK_ROWS:
+    ends = sorted(lo + rows for lo, rows in zip(starts, counts))
+    cuts = [0, n] if mode == "train" else _block_cuts(ends, n, EVAL_BLOCK_ROWS)
+    for b0, b1 in zip(cuts, cuts[1:]):
+        # each expert's rows clipped to the block, in block coordinates
+        los = tuple(min(max(lo - b0, 0), b1 - b0) for lo in starts)
+        his = [min(max(lo + rows - b0, 0), b1 - b0) for lo, rows in zip(starts, counts)]
+        block_counts = tuple(hi - lo for lo, hi in zip(los, his))
         pre_acts, hidden = _run_experts(
-            params, plan, x, starts, counts, experts, logits, mode == "train"
+            params, plan, x[b0:b1], los, block_counts, logits[b0:b1], mode == "train"
         )
-    else:
-        pre_acts, hidden = [], []
-        ends = sorted(lo + rows for lo, rows in zip(starts, counts))
-        cuts = _block_cuts(ends, n, EVAL_BLOCK_ROWS)
-        for b0, b1 in zip(cuts, cuts[1:]):
-            # each expert's rows clipped to the block, in block coordinates
-            los = [min(max(lo - b0, 0), b1 - b0) for lo in starts]
-            his = [min(max(lo + rows - b0, 0), b1 - b0) for lo, rows in zip(starts, counts)]
-            block_counts = tuple(hi - lo for lo, hi in zip(los, his))
-            _run_experts(
-                params, plan, x[b0:b1], tuple(los), block_counts,
-                [i for i in experts if block_counts[i]], logits[b0:b1], False,
-            )
     if order is not None:
         sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
         logits[order] = sorted_logits
@@ -588,7 +593,6 @@ def score_unknown(
 ) -> float | np.ndarray:
     """Kin score when the relation is unknown, by pooling expert outputs."""
     x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
     z2, _ = forward(params, np.atleast_2d(x), mode="eval")
     if mode is PoolingMode.MEAN_POOL:
         out = z2.mean(axis=1)
@@ -600,4 +604,4 @@ def score_unknown(
             out = (att * z2).sum(axis=1)
         else:
             out = z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
-    return float(out[0]) if single else out
+    return float(out[0]) if x.ndim == 1 else out

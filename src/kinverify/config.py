@@ -95,23 +95,21 @@ class RunConfig:
 _SECTIONS = {"synth": SynthSection, "model": ModelSection, "train": TrainSection, "eval": EvalSection}
 
 
-def _coerce(value: Any, target_type: Any, key: str) -> Any:
-    if target_type is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
-        return value
-    if target_type is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
-        return float(value)
-    if target_type is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key '{key}' must be a boolean, got {value!r}")
-        return value
-    if target_type is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key '{key}' must be a string, got {value!r}")
-        return value
+# annotation -> (accepted types, what the error says); a bool passes only as "bool"
+_SCALARS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+}
+
+
+def _coerce(value: Any, annotation: str, key: str) -> Any:
+    if annotation in _SCALARS:
+        types, what = _SCALARS[annotation]
+        if not isinstance(value, types) or (isinstance(value, bool) and annotation != "bool"):
+            raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+        return float(value) if annotation == "float" else value
     # tuple[int, ...]
     if isinstance(value, (list, tuple)) and all(
         isinstance(v, int) and not isinstance(v, bool) for v in value
@@ -121,15 +119,12 @@ def _coerce(value: Any, target_type: Any, key: str) -> Any:
 
 
 def _build_section(cls: type, data: dict[str, Any], prefix: str) -> Any:
-    known = {f.name: f for f in fields(cls)}
+    known = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
-        target = known[key].type
-        type_map = {"int": int, "float": float, "bool": bool, "str": str}
-        target_type = type_map.get(target, tuple)
-        kwargs[key] = _coerce(value, target_type, f"{prefix}{key}")
+        kwargs[key] = _coerce(value, known[key], f"{prefix}{key}")
     return cls(**kwargs)
 
 
@@ -162,7 +157,7 @@ def parse_config(
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key == "seed":
-            kwargs["seed"] = _coerce(value, int, "seed")
+            kwargs["seed"] = _coerce(value, "int", "seed")
         elif key in _SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key '{key}' must be an object")

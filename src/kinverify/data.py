@@ -32,7 +32,6 @@ from .relations import (
     KinshipRelation,
     genders_match,
     is_symmetric,
-    relation_index,
     role2_gender,
 )
 from .seeding import STREAM_RESAMPLE, derive_rng
@@ -72,6 +71,13 @@ def _atomic_open(path: str | Path, mode: str = "w"):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _write_rows(path: str | Path, header: str, rows) -> None:
+    """Write a CSV atomically: the ``header`` line, then one line of comma-joined fields per row."""
+    with _atomic_open(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 class PairLabel(enum.Enum):
@@ -172,7 +178,7 @@ class KinPair:
     id1: str
     id2: str
     relation: KinshipRelation
-    label: PairLabel
+    label: PairLabel | None  # None: unknown, a pair still to be verified
 
 
 @dataclass(frozen=True)
@@ -215,18 +221,13 @@ def concat_features(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return np.concatenate([f1, f2])
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
     cols = ",".join(f"f{i}" for i in range(store.dim))
-    with _atomic_open(path) as fh:
-        fh.write(f"person_id,family_id,gender,{cols}\n")
-        for pid in store.person_ids:
-            ref = store.person(pid)
-            values = ",".join(_format_float(v) for v in store.embedding(pid))
-            fh.write(f"{pid},{ref.family_id},{ref.gender.value},{values}\n")
+    rows = (
+        (ref.person_id, ref.family_id, ref.gender.value, *map(repr, values))
+        for ref, values in zip(store._refs.values(), store.matrix.tolist())
+    )
+    _write_rows(path, f"person_id,family_id,gender,{cols}", rows)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -273,13 +274,21 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     return EmbeddingStore(dim, rows)
 
 
-def validate_pair(pair: KinPair, store: EmbeddingStore) -> None:
-    """Check a pair against the store; raises ValueError with the reason."""
-    for pid in (pair.id1, pair.id2):
+def _check_people(store: EmbeddingStore, what: str, *ids: str) -> None:
+    """Reject an id the store lacks, or one person named twice in a ``what``."""
+    for i, pid in enumerate(ids):
         if pid not in store:
             raise ValueError(f"unknown person_id {pid!r}")
-    if pair.id1 == pair.id2:
-        raise ValueError(f"pair references the same person twice: {pair.id1!r}")
+        if pid in ids[:i]:
+            raise ValueError(f"{what} references the same person twice: {pid!r}")
+
+
+def validate_pair(pair: KinPair, store: EmbeddingStore) -> None:
+    """Check a pair against the store; raises ValueError with the reason.
+
+    The families are checked against the label only when the label is known.
+    """
+    _check_people(store, "pair", pair.id1, pair.id2)
     g1 = store.person(pair.id1).gender
     g2 = store.person(pair.id2).gender
     if not genders_match(pair.relation, g1, g2):
@@ -299,9 +308,7 @@ def validate_tri(sample: TriSample, store: EmbeddingStore) -> None:
     The child's family is checked against the label only when the label is
     known.
     """
-    for pid in (sample.father_id, sample.mother_id, sample.child_id):
-        if pid not in store:
-            raise ValueError(f"unknown person_id {pid!r}")
+    _check_people(store, "tri-sample", sample.father_id, sample.mother_id, sample.child_id)
     if store.person(sample.father_id).gender is not Gender.MALE:
         raise ValueError(f"father {sample.father_id!r} is not male")
     if store.person(sample.mother_id).gender is not Gender.FEMALE:
@@ -346,14 +353,14 @@ def _read_rows(path: Path, header: str, build) -> list:
 
 
 def save_pairs(pairs: PairSet, path: str | Path) -> None:
-    """Write a pairs CSV; an id holding a separator is rejected before any write."""
+    """Write a pairs CSV; a bad id or a missing label is rejected before any write."""
     for p in pairs:
         _check_id("id1", p.id1)
         _check_id("id2", p.id2)
-    with _atomic_open(path) as fh:
-        fh.write(_PAIR_HEADER + "\n")
-        for p in pairs:
-            fh.write(f"{p.id1},{p.id2},{p.relation.value},{p.label.value}\n")
+        if p.label is None:
+            raise ValueError(f"pair ({p.id1!r}, {p.id2!r}) has no label")
+    rows = ((p.id1, p.id2, p.relation.value, p.label.value) for p in pairs)
+    _write_rows(path, _PAIR_HEADER, rows)
 
 
 def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
@@ -377,10 +384,8 @@ def save_tri(tris: TriSet, path: str | Path) -> None:
             raise ValueError(
                 f"tri-sample ({t.father_id!r}, {t.mother_id!r}, {t.child_id!r}) has no label"
             )
-    with _atomic_open(path) as fh:
-        fh.write(_TRI_HEADER + "\n")
-        for t in tris:
-            fh.write(f"{t.father_id},{t.mother_id},{t.child_id},{t.label.value}\n")
+    rows = ((t.father_id, t.mother_id, t.child_id, t.label.value) for t in tris)
+    _write_rows(path, _TRI_HEADER, rows)
 
 
 def load_tri(path: str | Path, store: EmbeddingStore) -> TriSet:
@@ -504,9 +509,7 @@ def resample_nonkin(
     O(persons + pairs) memory, the same tables ``train`` draws from each
     epoch.
     """
-    n = len(kin_pairs)
-    rows1 = np.fromiter((store.row(p.id1) for p in kin_pairs), dtype=np.intp, count=n)
-    rel_idx = np.fromiter((relation_index(p.relation) for p in kin_pairs), dtype=np.intp, count=n)
+    rows1, _, rel_idx, _ = _pair_rows(store, kin_pairs, CANONICAL_RELATION_CODES)
     draw = _nonkin_draw(store, rows1, rel_idx, CANONICAL_RELATION_CODES)
     rows2 = draw(derive_rng(base_seed, STREAM_RESAMPLE, epoch)).tolist()
     ids = store.person_ids

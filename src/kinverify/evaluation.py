@@ -21,9 +21,9 @@ import numpy as np
 
 from .comparator import Activation, ComparatorConfig, ComparatorParams, forward
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
-from .data import _atomic_open, pairs_to_arrays
+from .data import _write_rows, pairs_to_arrays
 from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender, KinshipRelation
-from .relations import relation_index
+from .relations import PARENT_CHILD, relation_index
 from .training import TrainConfig, train
 
 # Published RFIW-2020 challenge results for this comparator architecture,
@@ -240,12 +240,10 @@ class EvaluationReport:
     missing: tuple[str, ...] = ()
 
     def save_csv(self, path: str | Path) -> None:
-        with _atomic_open(path) as fh:
-            fh.write("relation,accuracy,count\n")
-            for row in self.rows:
-                fh.write(f"{row.relation},{repr(row.accuracy)},{row.count}\n")
-            total = sum(r.count for r in self.rows)
-            fh.write(f"macro,{repr(self.macro_accuracy)},{total}\n")
+        rows = [(r.relation, repr(r.accuracy), str(r.count)) for r in self.rows]
+        total = sum(r.count for r in self.rows)
+        rows.append(("macro", repr(self.macro_accuracy), str(total)))
+        _write_rows(path, "relation,accuracy,count", rows)
 
 
 def accuracy_report(
@@ -316,13 +314,9 @@ class HistogramTable:
         )
 
     def save_csv(self, path: str | Path) -> None:
-        with _atomic_open(path) as fh:
-            fh.write("bin_lo,bin_hi,kin,nonkin\n")
-            for i in range(self.n_bins):
-                fh.write(
-                    f"{repr(float(self.edges[i]))},{repr(float(self.edges[i + 1]))},"
-                    f"{int(self.kin_counts[i])},{int(self.nonkin_counts[i])}\n"
-                )
+        bins = zip(self.edges, self.edges[1:], self.kin_counts, self.nonkin_counts)
+        rows = ((repr(float(a)), repr(float(b)), str(int(k)), str(int(n))) for a, b, k, n in bins)
+        _write_rows(path, "bin_lo,bin_hi,kin,nonkin", rows)
 
 
 def histogram(
@@ -365,12 +359,6 @@ def auc(scored: list[ScoredPair], direction: Direction = Direction.HIGHER_IS_KIN
     return _auc(scores, is_kin, direction)
 
 
-_TRI_RELATIONS = {
-    Gender.MALE: (KinshipRelation.FS, KinshipRelation.MS),
-    Gender.FEMALE: (KinshipRelation.FD, KinshipRelation.MD),
-}
-
-
 def score_tris(
     params: ComparatorParams, store: EmbeddingStore, tris: TriSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -384,7 +372,7 @@ def score_tris(
     if not samples:
         raise ValueError("empty tri set")
     n = len(samples)
-    rels = [_TRI_RELATIONS[t.child_gender] for t in samples]
+    rels = [[PARENT_CHILD[g, t.child_gender] for g in Gender] for t in samples]  # father, mother
     pairs = [KinPair(t.father_id, t.child_id, r[0], t.label) for t, r in zip(samples, rels)]
     pairs += [KinPair(t.mother_id, t.child_id, r[1], t.label) for t, r in zip(samples, rels)]
     features, pos, targets = pairs_to_arrays(store, pairs, params.config.relations)
@@ -467,9 +455,8 @@ def ablation_run(
 
 
 def save_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
-    with _atomic_open(path) as fh:
-        fh.write("activation,dropout,hidden,accuracy\n")
-        for r in results:
-            fh.write(
-                f"{r.cell.activation},{repr(r.cell.dropout_p)},{r.cell.hidden},{repr(r.accuracy)}\n"
-            )
+    rows = (
+        (r.cell.activation, repr(r.cell.dropout_p), str(r.cell.hidden), repr(r.accuracy))
+        for r in results
+    )
+    _write_rows(path, "activation,dropout,hidden,accuracy", rows)

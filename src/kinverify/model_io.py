@@ -35,6 +35,7 @@ from .comparator import (
     ComparatorConfig,
     ComparatorParams,
     SharingMode,
+    _flat_views,
     param_layout,
 )
 from .data import _atomic_open
@@ -43,19 +44,9 @@ from .relations import KinshipRelation
 MAGIC = b"KINC"
 VERSION = 1
 
-_ACTIVATION_CODES = {
-    Activation.LRELU: 0,
-    Activation.RELU: 1,
-    Activation.PRELU: 2,
-    Activation.TANH: 3,
-}
-_SHARING_CODES = {
-    SharingMode.PER_EXPERT: 0,
-    SharingMode.SHARED_TRUNK: 1,
-    SharingMode.ENTIRELY_LOCAL: 2,
-}
-_ACTIVATION_BY_CODE = {v: k for k, v in _ACTIVATION_CODES.items()}
-_SHARING_BY_CODE = {v: k for k, v in _SHARING_CODES.items()}
+# a header code is the position in its tuple
+_ACTIVATIONS = (Activation.LRELU, Activation.RELU, Activation.PRELU, Activation.TANH)
+_SHARINGS = (SharingMode.PER_EXPERT, SharingMode.SHARED_TRUNK, SharingMode.ENTIRELY_LOCAL)
 _RELATION_CODES = frozenset(r.value.encode("ascii") for r in KinshipRelation)
 
 
@@ -71,8 +62,8 @@ def serialize_model(params: ComparatorParams) -> bytes:
     head += struct.pack("<III", cfg.input_dim, cfg.hidden, cfg.n_experts)
     head += struct.pack(
         "<BBBB",
-        _ACTIVATION_CODES[cfg.activation],
-        _SHARING_CODES[cfg.sharing],
+        _ACTIVATIONS.index(cfg.activation),
+        _SHARINGS.index(cfg.sharing),
         1 if params.has_attention else 0,
         1 if params.threshold is not None else 0,
     )
@@ -122,9 +113,9 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
     act_code, sharing_code, has_attention, has_threshold = struct.unpack(
         "<BBBB", take(4, "flags")
     )
-    if act_code not in _ACTIVATION_BY_CODE:
+    if act_code >= len(_ACTIVATIONS):
         raise ModelFormatError(f"unknown activation code {act_code}")
-    if sharing_code not in _SHARING_BY_CODE:
+    if sharing_code >= len(_SHARINGS):
         raise ModelFormatError(f"unknown sharing code {sharing_code}")
     for name, flag in (("has_attention", has_attention), ("has_threshold", has_threshold)):
         if flag not in (0, 1):
@@ -144,9 +135,9 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
         config = ComparatorConfig(
             input_dim=input_dim,
             hidden=hidden,
-            activation=_ACTIVATION_BY_CODE[act_code],
+            activation=_ACTIVATIONS[act_code],
             dropout_p=dropout_p,
-            sharing=_SHARING_BY_CODE[sharing_code],
+            sharing=_SHARINGS[sharing_code],
             relations=tuple(relations),
         )
     except ValueError as exc:
@@ -161,15 +152,10 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
     if zlib.crc32(bytes(payload)) != stored_crc:
         raise ModelFormatError("payload checksum mismatch")
 
-    values: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in layout:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        values[name] = arr.astype(np.float64).reshape(shape)
-        offset += count * 8
-    for name in values:
-        if not np.isfinite(values[name]).all():
+    views = _flat_views(np.frombuffer(payload, dtype="<f8"), layout)
+    values = {name: view.astype(np.float64) for name, view in views.items()}
+    for name, arr in values.items():
+        if not np.isfinite(arr).all():
             raise ModelFormatError(f"non-finite values in parameter {name}")
     return ComparatorParams(
         config=config,

@@ -70,6 +70,20 @@ _ROLE_GENDERS: dict[KinshipRelation, tuple[Gender, Gender]] = {
     KinshipRelation.GMGS: (Gender.FEMALE, Gender.MALE),
 }
 
+# The relation of an (elder, child) pair, by (elder gender, child gender).
+PARENT_CHILD = {
+    (Gender.MALE, Gender.MALE): KinshipRelation.FS,
+    (Gender.MALE, Gender.FEMALE): KinshipRelation.FD,
+    (Gender.FEMALE, Gender.MALE): KinshipRelation.MS,
+    (Gender.FEMALE, Gender.FEMALE): KinshipRelation.MD,
+}
+GRANDPARENT_CHILD = {
+    (Gender.MALE, Gender.MALE): KinshipRelation.GFGS,
+    (Gender.MALE, Gender.FEMALE): KinshipRelation.GFGD,
+    (Gender.FEMALE, Gender.MALE): KinshipRelation.GMGS,
+    (Gender.FEMALE, Gender.FEMALE): KinshipRelation.GMGD,
+}
+
 SYMMETRIC_RELATIONS = frozenset(
     {KinshipRelation.BB, KinshipRelation.SIBS, KinshipRelation.SS}
 )

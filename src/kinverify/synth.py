@@ -48,11 +48,11 @@ from .data import (
     PersonRef,
     TriSample,
     TriSet,
-    _atomic_open,
     _cross_family_draw,
+    _write_rows,
     resample_nonkin,
 )
-from .relations import Gender, KinshipRelation
+from .relations import GRANDPARENT_CHILD, PARENT_CHILD, Gender, KinshipRelation
 from .seeding import (
     STREAM_FAMILY,
     STREAM_GENDER_AXIS,
@@ -104,11 +104,7 @@ class SynthConfig:
             raise ValueError("seed must be non-negative")
 
     def families_per_split(self) -> dict[str, int]:
-        return {
-            "train": self.n_train_families,
-            "val": self.n_val_families,
-            "test": self.n_test_families,
-        }
+        return dict(zip(SPLITS, (self.n_train_families, self.n_val_families, self.n_test_families)))
 
 
 @dataclass(frozen=True)
@@ -186,21 +182,6 @@ def _sibling_relation(g1: Gender, g2: Gender) -> KinshipRelation:
     if g1 is g2:
         return KinshipRelation.BB if g1 is Gender.MALE else KinshipRelation.SS
     return KinshipRelation.SIBS
-
-
-_PARENT_CHILD = {
-    (Gender.MALE, Gender.MALE): KinshipRelation.FS,
-    (Gender.MALE, Gender.FEMALE): KinshipRelation.FD,
-    (Gender.FEMALE, Gender.MALE): KinshipRelation.MS,
-    (Gender.FEMALE, Gender.FEMALE): KinshipRelation.MD,
-}
-
-_GRANDPARENT_CHILD = {
-    (Gender.MALE, Gender.MALE): KinshipRelation.GFGS,
-    (Gender.MALE, Gender.FEMALE): KinshipRelation.GFGD,
-    (Gender.FEMALE, Gender.MALE): KinshipRelation.GMGS,
-    (Gender.FEMALE, Gender.FEMALE): KinshipRelation.GMGD,
-}
 
 
 def generate_world(config: SynthConfig) -> SynthWorld:
@@ -297,10 +278,10 @@ def generate_world(config: SynthConfig) -> SynthWorld:
                     c2, g2 = children[b]
                     kin.append(KinPair(c1, c2, _sibling_relation(g1, g2), PairLabel.KIN))
             for cid, cg in children:
-                kin.append(KinPair(father, cid, _PARENT_CHILD[(Gender.MALE, cg)], PairLabel.KIN))
-                kin.append(KinPair(mother, cid, _PARENT_CHILD[(Gender.FEMALE, cg)], PairLabel.KIN))
-                kin.append(KinPair(gf, cid, _GRANDPARENT_CHILD[(Gender.MALE, cg)], PairLabel.KIN))
-                kin.append(KinPair(gm, cid, _GRANDPARENT_CHILD[(Gender.FEMALE, cg)], PairLabel.KIN))
+                kin.append(KinPair(father, cid, PARENT_CHILD[(Gender.MALE, cg)], PairLabel.KIN))
+                kin.append(KinPair(mother, cid, PARENT_CHILD[(Gender.FEMALE, cg)], PairLabel.KIN))
+                kin.append(KinPair(gf, cid, GRANDPARENT_CHILD[(Gender.MALE, cg)], PairLabel.KIN))
+                kin.append(KinPair(gm, cid, GRANDPARENT_CHILD[(Gender.FEMALE, cg)], PairLabel.KIN))
                 split_tri_kin[split].append(
                     TriSample(father, mother, cid, cg, PairLabel.KIN)
                 )
@@ -359,10 +340,8 @@ def _with_nonkin_tris(
 
 
 def save_pedigree(pedigree: tuple[PedigreeEntry, ...], path: str | Path) -> None:
-    with _atomic_open(path) as fh:
-        fh.write("person_id,family_id,gender,father_id,mother_id\n")
-        for e in pedigree:
-            fh.write(
-                f"{e.person_id},{e.family_id},{e.gender.value},"
-                f"{e.father_id or ''},{e.mother_id or ''}\n"
-            )
+    rows = (
+        (e.person_id, e.family_id, e.gender.value, e.father_id or "", e.mother_id or "")
+        for e in pedigree
+    )
+    _write_rows(path, "person_id,family_id,gender,father_id,mother_id", rows)

@@ -31,6 +31,7 @@ from .comparator import (
     ComparatorParams,
     ForwardTrace,
     SharingMode,
+    _flat_views,
     _prefix_rows,
     activation_grad,
     add_attention_head,
@@ -145,16 +146,6 @@ class AdamState:
         width = max((b - a for a, b, _ in chunks), default=0)
         work = (np.empty(width), np.empty(width))
         return cls(param, grad, m, v, _flat_views(grad, layout), chunks, work)
-
-
-def _flat_views(flat: np.ndarray, layout: list[tuple[str, tuple[int, ...]]]) -> GradientSet:
-    """Name -> view of the next ``prod(shape)`` elements of 1-D ``flat``, in layout order."""
-    views, offset = {}, 0
-    for name, shape in layout:
-        size = int(np.prod(shape))
-        views[name] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    return views
 
 
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,17 +468,13 @@ def finite_difference_grads(
     rel_idx: np.ndarray,
     targets: np.ndarray,
     step: float = 1e-6,
-    dropout_scale: np.ndarray | None = None,
 ) -> GradientSet:
     """Central-difference gradients of the mean selected BCE, every entry.
 
     The loss comes from a full-cascade eval forward, independent of the
-    prefix rows ``backward`` works on. With ``dropout_scale`` (a train
-    trace's mask) the forward runs on ``features * dropout_scale``, the
-    bits a train-mode forward with that mask computes.
+    prefix rows ``backward`` works on. To check a train trace with dropout,
+    pass ``features * trace.dropout_scale``: the bits that train forward ran on.
     """
-    if dropout_scale is not None:
-        features = features * dropout_scale
 
     def loss_at(p: ComparatorParams) -> float:
         _, trace = forward(p, features, mode="eval")

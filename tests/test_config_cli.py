@@ -449,3 +449,42 @@ def test_threshold_flag_outside_unit_interval_fails(
     assert "threshold must lie in [0, 1]" in captured.err
     assert "decision=" not in captured.out and "macro accuracy" not in captured.out
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "tri-verify", "predict-relation"])
+def test_queries_reject_a_person_paired_with_themselves(model_dir, world_dir, capsys, command):
+    from kinverify.data import load_embeddings, load_tri
+
+    embeddings = world_dir / "embeddings.csv"
+    t = load_tri(world_dir / "tri_val.csv", load_embeddings(embeddings)).samples[0]
+    father = t.father_id
+    argv = {
+        "verify": ["--id1", father, "--id2", father, "--relation", "FS", "--threshold", "0.5"],
+        "tri-verify": ["--father", father, "--mother", t.mother_id, "--child", father,
+                       "--threshold", "0.5"],
+        "predict-relation": ["--id1", father, "--id2", father, "--pooling", "soft"],
+    }[command]
+    common = [command, "--model", str(model_dir / "model.kinc"), "--embeddings", str(embeddings)]
+    assert main(common + argv) == 1
+    captured = capsys.readouterr()
+    assert f"references the same person twice: {father!r}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--calibrate", "--per-relation"], ["--calibrate", "--threshold", "0.5"],
+     ["--per-relation", "--threshold", "0.5"]],
+)
+def test_eval_rejects_conflicting_threshold_flags(model_dir, world_dir, tmp_path, capsys, flags):
+    model = model_dir / "model.kinc"
+    before = model.read_bytes()
+    out = tmp_path / "eval"
+    argv = ["eval", "--model", str(model), "--embeddings", str(world_dir / "embeddings.csv"),
+            "--pairs", str(world_dir / "pairs_val.csv"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert model.read_bytes() == before
+    assert not out.exists()

@@ -218,6 +218,81 @@ def test_tri_writer_rejects_unlabeled_triple(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+def test_pair_writer_rejects_unlabeled_pair(tmp_path):
+    rows = PairSet(
+        (
+            KinPair("a", "b", KinshipRelation.FD, PairLabel.KIN),
+            KinPair("c", "d", KinshipRelation.MS, None),
+        )
+    )
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old")
+    with pytest.raises(ValueError, match=re.escape("pair ('c', 'd') has no label")):
+        save_pairs(rows, path)
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_writers_without_round_trip_write_pinned_bytes(tmp_path, monkeypatch):
+    from kinverify import cli
+    from kinverify.comparator import ComparatorConfig, init_params
+    from kinverify.evaluation import (
+        AblationCell,
+        AblationResult,
+        Direction,
+        EvaluationReport,
+        HistogramTable,
+        ReportRow,
+        save_ablation_csv,
+    )
+    from kinverify.synth import PedigreeEntry, save_pedigree
+    from kinverify.training import EpochStats
+
+    third = 1.0 / 3.0
+    report = EvaluationReport(
+        (ReportRow("BB", third, 3), ReportRow("FD", 1.0, 2, auc=0.5)), 0.6666666666666666, 0.5,
+        Direction.HIGHER_IS_KIN,
+    )
+    report.save_csv(tmp_path / "report.csv")
+    HistogramTable(np.linspace(0.0, 0.3, 4), np.array([1, 0, 2]), np.array([0, 5, 1])).save_csv(
+        tmp_path / "hist.csv"
+    )
+    cells = [
+        AblationResult(AblationCell("relu", 0.2, 192), third),
+        AblationResult(AblationCell("lrelu", 0.0, 64), 1.0),
+    ]
+    save_ablation_csv(cells, tmp_path / "ablation.csv")
+    pedigree = (
+        PedigreeEntry("p", "fam", Gender.MALE),
+        PedigreeEntry("c", "fam", Gender.FEMALE, father_id="p", mother_id="m"),
+    )
+    save_pedigree(pedigree, tmp_path / "pedigree.csv")
+    # history.csv is written by the train command; its training is replaced by a fixed history
+    world = tmp_path / "world"
+    world.mkdir()
+    save_embeddings(small_store(), world / "embeddings.csv")
+    for split in ("train", "val"):
+        save_pairs(PairSet(()), world / f"pairs_{split}.csv")
+    history = [EpochStats(1, 0.001, 0.7, third), EpochStats(2, 0.0005, 0.25, 0.5)]
+    params = init_params(ComparatorConfig(input_dim=8, hidden=2), 0)
+    monkeypatch.setattr(cli, "train", lambda *args: (params, history))
+    assert cli.main(["train", "--data", str(world), "--out", str(tmp_path / "run")]) == 0
+
+    expected = {
+        "report.csv": "relation,accuracy,count\nBB,0.3333333333333333,3\nFD,1.0,2\n"
+        "macro,0.6666666666666666,5\n",
+        "hist.csv": "bin_lo,bin_hi,kin,nonkin\n0.0,0.09999999999999999,1,0\n"
+        "0.09999999999999999,0.19999999999999998,0,5\n0.19999999999999998,0.3,2,1\n",
+        "ablation.csv": "activation,dropout,hidden,accuracy\nrelu,0.2,192,0.3333333333333333\n"
+        "lrelu,0.0,64,1.0\n",
+        "pedigree.csv": "person_id,family_id,gender,father_id,mother_id\np,fam,M,,\nc,fam,F,p,m\n",
+        "run/history.csv": "epoch,lr,train_loss,val_macro_acc\n1,0.001,0.7,0.3333333333333333\n"
+        "2,0.0005,0.25,0.5\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
+
+
 def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, tiny_world):
     from kinverify.config import RunConfig, write_manifest
     from kinverify.evaluation import (
@@ -364,6 +439,12 @@ def test_tri_roundtrip_and_validation(tmp_path):
     path.write_text("father_id,mother_id,child_id,label\na,x,b2,kin\n")
     with pytest.raises(DataFormatError, match="line 2"):
         load_tri(path, store)
+
+    # the child is neither parent
+    for row in ("a,b,a", "a,b,b"):
+        path.write_text(f"father_id,mother_id,child_id,label\n{row},kin\n")
+        with pytest.raises(DataFormatError, match="line 2: .*the same person twice"):
+            load_tri(path, store)
 
 
 def test_augment_symmetric_counts_and_order():

@@ -117,6 +117,11 @@ def test_blocked_eval_equals_unblocked_train(case, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
         probs, trace = forward(params, features, mode="eval", positions=positions)
+        # training never blocks: one array per expert, over all of that expert's rows
+        _, patched_train = forward(no_dropout, features, mode="train", positions=positions)
+    for arrays in (patched_train.pre_acts, patched_train.hidden):
+        assert [a.shape for a in arrays] == [(c, config.hidden) for c in train_trace.counts]
+    assert np.array_equal(patched_train.logits, train_trace.logits)
     assert np.array_equal(probs, train_probs)
     assert np.array_equal(trace.logits, train_trace.logits)
     assert np.array_equal(trace.inputs, train_trace.inputs)
