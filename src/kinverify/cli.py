@@ -208,6 +208,14 @@ def _cmd_tri_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _value_range(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
+    return lo, hi
+
+
 def _cmd_histogram(args: argparse.Namespace) -> int:
     cfg = _run_config(args, {"eval.bins": args.bins})
     store = load_embeddings(args.embeddings)
@@ -220,10 +228,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     relations = None
     if args.relations:
         relations = {KinshipRelation.from_code(c) for c in args.relations.split(",")}
-    value_range = (0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0)
-    if args.range:
-        lo, hi = args.range.split(",")
-        value_range = (float(lo), float(hi))
+    value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
     table = histogram(scored, cfg.eval.bins, value_range, relations)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=Path, default=None)
     p.add_argument("--relations", default=None, help="comma-separated relation codes")
     p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--range", default=None, help="lo,hi (defaults: 0,1 comparator; 0,2 cosine)")
+    p.add_argument("--range", type=_value_range, help="lo,hi (defaults: 0,1 comparator; 0,2 cosine)")
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=_cmd_histogram)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,7 @@ def _flat_views(
     """Name -> view of the next ``prod(shape)`` elements of 1-D ``flat``, in layout order."""
     views, offset = {}, 0
     for name, shape in layout:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views[name] = flat[offset : offset + size].reshape(shape)
         offset += size
     return views

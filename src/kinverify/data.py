@@ -7,10 +7,10 @@ load/save round trip is byte identical):
 * pairs:      ``id1,id2,relation,label`` with label ``kin``/``nonkin``
 * tri:        ``father_id,mother_id,child_id,label``
 
-Malformed rows abort with a line-numbered error instead of being skipped;
-silent skips would corrupt downstream accuracy statistics. A store and the
-pair and tri writers reject ids that hold a comma or a line break, so every
-file loads back as saved.
+Malformed rows and bytes that are not UTF-8 abort with a line-numbered
+error instead of being skipped; silent skips would corrupt downstream
+accuracy statistics. A store and the pair and tri writers reject ids that
+hold a comma or a line break, so every file loads back as saved.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
+import itertools
+import math
 import os
 import re
 import secrets
@@ -110,27 +112,41 @@ class EmbeddingStore:
     def __init__(self, dim: int, rows: list[tuple[PersonRef, np.ndarray]]):
         if dim <= 0:
             raise ValueError(f"embedding dim must be positive, got {dim}")
-        self.dim = dim
-        self._refs: dict[str, PersonRef] = {}
-        self._row: dict[str, int] = {}
+        refs = [ref for ref, _ in rows]
         matrix = np.zeros((len(rows), dim), dtype=np.float64)
         for i, (ref, vec) in enumerate(rows):
             vec = np.asarray(vec, dtype=np.float64)
             if vec.shape != (dim,):
+                self._index(refs[:i], matrix[:i])  # a fault in an earlier row is named first
                 raise ValueError(
                     f"embedding for {ref.person_id!r} has shape {vec.shape}, expected ({dim},)"
                 )
-            if not np.isfinite(vec).all():
+            matrix[i] = vec
+        self._index(refs, matrix)
+
+    @classmethod
+    def _from_matrix(cls, refs: list[PersonRef], matrix: np.ndarray) -> "EmbeddingStore":
+        """The store of ``refs[i]`` with embedding ``matrix[i]``; it takes ``matrix`` over."""
+        store = cls.__new__(cls)
+        store._index(refs, matrix)
+        return store
+
+    def _index(self, refs: list[PersonRef], matrix: np.ndarray) -> None:
+        """Validate the rows in one pass, then index them; a fault names the first bad row."""
+        seen: set[str] = set()
+        for ref, finite in zip(refs, np.isfinite(matrix).all(axis=1).tolist()):
+            if not finite:
                 raise ValueError(f"embedding for {ref.person_id!r} has non-finite entries")
-            if ref.person_id in self._refs:
+            if ref.person_id in seen:
                 raise ValueError(f"duplicate person_id {ref.person_id!r}")
             if not ref.family_id:
                 raise ValueError(f"person {ref.person_id!r} has an empty family_id")
             _check_id("person_id", ref.person_id)
             _check_id("family_id", ref.family_id)
-            self._refs[ref.person_id] = ref
-            self._row[ref.person_id] = i
-            matrix[i] = vec
+            seen.add(ref.person_id)
+        self.dim = matrix.shape[1]
+        self._refs = {ref.person_id: ref for ref in refs}
+        self._row = {ref.person_id: i for i, ref in enumerate(refs)}
         matrix.setflags(write=False)
         self.matrix = matrix
 
@@ -230,11 +246,52 @@ def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
     _write_rows(path, f"person_id,family_id,gender,{cols}", rows)
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 file; a byte that does not decode is a line-numbered DataFormatError."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DataFormatError(f"{path}, line {lineno}: not UTF-8 ({exc.reason})") from None
+    del raw  # the bytes need not outlive the split lines
+    return text.splitlines()
+
+
+def _raise_first_bad_row(path: Path, rows: list[list[str]], dim: int) -> None:
+    """Check embedding rows one by one; raise the DataFormatError of the first bad line."""
+    seen: set[str] = set()
+    for lineno, parts in enumerate(rows, start=2):
+        if parts == [""]:
+            raise DataFormatError(f"{path}, line {lineno}: blank line")
+        if len(parts) != 3 + dim:
+            raise DataFormatError(
+                f"{path}, line {lineno}: expected {3 + dim} fields, got {len(parts)}"
+            )
+        pid, fam, gender_code = parts[:3]
+        if pid in seen:
+            raise DataFormatError(f"{path}, line {lineno}: duplicate person_id {pid!r}")
+        if not fam:
+            raise DataFormatError(f"{path}, line {lineno}: empty family_id")
+        try:
+            Gender.from_code(gender_code)
+            values = [float(v) for v in parts[3:]]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(f"{path}, line {lineno}: non-finite embedding value")
+        seen.add(pid)
+
+
 def load_embeddings(path: str | Path) -> EmbeddingStore:
-    """Parse an embedding CSV; dim is inferred from the header."""
+    """Parse an embedding CSV; dim is inferred from the header.
+
+    The rows are checked as a whole and all numbers are converted by ``float``
+    in one pass into the matrix; only when that fails does a row-by-row check
+    name the first bad line.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
@@ -247,31 +304,24 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
     if dim <= 0 or header[3:] != expected_cols:
         raise DataFormatError(f"{path}, line 1: feature columns must be f0..f{{d-1}}")
 
-    rows: list[tuple[PersonRef, np.ndarray]] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise DataFormatError(f"{path}, line {lineno}: blank line")
-        parts = line.split(",")
-        if len(parts) != 3 + dim:
-            raise DataFormatError(
-                f"{path}, line {lineno}: expected {3 + dim} fields, got {len(parts)}"
-            )
-        pid, fam, gender_code = parts[0], parts[1], parts[2]
-        if pid in seen:
-            raise DataFormatError(f"{path}, line {lineno}: duplicate person_id {pid!r}")
-        if not fam:
-            raise DataFormatError(f"{path}, line {lineno}: empty family_id")
-        try:
-            gender = Gender.from_code(gender_code)
-            values = np.array([float(v) for v in parts[3:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
-        if not np.isfinite(values).all():
-            raise DataFormatError(f"{path}, line {lineno}: non-finite embedding value")
-        seen.add(pid)
-        rows.append((PersonRef(pid, fam, gender), values))
-    return EmbeddingStore(dim, rows)
+    body = lines[1:]
+    # a row's fields are split as its numbers are converted, so they are not all held at once
+    numbers = itertools.chain.from_iterable(line.split(",")[3:] for line in body)
+    try:
+        heads = (line.split(",", 3)[:3] for line in body)
+        refs = [PersonRef(pid, fam, Gender.from_code(gender)) for pid, fam, gender in heads]
+        matrix = np.fromiter(map(float, numbers), dtype=np.float64, count=len(body) * dim)
+        valid = (
+            all(line.count(",") == 2 + dim for line in body)
+            and all(ref.family_id for ref in refs)
+            and len({ref.person_id for ref in refs}) == len(refs)
+            and np.isfinite(matrix).all()
+        )
+    except ValueError:
+        valid = False
+    if not valid:
+        _raise_first_bad_row(path, [line.split(",") for line in body], dim)
+    return EmbeddingStore._from_matrix(refs, matrix.reshape(len(body), dim))
 
 
 def _check_people(store: EmbeddingStore, what: str, *ids: str) -> None:
@@ -336,8 +386,7 @@ def _read_rows(path: Path, header: str, build) -> list:
     A wrong header, a wrong field count or a ValueError or KeyError from
     ``build`` aborts with a line-numbered DataFormatError.
     """
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != header:
         raise DataFormatError(f"{path}, line 1: expected header '{header}'")
     records = []
@@ -510,14 +559,23 @@ def resample_nonkin(
     epoch.
     """
     rows1, _, rel_idx, _ = _pair_rows(store, kin_pairs, CANONICAL_RELATION_CODES)
+    return _nonkin_pairs(store, kin_pairs, rows1, rel_idx, base_seed, epoch)
+
+
+def _nonkin_pairs(
+    store: EmbeddingStore,
+    kin_pairs: PairSet,
+    rows1: np.ndarray,
+    rel_idx: np.ndarray,
+    seed: int,
+    epoch: int,
+) -> PairSet:
+    """``resample_nonkin`` given the pairs' id1 store rows and canonical relation indices."""
     draw = _nonkin_draw(store, rows1, rel_idx, CANONICAL_RELATION_CODES)
-    rows2 = draw(derive_rng(base_seed, STREAM_RESAMPLE, epoch)).tolist()
+    rows2 = draw(derive_rng(seed, STREAM_RESAMPLE, epoch)).tolist()
     ids = store.person_ids
-    out = tuple(
-        KinPair(pair.id1, ids[r], pair.relation, PairLabel.NONKIN)
-        for pair, r in zip(kin_pairs, rows2)
-    )
-    return PairSet(out)
+    out = (KinPair(p.id1, ids[r], p.relation, PairLabel.NONKIN) for p, r in zip(kin_pairs, rows2))
+    return PairSet(tuple(out))
 
 
 def _pair_rows(
@@ -562,8 +620,9 @@ def _symmetric_rows(
 
 
 def _gather_features(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """Concatenated embeddings of row pairs of ``matrix``, shape (n, 2*dim)."""
-    return np.concatenate([matrix[rows1], matrix[rows2]], axis=1)
+    """Concatenated embeddings of row pairs of ``matrix``, shape (n, 2*dim), from one take."""
+    rows = np.column_stack([rows1, rows2]).ravel()
+    return matrix.take(rows, axis=0).reshape(len(rows1), 2 * matrix.shape[1])
 
 
 def pairs_to_arrays(

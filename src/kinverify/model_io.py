@@ -24,6 +24,7 @@ can never leave partial state behind.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -144,7 +145,7 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
         raise ModelFormatError(f"invalid model header: {exc}") from None
 
     layout = param_layout(config, bool(has_attention))
-    payload_len = sum(int(np.prod(shape)) * 8 for _, shape in layout)
+    payload_len = sum(math.prod(shape) * 8 for _, shape in layout)  # Python ints: no wrap
     payload = take(payload_len, "parameter payload")
     (stored_crc,) = struct.unpack("<I", take(4, "checksum"))
     if pos != len(view):

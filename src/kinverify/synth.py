@@ -29,8 +29,10 @@ parent), a married-in spouse and two or more children, so a world
 instantiates all eleven relation types. Kin pairs are enumerated with the
 children in role 2: sibling pairs among the children, parent-child pairs
 from both parents, grandparent pairs from both grandparents through the
-lineal parent. Families are generated from per-family seed streams, so
-worlds replay bit-identically for a given seed.
+lineal parent. Families draw from per-family seed streams in a fixed
+order; the latent arithmetic then runs in array passes, one generation at
+a time, each row doing the operations it would get alone, so worlds replay
+bit-identically for a given seed.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ from .data import (
     TriSample,
     TriSet,
     _cross_family_draw,
+    _nonkin_pairs,
     _write_rows,
-    resample_nonkin,
 )
-from .relations import GRANDPARENT_CHILD, PARENT_CHILD, Gender, KinshipRelation
+from .relations import GRANDPARENT_CHILD, PARENT_CHILD, Gender, KinshipRelation, relation_index
 from .seeding import (
     STREAM_FAMILY,
     STREAM_GENDER_AXIS,
@@ -146,36 +148,49 @@ def make_person(
     config: SynthConfig,
     rng: np.random.Generator,
     flip_mask: np.ndarray | None = None,
-    return_identity: bool = False,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Draw one unit-norm embedding from the latent model.
+) -> np.ndarray:
+    """Draw one unit-norm embedding from the latent model: ``_latent`` of one row."""
+    parent_means = None if parent_mean is None else np.asarray(parent_mean, dtype=np.float64)[None]
+    male = np.array([gender is Gender.MALE])
+    noise = rng.standard_normal((1, config.identity_dims))
+    vecs, _ = _latent(noise, parent_means, male, gender_axis, config, flip_mask)
+    return vecs[0]
+
+
+def _latent(
+    noise: np.ndarray,
+    parent_mean: np.ndarray | None,
+    male: np.ndarray,
+    gender_axis: np.ndarray,
+    config: SynthConfig,
+    flip_mask: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm embeddings and heritable identities of a batch of people, one per row.
 
     The heritable identity is the weighted parent mean plus personal noise,
-    confined to the first ``identity_dims`` coordinates (standard normal
-    scaled by 1/sqrt(identity_dims), so its expected norm equals the noise
-    weight). Founders use a zero parent mean and draw their identity at
-    ``founder_scale`` times the noise weight, so family lines start with
-    far more identity variation than each generation adds. Females express
-    the identity through the world's flip mask before the gender axis is
-    added. With ``return_identity`` the unexpressed identity comes back
-    too, for building descendants.
+    confined to the first ``identity_dims`` coordinates (the standard normal
+    rows of ``noise`` scaled by 1/sqrt(identity_dims), so its expected norm
+    equals the noise weight). Founders (``parent_mean`` None) use a zero
+    parent mean and draw their identity at ``founder_scale`` times the noise
+    weight, so family lines start with far more identity variation than each
+    generation adds. Females express the identity through the world's flip
+    mask before the gender axis is added. Each row takes the operations of
+    one person alone, so a row's bits do not depend on the rest of the batch.
     """
-    sign = 1.0 if gender is Gender.MALE else -1.0
     k = config.identity_dims
-    scale = config.noise_weight if parent_mean is not None else config.founder_scale * config.noise_weight
-    identity = np.zeros(config.dim, dtype=np.float64)
-    identity[:k] = scale * rng.standard_normal(k) / np.sqrt(k)
-    if parent_mean is not None:
+    founders = parent_mean is None
+    scale = config.founder_scale * config.noise_weight if founders else config.noise_weight
+    identity = np.zeros((len(noise), config.dim), dtype=np.float64)
+    identity[:, :k] = scale * noise / np.sqrt(k)
+    if not founders:
         identity = identity + config.heritability * parent_mean
-    expressed = identity
-    if flip_mask is not None and gender is Gender.FEMALE:
-        expressed = identity * flip_mask
-    v = expressed + config.gender_weight * sign * gender_axis
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
+    signs = np.where(male, 1.0, -1.0)
+    expression = np.where(male[:, None], 1.0, 1.0 if flip_mask is None else flip_mask)
+    v = identity * expression + (config.gender_weight * signs)[:, None] * gender_axis
+    norm = np.sqrt([row.dot(row) for row in v])  # np.linalg.norm's bits, row by row
+    if not norm.all():
         raise ValueError("degenerate latent configuration produced a zero embedding")
-    v = v / norm
-    return (v, identity) if return_identity else v
+    return v / norm[:, None], identity
 
 
 def _sibling_relation(g1: Gender, g2: Gender) -> KinshipRelation:
@@ -199,105 +214,94 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     gender_axis /= np.linalg.norm(gender_axis)
     flip_mask = expression_mask(config, axis_rng)
 
-    rows: list[tuple[PersonRef, np.ndarray]] = []
+    convex = config.parent_blend == "convex"
+    n_families = sum(config.families_per_split().values())
+    noise = np.empty((n_families * (4 + max(config.children_choices)), config.identity_dims))
+    refs: list[PersonRef] = []
     pedigree: list[PedigreeEntry] = []
-    split_kin: dict[str, list[KinPair]] = {s: [] for s in SPLITS}
-    split_children: dict[str, list[str]] = {s: [] for s in SPLITS}
+    # per generation: (row,) of a founder, (row, father row, mother row, convex weight) of the rest
+    founders: list[tuple] = []
+    lineals: list[tuple] = []
+    offspring: list[tuple] = []
+    split_kin: dict[str, list[tuple[int, int, KinshipRelation]]] = {s: [] for s in SPLITS}
+    split_children: dict[str, list[int]] = {s: [] for s in SPLITS}
     split_tri_kin: dict[str, list[TriSample]] = {s: [] for s in SPLITS}
 
-    def blend(father_vec: np.ndarray, mother_vec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if config.parent_blend == "convex":
-            lam = rng.uniform()
-            return lam * father_vec + (1.0 - lam) * mother_vec
-        return 0.5 * (father_vec + mother_vec)
+    def add_person(pid, fid, gender, rng, generation, parents=()) -> int:
+        """Append a person's records, drawing a child's convex weight, then the noise."""
+        row = len(refs)
+        generation.append((row, *parents, rng.uniform() if convex else 0.5) if parents else (row,))
+        rng.standard_normal(config.identity_dims, out=noise[row])
+        refs.append(PersonRef(pid, fid, gender))
+        pedigree.append(PedigreeEntry(pid, fid, gender, *(refs[r].person_id for r in parents)))
+        return row
 
     family_counter = 0
-    identities: dict[str, np.ndarray] = {}
-
-    def add_person(
-        pid: str,
-        family_id: str,
-        gender: Gender,
-        parent_mean: np.ndarray | None,
-        rng: np.random.Generator,
-        father_id: str | None = None,
-        mother_id: str | None = None,
-    ) -> None:
-        vec, identity = make_person(
-            gender, parent_mean, gender_axis, config, rng, flip_mask, return_identity=True
-        )
-        rows.append((PersonRef(pid, family_id, gender), vec))
-        identities[pid] = identity
-        pedigree.append(PedigreeEntry(pid, family_id, gender, father_id, mother_id))
-
-    for split, n_families in config.families_per_split().items():
-        for j in range(n_families):
+    for split, n_split in config.families_per_split().items():
+        for j in range(n_split):
             rng = derive_rng(config.seed, STREAM_FAMILY, family_counter)
             family_counter += 1
             fid = f"{split}_f{j:04d}"
-            gf, gm = f"{fid}_gf", f"{fid}_gm"
-            add_person(gf, fid, Gender.MALE, None, rng)
-            add_person(gm, fid, Gender.FEMALE, None, rng)
-
+            gf = add_person(f"{fid}_gf", fid, Gender.MALE, rng, founders)
+            gm = add_person(f"{fid}_gm", fid, Gender.FEMALE, rng, founders)
             lineal_gender = Gender.MALE if rng.integers(2) == 0 else Gender.FEMALE
-            lineal, spouse = f"{fid}_p", f"{fid}_sp"
-            add_person(
-                lineal,
-                fid,
-                lineal_gender,
-                blend(identities[gf], identities[gm], rng),
-                rng,
-                father_id=gf,
-                mother_id=gm,
-            )
-            add_person(spouse, fid, lineal_gender.opposite, None, rng)
-            father = lineal if lineal_gender is Gender.MALE else spouse
-            mother = spouse if lineal_gender is Gender.MALE else lineal
+            lineal = add_person(f"{fid}_p", fid, lineal_gender, rng, lineals, (gf, gm))
+            spouse = add_person(f"{fid}_sp", fid, lineal_gender.opposite, rng, founders)
+            father, mother = (lineal, spouse) if lineal_gender is Gender.MALE else (spouse, lineal)
 
-            n_children = int(rng.choice(np.asarray(config.children_choices)))
-            children: list[tuple[str, Gender]] = []
+            # the same draw as rng.choice(np.asarray(children_choices))
+            n_children = config.children_choices[rng.integers(len(config.children_choices))]
+            children: list[tuple[int, Gender]] = []
             for c in range(n_children):
-                cid = f"{fid}_c{c}"
                 cg = Gender.MALE if rng.integers(2) == 0 else Gender.FEMALE
-                add_person(
-                    cid,
-                    fid,
-                    cg,
-                    blend(identities[father], identities[mother], rng),
-                    rng,
-                    father_id=father,
-                    mother_id=mother,
-                )
-                children.append((cid, cg))
-                split_children[split].append(cid)
+                child = add_person(f"{fid}_c{c}", fid, cg, rng, offspring, (father, mother))
+                children.append((child, cg))
+                split_children[split].append(child)
 
             kin = split_kin[split]
             for a in range(len(children)):
                 for b in range(a + 1, len(children)):
-                    c1, g1 = children[a]
-                    c2, g2 = children[b]
-                    kin.append(KinPair(c1, c2, _sibling_relation(g1, g2), PairLabel.KIN))
-            for cid, cg in children:
-                kin.append(KinPair(father, cid, PARENT_CHILD[(Gender.MALE, cg)], PairLabel.KIN))
-                kin.append(KinPair(mother, cid, PARENT_CHILD[(Gender.FEMALE, cg)], PairLabel.KIN))
-                kin.append(KinPair(gf, cid, GRANDPARENT_CHILD[(Gender.MALE, cg)], PairLabel.KIN))
-                kin.append(KinPair(gm, cid, GRANDPARENT_CHILD[(Gender.FEMALE, cg)], PairLabel.KIN))
-                split_tri_kin[split].append(
-                    TriSample(father, mother, cid, cg, PairLabel.KIN)
-                )
+                    (c1, g1), (c2, g2) = children[a], children[b]
+                    kin.append((c1, c2, _sibling_relation(g1, g2)))
+            for child, cg in children:
+                kin.append((father, child, PARENT_CHILD[(Gender.MALE, cg)]))
+                kin.append((mother, child, PARENT_CHILD[(Gender.FEMALE, cg)]))
+                kin.append((gf, child, GRANDPARENT_CHILD[(Gender.MALE, cg)]))
+                kin.append((gm, child, GRANDPARENT_CHILD[(Gender.FEMALE, cg)]))
+                trio = (refs[father].person_id, refs[mother].person_id, refs[child].person_id)
+                split_tri_kin[split].append(TriSample(*trio, cg, PairLabel.KIN))
 
-    store = EmbeddingStore(config.dim, rows)
+    # identities generation by generation, each from its parents' finished ones
+    male = np.array([ref.gender is Gender.MALE for ref in refs])
+    matrix = np.empty((len(refs), config.dim))
+    identity = np.empty_like(matrix)
+    for generation in (founders, lineals, offspring):
+        rows, *parents = (np.array(column) for column in zip(*generation))
+        parent_mean = None
+        if parents:  # "mean" is the convex blend at weight 1/2, with the same bits as 0.5 * (f + m)
+            father, mother, lam = parents[0], parents[1], parents[2][:, None]
+            parent_mean = lam * identity[father] + (1.0 - lam) * identity[mother]
+        matrix[rows], identity[rows] = _latent(
+            noise[rows], parent_mean, male[rows], gender_axis, config, flip_mask
+        )
+    store = EmbeddingStore._from_matrix(refs, matrix)
 
+    ids = store.person_ids
+    pool = np.array([row for s in SPLITS for row in split_children[s]], dtype=np.intp)
     kin_pairs: dict[str, PairSet] = {}
     eval_pairs: dict[str, PairSet] = {}
     tris: dict[str, TriSet] = {}
     for split in SPLITS:
-        kin_set = PairSet(tuple(split_kin[split]))
+        links = split_kin[split]
+        kin_set = PairSet(tuple(KinPair(ids[a], ids[b], rel, PairLabel.KIN) for a, b, rel in links))
         kin_pairs[split] = kin_set
-        nonkin = resample_nonkin(kin_set, store, config.seed, 0)
+        rows1 = np.array([a for a, _, _ in links], dtype=np.intp)
+        rel_idx = np.array([relation_index(rel) for _, _, rel in links], dtype=np.intp)
+        nonkin = _nonkin_pairs(store, kin_set, rows1, rel_idx, config.seed, 0)
         eval_pairs[split] = PairSet(kin_set.pairs + nonkin.pairs)
+        child_rows = np.array(split_children[split], dtype=np.intp)
         tris[split] = _with_nonkin_tris(
-            split_tri_kin[split], split_children, store, config.seed, split
+            split_tri_kin[split], pool, child_rows, store, config.seed, split
         )
 
     return SynthWorld(
@@ -312,7 +316,8 @@ def generate_world(config: SynthConfig) -> SynthWorld:
 
 def _with_nonkin_tris(
     kin_tris: list[TriSample],
-    split_children: dict[str, list[str]],
+    pool: np.ndarray,
+    child_rows: np.ndarray,
     store: EmbeddingStore,
     seed: int,
     split: str,
@@ -322,10 +327,10 @@ def _with_nonkin_tris(
     The replacement child has the same gender, comes from a different
     family and is itself a child (not a founder), drawn from the whole
     world's child pool, in store order, in one seeded pass per split.
+    ``pool`` holds the store rows of the world's children, ascending, and
+    ``child_rows`` the store row of each kin triple's child.
     """
-    pool = np.sort(np.array([store.row(cid) for s in SPLITS for cid in split_children[s]]))
-    want = np.array([t.child_gender is Gender.MALE for t in kin_tris], dtype=np.intp)
-    child_rows = np.array([store.row(t.child_id) for t in kin_tris], dtype=np.intp)
+    want = store._person_tables[1][child_rows]
     sizes, draw = _cross_family_draw(store, pool, want, child_rows)
     if not sizes.all():
         gender = kin_tris[int(np.argmin(sizes))].child_gender

@@ -295,3 +295,59 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
         val = pairs_to_arrays(store, val_pairs, comp_config.relations)
         history.append((float(np.mean(losses)), _macro_accuracy_curve(params, *val)))
     return params, history
+
+
+def load_embeddings_loop(path):
+    """An embedding CSV parsed and checked row by row, the way the loader once did it.
+
+    Each row: blank line, field count, duplicate id, empty family, gender,
+    then ``float`` on each number and a finiteness check; the first failure
+    raises a line-numbered DataFormatError.
+    """
+    from pathlib import Path
+
+    from kinverify.data import DataFormatError, EmbeddingStore, PersonRef
+    from kinverify.relations import Gender
+
+    path = Path(path)
+    lines = path.read_bytes().decode("utf-8").splitlines()
+    header = lines[0].split(",")
+    dim = len(header) - 3
+    rows, seen = [], set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            raise DataFormatError(f"{path}, line {lineno}: blank line")
+        parts = line.split(",")
+        if len(parts) != 3 + dim:
+            raise DataFormatError(
+                f"{path}, line {lineno}: expected {3 + dim} fields, got {len(parts)}"
+            )
+        if parts[0] in seen:
+            raise DataFormatError(f"{path}, line {lineno}: duplicate person_id {parts[0]!r}")
+        if not parts[1]:
+            raise DataFormatError(f"{path}, line {lineno}: empty family_id")
+        try:
+            gender = Gender.from_code(parts[2])
+            values = np.array([float(v) for v in parts[3:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}, line {lineno}: non-finite embedding value")
+        seen.add(parts[0])
+        rows.append((PersonRef(parts[0], parts[1], gender), values))
+    return EmbeddingStore(dim, rows)
+
+
+def make_person_scalar(male, noise, parent_mean, gender_axis, config, flip_mask):
+    """One person's (embedding, identity), one vector at a time, as ``synth`` once computed them."""
+    k = config.identity_dims
+    scale = config.noise_weight if parent_mean is not None else config.founder_scale * config.noise_weight
+    identity = np.zeros(config.dim, dtype=np.float64)
+    identity[:k] = scale * noise / np.sqrt(k)
+    if parent_mean is not None:
+        identity = identity + config.heritability * parent_mean
+    expressed = identity
+    if flip_mask is not None and not male:
+        expressed = identity * flip_mask
+    v = expressed + config.gender_weight * (1.0 if male else -1.0) * gender_axis
+    return v / np.linalg.norm(v), identity

@@ -311,6 +311,18 @@ def test_histogram_command(model_dir, world_dir, tmp_path):
     assert len(lines) == 51
 
 
+@pytest.mark.parametrize("value", ["1", "a,b"])
+def test_histogram_range_errors_name_the_flag(value, world_dir, tmp_path, capsys):
+    args = ["histogram", "--embeddings", str(world_dir / "embeddings.csv"), "--pairs",
+            str(world_dir / "pairs_val.csv"), "--scorer", "cosine", "--out", str(tmp_path / "h.csv")]
+    assert main(args + ["--range", "0,2"]) == 0
+    assert (tmp_path / "h.csv").read_text().splitlines()[1].startswith("0.0,0.04,")
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--range", value])
+    assert exc.value.code == 2
+    assert f"argument --range: expected two numbers lo,hi, got '{value}'" in capsys.readouterr().err
+
+
 def test_predict_relation(model_dir, world_dir, capsys):
     from kinverify.data import load_embeddings, load_pairs
 

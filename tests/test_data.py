@@ -623,3 +623,80 @@ def test_store_rejects_duplicates_and_bad_shapes():
         )
     with pytest.raises(ValueError, match="shape"):
         EmbeddingStore(2, [(PersonRef("a", "f1", Gender.MALE), np.ones(3))])
+
+
+csv_edits = st.lists(
+    st.tuples(
+        st.floats(0, 1, exclude_max=True),
+        st.sampled_from(["replace", "delete", "insert"]),
+        st.sampled_from(list(",\n\r\x85 -.e0159xMF _") + ["", "inf", "nan", "1e999", "-0"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stores(), csv_edits)
+def test_load_embeddings_matches_the_row_by_row_loader(store, edits):
+    from oracles import load_embeddings_loop
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.csv"
+        save_embeddings(store, path)
+        text = path.read_text(encoding="utf-8")
+        body = text.index("\n") + 1  # edit the rows, not the header
+        for where, op, piece in edits:
+            at = body + int(where * (len(text) - body))
+            if op == "insert":
+                text = text[:at] + piece + text[at:]
+            else:
+                text = text[:at] + (piece if op == "replace" else "") + text[at + 1 :]
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for load in (load_embeddings, load_embeddings_loop):
+            try:
+                loaded = load(path)
+                outcomes.append((loaded.person_ids, loaded._refs, loaded.matrix.tobytes()))
+            except DataFormatError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("kind", ["embeddings", "pairs", "tri"])
+def test_loaders_name_the_line_of_a_non_utf8_byte(kind, tmp_path, tiny_world):
+    store = tiny_world.store
+    save, table, load = {
+        "embeddings": (save_embeddings, store, load_embeddings),
+        "pairs": (save_pairs, tiny_world.eval_pairs["val"], lambda p: load_pairs(p, store)),
+        "tri": (save_tri, tiny_world.tris["val"], lambda p: load_tri(p, store)),
+    }[kind]
+    path = tmp_path / f"{kind}.csv"
+    save(table, path)
+    lines = path.read_bytes().split(b"\n")
+    first, rest = lines[2].split(b",", 1)
+    lines[2] = first + b",\xff" + rest  # a 0xff byte opens the second field of line 3
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}, line 3: not UTF-8")):
+        load(path)
+
+
+def test_pairs_to_arrays_holds_no_second_copy_of_its_features(default_world):
+    import tracemalloc
+
+    from kinverify.data import pairs_to_arrays
+
+    store = default_world.store
+    pairs = default_world.eval_pairs["val"].pairs
+    pairs = PairSet((pairs * (5000 // len(pairs) + 1))[:5000])
+    codes = tuple(r.value for r in RELATION_ORDER)
+    tracemalloc.start()
+    try:
+        out = pairs_to_arrays(store, pairs, codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sum(a.nbytes for a in out)
+    rows1, rows2, _, _ = _pair_rows(store, pairs, codes)
+    expected = np.concatenate([store.matrix[rows1], store.matrix[rows2]], axis=1)
+    assert out[0].tobytes() == expected.tobytes() and out[0].shape == expected.shape

@@ -247,3 +247,13 @@ def test_model_bytes_roundtrip_property(params):
     assert list(loaded.values) == list(params.values)
     for key, value in params.values.items():
         assert loaded.values[key].tobytes() == value.tobytes(), key
+
+
+def test_header_sizes_beyond_the_file_are_rejected():
+    # byte 13 is the high byte of `hidden`: 0xF0 asks for about 4e9 hidden units,
+    # whose payload size no fixed-width integer product may wrap
+    params = init_params(ComparatorConfig(input_dim=8, hidden=4), seed=0)
+    blob = bytearray(serialize_model(params))
+    blob[13] = 0xF0
+    with pytest.raises(ModelFormatError, match="truncated file while reading parameter payload"):
+        deserialize_model(bytes(blob))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinverify.data import PairLabel
 from kinverify.evaluation import (
@@ -255,7 +257,87 @@ def test_nonkin_tris_without_cross_family_child():
         ("c1", "f2", Gender.FEMALE),
     ]
     store = EmbeddingStore(2, [(PersonRef(p, fam, g), np.ones(2)) for p, fam, g in people])
-    children = {"train": ["c0", "c1"], "val": [], "test": []}
+    pool = np.array([store.row("c0"), store.row("c1")])
     kin = [TriSample("f", "m", "c0", Gender.MALE, PairLabel.KIN)]
     with pytest.raises(ValueError, match="no cross-family child of gender M"):
-        _with_nonkin_tris(kin, children, store, 0, "train")
+        _with_nonkin_tris(kin, pool, np.array([store.row("c0")]), store, 0, "train")
+
+
+# sha256 of TINY_SYNTH's store matrix bytes and of the eight files `kinverify synth`
+# writes for it, recorded before synthesis moved to array passes.
+PINNED_SYNTH_SHA256 = {
+    "mean": {
+        "matrix": "775d37c0d485df70a6a4a5379a4c2b69311aa4100aef259c889a92ff9f93ba0d",
+        "embeddings.csv": "f2ddbfecd0a7ed6d89a28c3fea0577d2b85ac9b32fcca60ea6c7d5a73b86cfd4",
+        "pedigree.csv": "5998e7d1844ce24dfa396e84b1e50efbe877ae19adb3a23356ac33b9a6ecb0f8",
+        "pairs_train.csv": "1b314f86012a8fa96072e3cef030aa6b5862a4fc4295c0fd4bb12d73f7d4d316",
+        "pairs_val.csv": "43ff830476923010528a955fdd8c7bb3a9e7ebc1f823e4fe7da575c8bcf710c5",
+        "pairs_test.csv": "ce5773d9af992f5fb60b7ad574ddb4ae566fadb1541c3aad7860658541846279",
+        "tri_train.csv": "31d2d125e21fecf0171769aa0ba39608e5e870f0d58d7c867d26837a386cb316",
+        "tri_val.csv": "6dbb4d168ebeff7b9b19b621ce0de230e70ef4eb5a1e18ec116baa2cdc945677",
+        "tri_test.csv": "d6c19e6ef490c7a9906ab674f121f5142d5ccb2ef1c9e7bb282d30ef7dc3dee8",
+    },
+    "convex": {
+        "matrix": "b1c6a028aad702aead9782d8f89f99c2cfc7b3f6a66bd2ac4645284e266d4445",
+        "embeddings.csv": "e8f68d596d2d010b9c1f66f809b82bd66175da1f128efb78b5e1ada8c7ed3d82",
+        "pedigree.csv": "c1b0b3770411ded74a6659f8b97ffb657cc414b5aeb4acdaf6b9e847351bc77b",
+        "pairs_train.csv": "8a7602bdc793aaa6c937ff9446719ead73b4ba381aade1a7c4f472378b7fe5ae",
+        "pairs_val.csv": "1d3c5a0cffcfcaaf8cd10e80ca437c6383d59d2174b32507de96a64d30e50497",
+        "pairs_test.csv": "b05eccc0902b21467c26f0f33039a6c18d65067780f129064c7bc806ea1c916a",
+        "tri_train.csv": "dfe3eb20e9540006b67f9b010f314f501e7879d9258552d170919f82516d9874",
+        "tri_val.csv": "7bcb347b00c453c0a1e38f60d0cad496030de493b0820810338578fee77d4b68",
+        "tri_test.csv": "9ef1eb5e6483c031f7347c5ef57e8f730c64e08e1d1d5f61ef10ed6fbd2014f0",
+    },
+}
+
+
+@pytest.mark.parametrize("blend", ["mean", "convex"])
+def test_synthesis_bytes_are_pinned(blend, tmp_path):
+    import hashlib
+    import json
+    from dataclasses import replace
+
+    from kinverify.cli import main
+
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    pinned = PINNED_SYNTH_SHA256[blend]
+    world = generate_world(replace(TINY_SYNTH, parent_blend=blend))
+    assert sha256(world.store.matrix.tobytes()) == pinned["matrix"]
+
+    config = tmp_path / "cfg.json"
+    sections = ("dim", "identity_dims", "n_train_families", "n_val_families", "n_test_families")
+    synth = {name: getattr(TINY_SYNTH, name) for name in sections}
+    config.write_text(json.dumps({"seed": TINY_SYNTH.seed, "synth": {**synth, "parent_blend": blend}}))
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "world")]) == 0
+    written = {p.name: sha256(p.read_bytes()) for p in (tmp_path / "world").glob("*.csv")}
+    assert written == {name: digest for name, digest in pinned.items() if name != "matrix"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 9).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(1, dim))),
+    st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_latent_rows_match_one_person_at_a_time(dims, n, founders, masked, seed):
+    from kinverify.synth import _latent
+    from oracles import make_person_scalar
+
+    dim, k = dims
+    config = SynthConfig(dim=dim, identity_dims=k, parent_blend="convex")
+    axis, mask = axis_and_mask(config)
+    mask = mask if masked else None
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, k))
+    parent_mean = None if founders else rng.standard_normal((n, dim))
+    male = rng.integers(2, size=n).astype(bool)
+    vecs, identities = _latent(noise, parent_mean, male, axis, config, mask)
+    for i in range(n):
+        pm = None if founders else parent_mean[i]
+        vec, identity = make_person_scalar(male[i], noise[i], pm, axis, config, mask)
+        assert vecs[i].tobytes() == vec.tobytes()
+        assert identities[i].tobytes() == identity.tobytes()
