@@ -58,11 +58,10 @@ from .model_io import ModelFormatError, load_model, save_model
 from .relations import (
     Gender,
     KinshipRelation,
-    N_RELATIONS,
     RELATION_ORDER,
     relation_index,
 )
-from .synth import SynthConfig, SynthWorld, generate_world, make_person
+from .synth import SynthConfig, SynthWorld, generate_world
 from .training import (
     AdamState,
     TrainConfig,

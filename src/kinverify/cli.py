@@ -47,6 +47,7 @@ from .evaluation import (
     ablation_run,
     calibrate_per_relation,
     calibrate_threshold,
+    filter_relations,
     histogram,
     save_ablation_csv,
     score_pairs,
@@ -174,7 +175,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
     report.save_csv(report_path)
-    write_manifest(out, "eval", cfg, [report_path])
+    # --calibrate rewrote the model file, so the run records its new bytes too
+    artifacts = [report_path, args.model] if args.calibrate else [report_path]
+    write_manifest(out, "eval", cfg, artifacts)
     for row in report.rows:
         extra = f" auc={row.auc:.4f}" if row.auc is not None else ""
         print(f"{row.relation:5s} accuracy={row.accuracy:.4f} n={row.count}{extra}")
@@ -225,11 +228,12 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     if scorer is Scorer.COMPARATOR and params is None:
         raise ValueError("comparator histograms need --model")
     scored = score_pairs(params, store, pairs, scorer)
-    relations = None
     if args.relations:
-        relations = {KinshipRelation.from_code(c) for c in args.relations.split(",")}
+        scored = filter_relations(
+            scored, {KinshipRelation.from_code(c) for c in args.relations.split(",")}
+        )
     value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
-    table = histogram(scored, cfg.eval.bins, value_range, relations)
+    table = histogram(scored, cfg.eval.bins, value_range)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     table.save_csv(out)

@@ -206,31 +206,28 @@ class ComparatorParams:
         return [k for k in self.values if k.startswith("attention.")]
 
 
-def init_params(
-    config: ComparatorConfig, seed: int, with_attention: bool = False
-) -> ComparatorParams:
+def init_params(config: ComparatorConfig, seed: int) -> ComparatorParams:
     """Fan-scaled uniform weights, zero biases, deterministic per seed.
 
     Weight matrices draw from U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-    The attention head starts at zero so an untrained head predicts the
-    uniform relation distribution.
+    There is no attention head; ``add_attention_head`` adds one.
     """
     rng = derive_rng(seed, STREAM_INIT)
     values: dict[str, np.ndarray] = {}
-    for name, shape in param_layout(config, with_attention):
+    for name, shape in param_layout(config):
         if name.endswith(".prelu"):
             values[name] = np.full(shape, PRELU_INIT_SLOPE, dtype=np.float64)
         elif name.endswith(".W1") or name.endswith(".W2"):
             fan_out, fan_in = shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             values[name] = rng.uniform(-limit, limit, shape)
-        else:  # biases and the attention head
+        else:  # biases
             values[name] = np.zeros(shape, dtype=np.float64)
     return ComparatorParams(config=config, values=values)
 
 
 def add_attention_head(params: ComparatorParams) -> ComparatorParams:
-    """Return params extended with a zero-initialized attention head."""
+    """Return params extended with a zero attention head, the uniform relation predictor."""
     if params.has_attention:
         return params
     out = params.copy()

@@ -104,35 +104,19 @@ class PersonRef:
 class EmbeddingStore:
     """Immutable collection of persons with one embedding row each.
 
-    Rows keep insertion order, which is also the canonical serialization
-    order. The embedding matrix is a read-only float64 array of shape
-    (n_persons, dim).
+    ``EmbeddingStore(refs, matrix)`` holds person ``refs[i]`` with embedding
+    ``matrix[i]``, of shape (len(refs), dim) with dim >= 1; rows keep this
+    order, the canonical serialization order. A float64 matrix is taken over
+    without a copy and marked read-only; other input is converted first. The
+    rows are validated in one pass, and a fault names the first bad row.
     """
 
-    def __init__(self, dim: int, rows: list[tuple[PersonRef, np.ndarray]]):
-        if dim <= 0:
-            raise ValueError(f"embedding dim must be positive, got {dim}")
-        refs = [ref for ref, _ in rows]
-        matrix = np.zeros((len(rows), dim), dtype=np.float64)
-        for i, (ref, vec) in enumerate(rows):
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.shape != (dim,):
-                self._index(refs[:i], matrix[:i])  # a fault in an earlier row is named first
-                raise ValueError(
-                    f"embedding for {ref.person_id!r} has shape {vec.shape}, expected ({dim},)"
-                )
-            matrix[i] = vec
-        self._index(refs, matrix)
-
-    @classmethod
-    def _from_matrix(cls, refs: list[PersonRef], matrix: np.ndarray) -> "EmbeddingStore":
-        """The store of ``refs[i]`` with embedding ``matrix[i]``; it takes ``matrix`` over."""
-        store = cls.__new__(cls)
-        store._index(refs, matrix)
-        return store
-
-    def _index(self, refs: list[PersonRef], matrix: np.ndarray) -> None:
-        """Validate the rows in one pass, then index them; a fault names the first bad row."""
+    def __init__(self, refs: list[PersonRef], matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(refs) or matrix.shape[1] == 0:
+            raise ValueError(
+                f"embedding matrix has shape {matrix.shape}, expected ({len(refs)}, dim), dim >= 1"
+            )
         seen: set[str] = set()
         for ref, finite in zip(refs, np.isfinite(matrix).all(axis=1).tolist()):
             if not finite:
@@ -321,7 +305,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         valid = False
     if not valid:
         _raise_first_bad_row(path, [line.split(",") for line in body], dim)
-    return EmbeddingStore._from_matrix(refs, matrix.reshape(len(body), dim))
+    return EmbeddingStore(refs, matrix.reshape(len(body), dim))
 
 
 def _check_people(store: EmbeddingStore, what: str, *ids: str) -> None:

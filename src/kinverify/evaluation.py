@@ -26,27 +26,6 @@ from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender, Kinship
 from .relations import PARENT_CHILD, relation_index
 from .training import TrainConfig, train
 
-# Published RFIW-2020 challenge results for this comparator architecture,
-# kept as reference points only. They come from the real challenge data and
-# pretrained face features, and are not reproducible from synthetic worlds.
-REFERENCE_VERIFICATION_ACCURACY = {
-    "Average": 0.736,
-    "BB": 0.664,
-    "SIBS": 0.760,
-    "SS": 0.653,
-    "FD": 0.769,
-    "FS": 0.801,
-    "MD": 0.767,
-    "MS": 0.782,
-    "GFGD": 0.700,
-    "GFGS": 0.734,
-    "GMGD": 0.639,
-    "GMGS": 0.603,
-}
-REFERENCE_TRI_ACCURACY = {"Average": 0.73, "FMD": 0.72, "FMS": 0.74}
-REFERENCE_RELATION_PREDICTION_ACCURACY = 0.65
-
-
 class Scorer(enum.Enum):
     COMPARATOR = "comparator"
     COSINE = "cosine"
@@ -299,10 +278,6 @@ class HistogramTable:
     kin_counts: np.ndarray
     nonkin_counts: np.ndarray
 
-    @property
-    def n_bins(self) -> int:
-        return len(self.kin_counts)
-
     def overlap(self) -> float:
         """Sum over bins of the smaller per-class frequency; 0 disjoint, 1 equal."""
         kin_total = self.kin_counts.sum()
@@ -323,7 +298,6 @@ def histogram(
     scored: list[ScoredPair],
     n_bins: int = 50,
     value_range: tuple[float, float] = (0.0, 1.0),
-    relations: set[KinshipRelation] | None = None,
 ) -> HistogramTable:
     """Per-bin kin and nonkin counts over a fixed linear range.
 
@@ -332,10 +306,7 @@ def histogram(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be at least 1, got {n_bins}")
-    scores, rel, is_kin = _columns(scored)
-    if relations is not None:
-        keep = np.isin(rel, [relation_index(r) for r in relations])
-        scores, is_kin = scores[keep], is_kin[keep]
+    scores, _, is_kin = _columns(scored)
     if scores.size == 0:
         raise ValueError("cannot build a histogram from no scores")
     lo, hi = value_range

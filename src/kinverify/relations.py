@@ -50,7 +50,6 @@ class KinshipRelation(enum.Enum):
 
 
 RELATION_ORDER: tuple[KinshipRelation, ...] = tuple(KinshipRelation)
-N_RELATIONS = len(RELATION_ORDER)
 CANONICAL_RELATION_CODES = tuple(r.value for r in RELATION_ORDER)
 
 _INDEX = {relation: i for i, relation in enumerate(RELATION_ORDER)}

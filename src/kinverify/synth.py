@@ -81,7 +81,7 @@ class SynthConfig:
     parent_blend: str = "mean"  # "mean" or "convex"
     seed: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
         if not 1 <= self.identity_dims <= self.dim:
@@ -141,22 +141,6 @@ def expression_mask(config: SynthConfig, rng: np.random.Generator) -> np.ndarray
     return mask
 
 
-def make_person(
-    gender: Gender,
-    parent_mean: np.ndarray | None,
-    gender_axis: np.ndarray,
-    config: SynthConfig,
-    rng: np.random.Generator,
-    flip_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw one unit-norm embedding from the latent model: ``_latent`` of one row."""
-    parent_means = None if parent_mean is None else np.asarray(parent_mean, dtype=np.float64)[None]
-    male = np.array([gender is Gender.MALE])
-    noise = rng.standard_normal((1, config.identity_dims))
-    vecs, _ = _latent(noise, parent_means, male, gender_axis, config, flip_mask)
-    return vecs[0]
-
-
 def _latent(
     noise: np.ndarray,
     parent_mean: np.ndarray | None,
@@ -208,7 +192,6 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     sets pair every kin (father, mother, child) triple with one nonkin
     triple whose child is swapped cross-family.
     """
-    config.validate()
     axis_rng = derive_rng(config.seed, STREAM_GENDER_AXIS)
     gender_axis = axis_rng.standard_normal(config.dim)
     gender_axis /= np.linalg.norm(gender_axis)
@@ -284,7 +267,7 @@ def generate_world(config: SynthConfig) -> SynthWorld:
         matrix[rows], identity[rows] = _latent(
             noise[rows], parent_mean, male[rows], gender_axis, config, flip_mask
         )
-    store = EmbeddingStore._from_matrix(refs, matrix)
+    store = EmbeddingStore(refs, matrix)
 
     ids = store.person_ids
     pool = np.array([row for s in SPLITS for row in split_children[s]], dtype=np.intp)

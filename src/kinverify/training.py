@@ -39,7 +39,6 @@ from .comparator import (
     hidden_layer_plan,
     init_params,
     prelu_slope_grad,
-    stable_sigmoid,
     stable_softmax,
 )
 from .data import (
@@ -148,19 +147,18 @@ class AdamState:
         return cls(param, grad, m, v, _flat_views(grad, layout), chunks, work)
 
 
-def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element binary cross-entropy on logits, with its gradient.
+def bce_loss(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-element binary cross-entropy on logits.
 
     loss = softplus(logit) - target * logit, the stable rewrite of
-    -[t log s(l) + (1-t) log(1 - s(l))]; gradient is sigmoid(logit) - target.
-    Stays finite at arbitrary saturation.
+    -[t log s(l) + (1-t) log(1 - s(l))]. Stays finite at arbitrary
+    saturation. Its gradient, sigmoid(logit) - target, is taken in
+    ``backward`` from the trace's probabilities.
     """
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))
-    loss = softplus - targets * logits
-    grad = stable_sigmoid(logits) - targets
-    return loss, grad
+    return softplus - targets * logits
 
 
 def backward(
@@ -323,9 +321,9 @@ def _macro_accuracy_curve(params, features, rel_idx, targets):
 def _epochs(state, train_config, epoch_data, step, l2_lambda):
     """The epoch loop shared by ``train`` and ``train_attention``.
 
-    For each epoch ``epoch_data(epoch)`` returns the row count n and a
-    function that takes the epoch's seeded shuffle (a permutation of n) to
-    the arrays to train on. Each batch of rows goes through ``step``, which
+    For each epoch ``epoch_data(epoch)`` returns the arrays to train on,
+    aligned row for row; they are shuffled together by the epoch's seeded
+    permutation of their rows. Each batch of rows goes through ``step``, which
     writes the gradients into ``state.grads`` and returns the batch loss,
     then through one ADAM update with an L2 factor of ``l2_lambda``, whose
     penalty joins the batch loss. Yields (epoch, lr, batch losses) after
@@ -334,11 +332,12 @@ def _epochs(state, train_config, epoch_data, step, l2_lambda):
     """
     tc = train_config
     for epoch in range(1, tc.epochs + 1):
-        n, gather = epoch_data(epoch)
-        arrays = gather(derive_rng(tc.seed, STREAM_SHUFFLE, epoch).permutation(n))
+        arrays = epoch_data(epoch)
+        order = derive_rng(tc.seed, STREAM_SHUFFLE, epoch).permutation(len(arrays[0]))
+        arrays = [a[order] for a in arrays]
         lr = tc.lr_for_epoch(epoch)
         losses = []
-        for start in range(0, n, tc.batch_size):
+        for start in range(0, len(order), tc.batch_size):
             loss, _ = step(*(a[start : start + tc.batch_size] for a in arrays))
             penalty = adam_step(
                 state, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps,
@@ -356,7 +355,7 @@ def _expert_step(params, grads, dropout_rng, matrix, rows1, rows2, rel_idx, targ
     """
     features = _gather_features(matrix, rows1, rows2)
     _, trace = forward(params, features, mode="train", rng=dropout_rng, positions=rel_idx)
-    losses, _ = bce_loss(trace.logits, targets)
+    losses = bce_loss(trace.logits, targets)
     return float(losses.mean()), backward(trace, params, rel_idx, targets, grads)
 
 
@@ -418,9 +417,7 @@ def train(
 
     def epoch_data(epoch):
         partners = np.concatenate([rows2, draw_nonkin(derive_rng(seed, STREAM_RESAMPLE, epoch))])
-        return len(rows1), lambda order: (
-            rows1[order], partners[order], rel_idx[order], targets[order]
-        )
+        return rows1, partners, rel_idx, targets
 
     step = partial(
         _expert_step, params, state.grads, derive_rng(seed, STREAM_DROPOUT), store.matrix
@@ -454,7 +451,7 @@ def train_attention(
     state = AdamState.init_like(params, keys=params.attention_keys())
 
     def epoch_data(epoch):
-        return len(rel_idx), lambda order: (features[order], rel_idx[order])
+        return features, rel_idx
 
     step = partial(_attention_step, params, state.grads)
     for _ in _epochs(state, train_config, epoch_data, step, 0.0):
@@ -479,7 +476,7 @@ def finite_difference_grads(
     def loss_at(p: ComparatorParams) -> float:
         _, trace = forward(p, features, mode="eval")
         sel = trace.logits[np.arange(len(rel_idx)), rel_idx]
-        losses, _ = bce_loss(sel, targets)
+        losses = bce_loss(sel, targets)
         return float(losses.mean())
 
     grads: GradientSet = {}

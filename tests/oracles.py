@@ -286,7 +286,7 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
             _, trace = forward(
                 params, features[batch], mode="train", rng=dropout_rng, positions=rel_idx[batch]
             )
-            loss, _ = bce_loss(trace.logits, targets[batch])
+            loss = bce_loss(trace.logits, targets[batch])
             grads = backward_zero_filled(trace, params, rel_idx[batch], targets[batch])
             reg, grads = l2_penalty(params, tc.l2_lambda, tc.l2_includes_biases, grads=grads)
             lr = tc.lr_for_epoch(epoch)
@@ -335,10 +335,10 @@ def load_embeddings_loop(path):
             raise DataFormatError(f"{path}, line {lineno}: non-finite embedding value")
         seen.add(parts[0])
         rows.append((PersonRef(parts[0], parts[1], gender), values))
-    return EmbeddingStore(dim, rows)
+    return EmbeddingStore([ref for ref, _ in rows], np.array([v for _, v in rows]).reshape(-1, dim))
 
 
-def make_person_scalar(male, noise, parent_mean, gender_axis, config, flip_mask):
+def latent_scalar(male, noise, parent_mean, gender_axis, config, flip_mask):
     """One person's (embedding, identity), one vector at a time, as ``synth`` once computed them."""
     k = config.identity_dims
     scale = config.noise_weight if parent_mean is not None else config.founder_scale * config.noise_weight

@@ -210,10 +210,13 @@ def test_eval_calibrate_stores_threshold(model_dir, world_dir, tmp_path):
     assert report[0] == "relation,accuracy,count"
     assert report[-1].startswith("macro,")
 
+    from kinverify.config import sha256_file
     from kinverify.model_io import load_model
 
     params = load_model(model_dir / "model.kinc")
     assert params.threshold is not None
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"]["model.kinc"] == sha256_file(model_dir / "model.kinc")
 
 
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
@@ -234,6 +237,8 @@ def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
     )
     assert code == 0
     assert "per-relation thresholds" in capsys.readouterr().out
+    # the model file is left as it was, so the manifest lists only the report
+    assert list(json.loads((out / "manifest.json").read_text())["artifacts"]) == ["report.csv"]
 
 
 def test_verify_uses_stored_threshold(model_dir, world_dir, capsys):
@@ -309,6 +314,9 @@ def test_histogram_command(model_dir, world_dir, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,kin,nonkin"
     assert len(lines) == 51
+    pair_lines = (world_dir / "pairs_val.csv").read_text().splitlines()[1:]
+    kept = sum(line.split(",")[2] in ("FD", "MS", "SIBS") for line in pair_lines)
+    assert sum(int(n) for line in lines[1:] for n in line.split(",")[2:]) == kept
 
 
 @pytest.mark.parametrize("value", ["1", "a,b"])

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import tempfile
@@ -38,14 +39,23 @@ from oracles import resample_nonkin_loop
 
 
 def small_store():
-    rows = [
-        (PersonRef("a", "f1", Gender.MALE), np.array([1.0, 0.0, 0.0, 0.0])),
-        (PersonRef("b", "f1", Gender.FEMALE), np.array([0.0, 1.0, 0.0, 0.0])),
-        (PersonRef("c", "f2", Gender.FEMALE), np.array([0.0, 0.0, 1.0, 0.0])),
-        (PersonRef("d", "f2", Gender.MALE), np.array([0.5, 0.5, 0.0, 0.0])),
-        (PersonRef("e", "f3", Gender.FEMALE), np.array([0.25, 0.1, 0.3, 1.0])),
+    refs = [
+        PersonRef("a", "f1", Gender.MALE),
+        PersonRef("b", "f1", Gender.FEMALE),
+        PersonRef("c", "f2", Gender.FEMALE),
+        PersonRef("d", "f2", Gender.MALE),
+        PersonRef("e", "f3", Gender.FEMALE),
     ]
-    return EmbeddingStore(4, rows)
+    matrix = np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0],
+            [0.25, 0.1, 0.3, 1.0],
+        ]
+    )
+    return EmbeddingStore(refs, matrix)
 
 
 def test_concat_features():
@@ -91,14 +101,12 @@ edge_floats = st.one_of(
 def stores(draw):
     dim = draw(st.integers(1, 4))
     pids = draw(st.lists(clean_ids, max_size=6, unique=True))
-    rows = [
-        (
-            PersonRef(pid, draw(clean_ids.filter(bool)), draw(st.sampled_from(list(Gender)))),
-            np.array(draw(st.lists(edge_floats, min_size=dim, max_size=dim))),
-        )
+    refs = [
+        PersonRef(pid, draw(clean_ids.filter(bool)), draw(st.sampled_from(list(Gender))))
         for pid in pids
     ]
-    return EmbeddingStore(dim, rows)
+    values = draw(st.lists(edge_floats, min_size=dim * len(pids), max_size=dim * len(pids)))
+    return EmbeddingStore(refs, np.array(values).reshape(len(pids), dim))
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,7 +129,7 @@ def test_store_rejects_separator_ids(head, sep, tail, as_family):
     bad = head + sep + tail
     ref = PersonRef("p", bad, Gender.MALE) if as_family else PersonRef(bad, "f", Gender.MALE)
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        EmbeddingStore(1, [(ref, np.zeros(1))])
+        EmbeddingStore([ref], np.zeros((1, 1)))
 
 
 adversarial_ids = st.text(
@@ -141,7 +149,7 @@ def labeled_sets(draw):
         PersonRef(pid, draw(st.sampled_from(families)), draw(st.sampled_from(list(Gender))))
         for pid in pids
     ]
-    store = EmbeddingStore(1, [(ref, np.zeros(1)) for ref in refs])
+    store = EmbeddingStore(refs, np.zeros((len(refs), 1)))
 
     def label(a, b):
         return PairLabel.KIN if a.family_id == b.family_id else PairLabel.NONKIN
@@ -422,13 +430,13 @@ def test_tri_roundtrip_and_validation(tmp_path):
         )
     )
     # need a child in f1: build a custom store
-    rows = [
-        (PersonRef("a", "f1", Gender.MALE), np.ones(2)),
-        (PersonRef("b", "f1", Gender.FEMALE), np.ones(2)),
-        (PersonRef("b2", "f1", Gender.MALE), np.ones(2)),
-        (PersonRef("x", "f2", Gender.MALE), np.ones(2)),
+    refs = [
+        PersonRef("a", "f1", Gender.MALE),
+        PersonRef("b", "f1", Gender.FEMALE),
+        PersonRef("b2", "f1", Gender.MALE),
+        PersonRef("x", "f2", Gender.MALE),
     ]
-    store = EmbeddingStore(2, rows)
+    store = EmbeddingStore(refs, np.ones((4, 2)))
     path = tmp_path / "tri.csv"
     save_tri(tris, path)
     loaded = load_tri(path, store)
@@ -502,11 +510,8 @@ def test_resample_nonkin_determinism_and_epoch_variation(tiny_world):
 
 
 def test_resample_nonkin_no_candidates():
-    rows = [
-        (PersonRef("a", "f1", Gender.MALE), np.ones(2)),
-        (PersonRef("b", "f1", Gender.FEMALE), np.ones(2)),
-    ]
-    store = EmbeddingStore(2, rows)
+    refs = [PersonRef("a", "f1", Gender.MALE), PersonRef("b", "f1", Gender.FEMALE)]
+    store = EmbeddingStore(refs, np.ones((2, 2)))
     kin = PairSet((KinPair("a", "b", KinshipRelation.FD, PairLabel.KIN),))
     with pytest.raises(ValueError, match="FD"):
         resample_nonkin(kin, store, 0, 1)
@@ -523,12 +528,9 @@ def nonkin_worlds(draw):
             max_size=14,
         )
     )
-    rows = [
-        (PersonRef(f"p{i}", f"fam{family}", gender), np.full(2, float(i)))
-        for i, (family, gender) in enumerate(people)
-    ]
-    store = EmbeddingStore(2, rows)
-    person = st.integers(0, len(rows) - 1)
+    refs = [PersonRef(f"p{i}", f"fam{family}", gender) for i, (family, gender) in enumerate(people)]
+    store = EmbeddingStore(refs, np.outer(np.arange(len(refs)), np.ones(2)))
+    person = st.integers(0, len(refs) - 1)
     picks = st.tuples(person, person, st.sampled_from(KinshipRelation))
     kin = PairSet(
         tuple(
@@ -596,12 +598,12 @@ def test_train_raises_the_empty_pool_error():
     from kinverify.comparator import ComparatorConfig
     from kinverify.training import TrainConfig, train
 
-    rows = [
-        (PersonRef("a", "f1", Gender.MALE), np.ones(2)),
-        (PersonRef("b", "f1", Gender.FEMALE), np.ones(2)),
-        (PersonRef("c", "f2", Gender.MALE), np.ones(2)),
+    refs = [
+        PersonRef("a", "f1", Gender.MALE),
+        PersonRef("b", "f1", Gender.FEMALE),
+        PersonRef("c", "f2", Gender.MALE),
     ]
-    store = EmbeddingStore(2, rows)
+    store = EmbeddingStore(refs, np.ones((3, 2)))
     kin = PairSet((KinPair("a", "b", KinshipRelation.FD, PairLabel.KIN),))
     message = "no eligible nonkin partner for relation FD outside family 'f1'"
     with pytest.raises(ValueError) as exc:
@@ -615,14 +617,49 @@ def test_train_raises_the_empty_pool_error():
 def test_store_rejects_duplicates_and_bad_shapes():
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingStore(
-            2,
-            [
-                (PersonRef("a", "f1", Gender.MALE), np.ones(2)),
-                (PersonRef("a", "f2", Gender.MALE), np.ones(2)),
-            ],
+            [PersonRef("a", "f1", Gender.MALE), PersonRef("a", "f2", Gender.MALE)], np.ones((2, 2))
         )
     with pytest.raises(ValueError, match="shape"):
-        EmbeddingStore(2, [(PersonRef("a", "f1", Gender.MALE), np.ones(3))])
+        EmbeddingStore([PersonRef("a", "f1", Gender.MALE)], np.ones(3))
+
+
+def test_store_rejects_matrices_of_the_wrong_shape():
+    refs = [PersonRef("a", "f1", Gender.MALE), PersonRef("b", "f1", Gender.FEMALE)]
+    # not 2-D, a row count other than len(refs), no columns
+    for matrix in (np.ones((2, 2, 1)), np.ones((3, 2)), np.ones((2, 0))):
+        with pytest.raises(ValueError, match="shape"):
+            EmbeddingStore(refs, matrix)
+
+
+def test_store_takes_the_matrix_over_read_only():
+    matrix = np.ones((1, 2))
+    store = EmbeddingStore([PersonRef("a", "f1", Gender.MALE)], matrix)
+    assert store.matrix is matrix
+    assert not matrix.flags.writeable
+
+
+# a row with one fault, its embedding value and the message it gets, after a good row "a"
+STORE_FAULTS = {
+    "non-finite": (
+        PersonRef("b", "f1", Gender.MALE), np.nan, "embedding for 'b' has non-finite entries"
+    ),
+    "duplicate": (PersonRef("a", "f2", Gender.MALE), 0.0, "duplicate person_id 'a'"),
+    "empty-family": (PersonRef("c", "", Gender.MALE), 0.0, "person 'c' has an empty family_id"),
+    "separator": (
+        PersonRef("d,x", "f1", Gender.MALE),
+        0.0,
+        "person_id 'd,x' contains a CSV field or line separator",
+    ),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(STORE_FAULTS, 2))
+def test_store_names_the_first_bad_row(first, second):
+    (ref1, value1, message), (ref2, value2, _) = STORE_FAULTS[first], STORE_FAULTS[second]
+    refs = [PersonRef("a", "f1", Gender.MALE), ref1, ref2]
+    with pytest.raises(ValueError) as exc:
+        EmbeddingStore(refs, np.array([[0.0], [value1], [value2]]))
+    assert str(exc.value) == message
 
 
 csv_edits = st.lists(

@@ -217,7 +217,9 @@ def models(draw):
         sharing=draw(st.sampled_from(SharingMode)),
         relations=tuple(codes[: draw(st.integers(1, 3))]),
     )
-    params = init_params(config, seed=0, with_attention=draw(st.booleans()))
+    params = init_params(config, seed=0)
+    if draw(st.booleans()):
+        params = add_attention_head(params)
     palette = draw(
         st.lists(
             st.sampled_from(ADVERSARIAL) | st.floats(allow_nan=False, allow_infinity=False),

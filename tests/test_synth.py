@@ -14,7 +14,7 @@ from kinverify.evaluation import (
 )
 from kinverify.relations import Gender, KinshipRelation
 from kinverify.seeding import STREAM_GENDER_AXIS, derive_rng
-from kinverify.synth import SPLITS, SynthConfig, expression_mask, generate_world, make_person
+from kinverify.synth import SPLITS, SynthConfig, _latent, expression_mask, generate_world
 
 from conftest import TINY_SYNTH
 
@@ -42,36 +42,40 @@ def axis_and_mask(config):
     return axis, expression_mask(config, rng)
 
 
-def test_make_person_noise_free_founders():
+def test_latent_noise_free_founders():
     config = SynthConfig(noise_weight=0.0)
     axis, _ = axis_and_mask(config)
-    rng = np.random.default_rng(0)
-    m1 = make_person(Gender.MALE, None, axis, config, rng)
-    m2 = make_person(Gender.MALE, None, axis, config, rng)
-    f1 = make_person(Gender.FEMALE, None, axis, config, rng)
+    noise = np.random.default_rng(0).standard_normal((3, config.identity_dims))
+    (m1, m2, f1), _ = _latent(noise, None, np.array([True, True, False]), axis, config, None)
     np.testing.assert_allclose(m1, m2, atol=1e-15)
     np.testing.assert_allclose(m1, axis, atol=1e-15)
     np.testing.assert_allclose(np.dot(m1, f1), -1.0, atol=1e-12)  # antipodal: distance 2
 
 
-def test_make_person_unit_norm():
+def test_latent_unit_norm():
     config = SynthConfig()
     axis, mask = axis_and_mask(config)
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        parent = rng.standard_normal(config.dim) * 0.3
-        v = make_person(Gender.FEMALE, parent, axis, config, rng, mask)
+    parents = rng.standard_normal((50, config.dim)) * 0.3
+    noise = rng.standard_normal((50, config.identity_dims))
+    vecs, _ = _latent(noise, parents, np.zeros(50, dtype=bool), axis, config, mask)
+    for v in vecs:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
-def test_make_person_gender_gap_monte_carlo():
+def test_latent_gender_gap_monte_carlo():
     # Unrelated founders: same-gender pairs must sit closer in cosine
     # distance than opposite-gender pairs (gender axis pulls them apart).
     config = SynthConfig()
     axis, mask = axis_and_mask(config)
     rng = np.random.default_rng(11)
-    males = [make_person(Gender.MALE, None, axis, config, rng, mask) for _ in range(80)]
-    females = [make_person(Gender.FEMALE, None, axis, config, rng, mask) for _ in range(80)]
+    k = config.identity_dims
+    males, _ = _latent(
+        rng.standard_normal((80, k)), None, np.ones(80, dtype=bool), axis, config, mask
+    )
+    females, _ = _latent(
+        rng.standard_normal((80, k)), None, np.zeros(80, dtype=bool), axis, config, mask
+    )
     same, opposite = [], []
     for i in range(40):
         same.append(1.0 - np.dot(males[2 * i], males[2 * i + 1]))
@@ -205,15 +209,15 @@ def test_gender_bias_overlap_gap(default_world):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SynthConfig(dim=1).validate()
+        SynthConfig(dim=1)
     with pytest.raises(ValueError):
-        SynthConfig(children_choices=(1,)).validate()
+        SynthConfig(children_choices=(1,))
     with pytest.raises(ValueError):
-        SynthConfig(heritability=-0.1).validate()
+        SynthConfig(heritability=-0.1)
     with pytest.raises(ValueError):
-        SynthConfig(identity_dims=100).validate()
+        SynthConfig(identity_dims=100)
     with pytest.raises(ValueError):
-        SynthConfig(parent_blend="nope").validate()
+        SynthConfig(parent_blend="nope")
 
 
 def test_convex_blend_mode():
@@ -256,7 +260,7 @@ def test_nonkin_tris_without_cross_family_child():
         ("c0", "f1", Gender.MALE),
         ("c1", "f2", Gender.FEMALE),
     ]
-    store = EmbeddingStore(2, [(PersonRef(p, fam, g), np.ones(2)) for p, fam, g in people])
+    store = EmbeddingStore([PersonRef(*person) for person in people], np.ones((len(people), 2)))
     pool = np.array([store.row("c0"), store.row("c1")])
     kin = [TriSample("f", "m", "c0", Gender.MALE, PairLabel.KIN)]
     with pytest.raises(ValueError, match="no cross-family child of gender M"):
@@ -325,7 +329,7 @@ def test_synthesis_bytes_are_pinned(blend, tmp_path):
 )
 def test_latent_rows_match_one_person_at_a_time(dims, n, founders, masked, seed):
     from kinverify.synth import _latent
-    from oracles import make_person_scalar
+    from oracles import latent_scalar
 
     dim, k = dims
     config = SynthConfig(dim=dim, identity_dims=k, parent_blend="convex")
@@ -338,6 +342,6 @@ def test_latent_rows_match_one_person_at_a_time(dims, n, founders, masked, seed)
     vecs, identities = _latent(noise, parent_mean, male, axis, config, mask)
     for i in range(n):
         pm = None if founders else parent_mean[i]
-        vec, identity = make_person_scalar(male[i], noise[i], pm, axis, config, mask)
+        vec, identity = latent_scalar(male[i], noise[i], pm, axis, config, mask)
         assert vecs[i].tobytes() == vec.tobytes()
         assert identities[i].tobytes() == identity.tobytes()

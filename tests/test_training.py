@@ -52,17 +52,14 @@ def rand_params(config, seed, spread=0.3):
 
 
 def test_bce_loss_values():
-    loss, grad = bce_loss(np.array([0.0]), np.array([1.0]))
+    loss = bce_loss(np.array([0.0]), np.array([1.0]))
     assert loss[0] == pytest.approx(np.log(2.0))
-    assert grad[0] == pytest.approx(-0.5)
-    loss, grad = bce_loss(np.array([0.0]), np.array([0.0]))
+    loss = bce_loss(np.array([0.0]), np.array([0.0]))
     assert loss[0] == pytest.approx(np.log(2.0))
-    assert grad[0] == pytest.approx(0.5)
-    loss, grad = bce_loss(np.array([50.0]), np.array([1.0]))
+    loss = bce_loss(np.array([50.0]), np.array([1.0]))
     assert 0.0 <= loss[0] < 1e-20
-    assert abs(grad[0]) < 1e-20
-    loss, grad = bce_loss(np.array([-800.0, 800.0]), np.array([1.0, 0.0]))
-    assert np.isfinite(loss).all() and np.isfinite(grad).all()
+    loss = bce_loss(np.array([-800.0, 800.0]), np.array([1.0, 0.0]))
+    assert np.isfinite(loss).all()
 
 
 def test_l2_penalty():
