@@ -41,7 +41,6 @@ from .data import (
     save_tri,
 )
 from .evaluation import (
-    Direction,
     EvaluationReport,
     HistogramTable,
     Objective,

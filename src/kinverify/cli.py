@@ -1,8 +1,9 @@
 """Command-line entry point wiring the library into reproducible runs.
 
-Exit codes: 0 success, 1 validation or data failure, 2 usage error. Every
-subcommand that writes files also writes a manifest.json with the resolved
-config, the seed and a checksum per artifact.
+Exit codes: 0 success, 1 validation, data, file or numeric failure (one
+``error:`` line on stderr), 2 usage error. Every subcommand that writes
+files also writes a manifest.json with the resolved config, the seed and a
+checksum per artifact.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .comparator import (
     score_unknown,
     verify,
 )
-from .config import ConfigError, RunConfig, parse_config, write_manifest
+from .config import RunConfig, parse_config, write_manifest
 from .data import (
-    DataFormatError,
     EmbeddingStore,
     KinPair,
     PairSet,
@@ -40,7 +40,6 @@ from .data import (
     validate_tri,
 )
 from .evaluation import (
-    Direction,
     Objective,
     Scorer,
     accuracy_report,
@@ -53,7 +52,7 @@ from .evaluation import (
     score_pairs,
     tri_score,
 )
-from .model_io import ModelFormatError, load_model, save_model
+from .model_io import load_model, save_model
 from .relations import KinshipRelation
 from .synth import SPLITS, generate_world, save_pedigree
 from .training import gradcheck, train, train_attention
@@ -66,10 +65,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
 
 
-def _run_config(args: argparse.Namespace, extra: dict | None = None) -> RunConfig:
-    overrides: dict = {"seed": args.seed}
-    overrides.update(extra or {})
-    return parse_config(getattr(args, "config", None), overrides)
+def _run_config(args: argparse.Namespace, extra: dict) -> RunConfig:
+    return parse_config(args.config, {"seed": args.seed, **extra})
 
 
 def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
@@ -170,7 +167,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
     elif threshold is None:
         raise ValueError("model has no stored threshold; pass --calibrate or --threshold")
-    report = accuracy_report(scored, threshold, Direction.HIGHER_IS_KIN, include_auc=args.auc)
+    report = accuracy_report(scored, threshold, include_auc=args.auc)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
@@ -216,6 +213,8 @@ def _value_range(text: str) -> tuple[float, float]:
         lo, hi = map(float, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers lo,hi, got {text!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"lo and hi must be finite, got {text!r}")
     return lo, hi
 
 
@@ -395,9 +394,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, DataFormatError, ModelFormatError, ValueError, KeyError,
-            FileNotFoundError) as exc:
+        # forward raises FloatingPointError on a non-finite value itself, so numpy's
+        # overflow warnings on the way there would only add lines before the error line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
+    # ConfigError, DataFormatError and ModelFormatError are ValueErrors
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -3,7 +3,9 @@
 The resolved configuration is echoed into every run manifest so a run can
 be replayed from its manifest alone. Unknown keys are rejected by name
 rather than ignored; a typo that silently falls back to a default would
-invalidate a whole experiment.
+invalidate a whole experiment. Numbers must be finite. Each default has
+one home: the synth and train sections take theirs from the library's
+config classes.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 from typing import Any
@@ -36,11 +39,9 @@ def _section(name: str, library: type, leave_out: set[str]) -> type:
     )
 
 
-# The seed comes from the top level; ADAM's betas and eps stay at the paper's values.
+# The seed comes from the top level.
 SynthSection = _section("SynthSection", SynthConfig, {"seed"})
-TrainSection = _section(
-    "TrainSection", TrainConfig, {"seed", "adam_beta1", "adam_beta2", "adam_eps"}
-)
+TrainSection = _section("TrainSection", TrainConfig, {"seed"})
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,16 @@ def _coerce(value: Any, annotation: str, key: str) -> Any:
         types, what = _SCALARS[annotation]
         if not isinstance(value, types) or (isinstance(value, bool) and annotation != "bool"):
             raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
-        return float(value) if annotation == "float" else value
+        if annotation != "float":
+            return value
+        # json reads NaN, Infinity and 1e400 as floats, and a long integer may not fit one
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"config key '{key}' must be a finite number, got {value!r}")
+        return number
     # tuple[int, ...]
     if isinstance(value, (list, tuple)) and all(
         isinstance(v, int) and not isinstance(v, bool) for v in value

@@ -7,6 +7,12 @@ midpoints of consecutive distinct scores plus one sentinel below and above,
 which is exhaustively optimal among all real thresholds for either
 objective.
 
+Scores are higher-is-kin everywhere: a pair whose score is at or above the
+threshold is called kin (ties count as kin), and AUC ranks kin above
+nonkin. Cosine distances run the other way, so callers that calibrate or
+rank them pass the negated distances; negation is exact, so the midpoints,
+sentinels, accuracies and AUC are those of a lower-is-kin rule.
+
 Scored pairs cross the public boundary as ``list[ScoredPair]``; inside,
 every step runs on three aligned arrays (score, relation index, kin bit).
 """
@@ -36,11 +42,6 @@ class Objective(enum.Enum):
     MICRO = "micro"
 
 
-class Direction(enum.Enum):
-    HIGHER_IS_KIN = "higher"
-    LOWER_IS_KIN = "lower"
-
-
 @dataclass(frozen=True)
 class ScoredPair:
     pair: KinPair
@@ -57,7 +58,7 @@ def score_pairs(
 
     Comparator scores are each pair's selected expert probability from an
     eval-mode forward (higher means kin). Cosine scores are cosine
-    distances (lower means kin); calibration handles the direction.
+    distances (lower means kin); negate them before calibrating or ranking.
     """
     plist = list(pairs)
     if not plist:
@@ -103,18 +104,10 @@ def _first_appearance(rel: np.ndarray) -> np.ndarray:
     return present[np.argsort(first)]
 
 
-def _correct_counts(
-    kin: np.ndarray, non: np.ndarray, thresholds: np.ndarray, direction: Direction
-) -> np.ndarray:
-    kin_sorted = np.sort(kin)
-    non_sorted = np.sort(non)
-    if direction is Direction.HIGHER_IS_KIN:
-        kin_correct = kin.size - np.searchsorted(kin_sorted, thresholds, side="left")
-        non_correct = np.searchsorted(non_sorted, thresholds, side="left")
-    else:
-        kin_correct = np.searchsorted(kin_sorted, thresholds, side="right")
-        non_correct = non.size - np.searchsorted(non_sorted, thresholds, side="right")
-    return kin_correct + non_correct
+def _correct_counts(kin: np.ndarray, non: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Correct calls at each threshold: kin at or above it, nonkin below it."""
+    kin_correct = kin.size - np.searchsorted(np.sort(kin), thresholds, side="left")
+    return kin_correct + np.searchsorted(np.sort(non), thresholds, side="left")
 
 
 def _calibrate(
@@ -122,7 +115,6 @@ def _calibrate(
     is_kin: np.ndarray,
     rel: np.ndarray | None,
     objective: Objective,
-    direction: Direction = Direction.HIGHER_IS_KIN,
 ) -> tuple[float, float]:
     """Best cut over all candidate cuts, and its objective value.
 
@@ -139,7 +131,7 @@ def _calibrate(
         [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
     )
     if objective is Objective.MICRO:
-        correct = _correct_counts(scores[is_kin], scores[~is_kin], candidates, direction)
+        correct = _correct_counts(scores[is_kin], scores[~is_kin], candidates)
         values = correct / scores.size
     else:
         groups = _first_appearance(rel)
@@ -147,19 +139,17 @@ def _calibrate(
         for g in groups:
             mask = rel == g
             k, n = scores[mask & is_kin], scores[mask & ~is_kin]
-            acc_sum += _correct_counts(k, n, candidates, direction) / (k.size + n.size)
+            acc_sum += _correct_counts(k, n, candidates) / (k.size + n.size)
         values = acc_sum / groups.size
 
     best = int(np.argmax(values))  # argmax takes the first, i.e. smallest threshold
     return float(candidates[best]), float(values[best])
 
 
-def _auc(scores: np.ndarray, is_kin: np.ndarray, direction: Direction) -> float:
+def _auc(scores: np.ndarray, is_kin: np.ndarray) -> float:
     kin, non = scores[is_kin], scores[~is_kin]
     if kin.size == 0 or non.size == 0:
         raise ValueError("AUC needs both kin and nonkin samples")
-    if direction is Direction.LOWER_IS_KIN:
-        kin, non = -kin, -non
     values = np.concatenate([kin, non])
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
@@ -170,9 +160,7 @@ def _auc(scores: np.ndarray, is_kin: np.ndarray, direction: Direction) -> float:
 
 
 def calibrate_threshold(
-    scored: list[ScoredPair],
-    objective: Objective = Objective.MACRO,
-    direction: Direction = Direction.HIGHER_IS_KIN,
+    scored: list[ScoredPair], objective: Objective = Objective.MACRO
 ) -> tuple[float, float]:
     """Best single threshold over all candidate cuts, and its objective value.
 
@@ -181,13 +169,10 @@ def calibrate_threshold(
     broken toward the smallest threshold.
     """
     scores, rel, is_kin = _columns(scored)
-    return _calibrate(scores, is_kin, rel, objective, direction)
+    return _calibrate(scores, is_kin, rel, objective)
 
 
-def calibrate_per_relation(
-    scored: list[ScoredPair],
-    direction: Direction = Direction.HIGHER_IS_KIN,
-) -> dict[str, float]:
+def calibrate_per_relation(scored: list[ScoredPair]) -> dict[str, float]:
     """One threshold per relation, each micro-optimal on its own pairs.
 
     Extension beyond the published protocol, which calibrates a single
@@ -197,7 +182,7 @@ def calibrate_per_relation(
     thresholds = {}
     for g in _first_appearance(rel):
         mask = rel == g
-        cut, _ = _calibrate(scores[mask], is_kin[mask], None, Objective.MICRO, direction)
+        cut, _ = _calibrate(scores[mask], is_kin[mask], None, Objective.MICRO)
         thresholds[RELATION_ORDER[g].value] = cut
     return thresholds
 
@@ -215,7 +200,6 @@ class EvaluationReport:
     rows: tuple[ReportRow, ...]
     macro_accuracy: float
     threshold: float | dict[str, float]
-    direction: Direction
     missing: tuple[str, ...] = ()
 
     def save_csv(self, path: str | Path) -> None:
@@ -228,7 +212,6 @@ class EvaluationReport:
 def accuracy_report(
     scored: list[ScoredPair],
     threshold: float | dict[str, float],
-    direction: Direction = Direction.HIGHER_IS_KIN,
     include_auc: bool = False,
 ) -> EvaluationReport:
     """Per-relation accuracies at a fixed threshold, in canonical row order.
@@ -248,9 +231,7 @@ def accuracy_report(
         cut_of = np.zeros(len(RELATION_ORDER))
         cut_of[present] = [threshold[RELATION_ORDER[i].value] for i in present]
         cut = cut_of[rel]
-    # ties count as kin in both directions
-    kin = scores >= cut if direction is Direction.HIGHER_IS_KIN else scores <= cut
-    correct = kin == is_kin
+    correct = (scores >= cut) == is_kin  # ties count as kin
     hits = np.bincount(rel, weights=correct, minlength=len(RELATION_ORDER))
 
     rows: list[ReportRow] = []
@@ -259,7 +240,7 @@ def accuracy_report(
         if include_auc:
             mask = rel == i
             if is_kin[mask].any() and not is_kin[mask].all():
-                rel_auc = _auc(scores[mask], is_kin[mask], direction)
+                rel_auc = _auc(scores[mask], is_kin[mask])
         rows.append(
             ReportRow(RELATION_ORDER[i].value, float(hits[i] / counts[i]), int(counts[i]), rel_auc)
         )
@@ -267,7 +248,6 @@ def accuracy_report(
         rows=tuple(rows),
         macro_accuracy=float(np.mean([r.accuracy for r in rows])),
         threshold=threshold,
-        direction=direction,
         missing=tuple(r.value for r, c in zip(RELATION_ORDER, counts) if c == 0),
     )
 
@@ -295,9 +275,7 @@ class HistogramTable:
 
 
 def histogram(
-    scored: list[ScoredPair],
-    n_bins: int = 50,
-    value_range: tuple[float, float] = (0.0, 1.0),
+    scored: list[ScoredPair], n_bins: int, value_range: tuple[float, float]
 ) -> HistogramTable:
     """Per-bin kin and nonkin counts over a fixed linear range.
 
@@ -320,14 +298,14 @@ def histogram(
     return HistogramTable(edges=edges, kin_counts=kin_counts, nonkin_counts=nonkin_counts)
 
 
-def auc(scored: list[ScoredPair], direction: Direction = Direction.HIGHER_IS_KIN) -> float:
+def auc(scored: list[ScoredPair]) -> float:
     """Probability a random kin pair outranks a random nonkin pair.
 
     Computed from midrank sums, which equals the pairwise count with ties
     worth one half.
     """
     scores, _, is_kin = _columns(scored)
-    return _auc(scores, is_kin, direction)
+    return _auc(scores, is_kin)
 
 
 def score_tris(
@@ -384,12 +362,15 @@ def default_ablation_grid() -> tuple[AblationCell, ...]:
 
     One cell per row of the published parameter study: three alternative
     activations at the default dropout/size, four alternative dropout rates,
-    five alternative hidden sizes, then the default setting itself.
+    five alternative hidden sizes, then the default setting itself, which
+    is ``ComparatorConfig``'s default cell.
     """
-    cells = [AblationCell(a, 0.2, 192) for a in ("relu", "prelu", "tanh")]
-    cells += [AblationCell("lrelu", p, 192) for p in (0.0, 0.1, 0.3, 0.4)]
-    cells += [AblationCell("lrelu", 0.2, h) for h in (64, 128, 256, 512, 1024)]
-    cells.append(AblationCell("lrelu", 0.2, 192))
+    default = ComparatorConfig  # its class attributes are the defaults
+    act, p, h = default.activation.value, default.dropout_p, default.hidden
+    cells = [AblationCell(a, p, h) for a in ("relu", "prelu", "tanh")]
+    cells += [AblationCell(act, d, h) for d in (0.0, 0.1, 0.3, 0.4)]
+    cells += [AblationCell(act, p, n) for n in (64, 128, 256, 512, 1024)]
+    cells.append(AblationCell(act, p, h))
     return tuple(cells)
 
 

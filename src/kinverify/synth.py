@@ -91,13 +91,14 @@ class SynthConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.children_choices or min(self.children_choices) < 2:
             raise ValueError("children_choices must contain integers >= 2")
+        # written so that NaN fails them
         weights = (self.heritability, self.gender_weight, self.noise_weight)
-        if any(w < 0 for w in weights):
-            raise ValueError("latent weights must be non-negative")
-        if sum(weights) <= 0:
+        if not all(0 <= w < np.inf for w in weights):
+            raise ValueError("latent weights must be non-negative and finite")
+        if not sum(weights) > 0:
             raise ValueError("at least one latent weight must be positive")
-        if self.founder_scale <= 0:
-            raise ValueError("founder_scale must be positive")
+        if not 0 < self.founder_scale < np.inf:
+            raise ValueError("founder_scale must be positive and finite")
         if not 0.0 <= self.expression_flip_fraction <= 1.0:
             raise ValueError("expression_flip_fraction must lie in [0, 1]")
         if self.parent_blend not in ("mean", "convex"):

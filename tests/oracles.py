@@ -95,11 +95,12 @@ def auc_bruteforce(kin_scores, non_scores):
     return total / (len(kin_scores) * len(non_scores))
 
 
-def best_threshold_bruteforce(scores, is_kin, relations, objective, higher_is_kin=True):
+def best_threshold_bruteforce(scores, is_kin, relations, objective):
     """Best objective over every threshold, tried one partition at a time.
 
     The cuts are each distinct score plus one below the minimum and one
     above the maximum, so every split a threshold can make is visited.
+    Scores at or above the threshold are called kin.
     """
     scores = np.asarray(scores)
     is_kin = np.asarray(is_kin, dtype=bool)
@@ -107,8 +108,7 @@ def best_threshold_bruteforce(scores, is_kin, relations, objective, higher_is_ki
     masks = [np.asarray([r == rel for r in relations]) for rel in sorted(set(relations))]
     best = -1.0
     for t in cuts:
-        decided_kin = scores >= t if higher_is_kin else scores <= t
-        correct = decided_kin == is_kin
+        correct = (scores >= t) == is_kin
         if objective == "micro":
             value = correct.mean()
         else:
@@ -245,7 +245,9 @@ class TextbookAdam:
         self.v = {k: np.zeros_like(params.values[k]) for k in keys}
         self.t = 0
 
-    def step(self, params, grads, lr, beta1, beta2, eps):
+    def step(self, params, grads, lr):
+        from kinverify.training import ADAM_BETA1 as beta1, ADAM_BETA2 as beta2, ADAM_EPS as eps
+
         self.t += 1
         for name, g in grads.items():
             p, m, v = params.values[name], self.m[name], self.v[name]
@@ -290,7 +292,7 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
             grads = backward_zero_filled(trace, params, rel_idx[batch], targets[batch])
             reg, grads = l2_penalty(params, tc.l2_lambda, tc.l2_includes_biases, grads=grads)
             lr = tc.lr_for_epoch(epoch)
-            adam.step(params, grads, lr, tc.adam_beta1, tc.adam_beta2, tc.adam_eps)
+            adam.step(params, grads, lr)
             losses.append(float(loss.mean()) + reg)
         val = pairs_to_arrays(store, val_pairs, comp_config.relations)
         history.append((float(np.mean(losses)), _macro_accuracy_curve(params, *val)))

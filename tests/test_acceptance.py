@@ -23,7 +23,6 @@ from kinverify.comparator import (
 )
 from kinverify.data import KinPair, PairLabel, pairs_to_arrays
 from kinverify.evaluation import (
-    Direction,
     Objective,
     ScoredPair,
     Scorer,
@@ -233,7 +232,7 @@ def test_c06_gender_bias_reproduction(default_world, trained_default):
     seconds = cache["seconds"]
     scored = score_pairs(params, world.store, world.eval_pairs["val"])
     net_auc = auc(filter_relations(scored, OPPOSITE))
-    cos_auc = auc(filter_relations(cosine, OPPOSITE), Direction.LOWER_IS_KIN)
+    cos_auc = auc([ScoredPair(s.pair, -s.score) for s in filter_relations(cosine, OPPOSITE)])
     margin = net_auc - cos_auc
     check(
         "C6 gender-bias reproduction",

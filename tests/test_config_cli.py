@@ -1,11 +1,14 @@
 import json
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from kinverify.cli import main
 from kinverify.comparator import ComparatorConfig
-from kinverify.config import ConfigError, RunConfig, parse_config
+from kinverify.config import _SECTIONS, ConfigError, RunConfig, parse_config
+from kinverify.evaluation import AblationCell, default_ablation_grid
 from kinverify.synth import SynthConfig
 from kinverify.training import TrainConfig
 
@@ -98,6 +101,15 @@ def test_section_defaults_are_the_library_defaults():
     assert config.synth_config() == SynthConfig()
     assert config.train_config() == TrainConfig(seed=config.seed)
     assert config.comparator_config(input_dim=128) == ComparatorConfig(input_dim=128)
+    # the synth and train sections take every library field but the seed
+    for section, library in (("synth", SynthConfig), ("train", TrainConfig)):
+        names = [f.name for f in fields(library) if f.name != "seed"]
+        assert [f.name for f in fields(_SECTIONS[section])] == names
+    # the ablation grid's default cell is the comparator default
+    default = ComparatorConfig(128)
+    assert default_ablation_grid()[-1] == AblationCell(
+        default.activation.value, default.dropout_p, default.hidden
+    )
 
 
 SYNTH_ARGS = [
@@ -508,3 +520,66 @@ def test_eval_rejects_conflicting_threshold_flags(model_dir, world_dir, tmp_path
     assert "not allowed with argument" in capsys.readouterr().err
     assert model.read_bytes() == before
     assert not out.exists()
+
+
+def _one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert text in err
+
+
+@pytest.mark.parametrize(
+    "document,key",
+    [
+        ('{"train": {"lr_initial": NaN}}', "train.lr_initial"),
+        ('{"train": {"l2_lambda": Infinity}}', "train.l2_lambda"),
+        ('{"synth": {"heritability": -Infinity}}', "synth.heritability"),
+        ('{"model": {"dropout": 1e400}}', "model.dropout"),
+        ('{"train": {"lr_late": 1%s}}' % ("0" * 400), "train.lr_late"),
+    ],
+    ids=["nan", "infinity", "minus-infinity", "1e400", "long-integer"],
+)
+def test_config_rejects_non_finite_numbers(document, key, world_dir, tmp_path, capsys):
+    # json reads NaN, Infinity and 1e400 as floats; they stop at the config, not in training
+    path = tmp_path / "cfg.json"
+    path.write_text(document)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--data", str(world_dir), "--out", str(out)]) == 1
+    _one_error_line(capsys, f"config key '{key}' must be a finite number")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0,inf", "nan,1", "-inf,0"])
+def test_histogram_range_must_be_finite(value, world_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["histogram", "--embeddings", str(world_dir / "embeddings.csv"), "--pairs",
+              str(world_dir / "pairs_val.csv"), "--scorer", "cosine", f"--range={value}",
+              "--out", str(tmp_path / "h.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --range: lo and hi must be finite, got '{value}'" in err
+    assert "Traceback" not in err
+
+
+def test_file_and_numeric_failures_end_in_one_error_line(model_dir, world_dir, tmp_path, capsys):
+    small = ["--data", str(world_dir), "--epochs", "1", "--batch-size", "64", "--hidden", "4"]
+    # a directory given as the model file: IsADirectoryError
+    code = main(["verify", "--model", str(tmp_path), "--embeddings",
+                 str(world_dir / "embeddings.csv"), "--id1", "a", "--id2", "b", "--relation", "BB"])
+    assert code == 1
+    _one_error_line(capsys, "Is a directory")
+    # an existing file given as the output directory: FileExistsError
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    assert main(["train", *small, "--out", str(taken)]) == 1
+    _one_error_line(capsys, "File exists")
+    assert taken.read_text() == "x"
+    # a learning rate that makes training diverge: FloatingPointError, and no numpy warnings
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {"lr_initial": 1e300}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["train", *small, "--config", str(config), "--out", str(tmp_path / "run")])
+    assert code == 1
+    _one_error_line(capsys, "non-finite")

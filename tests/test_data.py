@@ -247,7 +247,6 @@ def test_writers_without_round_trip_write_pinned_bytes(tmp_path, monkeypatch):
     from kinverify.evaluation import (
         AblationCell,
         AblationResult,
-        Direction,
         EvaluationReport,
         HistogramTable,
         ReportRow,
@@ -258,8 +257,7 @@ def test_writers_without_round_trip_write_pinned_bytes(tmp_path, monkeypatch):
 
     third = 1.0 / 3.0
     report = EvaluationReport(
-        (ReportRow("BB", third, 3), ReportRow("FD", 1.0, 2, auc=0.5)), 0.6666666666666666, 0.5,
-        Direction.HIGHER_IS_KIN,
+        (ReportRow("BB", third, 3), ReportRow("FD", 1.0, 2, auc=0.5)), 0.6666666666666666, 0.5
     )
     report.save_csv(tmp_path / "report.csv")
     HistogramTable(np.linspace(0.0, 0.3, 4), np.array([1, 0, 2]), np.array([0, 5, 1])).save_csv(

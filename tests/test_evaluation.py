@@ -8,7 +8,6 @@ from kinverify.comparator import ComparatorConfig, forward, init_params
 from kinverify.data import EmbeddingStore, KinPair, PairLabel, PersonRef
 from kinverify.evaluation import (
     AblationCell,
-    Direction,
     Objective,
     ScoredPair,
     Scorer,
@@ -54,11 +53,10 @@ def columns(scored):
     return scores, is_kin, [s.pair.relation.value for s in scored]
 
 
-def recount(scored, cut, direction, objective):
+def recount(scored, cut, objective):
     """Objective value at ``cut`` by direct per-pair counting."""
     scores, is_kin, rels = columns(scored)
-    decided = scores >= cut if direction is Direction.HIGHER_IS_KIN else scores <= cut
-    correct = decided == is_kin
+    correct = (scores >= cut) == is_kin
     if objective is Objective.MICRO:
         return correct.mean()
     return np.mean([correct[[r == rel for r in rels]].mean() for rel in sorted(set(rels))])
@@ -92,23 +90,15 @@ def test_calibrate_single_class_rejected():
         calibrate_threshold(scored_from([0.5], []))
 
 
-def test_calibrate_lower_is_kin():
-    scored = scored_from([0.1, 0.2], [0.8, 0.9])
-    threshold, best = calibrate_threshold(scored, Objective.MICRO, Direction.LOWER_IS_KIN)
-    assert best == 1.0
-    assert 0.2 < threshold < 0.8
-
-
 @settings(max_examples=150, deadline=None)
-@given(scored_sets(), st.sampled_from(list(Objective)), st.sampled_from(list(Direction)))
-def test_calibrate_beats_bruteforce_grid(scored, objective, direction):
+@given(scored_sets(), st.sampled_from(list(Objective)))
+def test_calibrate_beats_bruteforce_grid(scored, objective):
     # The brute force visits every partition of the scores, so it is the true optimum.
     scores, is_kin, rels = columns(scored)
-    higher = direction is Direction.HIGHER_IS_KIN
-    threshold, achieved = calibrate_threshold(scored, objective, direction)
-    brute = best_threshold_bruteforce(scores, is_kin, rels, objective.value, higher)
+    threshold, achieved = calibrate_threshold(scored, objective)
+    brute = best_threshold_bruteforce(scores, is_kin, rels, objective.value)
     assert achieved == pytest.approx(brute, abs=1e-12)
-    assert recount(scored, threshold, direction, objective) == pytest.approx(achieved, abs=1e-12)
+    assert recount(scored, threshold, objective) == pytest.approx(achieved, abs=1e-12)
 
 
 def test_accuracy_report_toy_and_order():
@@ -129,9 +119,8 @@ def test_accuracy_report_toy_and_order():
     scored_sets(min_size=1),
     st.floats(-1.0, LATTICE),
     st.booleans(),
-    st.sampled_from(list(Direction)),
 )
-def test_accuracy_report_macro_is_mean_of_rows(scored, cut, per_relation, direction):
+def test_accuracy_report_macro_is_mean_of_rows(scored, cut, per_relation):
     rng = np.random.default_rng(3)
     fixed = []
     for relation in KinshipRelation:
@@ -145,7 +134,7 @@ def test_accuracy_report_macro_is_mean_of_rows(scored, cut, per_relation, direct
     threshold = cut
     if per_relation:
         threshold = {r.value: cut + 0.5 * i for i, r in enumerate(KinshipRelation)}
-    report = accuracy_report(scored, threshold, direction, include_auc=True)
+    report = accuracy_report(scored, threshold, include_auc=True)
     present = [r for r in KinshipRelation if any(s.pair.relation is r for s in scored)]
     assert [row.relation for row in report.rows] == [r.value for r in present]
     assert report.missing == tuple(r.value for r in KinshipRelation if r not in present)
@@ -154,15 +143,12 @@ def test_accuracy_report_macro_is_mean_of_rows(scored, cut, per_relation, direct
         rel_cut = threshold[row.relation] if per_relation else threshold
         hits = 0
         for s in mine:
-            kin = s.score >= rel_cut if direction is Direction.HIGHER_IS_KIN else s.score <= rel_cut
-            hits += kin == (s.pair.label is PairLabel.KIN)
+            hits += (s.score >= rel_cut) == (s.pair.label is PairLabel.KIN)
         assert row.count == len(mine)
         assert row.accuracy == hits / len(mine)
         kin_scores = [s.score for s in mine if s.pair.label is PairLabel.KIN]
         non_scores = [s.score for s in mine if s.pair.label is PairLabel.NONKIN]
         if kin_scores and non_scores:
-            if direction is Direction.LOWER_IS_KIN:
-                kin_scores, non_scores = [-x for x in kin_scores], [-x for x in non_scores]
             assert row.auc == auc_bruteforce(kin_scores, non_scores)
         else:
             assert row.auc is None
@@ -186,9 +172,9 @@ def test_histogram_counts():
 
 def test_histogram_rejects_bad_input():
     with pytest.raises(ValueError):
-        histogram([], n_bins=5)
+        histogram([], 5, (0.0, 1.0))
     with pytest.raises(ValueError):
-        histogram(scored_from([0.5], [0.5]), n_bins=0)
+        histogram(scored_from([0.5], [0.5]), 0, (0.0, 1.0))
     with pytest.raises(ValueError):
         histogram(scored_from([1.5], [0.5]), n_bins=5, value_range=(0.0, 1.0))
 
@@ -202,11 +188,10 @@ def test_auc_toy_cases():
 
 
 @settings(max_examples=150, deadline=None)
-@given(scored_sets(), st.sampled_from(list(Direction)))
-def test_auc_matches_bruteforce_exactly(scored, direction):
+@given(scored_sets())
+def test_auc_matches_bruteforce_exactly(scored):
     scores, is_kin, _ = columns(scored)
-    sign = 1.0 if direction is Direction.HIGHER_IS_KIN else -1.0
-    assert auc(scored, direction) == auc_bruteforce(sign * scores[is_kin], sign * scores[~is_kin])
+    assert auc(scored) == auc_bruteforce(scores[is_kin], scores[~is_kin])
 
 
 def test_auc_monotone_invariance():
@@ -216,8 +201,6 @@ def test_auc_monotone_invariance():
     base = auc(scored_from(kin, non))
     transformed = auc(scored_from(np.exp(3 * kin), np.exp(3 * non)))
     assert base == transformed
-    flipped = auc(scored_from(-kin, -non), Direction.LOWER_IS_KIN)
-    assert flipped == base
 
 
 def test_score_pairs_zero_params(tiny_world):

@@ -1,4 +1,5 @@
-"""Every module-qualified name that README.md puts in backticks exists in the library."""
+"""README.md matches the library: its backticked module-qualified names exist, and its
+config-key table lists each config section's keys in order."""
 
 import importlib
 import pkgutil
@@ -38,3 +39,23 @@ def test_readme_names_resolve():
     names = readme_names()
     assert "training.CHUNK" in names  # the scan finds the names it is meant to check
     assert [n for n in names if not resolves(n)] == []
+
+
+def readme_config_rows() -> dict[str, list[str]]:
+    """Section -> keys of README's config-key table, parenthesized value lists left out."""
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        match = re.fullmatch(r"\| `(\w+)`\s*\| (.*) \|", line)
+        if match:
+            keys = re.sub(r"\([^)]*\)", "", match.group(2))
+            rows[match.group(1)] = re.findall(r"`(\w+)`", keys)
+    return rows
+
+
+def test_readme_config_table_lists_every_section_key():
+    from dataclasses import fields
+
+    from kinverify.config import _SECTIONS
+
+    expected = {name: [f.name for f in fields(cls)] for name, cls in _SECTIONS.items()}
+    assert readme_config_rows() == expected

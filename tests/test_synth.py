@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from kinverify.data import PairLabel
 from kinverify.evaluation import (
-    Direction,
     Objective,
+    ScoredPair,
     Scorer,
     calibrate_threshold,
     filter_relations,
@@ -201,8 +201,8 @@ def test_gender_bias_overlap_gap(default_world):
     same = {KinshipRelation.FS, KinshipRelation.MD, KinshipRelation.BB, KinshipRelation.SS}
     overlaps = {}
     for name, group in (("opposite", opposite), ("same", same)):
-        subset = filter_relations(scored, group)
-        _, acc = calibrate_threshold(subset, Objective.MICRO, Direction.LOWER_IS_KIN)
+        subset = [ScoredPair(s.pair, -s.score) for s in filter_relations(scored, group)]
+        _, acc = calibrate_threshold(subset, Objective.MICRO)
         overlaps[name] = 1.0 - acc
     assert overlaps["opposite"] > overlaps["same"]
 
@@ -218,6 +218,12 @@ def test_config_validation():
         SynthConfig(identity_dims=100)
     with pytest.raises(ValueError):
         SynthConfig(parent_blend="nope")
+    nan = float("nan")
+    for bad in ({"heritability": nan}, {"gender_weight": float("inf")},
+                {"heritability": nan, "gender_weight": nan, "noise_weight": nan},
+                {"founder_scale": nan}):
+        with pytest.raises(ValueError):
+            SynthConfig(**bad)
 
 
 def test_convex_blend_mode():
