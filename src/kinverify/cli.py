@@ -9,14 +9,17 @@ checksum per artifact.
 from __future__ import annotations
 
 import argparse
+import enum
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .comparator import (
+    Activation,
     ComparatorParams,
     PoolingMode,
+    SharingMode,
     attention_forward,
     check_threshold,
     score_unknown,
@@ -46,7 +49,6 @@ from .evaluation import (
     ablation_run,
     calibrate_per_relation,
     calibrate_threshold,
-    filter_relations,
     histogram,
     save_ablation_csv,
     score_pairs,
@@ -60,13 +62,14 @@ from .training import gradcheck, train, train_attention
 GRADCHECK_BOUND = 1e-6
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="JSON run config")
-    p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """--config, overridden by every flag whose dest is a config key ("seed" or "section.key")."""
+    overrides = {k: v for k, v in vars(args).items() if k == "seed" or "." in k}
+    return parse_config(args.config, overrides)
 
 
-def _run_config(args: argparse.Namespace, extra: dict) -> RunConfig:
-    return parse_config(args.config, {"seed": args.seed, **extra})
+def _choices(values: type[enum.Enum]) -> list[str]:
+    return [v.value for v in values]
 
 
 def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
@@ -77,16 +80,7 @@ def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _run_config(
-        args,
-        {
-            "synth.dim": args.dim,
-            "synth.identity_dims": args.identity_dims,
-            "synth.n_train_families": args.train_families,
-            "synth.n_val_families": args.val_families,
-            "synth.n_test_families": args.test_families,
-        },
-    )
+    cfg = _run_config(args)
     world = generate_world(cfg.synth_config())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,17 +97,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _run_config(
-        args,
-        {
-            "model.hidden": args.hidden,
-            "model.activation": args.activation,
-            "model.dropout": args.dropout,
-            "model.sharing": args.sharing,
-            "train.epochs": args.epochs,
-            "train.batch_size": args.batch_size,
-        },
-    )
+    cfg = _run_config(args)
     store, kin, val = _load_world(Path(args.data))
     comp_cfg = cfg.comparator_config(input_dim=2 * store.dim)
     params, history = train(store, kin, val, comp_cfg, cfg.train_config())
@@ -150,7 +134,7 @@ def _query_inputs(args: argparse.Namespace) -> tuple[ComparatorParams, Embedding
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, {"eval.objective": args.objective})
+    cfg = _run_config(args)
     params, threshold = _model_and_threshold(args)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
@@ -219,18 +203,17 @@ def _value_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, {"eval.bins": args.bins})
+    cfg = _run_config(args)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
+    if args.relations:
+        wanted = {KinshipRelation.from_code(c) for c in args.relations.split(",")}
+        pairs = [p for p in pairs if p.relation in wanted]
     scorer = Scorer(args.scorer)
     params = load_model(args.model) if args.model else None
     if scorer is Scorer.COMPARATOR and params is None:
         raise ValueError("comparator histograms need --model")
     scored = score_pairs(params, store, pairs, scorer)
-    if args.relations:
-        scored = filter_relations(
-            scored, {KinshipRelation.from_code(c) for c in args.relations.split(",")}
-        )
     value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
     table = histogram(scored, cfg.eval.bins, value_range)
     out = Path(args.out)
@@ -242,7 +225,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _run_config(args, {"train.epochs": args.epochs})
+    cfg = _run_config(args)
     store, kin, val = _load_world(Path(args.data))
     results = ablation_run(
         store,
@@ -298,43 +281,46 @@ def build_parser() -> argparse.ArgumentParser:
     model_flags = argparse.ArgumentParser(add_help=False)
     model_flags.add_argument("--model", required=True, type=Path)
     model_flags.add_argument("--embeddings", required=True, type=Path)
+    # every config flag's dest is its config key, which _run_config collects
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", type=Path, help="JSON run config")
+    config_flags.add_argument("--seed", type=int, help="base seed (overrides config)")
 
-    p = sub.add_parser("synth", help="generate a synthetic embedding world")
-    _add_config_flags(p)
+    p = sub.add_parser("synth", parents=[config_flags], help="generate a synthetic embedding world")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--identity-dims", type=int, default=None)
-    p.add_argument("--train-families", type=int, default=None)
-    p.add_argument("--val-families", type=int, default=None)
-    p.add_argument("--test-families", type=int, default=None)
+    p.add_argument("--dim", dest="synth.dim", type=int)
+    p.add_argument("--identity-dims", dest="synth.identity_dims", type=int)
+    for split in ("train", "val", "test"):
+        p.add_argument(f"--{split}-families", dest=f"synth.n_{split}_families", type=int)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a comparator on a world directory")
-    _add_config_flags(p)
+    p = sub.add_parser(
+        "train", parents=[config_flags], help="train a comparator on a world directory"
+    )
     p.add_argument("--data", required=True, type=Path, help="directory from `synth`")
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--activation", choices=["lrelu", "relu", "prelu", "tanh"], default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--sharing", choices=["per-expert", "shared-trunk", "entirely-local"], default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--hidden", dest="model.hidden", type=int)
+    p.add_argument("--activation", dest="model.activation", choices=_choices(Activation))
+    p.add_argument("--dropout", dest="model.dropout", type=float)
+    p.add_argument("--sharing", dest="model.sharing", choices=_choices(SharingMode))
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--batch-size", dest="train.batch_size", type=int)
     p.add_argument("--attention", action="store_true", help="also train the relation head")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
-        "eval", parents=[model_flags], help="report per-relation accuracy on a pairs file"
+        "eval", parents=[model_flags, config_flags],
+        help="report per-relation accuracy on a pairs file",
     )
-    _add_config_flags(p)
     p.add_argument("--pairs", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--calibrate", action="store_true",
                         help="calibrate and store the threshold")
-    source.add_argument("--threshold", type=float, default=None)
+    source.add_argument("--threshold", type=float)
     source.add_argument("--per-relation", action="store_true",
                         help="extension: calibrate one threshold per relation (not stored)")
-    p.add_argument("--objective", choices=["macro", "micro"], default=None)
+    p.add_argument("--objective", dest="eval.objective", choices=_choices(Objective))
     p.add_argument("--auc", action="store_true", help="include per-relation AUC")
     p.set_defaults(func=_cmd_eval)
 
@@ -344,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id1", required=True)
     p.add_argument("--id2", required=True)
     p.add_argument("--relation", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -353,30 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--father", required=True)
     p.add_argument("--mother", required=True)
     p.add_argument("--child", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=float)
     p.set_defaults(func=_cmd_tri_verify)
 
-    p = sub.add_parser("histogram", help="kin/nonkin score histogram as CSV")
-    _add_config_flags(p)
+    p = sub.add_parser(
+        "histogram", parents=[config_flags], help="kin/nonkin score histogram as CSV"
+    )
     p.add_argument("--embeddings", required=True, type=Path)
     p.add_argument("--pairs", required=True, type=Path)
-    p.add_argument("--scorer", choices=["comparator", "cosine"], default="comparator")
-    p.add_argument("--model", type=Path, default=None)
-    p.add_argument("--relations", default=None, help="comma-separated relation codes")
-    p.add_argument("--bins", type=int, default=None)
+    p.add_argument("--scorer", choices=_choices(Scorer), default=Scorer.COMPARATOR.value)
+    p.add_argument("--model", type=Path)
+    p.add_argument("--relations", help="comma-separated relation codes")
+    p.add_argument("--bins", dest="eval.bins", type=int)
     p.add_argument("--range", type=_value_range, help="lo,hi (defaults: 0,1 comparator; 0,2 cosine)")
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(func=_cmd_histogram)
 
-    p = sub.add_parser("ablate", help="run the full parameter-study grid")
-    _add_config_flags(p)
+    p = sub.add_parser("ablate", parents=[config_flags], help="run the full parameter-study grid")
     p.add_argument("--data", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", dest="train.epochs", type=int)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify backprop against finite differences")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser(
@@ -384,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--id1", required=True)
     p.add_argument("--id2", required=True)
-    p.add_argument("--pooling", choices=["soft", "hard", "mean", "max"], default=None)
+    p.add_argument("--pooling", choices=_choices(PoolingMode))
     p.set_defaults(func=_cmd_predict_relation)
 
     return parser

@@ -20,6 +20,7 @@ from typing import Any
 
 from .comparator import Activation, ComparatorConfig, SharingMode
 from .data import _atomic_open
+from .evaluation import Objective
 from .synth import SynthConfig
 from .training import TrainConfig
 
@@ -54,7 +55,7 @@ class ModelSection:
 
 @dataclass(frozen=True)
 class EvalSection:
-    objective: str = "macro"
+    objective: str = Objective.MACRO.value
     bins: int = 50
 
 
@@ -66,22 +67,27 @@ class RunConfig:
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
+    def __post_init__(self) -> None:
+        # every value is checked here, so a bad one stops a run before it writes anything
+        try:
+            self.synth_config()
+            self.train_config()
+            self.comparator_config(input_dim=2)
+            Objective(self.eval.objective)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
     def synth_config(self) -> SynthConfig:
         return SynthConfig(**dataclasses.asdict(self.synth), seed=self.seed)
 
     def comparator_config(self, input_dim: int) -> ComparatorConfig:
         m = self.model
-        try:
-            activation = Activation(m.activation)
-            sharing = SharingMode(m.sharing)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         return ComparatorConfig(
             input_dim=input_dim,
             hidden=m.hidden,
-            activation=activation,
+            activation=Activation(m.activation),
             dropout_p=m.dropout,
-            sharing=sharing,
+            sharing=SharingMode(m.sharing),
         )
 
     def train_config(self) -> TrainConfig:

@@ -28,7 +28,7 @@ import numpy as np
 from .comparator import Activation, ComparatorConfig, ComparatorParams, forward
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
 from .data import _write_rows, pairs_to_arrays
-from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender, KinshipRelation
+from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
 from .relations import PARENT_CHILD, relation_index
 from .training import TrainConfig, train
 
@@ -77,12 +77,6 @@ def score_pairs(
         features, pos, _ = pairs_to_arrays(store, plist, params.config.relations)
         scores, _ = forward(params, features, mode="eval", positions=pos)
     return [ScoredPair(p, float(s)) for p, s in zip(plist, scores)]
-
-
-def filter_relations(
-    scored: list[ScoredPair], relations: set[KinshipRelation] | frozenset[KinshipRelation]
-) -> list[ScoredPair]:
-    return [s for s in scored if s.pair.relation in relations]
 
 
 # The array core: each public function taking ``scored`` converts it once

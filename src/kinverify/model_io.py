@@ -12,7 +12,7 @@ Layout (all integers little-endian):
     has_attention   u8       0 or 1
     has_threshold   u8       0 or 1
     dropout_p       f64
-    threshold       f64      0.0 when has_threshold = 0
+    threshold       f64      +0.0 when has_threshold = 0
     relations       n_experts x (u8 length + ascii relation code, e.g. BB)
     payload         parameter arrays, row-major f64, in param_layout order
     crc32           u32      zlib.crc32 of the payload bytes
@@ -124,6 +124,8 @@ def deserialize_model(blob: bytes) -> ComparatorParams:
     dropout_p, threshold = struct.unpack("<dd", take(16, "dropout/threshold"))
     if has_threshold and not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise ModelFormatError(f"stored threshold {threshold} is not in [0, 1]")
+    if not has_threshold and struct.pack("<d", threshold) != bytes(8):  # the writer's +0.0
+        raise ModelFormatError(f"threshold field is {threshold!r} but has_threshold is 0")
     relations = []
     for i in range(n_experts):
         (length,) = struct.unpack("<B", take(1, f"relation {i} length"))

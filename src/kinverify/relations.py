@@ -69,19 +69,10 @@ _ROLE_GENDERS: dict[KinshipRelation, tuple[Gender, Gender]] = {
     KinshipRelation.GMGS: (Gender.FEMALE, Gender.MALE),
 }
 
-# The relation of an (elder, child) pair, by (elder gender, child gender).
-PARENT_CHILD = {
-    (Gender.MALE, Gender.MALE): KinshipRelation.FS,
-    (Gender.MALE, Gender.FEMALE): KinshipRelation.FD,
-    (Gender.FEMALE, Gender.MALE): KinshipRelation.MS,
-    (Gender.FEMALE, Gender.FEMALE): KinshipRelation.MD,
-}
-GRANDPARENT_CHILD = {
-    (Gender.MALE, Gender.MALE): KinshipRelation.GFGS,
-    (Gender.MALE, Gender.FEMALE): KinshipRelation.GFGD,
-    (Gender.FEMALE, Gender.MALE): KinshipRelation.GMGS,
-    (Gender.FEMALE, Gender.FEMALE): KinshipRelation.GMGD,
-}
+# The relation of an (elder, child) pair, by (elder gender, child gender). Canonical
+# positions 3-6 are the parent-child relations and 7-10 the grandparent ones.
+PARENT_CHILD = {_ROLE_GENDERS[r]: r for r in RELATION_ORDER[3:7]}
+GRANDPARENT_CHILD = {_ROLE_GENDERS[r]: r for r in RELATION_ORDER[7:]}
 
 SYMMETRIC_RELATIONS = frozenset(
     {KinshipRelation.BB, KinshipRelation.SIBS, KinshipRelation.SS}

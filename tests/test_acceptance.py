@@ -30,7 +30,6 @@ from kinverify.evaluation import (
     binary_accuracy_best_threshold,
     calibrate_threshold,
     default_ablation_grid,
-    filter_relations,
     histogram,
     ablation_run,
     score_pairs,
@@ -224,15 +223,17 @@ def test_c05_auc_oracle():
 def test_c06_gender_bias_reproduction(default_world, trained_default):
     world = default_world
     cosine = score_pairs(None, world.store, world.eval_pairs["val"], Scorer.COSINE)
-    overlap_opp = histogram(filter_relations(cosine, OPPOSITE), 50, (0.0, 2.0)).overlap()
-    overlap_same = histogram(filter_relations(cosine, SAME), 50, (0.0, 2.0)).overlap()
+    cos_opp = [s for s in cosine if s.pair.relation in OPPOSITE]
+    cos_same = [s for s in cosine if s.pair.relation in SAME]
+    overlap_opp = histogram(cos_opp, 50, (0.0, 2.0)).overlap()
+    overlap_same = histogram(cos_same, 50, (0.0, 2.0)).overlap()
 
     cache = retrained(world)
     params = cache["params"]
     seconds = cache["seconds"]
     scored = score_pairs(params, world.store, world.eval_pairs["val"])
-    net_auc = auc(filter_relations(scored, OPPOSITE))
-    cos_auc = auc([ScoredPair(s.pair, -s.score) for s in filter_relations(cosine, OPPOSITE)])
+    net_auc = auc([s for s in scored if s.pair.relation in OPPOSITE])
+    cos_auc = auc([ScoredPair(s.pair, -s.score) for s in cos_opp])
     margin = net_auc - cos_auc
     check(
         "C6 gender-bias reproduction",
@@ -409,10 +410,9 @@ def test_comparator_z_overlap_smaller_than_cosine(default_world, trained_default
     world = default_world
     params, _ = trained_default
     group = {KinshipRelation.FD, KinshipRelation.MD}
-    z_scored = filter_relations(score_pairs(params, world.store, world.eval_pairs["val"]), group)
-    cos_scored = filter_relations(
-        score_pairs(None, world.store, world.eval_pairs["val"], Scorer.COSINE), group
-    )
+    pairs = [p for p in world.eval_pairs["val"] if p.relation in group]
+    z_scored = score_pairs(params, world.store, pairs)
+    cos_scored = score_pairs(None, world.store, pairs, Scorer.COSINE)
     z_overlap = histogram(z_scored, 50, (0.0, 1.0)).overlap()
     cos_overlap = histogram(cos_scored, 50, (0.0, 2.0)).overlap()
     assert z_overlap < cos_overlap

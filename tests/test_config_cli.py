@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kinverify.cli import main
+from kinverify.cli import _run_config, build_parser, main
 from kinverify.comparator import ComparatorConfig
 from kinverify.config import _SECTIONS, ConfigError, RunConfig, parse_config
 from kinverify.evaluation import AblationCell, default_ablation_grid
@@ -583,3 +583,74 @@ def test_file_and_numeric_failures_end_in_one_error_line(model_dir, world_dir, t
         code = main(["train", *small, "--config", str(config), "--out", str(tmp_path / "run")])
     assert code == 1
     _one_error_line(capsys, "non-finite")
+
+
+# every config-backed flag of each command, with a valid non-default value
+FLAG_KEYS = {
+    "synth": [("--dim", "synth.dim", 9), ("--identity-dims", "synth.identity_dims", 3),
+              ("--train-families", "synth.n_train_families", 5),
+              ("--val-families", "synth.n_val_families", 6),
+              ("--test-families", "synth.n_test_families", 7)],
+    "train": [("--hidden", "model.hidden", 5), ("--activation", "model.activation", "prelu"),
+              ("--dropout", "model.dropout", 0.3), ("--sharing", "model.sharing", "shared-trunk"),
+              ("--epochs", "train.epochs", 3), ("--batch-size", "train.batch_size", 17)],
+    "eval": [("--objective", "eval.objective", "micro")],
+    "histogram": [("--bins", "eval.bins", 7)],
+    "ablate": [("--epochs", "train.epochs", 2)],
+}
+REQUIRED = {
+    "synth": ["--out", "o"],
+    "train": ["--data", "d", "--out", "o"],
+    "eval": ["--model", "m", "--embeddings", "e", "--pairs", "p", "--out", "o"],
+    "histogram": ["--embeddings", "e", "--pairs", "p", "--out", "o"],
+    "ablate": ["--data", "d", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_KEYS))
+def test_config_flags_set_their_config_keys(command):
+    flags = FLAG_KEYS[command] + [("--seed", "seed", 11)]
+    argv = [command, *REQUIRED[command]]
+    for flag, _, value in flags:
+        argv += [flag, str(value)]
+    args = build_parser().parse_args(argv)
+    # the table names every flag whose dest is a config key
+    assert {k for k in vars(args) if "." in k} == {key for _, key, _ in FLAG_KEYS[command]}
+    config = _run_config(args)
+    for _, key, value in flags:
+        node = config
+        for part in key.split("."):
+            node = getattr(node, part)
+        assert node == value, key
+
+
+@pytest.mark.parametrize(
+    "command, document, flags, message",
+    [
+        ("synth", {"train": {"epochs": -3}}, [], "epochs must be non-negative, got -3"),
+        ("synth", {"train": {"batch_size": 0}}, [], "batch_size must be positive, got 0"),
+        ("synth", {"model": {"activation": "bogus"}}, [], "'bogus' is not a valid Activation"),
+        ("synth", {"model": {"hidden": 0}}, [], "hidden must be positive, got 0"),
+        ("synth", {"eval": {"objective": "nope"}}, [], "'nope' is not a valid Objective"),
+        ("synth", {}, ["--dim", "1"], "dim must be at least 2, got 1"),
+        ("train", {"synth": {"dim": 1}}, [], "dim must be at least 2, got 1"),
+        ("train", {"synth": {"founder_scale": -1.0}}, [], "founder_scale must be positive"),
+    ],
+    ids=["epochs", "batch-size", "activation", "hidden", "objective", "dim-flag", "dim",
+         "founder-scale"],
+)
+def test_bad_config_values_stop_every_command(
+    command, document, flags, message, world_dir, tmp_path, capsys
+):
+    # each value is checked when the config is parsed, whichever command reads it
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    if command == "synth":
+        document = {**document, "synth": {"identity_dims": 4}}
+        argv = ["synth", *SYNTH_ARGS]
+    else:
+        argv = ["train", "--data", str(world_dir), "--epochs", "1", "--hidden", "4"]
+    path.write_text(json.dumps(document))
+    assert main(argv + flags + ["--config", str(path), "--out", str(out)]) == 1
+    _one_error_line(capsys, message)
+    assert not (out / "manifest.json").exists()

@@ -189,6 +189,44 @@ def test_pairs_and_tri_roundtrip_property(case):
         assert load_tri(tri_path, store).samples == tris.samples
 
 
+# one valid file of each format over one store
+VALID_CSVS = {
+    "emb": "person_id,family_id,gender,f0,f1\n"
+    "a,f1,M,0.5,-1.25\nb,f1,F,1e-300,-0.0\nc,f1,M,3.0,2.0\nd,f2,F,7.5,0.0\n",
+    "pairs": "id1,id2,relation,label\na,b,FD,kin\nb,c,MS,kin\na,d,FD,nonkin\n",
+    "tri": "father_id,mother_id,child_id,label\na,b,c,kin\n",
+}
+edits = st.tuples(
+    st.sampled_from(["change", "delete", "insert"]),
+    st.integers(0, 200),
+    st.sampled_from(list(b",\n\r-.e0")) | st.integers(0, 255),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(VALID_CSVS)), st.lists(edits, min_size=1, max_size=4))
+def test_mutated_csv_loads_or_fails_as_format_error_naming_the_path(kind, changes):
+    data = bytearray(VALID_CSVS[kind].encode())
+    for op, at, byte in changes:
+        if op == "insert":
+            data.insert(at % (len(data) + 1), byte)
+        elif data:
+            if op == "delete":
+                del data[at % len(data)]
+            else:
+                data[at % len(data)] = byte
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "emb.csv"
+        store.write_text(VALID_CSVS["emb"])
+        path = Path(tmp) / f"{kind}.csv"
+        path.write_bytes(bytes(data))
+        load = {"emb": load_embeddings, "pairs": load_pairs, "tri": load_tri}[kind]
+        try:
+            load(path) if kind == "emb" else load(path, load_embeddings(store))
+        except DataFormatError as exc:
+            assert str(path) in str(exc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.text(chars), st.sampled_from(SEPARATORS), st.text(chars), st.integers(0, 4))
 def test_pair_and_tri_writers_reject_separator_ids(head, sep, tail, slot):

@@ -16,7 +16,6 @@ from kinverify.evaluation import (
     binary_accuracy_best_threshold,
     calibrate_threshold,
     default_ablation_grid,
-    filter_relations,
     histogram,
     score_pairs,
     score_tris,

@@ -259,3 +259,32 @@ def test_header_sizes_beyond_the_file_are_rejected():
     blob[13] = 0xF0
     with pytest.raises(ModelFormatError, match="truncated file while reading parameter payload"):
         deserialize_model(bytes(blob))
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A valid model blob with 1-3 bytes overwritten, mostly in the header."""
+    blob = bytearray(serialize_model(draw(models())))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, min(79, len(blob) - 1)) | st.integers(0, len(blob) - 1))
+        blob[at] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_blobs())
+def test_mutated_model_blob_loads_exactly_or_fails_as_format_error(blob):
+    try:
+        loaded = deserialize_model(blob)
+    except ModelFormatError:
+        return
+    assert serialize_model(loaded) == blob
+
+
+def test_threshold_field_must_be_zero_without_a_threshold():
+    # a blob without a threshold that stores one anyway would not survive a save
+    params = init_params(ComparatorConfig(input_dim=8, hidden=4), seed=0)
+    blob = bytearray(serialize_model(params))
+    blob[30] = 0x01  # the low byte of the threshold double: 5e-324
+    with pytest.raises(ModelFormatError, match="but has_threshold is 0"):
+        deserialize_model(bytes(blob))
