@@ -329,10 +329,9 @@ def prelu_slope_grad(upstream: np.ndarray, a: np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """What a forward computed; for a train-mode prefix forward, all backward needs.
 
-    Rows are held in trace order: the caller's order for a full forward, or
-    ``order`` (descending relation position) for a prefix forward. Expert
-    ``i`` ran on trace rows ``starts[i] : starts[i] + counts[i]``; a full
-    forward runs every expert on all n rows.
+    Rows are held in trace order: trace row ``r`` is caller row ``order[r]``
+    (see ``_row_plan``). Expert ``i`` ran on trace rows ``lo:hi`` and wrote
+    its logit on rows ``first:hi``, where ``(lo, first, hi) = spans[i]``.
 
     Only a train-mode trace holds the per-expert activations. An eval-mode
     forward is inference: ``pre_acts`` and ``hidden`` are empty lists, so
@@ -345,30 +344,33 @@ class ForwardTrace:
     hidden: list[np.ndarray]  # train mode: per expert, shape (counts[i], hidden)
     logits: np.ndarray  # pre-sigmoid, caller order: (n, n_experts) full, (n,) selected
     probs: np.ndarray  # sigmoid of logits, same shape
-    order: np.ndarray | None = None  # trace row r is caller row order[r]; None: identity
-    starts: tuple[int, ...] = ()
-    counts: tuple[int, ...] = ()
+    order: np.ndarray
+    spans: tuple[tuple[int, int, int], ...]
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(hi - lo for lo, _, hi in self.spans)
 
 
-def _prefix_rows(
-    positions: np.ndarray, n_experts: int, local: bool
-) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """Row order and per-expert row spans for a relation-prefix forward.
+def _row_plan(
+    positions: np.ndarray | None, n: int, n_experts: int, local: bool
+) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """Trace row order, and each expert's run rows ``lo:hi`` and write rows ``first:hi``.
 
-    Rows are stable-sorted by position, descending, so the rows that need
-    expert ``i`` (position >= i) form a prefix. An entirely-local expert
-    needs only the block of rows whose position is exactly ``i``.
+    Without ``positions`` every expert runs on and writes every row, in the
+    caller's order. With them, rows are stable-sorted by position,
+    descending, and expert ``i`` writes the block of rows of position ``i``.
+    It runs on the prefix of rows of position >= i in the cascade, and on
+    its block alone in entirely-local mode.
     """
+    if positions is None:
+        return np.arange(n), ((0, 0, n),) * n_experts
     order = np.argsort(-positions, kind="stable")
     exact = np.bincount(positions, minlength=n_experts)
-    at_least = np.cumsum(exact[::-1])[::-1]  # rows with position >= i
-    if local:
-        counts = tuple(int(c) for c in exact)
-        starts = tuple(int(c - e) for c, e in zip(at_least, exact))
-    else:
-        counts = tuple(int(c) for c in at_least)
-        starts = (0,) * n_experts
-    return order, starts, counts
+    his = np.cumsum(exact[::-1])[::-1]  # rows with position >= i
+    return order, tuple(
+        (int(first) if local else 0, int(first), int(hi)) for first, hi in zip(his - exact, his)
+    )
 
 
 def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
@@ -397,30 +399,25 @@ def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
 
 def _run_experts(
     params: ComparatorParams,
-    plan: tuple[_HiddenLayer, ...],
+    layers: tuple[_HiddenLayer, ...],
     x: np.ndarray,
-    starts: tuple[int, ...],
-    counts: tuple[int, ...],
+    spans: list[tuple[int, int, int]],
     logits: np.ndarray,
     keep: bool,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Run every expert on rows of ``x`` and write its logits; the cascade's inner loop.
 
-    Expert ``i`` runs on rows ``starts[i] : starts[i] + counts[i]``, which
-    may be none. An (n, n_experts) ``logits`` takes every expert's column;
-    an (n,) one takes each row's own expert: the whole span in
-    entirely-local mode, in the cascade the rows the next expert skips.
-    With ``keep`` the per-expert pre-activation and hidden arrays are
-    returned for ``backward``.
+    Expert ``i`` runs on rows ``lo:hi`` of ``(lo, first, hi) = spans[i]``,
+    which may be none, and writes column ``i`` of the (n, n_experts)
+    ``logits`` on rows ``first:hi``. With ``keep`` the per-expert
+    pre-activation and hidden arrays are returned for ``backward``.
     """
     cfg = params.config
-    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
     pre_acts: list[np.ndarray] = []
     hidden: list[np.ndarray] = []
     prev = x
-    for i, layer in enumerate(plan):
-        lo, rows = starts[i], counts[i]
-        inp = x[lo : lo + rows] if layer.reads_input else prev[:rows]
+    for i, (layer, (lo, first, hi)) in enumerate(zip(layers, spans)):
+        inp = x[lo:hi] if layer.reads_input else prev[: hi - lo]
         w1 = params.values[layer.w_key]
         b1 = params.values[layer.b_key]
         slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
@@ -431,11 +428,7 @@ def _run_experts(
         z = apply_activation(a, cfg.activation, slope)
         w2 = params.values[f"expert{i}.W2"]
         b2 = params.values[f"expert{i}.b2"]
-        if logits.ndim == 2:
-            logits[:, i] = z @ w2[0] + b2[0]
-        else:
-            first = lo if local else (counts + (0,))[i + 1]
-            logits[first : lo + rows] = z[first - lo :] @ w2[0] + b2[0]
+        logits[first:hi, i] = z[first - lo :] @ w2[0] + b2[0]
         if keep:
             pre_acts.append(a)
             hidden.append(z)
@@ -461,20 +454,22 @@ def forward(
     a train-mode forward without dropout; on ``features * scale`` they are
     those of the train-mode forward whose trace has that ``dropout_scale``.
 
-    Without ``positions`` every expert runs on every row and the result
-    holds all per-relation probabilities. With ``positions`` (each row's
-    expert index) a row runs only through the experts it needs: 0..k in
-    the cascade, k alone in entirely-local mode. The result then holds each
-    row's selected probability, in the caller's order, and nothing else.
-    ``backward`` needs the trace of a train-mode forward with ``positions``.
+    One row plan (``_row_plan``) gives each expert the rows it runs on and
+    the rows whose logit it writes. Without ``positions`` every expert runs
+    on and writes every row: the result holds all per-relation
+    probabilities. With ``positions`` (each row's expert index) a row runs
+    through the experts it needs, 0..k in the cascade and k alone in
+    entirely-local mode, and only k writes it: the result holds each row's
+    selected probability, in the caller's order. ``backward`` needs the
+    trace of a train-mode forward with ``positions``.
 
     The experts run block by block over the trace rows: all experts on one
     block, then the next. Train mode takes all rows as one block. Eval mode
     cuts blocks of about ``EVAL_BLOCK_ROWS`` rows (see ``_block_cuts``; up
-    to that many rows make one block), so each block's hidden arrays stay
-    in cache and each GEMV stays single-threaded. The trace is the same as
-    an unblocked one, and so are the probabilities when the hidden layer
-    has two or more units.
+    to that many rows make one block) and clips each expert's rows to the
+    block, so its hidden arrays stay in cache and each GEMV stays
+    single-threaded. The trace is the same as an unblocked one, and so are
+    the probabilities when the hidden layer has two or more units.
     """
     cfg = params.config
     if mode not in ("train", "eval"):
@@ -502,28 +497,23 @@ def forward(
         scale = (rng.random(x.shape) < keep) / keep
         x = x * scale
 
-    plan = hidden_layer_plan(cfg)
-    if positions is None:
-        order, starts, counts = None, (0,) * cfg.n_experts, (n,) * cfg.n_experts
-        logits = np.empty((n, cfg.n_experts), dtype=np.float64)
-    else:
-        local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
-        order, starts, counts = _prefix_rows(positions, cfg.n_experts, local)
+    layers = hidden_layer_plan(cfg)
+    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
+    order, spans = _row_plan(positions, n, cfg.n_experts, local)
+    if positions is not None:
         x = x[order]
-        logits = np.empty(n, dtype=np.float64)  # trace order until unsorted below
-    ends = sorted(lo + rows for lo, rows in zip(starts, counts))
+    logits = np.empty((n, cfg.n_experts), dtype=np.float64)  # trace order
+    ends = sorted(hi for _, _, hi in spans)
     cuts = [0, n] if mode == "train" else _block_cuts(ends, n, EVAL_BLOCK_ROWS)
     for b0, b1 in zip(cuts, cuts[1:]):
         # each expert's rows clipped to the block, in block coordinates
-        los = tuple(min(max(lo - b0, 0), b1 - b0) for lo in starts)
-        his = [min(max(lo + rows - b0, 0), b1 - b0) for lo, rows in zip(starts, counts)]
-        block_counts = tuple(hi - lo for lo, hi in zip(los, his))
+        clipped = [tuple(min(max(r - b0, 0), b1 - b0) for r in span) for span in spans]
         pre_acts, hidden = _run_experts(
-            params, plan, x[b0:b1], los, block_counts, logits[b0:b1], mode == "train"
+            params, layers, x[b0:b1], clipped, logits[b0:b1], mode == "train"
         )
-    if order is not None:
+    if positions is not None:  # each row's own column, back in the caller's order
         sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
-        logits[order] = sorted_logits
+        logits[order] = sorted_logits[np.arange(n), positions[order]]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite expert logits")
     probs = stable_sigmoid(logits)
@@ -535,8 +525,7 @@ def forward(
         logits=logits,
         probs=probs,
         order=order,
-        starts=starts,
-        counts=counts,
+        spans=spans,
     )
     return (probs[0] if single else probs), trace
 

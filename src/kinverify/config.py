@@ -74,6 +74,8 @@ class RunConfig:
             self.train_config()
             self.comparator_config(input_dim=2)
             Objective(self.eval.objective)
+            if self.eval.bins < 1:
+                raise ValueError(f"eval.bins must be at least 1, got {self.eval.bins}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

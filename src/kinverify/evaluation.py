@@ -176,8 +176,11 @@ def calibrate_per_relation(scored: list[ScoredPair]) -> dict[str, float]:
     thresholds = {}
     for g in _first_appearance(rel):
         mask = rel == g
-        cut, _ = _calibrate(scores[mask], is_kin[mask], None, Objective.MICRO)
-        thresholds[RELATION_ORDER[g].value] = cut
+        code = RELATION_ORDER[g].value
+        try:
+            thresholds[code], _ = _calibrate(scores[mask], is_kin[mask], None, Objective.MICRO)
+        except ValueError as exc:
+            raise ValueError(f"relation {code}: {exc}") from None
     return thresholds
 
 

@@ -33,7 +33,7 @@ from .comparator import (
     ForwardTrace,
     SharingMode,
     _flat_views,
-    _prefix_rows,
+    _row_plan,
     activation_grad,
     add_attention_head,
     forward,
@@ -174,8 +174,9 @@ def backward(
     label. The trace must come from a relation-prefix forward on the same
     parameters, run with ``mode="train"`` and ``positions=rel_idx``: an
     eval-mode trace keeps no activations, and a full forward's trace (whose
-    ``order`` is None) raises ValueError. Each expert's gradient is taken
-    over the trace rows that expert ran on.
+    logits hold every expert's column) raises ValueError. Each expert's
+    gradient is taken over the trace rows it ran on, its dlogit over the
+    rows it wrote (the trace's ``spans``).
 
     The gradients are written into ``out`` (one array per expert key, as
     ``AdamState.grads`` holds them) or, without it, into new arrays. Each
@@ -189,20 +190,18 @@ def backward(
         raise ValueError(
             "backward needs a train-mode trace; an eval-mode forward keeps no activations"
         )
-    if trace.order is None:
+    if trace.logits.ndim != 1:
         raise ValueError("backward needs a relation-prefix trace: run forward with positions")
     n = trace.inputs.shape[0]
     rel_idx = np.asarray(rel_idx)
     targets = np.asarray(targets, dtype=np.float64)
     if rel_idx.shape != (n,) or targets.shape != (n,):
         raise ValueError("rel_idx and targets must each have one entry per traced sample")
-    if len(trace.hidden) != cfg.n_experts or len(trace.counts) != cfg.n_experts:
-        raise ValueError("trace does not match the model configuration")
 
     cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
-    order, _, counts = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
-    if not (np.array_equal(order, trace.order) and counts == trace.counts):
-        raise ValueError("rel_idx differs from the positions of the traced forward")
+    order, spans = _row_plan(rel_idx, n, cfg.n_experts, not cascade)
+    if not (np.array_equal(order, trace.order) and spans == trace.spans):
+        raise ValueError("rel_idx or the model differs from the traced forward")
     dsel = ((trace.probs - targets) / n)[order]
 
     keys = params.expert_keys()
@@ -211,25 +210,26 @@ def backward(
     written: set[str] = set()
     carry = None  # grad flowing into z1[i] from expert i+1, on that expert's rows
     for i in reversed(range(cfg.n_experts)):
-        lo, rows = trace.starts[i], trace.counts[i]
+        lo, first, hi = trace.spans[i]
+        rows = hi - lo
         if rows == 0:
             carry = None
             continue
         layer = plan[i]
         z = trace.hidden[i]
         a = trace.pre_acts[i]
-        inp = trace.inputs[lo : lo + rows] if layer.reads_input else trace.hidden[i - 1][:rows]
+        inp = trace.inputs[lo:hi] if layer.reads_input else trace.hidden[i - 1][:rows]
         w2 = params.values[f"expert{i}.W2"]
 
-        # trace rows [first, rows) select this expert; the rows before them
-        # select a later one and take only the carry from expert i+1
-        first = 0 if carry is None else carry.shape[0]
+        # the expert wrote trace rows [first, hi); its first ``skip`` rows
+        # select a later expert and take only the carry from expert i+1
+        skip = first - lo
         dlogit = np.zeros(rows)
-        dlogit[first:] = dsel[lo + first : lo + rows]
+        dlogit[skip:] = dsel[first:hi]
         dz = np.empty((rows, cfg.hidden))
         if carry is not None:
-            dz[:first] = carry
-        np.multiply(dlogit[first:, None], w2, out=dz[first:])
+            dz[:skip] = carry
+        np.multiply(dlogit[skip:, None], w2, out=dz[skip:])
         np.matmul(dlogit, z, out=grads[f"expert{i}.W2"][0])
         np.sum(dlogit, keepdims=True, out=grads[f"expert{i}.b2"])
         written.update((f"expert{i}.W2", f"expert{i}.b2"))

@@ -177,7 +177,6 @@ def backward_zero_filled(trace, params, rel_idx, targets):
     """
     from kinverify.comparator import (
         SharingMode,
-        _prefix_rows,
         activation_grad,
         hidden_layer_plan,
         prelu_slope_grad,
@@ -188,24 +187,24 @@ def backward_zero_filled(trace, params, rel_idx, targets):
     rel_idx = np.asarray(rel_idx)
     targets = np.asarray(targets, dtype=np.float64)
     cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
-    if trace.order is None:
+    if trace.probs.ndim == 2:  # a full forward: every expert's column, caller order
         dsel = (trace.probs[np.arange(n), rel_idx] - targets) / n
     else:
-        order, _, _ = _prefix_rows(rel_idx, cfg.n_experts, not cascade)
-        dsel = ((trace.probs - targets) / n)[order]
-        rel_idx = rel_idx[order]
+        dsel = ((trace.probs - targets) / n)[trace.order]
+        rel_idx = rel_idx[trace.order]
     grads = {k: np.zeros_like(params.values[k]) for k in params.expert_keys()}
     plan = hidden_layer_plan(cfg)
     carry = None
     for i in reversed(range(cfg.n_experts)):
-        lo, rows = trace.starts[i], trace.counts[i]
+        lo, _, hi = trace.spans[i]
+        rows = hi - lo
         if rows == 0:
             carry = None
             continue
         layer = plan[i]
         z, a = trace.hidden[i], trace.pre_acts[i]
-        inp = trace.inputs[lo : lo + rows] if layer.reads_input else trace.hidden[i - 1][:rows]
-        dlogit = np.where(rel_idx[lo : lo + rows] == i, dsel[lo : lo + rows], 0.0)
+        inp = trace.inputs[lo:hi] if layer.reads_input else trace.hidden[i - 1][:rows]
+        dlogit = np.where(rel_idx[lo:hi] == i, dsel[lo:hi], 0.0)
         dz = dlogit[:, None] * params.values[f"expert{i}.W2"]
         if carry is not None:
             dz[: carry.shape[0]] += carry

@@ -632,11 +632,12 @@ def test_config_flags_set_their_config_keys(command):
         ("synth", {"model": {"activation": "bogus"}}, [], "'bogus' is not a valid Activation"),
         ("synth", {"model": {"hidden": 0}}, [], "hidden must be positive, got 0"),
         ("synth", {"eval": {"objective": "nope"}}, [], "'nope' is not a valid Objective"),
+        ("synth", {"eval": {"bins": 0}}, [], "eval.bins must be at least 1, got 0"),
         ("synth", {}, ["--dim", "1"], "dim must be at least 2, got 1"),
         ("train", {"synth": {"dim": 1}}, [], "dim must be at least 2, got 1"),
         ("train", {"synth": {"founder_scale": -1.0}}, [], "founder_scale must be positive"),
     ],
-    ids=["epochs", "batch-size", "activation", "hidden", "objective", "dim-flag", "dim",
+    ids=["epochs", "batch-size", "activation", "hidden", "objective", "bins", "dim-flag", "dim",
          "founder-scale"],
 )
 def test_bad_config_values_stop_every_command(

@@ -396,3 +396,12 @@ def test_per_relation_thresholds_extension():
     report = accuracy_report(scored, per_rel)
     assert report.macro_accuracy == 1.0
     assert single_best < 1.0
+
+
+def test_per_relation_thresholds_name_a_relation_without_nonkin():
+    from kinverify.evaluation import calibrate_per_relation
+
+    scored = scored_from([0.6, 0.7], [0.3, 0.4], KinshipRelation.BB)
+    scored += scored_from([0.25, 0.3], [], KinshipRelation.FD)
+    with pytest.raises(ValueError, match="^relation FD: calibration needs both kin and nonkin"):
+        calibrate_per_relation(scored)

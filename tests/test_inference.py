@@ -125,10 +125,8 @@ def test_blocked_eval_equals_unblocked_train(case, block):
     assert np.array_equal(probs, train_probs)
     assert np.array_equal(trace.logits, train_trace.logits)
     assert np.array_equal(trace.inputs, train_trace.inputs)
-    assert (trace.order is None) == (positions is None)
-    if positions is not None:
-        assert np.array_equal(trace.order, train_trace.order)
-    assert (trace.starts, trace.counts) == (train_trace.starts, train_trace.counts)
+    assert np.array_equal(trace.order, train_trace.order)
+    assert trace.spans == train_trace.spans
     assert trace.pre_acts == [] and trace.hidden == []
 
 

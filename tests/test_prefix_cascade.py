@@ -86,6 +86,15 @@ def test_prefix_probabilities_match_full(case):
     assert prefix_trace.counts == tuple(int(c) for c in (exact if local else at_least))
     assert list(positions[prefix_trace.order]) == sorted(positions, reverse=True)
     assert [h.shape[0] for h in prefix_trace.hidden] == list(prefix_trace.counts)
+    # expert i writes exactly the trace rows of position i (none, if no row has it),
+    # at the end of the rows it runs on, or all of them in entirely-local mode
+    traced = positions[prefix_trace.order]
+    for i, (lo, first, hi) in enumerate(prefix_trace.spans):
+        assert list(np.flatnonzero(traced == i)) == list(range(first, hi))
+        assert lo == (first if local else 0)
+    # without positions every expert runs on and writes every row, in the caller's order
+    assert full_trace.spans == ((0, 0, n),) * config.n_experts
+    assert np.array_equal(full_trace.order, np.arange(n))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -116,14 +117,19 @@ def test_backward_gradient_zero_structure():
 
 
 def test_backward_rejects_a_full_forward_trace():
-    # backward takes only the relation-prefix trace that train gives it
-    params = rand_params(TINY, seed=1)
+    # backward takes only the relation-prefix trace that train gives it. With one
+    # expert the full plan and the prefix plan coincide, so the result shape decides.
     fc = np.random.default_rng(5).standard_normal((3, 8))
-    rel = np.array([0, 2, 1])
-    _, trace = forward(params, fc, mode="train")
-    assert trace.order is None
-    with pytest.raises(ValueError, match="relation-prefix trace"):
-        backward(trace, params, rel, np.array([1.0, 0.0, 1.0]))
+    one_expert = dataclasses.replace(TINY, relations=("BB",))
+    for config, rel in ((TINY, [0, 2, 1]), (one_expert, [0, 0, 0])):
+        params = rand_params(config, seed=1)
+        _, trace = forward(params, fc, mode="train")
+        _, prefix = forward(params, fc, mode="train", positions=np.array(rel))
+        same_plan = np.array_equal(trace.order, prefix.order) and trace.spans == prefix.spans
+        assert same_plan == (config is one_expert)
+        assert trace.logits.shape == (3, config.n_experts)
+        with pytest.raises(ValueError, match="relation-prefix trace"):
+            backward(trace, params, np.array(rel), np.array([1.0, 0.0, 1.0]))
 
 
 def test_gradcheck_all_modes_fast():
