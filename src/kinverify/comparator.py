@@ -83,6 +83,11 @@ class ComparatorConfig:
             raise ValueError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
         if len(self.relations) < 1 or len(set(self.relations)) != len(self.relations):
             raise ValueError("relations must be a non-empty tuple of distinct codes")
+        for i, code in enumerate(self.relations):
+            try:
+                KinshipRelation.from_code(code)
+            except ValueError as exc:
+                raise ValueError(f"relation {i}: {exc}") from None
 
     @property
     def n_experts(self) -> int:

@@ -270,9 +270,9 @@ def _raise_first_bad_row(path: Path, rows: list[list[str]], dim: int) -> None:
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Parse an embedding CSV; dim is inferred from the header.
 
-    The rows are checked as a whole and all numbers are converted by ``float``
-    in one pass into the matrix; only when that fails does a row-by-row check
-    name the first bad line.
+    All numbers are converted by ``float`` in one pass into the matrix, and
+    ``EmbeddingStore`` checks the rows as a whole; only when either fails does
+    a row-by-row check name the first bad line.
     """
     path = Path(path)
     lines = _read_lines(path)
@@ -295,17 +295,13 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
         heads = (line.split(",", 3)[:3] for line in body)
         refs = [PersonRef(pid, fam, Gender.from_code(gender)) for pid, fam, gender in heads]
         matrix = np.fromiter(map(float, numbers), dtype=np.float64, count=len(body) * dim)
-        valid = (
-            all(line.count(",") == 2 + dim for line in body)
-            and all(ref.family_id for ref in refs)
-            and len({ref.person_id for ref in refs}) == len(refs)
-            and np.isfinite(matrix).all()
-        )
+        if not all(line.count(",") == 2 + dim for line in body):
+            raise ValueError("a row has the wrong number of fields")
+        return EmbeddingStore(refs, matrix.reshape(len(body), dim))
     except ValueError:
-        valid = False
-    if not valid:
+        # the store's own error stands only when no row is at fault
         _raise_first_bad_row(path, [line.split(",") for line in body], dim)
-    return EmbeddingStore(refs, matrix.reshape(len(body), dim))
+        raise
 
 
 def _check_people(store: EmbeddingStore, what: str, *ids: str) -> None:

@@ -352,3 +352,37 @@ def latent_scalar(male, noise, parent_mean, gender_axis, config, flip_mask):
         expressed = identity * flip_mask
     v = expressed + config.gender_weight * (1.0 if male else -1.0) * gender_axis
     return v / np.linalg.norm(v), identity
+
+
+def serialize_model_v1(params):
+    """A model file in format version 1, as the writer once produced it.
+
+    The header fields are packed one by one, and the trailing CRC32 covers
+    only the parameter payload.
+    """
+    import struct
+    import zlib
+
+    from kinverify.comparator import param_layout
+
+    cfg = params.config
+    activations = {"lrelu": 0, "relu": 1, "prelu": 2, "tanh": 3}
+    sharings = {"per-expert": 0, "shared-trunk": 1, "entirely-local": 2}
+    head = b"KINC" + struct.pack("<H", 1)
+    head += struct.pack("<III", cfg.input_dim, cfg.hidden, len(cfg.relations))
+    head += struct.pack(
+        "<BBBB",
+        activations[cfg.activation.value],
+        sharings[cfg.sharing.value],
+        1 if "attention.W" in params.values else 0,
+        1 if params.threshold is not None else 0,
+    )
+    threshold = params.threshold if params.threshold is not None else 0.0
+    head += struct.pack("<dd", cfg.dropout_p, threshold)
+    for code in cfg.relations:
+        head += struct.pack("<B", len(code)) + code.encode("ascii")
+    payload = b"".join(
+        np.ascontiguousarray(params.values[name], dtype="<f8").tobytes()
+        for name, _ in param_layout(cfg, "attention.W" in params.values)
+    )
+    return head + payload + struct.pack("<I", zlib.crc32(payload))

@@ -231,6 +231,35 @@ def test_eval_calibrate_stores_threshold(model_dir, world_dir, tmp_path):
     assert manifest["artifacts"]["model.kinc"] == sha256_file(model_dir / "model.kinc")
 
 
+def test_eval_calibrate_refuses_a_threshold_the_model_file_cannot_hold(
+    model_dir, world_dir, tmp_path, capsys
+):
+    # the lowest-scoring kin pair below the highest-scoring nonkin pair: the best
+    # cut is the sentinel below every score, which lies outside [0, 1]
+    from kinverify.data import PairLabel, PairSet, load_embeddings, load_pairs, save_pairs
+    from kinverify.evaluation import score_pairs
+    from kinverify.model_io import load_model
+
+    model = tmp_path / "model.kinc"
+    model.write_bytes((model_dir / "model.kinc").read_bytes())
+    store = load_embeddings(world_dir / "embeddings.csv")
+    scored = score_pairs(load_model(model), store, load_pairs(world_dir / "pairs_val.csv", store))
+    kin = min((s for s in scored if s.pair.label is PairLabel.KIN), key=lambda s: s.score)
+    nonkin = max((s for s in scored if s.pair.label is PairLabel.NONKIN), key=lambda s: s.score)
+    assert kin.score < nonkin.score
+    save_pairs(PairSet((kin.pair, nonkin.pair)), tmp_path / "pairs.csv")
+    before = model.read_bytes()
+    out = tmp_path / "eval"
+    code = main(
+        ["eval", "--model", str(model), "--embeddings", str(world_dir / "embeddings.csv"),
+         "--pairs", str(tmp_path / "pairs.csv"), "--out", str(out), "--calibrate"]
+    )
+    assert code == 1
+    _one_error_line(capsys, f"threshold {kin.score - 1.0} is not in [0, 1]")
+    assert model.read_bytes() == before
+    assert not out.exists()
+
+
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
     out = tmp_path / "eval_pr"
     code = main(

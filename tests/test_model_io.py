@@ -1,9 +1,10 @@
+import hashlib
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kinverify.comparator import (
@@ -21,6 +22,7 @@ from kinverify.model_io import (
     save_model,
     serialize_model,
 )
+from oracles import serialize_model_v1
 
 
 def configs():
@@ -114,8 +116,6 @@ def test_load_failure_leaves_no_file_side_effects(tmp_path):
 
 
 def test_stored_threshold_outside_unit_interval_rejected():
-    import struct
-
     params = init_params(ComparatorConfig(input_dim=8, hidden=2, relations=("BB",)), seed=0)
     params.threshold = 0.5
     blob = serialize_model(params)
@@ -127,9 +127,8 @@ def test_stored_threshold_outside_unit_interval_rejected():
         with pytest.raises(ModelFormatError, match="threshold"):
             deserialize_model(bytes(corrupt))
     for edge in (0.0, 1.0):
-        ok = bytearray(blob)
-        struct.pack_into("<d", ok, offset, edge)
-        assert deserialize_model(bytes(ok)).threshold == edge
+        params.threshold = edge
+        assert deserialize_model(serialize_model(params)).threshold == edge
 
 
 def test_failed_save_leaves_old_file_intact(tmp_path, monkeypatch):
@@ -237,18 +236,20 @@ def models(draw):
 @settings(max_examples=300, deadline=None)
 @given(models())
 def test_model_bytes_roundtrip_property(params):
-    blob = serialize_model(params)
-    loaded = deserialize_model(blob)
-    assert serialize_model(loaded) == blob
-    assert loaded.config == params.config
-    assert _bits(loaded.config.dropout_p) == _bits(params.config.dropout_p)
-    if params.threshold is None:
-        assert loaded.threshold is None
-    else:
-        assert _bits(loaded.threshold) == _bits(params.threshold)
-    assert list(loaded.values) == list(params.values)
-    for key, value in params.values.items():
-        assert loaded.values[key].tobytes() == value.tobytes(), key
+    # every version-1 file, written by the reference writer, loads exactly too
+    for serialize in (serialize_model, serialize_model_v1):
+        blob = serialize(params)
+        loaded = deserialize_model(blob)
+        assert serialize(loaded) == blob
+        assert loaded.config == params.config
+        assert _bits(loaded.config.dropout_p) == _bits(params.config.dropout_p)
+        if params.threshold is None:
+            assert loaded.threshold is None
+        else:
+            assert _bits(loaded.threshold) == _bits(params.threshold)
+        assert list(loaded.values) == list(params.values)
+        for key, value in params.values.items():
+            assert loaded.values[key].tobytes() == value.tobytes(), key
 
 
 def test_header_sizes_beyond_the_file_are_rejected():
@@ -262,23 +263,35 @@ def test_header_sizes_beyond_the_file_are_rejected():
 
 
 @st.composite
-def mutated_blobs(draw):
-    """A valid model blob with 1-3 bytes overwritten, mostly in the header."""
-    blob = bytearray(serialize_model(draw(models())))
+def mutated_blobs(draw, serialize):
+    """A valid model blob and a copy with 1-3 bytes overwritten, mostly in the header."""
+    original = serialize(draw(models()))
+    blob = bytearray(original)
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, min(79, len(blob) - 1)) | st.integers(0, len(blob) - 1))
         blob[at] = draw(st.integers(0, 255))
-    return bytes(blob)
+    return original, bytes(blob)
 
 
 @settings(max_examples=500, deadline=None)
-@given(mutated_blobs())
-def test_mutated_model_blob_loads_exactly_or_fails_as_format_error(blob):
+@given(mutated_blobs(serialize_model_v1))
+def test_mutated_model_blob_loads_exactly_or_fails_as_format_error(blobs):
+    # version 1's checksum covers only the payload, so a header change may load
+    _, blob = blobs
     try:
         loaded = deserialize_model(blob)
     except ModelFormatError:
         return
-    assert serialize_model(loaded) == blob
+    assert serialize_model_v1(loaded) == blob
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_blobs(serialize_model))
+def test_mutated_v2_model_blob_fails_as_format_error(blobs):
+    original, blob = blobs
+    assume(blob != original)
+    with pytest.raises(ModelFormatError):
+        deserialize_model(blob)
 
 
 def test_threshold_field_must_be_zero_without_a_threshold():
@@ -288,3 +301,50 @@ def test_threshold_field_must_be_zero_without_a_threshold():
     blob[30] = 0x01  # the low byte of the threshold double: 5e-324
     with pytest.raises(ModelFormatError, match="but has_threshold is 0"):
         deserialize_model(bytes(blob))
+
+
+# sha256 of the version-1 file below as the version-1 writer wrote it: the reference
+# writer in oracles.py must keep producing exactly these bytes
+V1_SHA256 = "922265c2d071cdb21bb6d3318f867b08b2e654c26aac31fc09f0fe7e3ac41fb2"
+
+
+def test_version_1_oracle_matches_the_version_1_writer():
+    config = ComparatorConfig(
+        input_dim=4,
+        hidden=2,
+        activation=Activation.PRELU,
+        sharing=SharingMode.SHARED_TRUNK,
+        relations=("FD", "BB", "MS"),
+    )
+    params = add_attention_head(init_params(config, seed=7))
+    params.threshold = 0.625
+    blob = serialize_model_v1(params)
+    assert hashlib.sha256(blob).hexdigest() == V1_SHA256
+    assert serialize_model(deserialize_model(blob)) == serialize_model(params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(models(), st.floats())
+def test_writer_refuses_every_threshold_the_reader_refuses(params, threshold):
+    params.threshold = threshold
+    try:
+        blob = serialize_model(params)
+    except ValueError:
+        assert not 0.0 <= threshold <= 1.0
+        return
+    assert serialize_model(deserialize_model(blob)) == blob
+
+
+@pytest.mark.parametrize("code", ["XX", "B\u00c9", "B" * 300])
+def test_config_rejects_relation_codes_outside_the_eleven(code):
+    with pytest.raises(ValueError, match="relation 1: unknown relation code"):
+        ComparatorConfig(input_dim=8, relations=("BB", code))
+
+
+def test_non_finite_parameters_are_neither_written_nor_read():
+    params = init_params(ComparatorConfig(input_dim=8, hidden=2, relations=("BB", "FD")), seed=0)
+    params.values["expert1.b1"][1] = np.nan
+    with pytest.raises(ModelFormatError, match="non-finite values in parameter expert1.b1"):
+        serialize_model(params)
+    with pytest.raises(ModelFormatError, match="non-finite values in parameter expert1.b1"):
+        deserialize_model(serialize_model_v1(params))
