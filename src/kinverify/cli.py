@@ -46,18 +46,16 @@ from .evaluation import (
     Objective,
     Scorer,
     accuracy_report,
-    ablation_run,
     calibrate_per_relation,
     calibrate_threshold,
     histogram,
-    save_ablation_csv,
     score_pairs,
     tri_score,
 )
 from .model_io import load_model, save_model
 from .relations import KinshipRelation
 from .synth import SPLITS, generate_world, save_pedigree
-from .training import gradcheck, train, train_attention
+from .training import ablation_run, gradcheck, save_ablation_csv, train, train_attention
 
 GRADCHECK_BOUND = 1e-6
 

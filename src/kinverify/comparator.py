@@ -84,6 +84,8 @@ class ComparatorConfig:
         if len(self.relations) < 1 or len(set(self.relations)) != len(self.relations):
             raise ValueError("relations must be a non-empty tuple of distinct codes")
         for i, code in enumerate(self.relations):
+            if not isinstance(code, str):
+                raise ValueError(f"relation {i}: {code!r} is not a relation code string")
             try:
                 KinshipRelation.from_code(code)
             except ValueError as exc:

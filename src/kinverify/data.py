@@ -36,7 +36,7 @@ from .relations import (
     is_symmetric,
     role2_gender,
 )
-from .seeding import STREAM_RESAMPLE, derive_rng
+from .seeding import STREAM_RESAMPLE, STREAM_TRI, derive_rng
 
 
 class DataFormatError(ValueError):
@@ -494,15 +494,20 @@ def _cross_family_draw(
 
 
 def _nonkin_draw(
-    store: EmbeddingStore, rows1: np.ndarray, rel_idx: np.ndarray, relation_codes: tuple[str, ...]
+    store: EmbeddingStore,
+    rows1: np.ndarray,
+    rel_idx: np.ndarray,
+    relation_codes: tuple[str, ...],
+    seed: int,
 ):
-    """The nonkin partner draw of kin pairs: generator -> partner store rows.
+    """The nonkin partner draw of kin pairs: epoch -> partner store rows.
 
     A pair is given by the store row of its id1 and the index of its
     relation in ``relation_codes``. Its candidates are the persons of the
     gender its role 2 needs, outside the family of its id1, in store order
-    (``_cross_family_draw`` over the whole store). Raises ValueError,
-    naming the first pair without a candidate, when a pair has none.
+    (``_cross_family_draw`` over the whole store). Each epoch draws from the
+    (seed, STREAM_RESAMPLE, epoch) stream. Raises ValueError, naming the
+    first pair without a candidate, when a pair has none.
     """
     family, male, family_names = store._person_tables
     relations = [KinshipRelation(code) for code in relation_codes]
@@ -518,7 +523,7 @@ def _nonkin_draw(
             f"no eligible nonkin partner for relation {relation_codes[rel_idx[i]]} "
             f"outside family {str(family_names[family[rows1[i]]])!r}"
         )
-    return draw
+    return lambda epoch: draw(derive_rng(seed, STREAM_RESAMPLE, epoch))
 
 
 def resample_nonkin(
@@ -539,23 +544,37 @@ def resample_nonkin(
     epoch.
     """
     rows1, _, rel_idx, _ = _pair_rows(store, kin_pairs, CANONICAL_RELATION_CODES)
-    return _nonkin_pairs(store, kin_pairs, rows1, rel_idx, base_seed, epoch)
-
-
-def _nonkin_pairs(
-    store: EmbeddingStore,
-    kin_pairs: PairSet,
-    rows1: np.ndarray,
-    rel_idx: np.ndarray,
-    seed: int,
-    epoch: int,
-) -> PairSet:
-    """``resample_nonkin`` given the pairs' id1 store rows and canonical relation indices."""
-    draw = _nonkin_draw(store, rows1, rel_idx, CANONICAL_RELATION_CODES)
-    rows2 = draw(derive_rng(seed, STREAM_RESAMPLE, epoch)).tolist()
+    draw = _nonkin_draw(store, rows1, rel_idx, CANONICAL_RELATION_CODES, base_seed)
     ids = store.person_ids
-    out = (KinPair(p.id1, ids[r], p.relation, PairLabel.NONKIN) for p, r in zip(kin_pairs, rows2))
-    return PairSet(tuple(out))
+    out = zip(kin_pairs, draw(epoch).tolist())
+    return PairSet(tuple(KinPair(p.id1, ids[r], p.relation, PairLabel.NONKIN) for p, r in out))
+
+
+def _nonkin_tris(
+    kin_tris: list[TriSample],
+    pool: np.ndarray,
+    child_rows: np.ndarray,
+    store: EmbeddingStore,
+    seed: int,
+    split_index: int,
+) -> tuple[TriSample, ...]:
+    """One nonkin triple per kin triple: same parents, swapped child.
+
+    The replacement child has the same gender, comes from a different
+    family and is itself a child (not a founder), drawn from ``pool``, the
+    ascending store rows of the world's children, in one seeded pass per
+    split. ``child_rows`` holds the store row of each kin triple's child.
+    """
+    sizes, draw = _cross_family_draw(store, pool, store._person_tables[1][child_rows], child_rows)
+    if not sizes.all():
+        gender = kin_tris[int(np.argmin(sizes))].child_gender
+        raise ValueError(f"no cross-family child of gender {gender.value}")
+    ids = store.person_ids
+    swapped = draw(derive_rng(seed, STREAM_TRI, split_index)).tolist()
+    return tuple(
+        TriSample(t.father_id, t.mother_id, ids[r], t.child_gender, PairLabel.NONKIN)
+        for t, r in zip(kin_tris, swapped)
+    )
 
 
 def _pair_rows(

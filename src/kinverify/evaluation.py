@@ -15,6 +15,8 @@ sentinels, accuracies and AUC are those of a lower-is-kin rule.
 
 Scored pairs cross the public boundary as ``list[ScoredPair]``; inside,
 every step runs on three aligned arrays (score, relation index, kin bit).
+Nothing here trains: the ablation grid, which trains and then scores one
+model per cell, lives in :mod:`kinverify.training`.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparator import Activation, ComparatorConfig, ComparatorParams, forward
+from .comparator import ComparatorParams, forward
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
 from .data import _write_rows, pairs_to_arrays
 from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
 from .relations import PARENT_CHILD, relation_index
-from .training import TrainConfig, train
+
 
 class Scorer(enum.Enum):
     COMPARATOR = "comparator"
@@ -333,79 +335,3 @@ def tri_score(
     """Score one (father, mother, child) triple: (z_fc, z_mc, fused)."""
     z_fc, z_mc, fused, _ = score_tris(params, store, TriSet((sample,)))
     return float(z_fc[0]), float(z_mc[0]), float(fused[0])
-
-
-def binary_accuracy_best_threshold(scores: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    """Best micro accuracy for raw kin-probability scores (higher is kin)."""
-    is_kin = np.asarray(targets).astype(bool)
-    return _calibrate(np.asarray(scores, dtype=np.float64), is_kin, None, Objective.MICRO)
-
-
-@dataclass(frozen=True)
-class AblationCell:
-    activation: str
-    dropout_p: float
-    hidden: int
-
-
-@dataclass(frozen=True)
-class AblationResult:
-    cell: AblationCell
-    accuracy: float
-
-
-def default_ablation_grid() -> tuple[AblationCell, ...]:
-    """The standard sweep: activations, dropout rates, layer sizes, default.
-
-    One cell per row of the published parameter study: three alternative
-    activations at the default dropout/size, four alternative dropout rates,
-    five alternative hidden sizes, then the default setting itself, which
-    is ``ComparatorConfig``'s default cell.
-    """
-    default = ComparatorConfig  # its class attributes are the defaults
-    act, p, h = default.activation.value, default.dropout_p, default.hidden
-    cells = [AblationCell(a, p, h) for a in ("relu", "prelu", "tanh")]
-    cells += [AblationCell(act, d, h) for d in (0.0, 0.1, 0.3, 0.4)]
-    cells += [AblationCell(act, p, n) for n in (64, 128, 256, 512, 1024)]
-    cells.append(AblationCell(act, p, h))
-    return tuple(cells)
-
-
-def ablation_run(
-    store: EmbeddingStore,
-    kin_pairs: PairSet,
-    val_pairs: PairSet,
-    input_dim: int,
-    train_config: TrainConfig,
-    grid: tuple[AblationCell, ...] | None = None,
-    objective: Objective = Objective.MACRO,
-) -> list[AblationResult]:
-    """Train one model per grid cell with a shared seed; report val accuracy.
-
-    Cells are independent (each gets a fresh model from the same seed) and
-    run in grid order, so the output is deterministic row for row.
-    """
-    grid = grid if grid is not None else default_ablation_grid()
-    if not grid:
-        raise ValueError("empty ablation grid")
-    results: list[AblationResult] = []
-    for cell in grid:
-        cfg = ComparatorConfig(
-            input_dim=input_dim,
-            hidden=cell.hidden,
-            activation=Activation(cell.activation),
-            dropout_p=cell.dropout_p,
-        )
-        params, _ = train(store, kin_pairs, val_pairs, cfg, train_config)
-        scored = score_pairs(params, store, val_pairs)
-        _, acc = calibrate_threshold(scored, objective=objective)
-        results.append(AblationResult(cell, acc))
-    return results
-
-
-def save_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
-    rows = (
-        (r.cell.activation, repr(r.cell.dropout_p), str(r.cell.hidden), repr(r.accuracy))
-        for r in results
-    )
-    _write_rows(path, "activation,dropout,hidden,accuracy", rows)

@@ -73,6 +73,9 @@ _ROLE_GENDERS: dict[KinshipRelation, tuple[Gender, Gender]] = {
 # positions 3-6 are the parent-child relations and 7-10 the grandparent ones.
 PARENT_CHILD = {_ROLE_GENDERS[r]: r for r in RELATION_ORDER[3:7]}
 GRANDPARENT_CHILD = {_ROLE_GENDERS[r]: r for r in RELATION_ORDER[7:]}
+# The relation of two siblings, by their genders in either order.
+SIBLING = {(g1, g2): KinshipRelation.SIBS for g1 in Gender for g2 in Gender if g1 is not g2}
+SIBLING |= {_ROLE_GENDERS[r]: r for r in (KinshipRelation.BB, KinshipRelation.SS)}
 
 SYMMETRIC_RELATIONS = frozenset(
     {KinshipRelation.BB, KinshipRelation.SIBS, KinshipRelation.SS}

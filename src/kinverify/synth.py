@@ -32,7 +32,10 @@ from both parents, grandparent pairs from both grandparents through the
 lineal parent. Families draw from per-family seed streams in a fixed
 order; the latent arithmetic then runs in array passes, one generation at
 a time, each row doing the operations it would get alone, so worlds replay
-bit-identically for a given seed.
+bit-identically for a given seed. The nonkin draws live in
+:mod:`kinverify.data`: the eval nonkin pairs are ``resample_nonkin`` at
+epoch 0, the draw training repeats each epoch, and each split's nonkin
+triples swap every kin triple's child in one seeded pass.
 """
 
 from __future__ import annotations
@@ -50,17 +53,12 @@ from .data import (
     PersonRef,
     TriSample,
     TriSet,
-    _cross_family_draw,
-    _nonkin_pairs,
+    _nonkin_tris,
     _write_rows,
+    resample_nonkin,
 )
-from .relations import GRANDPARENT_CHILD, PARENT_CHILD, Gender, KinshipRelation, relation_index
-from .seeding import (
-    STREAM_FAMILY,
-    STREAM_GENDER_AXIS,
-    STREAM_TRI,
-    derive_rng,
-)
+from .relations import GRANDPARENT_CHILD, PARENT_CHILD, SIBLING, Gender, KinshipRelation
+from .seeding import STREAM_FAMILY, STREAM_GENDER_AXIS, derive_rng
 
 SPLITS = ("train", "val", "test")
 
@@ -178,12 +176,6 @@ def _latent(
     return v / norm[:, None], identity
 
 
-def _sibling_relation(g1: Gender, g2: Gender) -> KinshipRelation:
-    if g1 is g2:
-        return KinshipRelation.BB if g1 is Gender.MALE else KinshipRelation.SS
-    return KinshipRelation.SIBS
-
-
 def generate_world(config: SynthConfig) -> SynthWorld:
     """Generate a deterministic world: store, pair sets, tri sets, pedigree.
 
@@ -246,7 +238,7 @@ def generate_world(config: SynthConfig) -> SynthWorld:
             for a in range(len(children)):
                 for b in range(a + 1, len(children)):
                     (c1, g1), (c2, g2) = children[a], children[b]
-                    kin.append((c1, c2, _sibling_relation(g1, g2)))
+                    kin.append((c1, c2, SIBLING[g1, g2]))
             for child, cg in children:
                 kin.append((father, child, PARENT_CHILD[(Gender.MALE, cg)]))
                 kin.append((mother, child, PARENT_CHILD[(Gender.FEMALE, cg)]))
@@ -275,18 +267,16 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     kin_pairs: dict[str, PairSet] = {}
     eval_pairs: dict[str, PairSet] = {}
     tris: dict[str, TriSet] = {}
-    for split in SPLITS:
+    for index, split in enumerate(SPLITS):
         links = split_kin[split]
         kin_set = PairSet(tuple(KinPair(ids[a], ids[b], rel, PairLabel.KIN) for a, b, rel in links))
         kin_pairs[split] = kin_set
-        rows1 = np.array([a for a, _, _ in links], dtype=np.intp)
-        rel_idx = np.array([relation_index(rel) for _, _, rel in links], dtype=np.intp)
-        nonkin = _nonkin_pairs(store, kin_set, rows1, rel_idx, config.seed, 0)
-        eval_pairs[split] = PairSet(kin_set.pairs + nonkin.pairs)
+        nonkin_set = resample_nonkin(kin_set, store, config.seed, 0)
+        eval_pairs[split] = PairSet(kin_set.pairs + nonkin_set.pairs)
+        kin_tris = split_tri_kin[split]
         child_rows = np.array(split_children[split], dtype=np.intp)
-        tris[split] = _with_nonkin_tris(
-            split_tri_kin[split], pool, child_rows, store, config.seed, split
-        )
+        nonkin = _nonkin_tris(kin_tris, pool, child_rows, store, config.seed, index)
+        tris[split] = TriSet(tuple(kin_tris) + nonkin)
 
     return SynthWorld(
         config=config,
@@ -296,36 +286,6 @@ def generate_world(config: SynthConfig) -> SynthWorld:
         tris=tris,
         pedigree=tuple(pedigree),
     )
-
-
-def _with_nonkin_tris(
-    kin_tris: list[TriSample],
-    pool: np.ndarray,
-    child_rows: np.ndarray,
-    store: EmbeddingStore,
-    seed: int,
-    split: str,
-) -> TriSet:
-    """Pair each kin triple with a nonkin one: same parents, swapped child.
-
-    The replacement child has the same gender, comes from a different
-    family and is itself a child (not a founder), drawn from the whole
-    world's child pool, in store order, in one seeded pass per split.
-    ``pool`` holds the store rows of the world's children, ascending, and
-    ``child_rows`` the store row of each kin triple's child.
-    """
-    want = store._person_tables[1][child_rows]
-    sizes, draw = _cross_family_draw(store, pool, want, child_rows)
-    if not sizes.all():
-        gender = kin_tris[int(np.argmin(sizes))].child_gender
-        raise ValueError(f"no cross-family child of gender {gender.value}")
-    ids = store.person_ids
-    swapped = draw(derive_rng(seed, STREAM_TRI, SPLITS.index(split)))
-    nonkin = (
-        TriSample(t.father_id, t.mother_id, ids[r], t.child_gender, PairLabel.NONKIN)
-        for t, r in zip(kin_tris, swapped.tolist())
-    )
-    return TriSet(tuple(kin_tris) + tuple(nonkin))
 
 
 def save_pedigree(pedigree: tuple[PedigreeEntry, ...], path: str | Path) -> None:

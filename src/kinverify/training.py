@@ -16,13 +16,16 @@ parameters, ADAM (betas 0.9 and 0.999, eps 1e-8: the module constants
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with learning rate 0.001 dropped to
 0.0005 after the second epoch, and 20% inverted dropout on the
 concatenated feature. Every stream is seeded, so a (seed, data, config)
-triple reproduces the model byte for byte.
+triple reproduces the model byte for byte. The ablation grid of the
+published parameter study (``ablation_run``) trains one model per cell
+with this recipe and scores it with :mod:`kinverify.evaluation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -48,9 +51,11 @@ from .data import (
     _gather_features,
     _nonkin_draw,
     _symmetric_rows,
+    _write_rows,
     pairs_to_arrays,
 )
-from .seeding import STREAM_DROPOUT, STREAM_RESAMPLE, STREAM_SHUFFLE, derive_rng
+from .evaluation import Objective, _calibrate, calibrate_threshold, score_pairs
+from .seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
 
 GradientSet = dict[str, np.ndarray]
 
@@ -305,8 +310,6 @@ def _macro_accuracy_curve(params, features, rel_idx, targets):
 
     The arguments after ``params`` are those ``pairs_to_arrays`` returns.
     """
-    from .evaluation import Objective, _calibrate
-
     scores = forward(params, features, mode="eval", positions=rel_idx)[0]  # drop the trace
     _, best = _calibrate(scores, targets == 1.0, rel_idx, Objective.MACRO)
     return best
@@ -401,13 +404,13 @@ def train(
     # leave no hole under them (about 3 MB less peak RSS over repeated calls, measured).
     state = AdamState.init_like(params)
     rows1, rows2, rel_idx, targets = _symmetric_rows(store, kin_pairs, comp_config.relations)
-    draw_nonkin = _nonkin_draw(store, rows1, rel_idx, comp_config.relations)
+    draw_nonkin = _nonkin_draw(store, rows1, rel_idx, comp_config.relations, seed)
     val = pairs_to_arrays(store, val_pairs, comp_config.relations)
     rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])
     targets = np.concatenate([targets, np.zeros_like(targets)])
 
     def epoch_data(epoch):
-        partners = np.concatenate([rows2, draw_nonkin(derive_rng(seed, STREAM_RESAMPLE, epoch))])
+        partners = np.concatenate([rows2, draw_nonkin(epoch)])
         return rows1, partners, rel_idx, targets
 
     step = partial(
@@ -448,6 +451,76 @@ def train_attention(
     for _ in _epochs(state, train_config, epoch_data, step, 0.0):
         pass
     return params
+
+
+@dataclass(frozen=True)
+class AblationCell:
+    activation: str
+    dropout_p: float
+    hidden: int
+
+
+@dataclass(frozen=True)
+class AblationResult:
+    cell: AblationCell
+    accuracy: float
+
+
+def default_ablation_grid() -> tuple[AblationCell, ...]:
+    """The standard sweep: activations, dropout rates, layer sizes, default.
+
+    One cell per row of the published parameter study: three alternative
+    activations at the default dropout/size, four alternative dropout rates,
+    five alternative hidden sizes, then the default setting itself, which
+    is ``ComparatorConfig``'s default cell.
+    """
+    default = ComparatorConfig  # its class attributes are the defaults
+    act, p, h = default.activation.value, default.dropout_p, default.hidden
+    cells = [AblationCell(a, p, h) for a in ("relu", "prelu", "tanh")]
+    cells += [AblationCell(act, d, h) for d in (0.0, 0.1, 0.3, 0.4)]
+    cells += [AblationCell(act, p, n) for n in (64, 128, 256, 512, 1024)]
+    cells.append(AblationCell(act, p, h))
+    return tuple(cells)
+
+
+def ablation_run(
+    store: EmbeddingStore,
+    kin_pairs: PairSet,
+    val_pairs: PairSet,
+    input_dim: int,
+    train_config: TrainConfig,
+    grid: tuple[AblationCell, ...] | None = None,
+    objective: Objective = Objective.MACRO,
+) -> list[AblationResult]:
+    """Train one model per grid cell with a shared seed; report val accuracy.
+
+    Cells are independent (each gets a fresh model from the same seed) and
+    run in grid order, so the output is deterministic row for row.
+    """
+    grid = grid if grid is not None else default_ablation_grid()
+    if not grid:
+        raise ValueError("empty ablation grid")
+    results: list[AblationResult] = []
+    for cell in grid:
+        cfg = ComparatorConfig(
+            input_dim=input_dim,
+            hidden=cell.hidden,
+            activation=Activation(cell.activation),
+            dropout_p=cell.dropout_p,
+        )
+        params, _ = train(store, kin_pairs, val_pairs, cfg, train_config)
+        scored = score_pairs(params, store, val_pairs)
+        _, acc = calibrate_threshold(scored, objective=objective)
+        results.append(AblationResult(cell, acc))
+    return results
+
+
+def save_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
+    rows = (
+        (r.cell.activation, repr(r.cell.dropout_p), str(r.cell.hidden), repr(r.accuracy))
+        for r in results
+    )
+    _write_rows(path, "activation,dropout,hidden,accuracy", rows)
 
 
 def finite_difference_grads(

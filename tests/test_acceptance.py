@@ -26,18 +26,24 @@ from kinverify.evaluation import (
     Objective,
     ScoredPair,
     Scorer,
+    _calibrate,
     auc,
-    binary_accuracy_best_threshold,
     calibrate_threshold,
-    default_ablation_grid,
     histogram,
-    ablation_run,
     score_pairs,
     score_tris,
 )
 from kinverify.model_io import deserialize_model, ModelFormatError, serialize_model
 from kinverify.relations import KinshipRelation
-from kinverify.training import TrainConfig, backward, gradcheck, train
+from kinverify.training import (
+    AblationCell,
+    TrainConfig,
+    ablation_run,
+    backward,
+    default_ablation_grid,
+    gradcheck,
+    train,
+)
 
 from oracles import auc_bruteforce, best_threshold_bruteforce, dense_forward_oracle
 
@@ -267,9 +273,10 @@ def test_c08_tri_subject(default_world, trained_default):
     exact = np.array_equal(fused, (z_fc + z_mc) / 2.0)
 
     z_fc, z_mc, fused, targets = score_tris(params, world.store, world.tris["val"])
-    _, acc_f = binary_accuracy_best_threshold(z_fc, targets)
-    _, acc_m = binary_accuracy_best_threshold(z_mc, targets)
-    _, acc_fused = binary_accuracy_best_threshold(fused, targets)
+    is_kin = targets == 1.0
+    _, acc_f = _calibrate(z_fc, is_kin, None, Objective.MICRO)
+    _, acc_m = _calibrate(z_mc, is_kin, None, Objective.MICRO)
+    _, acc_fused = _calibrate(fused, is_kin, None, Objective.MICRO)
     ok = acc_fused >= max(acc_f, acc_m) - 0.02
     check(
         "C8 tri-subject fusion",
@@ -365,8 +372,6 @@ def test_c11_ablation_grid(reduced_world):
 
 def test_hidden_size_trend(default_world):
     # narrow hidden layer loses badly to the default-family sizes
-    from kinverify.evaluation import AblationCell
-
     world = default_world
     results = ablation_run(
         world.store,

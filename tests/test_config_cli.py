@@ -8,9 +8,8 @@ import pytest
 from kinverify.cli import _run_config, build_parser, main
 from kinverify.comparator import ComparatorConfig
 from kinverify.config import _SECTIONS, ConfigError, RunConfig, parse_config
-from kinverify.evaluation import AblationCell, default_ablation_grid
 from kinverify.synth import SynthConfig
-from kinverify.training import TrainConfig
+from kinverify.training import AblationCell, TrainConfig, default_ablation_grid
 
 
 def test_defaults_match_published_training_recipe():

@@ -33,7 +33,6 @@ from kinverify.data import (
     _symmetric_rows,
 )
 from kinverify.relations import RELATION_ORDER, Gender, KinshipRelation
-from kinverify.seeding import STREAM_RESAMPLE, derive_rng
 
 from oracles import resample_nonkin_loop
 
@@ -282,16 +281,9 @@ def test_pair_writer_rejects_unlabeled_pair(tmp_path):
 def test_writers_without_round_trip_write_pinned_bytes(tmp_path, monkeypatch):
     from kinverify import cli
     from kinverify.comparator import ComparatorConfig, init_params
-    from kinverify.evaluation import (
-        AblationCell,
-        AblationResult,
-        EvaluationReport,
-        HistogramTable,
-        ReportRow,
-        save_ablation_csv,
-    )
+    from kinverify.evaluation import EvaluationReport, HistogramTable, ReportRow
     from kinverify.synth import PedigreeEntry, save_pedigree
-    from kinverify.training import EpochStats
+    from kinverify.training import AblationCell, AblationResult, EpochStats, save_ablation_csv
 
     third = 1.0 / 3.0
     report = EvaluationReport(
@@ -339,16 +331,9 @@ def test_writers_without_round_trip_write_pinned_bytes(tmp_path, monkeypatch):
 
 def test_failed_write_leaves_old_file_intact(tmp_path, monkeypatch, tiny_world):
     from kinverify.config import RunConfig, write_manifest
-    from kinverify.evaluation import (
-        AblationCell,
-        AblationResult,
-        Scorer,
-        accuracy_report,
-        histogram,
-        save_ablation_csv,
-        score_pairs,
-    )
+    from kinverify.evaluation import Scorer, accuracy_report, histogram, score_pairs
     from kinverify.synth import save_pedigree
+    from kinverify.training import AblationCell, AblationResult, save_ablation_csv
 
     def failing_fsync(fd):
         raise OSError("disk full")
@@ -622,11 +607,10 @@ def test_train_rows_and_draw_match_the_augmented_pairs(world, codes):
         expected = resample_nonkin(aug, store, seed, epoch)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            _nonkin_draw(store, rows[0], rows[2], codes)
+            _nonkin_draw(store, rows[0], rows[2], codes, seed)
         assert str(got.value) == str(exc)
         return
-    draw = _nonkin_draw(store, rows[0], rows[2], codes)
-    partners = draw(derive_rng(seed, STREAM_RESAMPLE, epoch))
+    partners = _nonkin_draw(store, rows[0], rows[2], codes, seed)(epoch)
     assert [store.person_ids[r] for r in partners] == [p.id2 for p in expected]
 
 

@@ -7,21 +7,19 @@ from hypothesis import strategies as st
 from kinverify.comparator import ComparatorConfig, forward, init_params
 from kinverify.data import EmbeddingStore, KinPair, PairLabel, PersonRef
 from kinverify.evaluation import (
-    AblationCell,
     Objective,
     ScoredPair,
     Scorer,
     accuracy_report,
     auc,
-    binary_accuracy_best_threshold,
     calibrate_threshold,
-    default_ablation_grid,
     histogram,
     score_pairs,
     score_tris,
     tri_score,
 )
 from kinverify.relations import Gender, KinshipRelation
+from kinverify.training import AblationCell, TrainConfig, ablation_run, default_ablation_grid, train
 
 from oracles import auc_bruteforce, best_threshold_bruteforce
 
@@ -345,9 +343,6 @@ def test_default_ablation_grid_shape():
 
 
 def test_ablation_single_cell_equals_plain_train(tiny_world):
-    from kinverify.evaluation import ablation_run
-    from kinverify.training import TrainConfig, train
-
     world = tiny_world
     tcfg = TrainConfig(epochs=1, batch_size=64, seed=5)
     cell = AblationCell("lrelu", 0.2, 4)
@@ -367,20 +362,6 @@ def test_ablation_single_cell_equals_plain_train(tiny_world):
     _, expected = calibrate_threshold(scored, Objective.MACRO)
     assert results[0].accuracy == expected
     assert history[-1].val_macro_acc == expected  # the array validation path, bit for bit
-
-
-@settings(max_examples=100, deadline=None)
-@given(scored_sets())
-def test_binary_accuracy_best_threshold(scored):
-    scores = np.array([0.9, 0.8, 0.2, 0.1])
-    targets = np.array([1.0, 1.0, 0.0, 0.0])
-    threshold, acc = binary_accuracy_best_threshold(scores, targets)
-    assert acc == 1.0 and 0.2 < threshold < 0.8
-
-    # same result as micro calibration on the equivalent pairs
-    scores, is_kin, _ = columns(scored)
-    expected = calibrate_threshold(scored, Objective.MICRO)
-    assert binary_accuracy_best_threshold(scores, is_kin.astype(float)) == expected
 
 
 def test_per_relation_thresholds_extension():

@@ -14,7 +14,7 @@ from kinverify.comparator import (
     add_attention_head,
     init_params,
 )
-from kinverify.relations import RELATION_ORDER
+from kinverify.relations import RELATION_ORDER, KinshipRelation
 from kinverify.model_io import (
     ModelFormatError,
     deserialize_model,
@@ -339,6 +339,16 @@ def test_writer_refuses_every_threshold_the_reader_refuses(params, threshold):
 def test_config_rejects_relation_codes_outside_the_eleven(code):
     with pytest.raises(ValueError, match="relation 1: unknown relation code"):
         ComparatorConfig(input_dim=8, relations=("BB", code))
+
+
+@pytest.mark.parametrize(
+    "relations, position",
+    [((KinshipRelation.BB,), 0), (("BB", KinshipRelation.BB), 1)],
+)
+def test_config_rejects_relation_members_by_position(relations, position):
+    # a member is no code: the model writer and relation_position take strings
+    with pytest.raises(ValueError, match=f"relation {position}: .* is not a relation code string"):
+        ComparatorConfig(input_dim=8, hidden=2, relations=relations)
 
 
 def test_non_finite_parameters_are_neither_written_nor_read():

@@ -255,8 +255,7 @@ def test_nonkin_tris_match_per_triple_draw(seed):
 
 
 def test_nonkin_tris_without_cross_family_child():
-    from kinverify.data import EmbeddingStore, PersonRef, TriSample
-    from kinverify.synth import _with_nonkin_tris
+    from kinverify.data import EmbeddingStore, PersonRef, TriSample, _nonkin_tris
 
     # the only male child belongs to the kin triple's own family
     people = [
@@ -269,7 +268,7 @@ def test_nonkin_tris_without_cross_family_child():
     pool = np.array([store.row("c0"), store.row("c1")])
     kin = [TriSample("f", "m", "c0", Gender.MALE, PairLabel.KIN)]
     with pytest.raises(ValueError, match="no cross-family child of gender M"):
-        _with_nonkin_tris(kin, pool, np.array([store.row("c0")]), store, 0, "train")
+        _nonkin_tris(kin, pool, np.array([store.row("c0")]), store, 0, 0)
 
 
 # sha256 of TINY_SYNTH's store matrix bytes and of the eight files `kinverify synth`
