@@ -36,12 +36,14 @@ from .seeding import STREAM_INIT, derive_rng
 LRELU_SLOPE = 0.2
 PRELU_INIT_SLOPE = 0.25
 
-# Rows per block of a large eval-mode forward (see _block_cuts). A block's
-# hidden arrays (1,024 x 192 float64, 1.5 MB each) stay in a 2 MB L2 cache,
-# and each GEMV of a blocked forward covers fewer than 2,048 rows, below
-# OpenBLAS's threading cut-off (2,400 rows at hidden 192), so eval scores do
-# not depend on the BLAS thread count. A multiple of 4, because OpenBLAS's
-# GEMV sums rows in groups of four counted from the first row of each call.
+# Rows per block of an eval-mode forward over more rows than this (see
+# _block_cuts): a block closes at the first position boundary or in-position
+# cut after it holds this many rows. A block's hidden arrays (about 1,024 x
+# 192 float64, 1.5 MB each) stay in a 2 MB L2 cache, and each GEMV of a
+# blocked forward covers fewer than 2,048 rows, below OpenBLAS's threading
+# cut-off (2,400 rows at hidden 192), so eval scores do not depend on the
+# BLAS thread count. A multiple of 4, because OpenBLAS's GEMV sums rows in
+# groups of four counted from the first row of each call.
 EVAL_BLOCK_ROWS = 1024
 
 
@@ -384,20 +386,30 @@ def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
     """Row cuts of a blocked eval forward over ``n`` trace rows.
 
     ``ends`` lists, ascending, the trace row where each position's rows end
-    (``n`` alone for a full forward). A cut lies a multiple of ``block``
-    rows after the start of its position's rows, at least ``block`` rows
-    before their end and at least ``block`` rows after the previous cut.
-    So every block holds at least ``block`` rows, and fewer than twice that
-    unless it takes in positions with fewer than ``block`` rows. An expert
-    then runs on a block over at least ``block`` rows or over exactly its
-    unblocked rows, and each position's logits come in pieces that start
-    where the unblocked GEMV's groups of four rows start and end where it
-    ends: what OpenBLAS needs to give each row the unblocked call's bits.
+    (``n`` alone for a full forward). Every cut lies at least ``block`` rows
+    after the previous one, so every block but the last holds at least
+    ``block`` rows. A cut is one of two kinds:
+    - a position boundary, where the next position holds at least
+      ``block // 8`` rows and at least two;
+    - inside a position, a multiple of ``block`` rows after the start of
+      its rows and at least ``block`` rows before their end.
+
+    So each position's logits come in one piece, or in pieces of ``block``
+    to ``2 * block - 1`` rows that start where the unblocked GEMV's groups
+    of four rows start and end where it ends. And an expert's GEMM piece
+    that starts at a cut spans at least the rest of the position there:
+    never one row, which numpy hands to GEMV, nor the few rows (up to six
+    at hidden 192) that OpenBLAS hands to a small-matrix kernel. Both sum
+    in another order than the unblocked GEMM; these cuts give each row the
+    unblocked call's bits.
     """
+    least = max(2, block // 8)
     cuts = [0]
     lo = 0
     for hi in ends:
-        for cut in range(lo, hi - block + 1, block):
+        if hi - lo >= least and lo - cuts[-1] >= block:
+            cuts.append(lo)
+        for cut in range(lo + block, hi - block + 1, block):
             if cut - cuts[-1] >= block:
                 cuts.append(cut)
         lo = hi
@@ -472,11 +484,13 @@ def forward(
 
     The experts run block by block over the trace rows: all experts on one
     block, then the next. Train mode takes all rows as one block. Eval mode
-    cuts blocks of about ``EVAL_BLOCK_ROWS`` rows (see ``_block_cuts``; up
-    to that many rows make one block) and clips each expert's rows to the
-    block, so its hidden arrays stay in cache and each GEMV stays
-    single-threaded. The trace is the same as an unblocked one, and so are
-    the probabilities when the hidden layer has two or more units.
+    cuts blocks of about ``EVAL_BLOCK_ROWS`` rows at position boundaries
+    and inside large positions (see ``_block_cuts``; up to that many rows
+    make one block) and clips each expert's rows to the block, so its
+    hidden arrays stay in cache and each GEMV stays single-threaded. The
+    trace is the same as an unblocked one. So are the probabilities with
+    OpenBLAS for hidden layers of 10 to 127 units, or of a multiple of 8
+    from 16 to 1,024, the default 192 included (see the README).
     """
     cfg = params.config
     if mode not in ("train", "eval"):

@@ -12,7 +12,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinverify import comparator
@@ -99,11 +99,23 @@ def test_score_unknown_peak_memory_is_a_few_hidden_blocks():
 
 
 # Blocked eval forward. With the block size patched down to a few rows, a
-# batch of up to 12 rows runs in several blocks. Blocks of one row and hidden
-# layers of one unit are left out: numpy hands such a product to GEMV or dot
-# instead of GEMM, whose sums run in another order, so its last bit can move.
+# batch of up to 12 rows runs in several blocks, cut inside positions and at
+# position boundaries. Blocks of one row and hidden layers of one unit are
+# left out: numpy hands such a product to GEMV or dot instead of GEMM, whose
+# sums run in another order, so its last bit can move. The examples put a
+# one-row position right after a boundary that holds a full block: no cut
+# there, and a boundary cut one position later.
+EXAMPLE_CONFIG = ComparatorConfig(input_dim=4, hidden=3, relations=CODES[:3])
+
+
 @settings(max_examples=300, deadline=None)
 @given(cases(min_hidden=2), st.integers(2, 4))
+@example((EXAMPLE_CONFIG, 6, np.array([2, 1, 0, 2, 0, 0]), 1), 2)
+@example(
+    (dataclasses.replace(EXAMPLE_CONFIG, sharing=SharingMode.ENTIRELY_LOCAL),
+     8, np.array([0, 2, 1, 2, 0, 2, 0, 0]), 2),
+    3,
+)
 def test_blocked_eval_equals_unblocked_train(case, block):
     config, n, positions, seed = case
     rng = np.random.default_rng(seed)
@@ -131,17 +143,57 @@ def test_blocked_eval_equals_unblocked_train(case, block):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 30), min_size=1, max_size=6), st.integers(1, 8))
+@given(st.lists(st.integers(0, 30) | st.just(1), min_size=1, max_size=8), st.integers(2, 8))
 def test_block_cuts_keep_positions_aligned(sizes, block):
     ends = list(accumulate(sizes))
     n = ends[-1]
     cuts = _block_cuts(ends, n, block)
     spans = [(lo, hi) for lo, hi in zip([0] + ends, ends) if hi > lo]
     assert cuts[0] == 0 and cuts[-1] == n
-    for cut in cuts[1:-1]:  # a multiple of block into a position's rows, block before their end
+    for cut in cuts[1:-1]:
         lo, hi = next((lo, hi) for lo, hi in spans if lo <= cut < hi)
-        assert (cut - lo) % block == 0 and hi - cut >= block
-    for a, b in zip(cuts, cuts[1:]):
-        assert b - a >= min(block, n)
-        if b - a >= 2 * block:  # only positions of fewer than block rows make a block this long
-            assert any(hi - lo < block for lo, hi in spans if lo < b and hi > a)
+        # a position boundary, or a multiple of block into a position's rows and block before their end
+        assert cut == lo or ((cut - lo) % block == 0 and hi - cut >= block)
+        # the GEMM pieces that start here span at least the rest of this position: never one row
+        assert hi - cut >= 2
+    for a, b in zip(cuts, cuts[1:-1]):  # every block but the last
+        assert b - a >= block
+    for a, b in zip(cuts, cuts[1:]):  # a position's logit GEMV in a block stays below 2 blocks
+        assert all(min(hi, b) - max(lo, a) < 2 * block for lo, hi in spans)
+
+
+def test_blocked_eval_keeps_bits_past_a_small_position():
+    # At hidden 192 OpenBLAS may send a product of a few rows to a small-matrix
+    # kernel that sums in another order, so no cut may fall right before them
+    config = ComparatorConfig(input_dim=128, relations=CODES[:3])
+    params = init_params(config, 1)
+    for small in (2, 3, 6, 127):
+        positions = np.repeat([2, 1, 0], [1100, small, 500])
+        features = np.random.default_rng(small).standard_normal((len(positions), 128))
+        probs, _ = forward(params, features, mode="eval", positions=positions)
+        train_probs, _ = forward(
+            ComparatorParams(dataclasses.replace(config, dropout_p=0.0), params.values),
+            features, mode="train", positions=positions,
+        )
+        assert np.array_equal(probs, train_probs), small
+
+
+def test_val_shaped_prefix_forward_peak_memory_is_a_few_blocks():
+    # The shape of a validation split: 11 positions of 150-400 rows each, so
+    # no position alone reaches a block and only boundary cuts can split it
+    params = init_params(ComparatorConfig(input_dim=128), 0)
+    rng = np.random.default_rng(0)
+    positions = np.repeat(np.arange(11), rng.integers(150, 401, 11))
+    rng.shuffle(positions)
+    features = rng.standard_normal((len(positions), 128))
+    block = comparator.EVAL_BLOCK_ROWS * params.config.hidden * 8
+    forward(params, features[:10], positions=positions[:10])  # warm caches outside the count
+    tracemalloc.start()
+    try:
+        forward(params, features, positions=positions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the trace keeps a sorted copy of the features; an unblocked forward holds
+    # a few hidden arrays over all 2,736 rows besides (15.1 MB, against 8.6 MB)
+    assert peak < 4 * block + 2 * features.nbytes, (len(positions), peak)

@@ -508,7 +508,9 @@ def test_model_bytes_do_not_depend_on_blas_threads():
 def test_eval_scores_do_not_depend_on_blas_threads():
     # 10,006 rows: the full cascade's logit GEMV over all rows, and the prefix
     # one over the ~3,770 rows of position 10, are far above OpenBLAS's
-    # threading cut-off, and half of either is not a multiple of four rows
+    # threading cut-off, and half of either is not a multiple of four rows.
+    # The third batch has the shape of a validation split, 11 positions of
+    # 150-400 rows, which only position-boundary cuts split into blocks.
     script = textwrap.dedent(
         """
         import hashlib
@@ -519,13 +521,14 @@ def test_eval_scores_do_not_depend_on_blas_threads():
         rng = np.random.default_rng(0)
         features = rng.standard_normal((10_006, 128))
         positions = np.minimum(rng.integers(0, 16, len(features)), 10)
-        for pos in (None, positions):
-            probs, _ = forward(params, features, positions=pos)
+        small = rng.permutation(np.repeat(np.arange(11), rng.integers(150, 401, 11)))
+        for x, pos in ((features, None), (features, positions), (features[: len(small)], small)):
+            probs, _ = forward(params, x, positions=pos)
             print(hashlib.sha256(probs.tobytes()).hexdigest())
         """
     )
     digests = _stdout_per_blas_threads(script)
-    assert len(digests) == 1 and len(digests.pop().split()) == 2
+    assert len(digests) == 1 and len(digests.pop().split()) == 3
 
 
 def _stdout_per_blas_threads(script: str) -> set[str]:
