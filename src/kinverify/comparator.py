@@ -46,6 +46,15 @@ PRELU_INIT_SLOPE = 0.25
 # groups of four counted from the first row of each call.
 EVAL_BLOCK_ROWS = 1024
 
+# Fewest rows of the next position for a cut at a position boundary (see
+# _block_cuts), so every GEMM piece that starts at a cut spans at least this
+# many rows. With OpenBLAS 0.3.31's SkylakeX kernels a product of at most
+# about 1,200 rows x hidden units (and, at two threads, of at most ``hidden``
+# rows for a hidden size that is not a multiple of 8) goes to a small-matrix
+# kernel that sums in another order than GEMM; 128 rows clear both for
+# hidden layers of 10 to 127 units and every multiple of 8 from 16 to 1,024.
+EVAL_MIN_PIECE_ROWS = 128
+
 
 class Activation(enum.Enum):
     LRELU = "lrelu"
@@ -390,24 +399,23 @@ def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
     after the previous one, so every block but the last holds at least
     ``block`` rows. A cut is one of two kinds:
     - a position boundary, where the next position holds at least
-      ``block // 8`` rows and at least two;
+      ``EVAL_MIN_PIECE_ROWS`` rows;
     - inside a position, a multiple of ``block`` rows after the start of
       its rows and at least ``block`` rows before their end.
 
     So each position's logits come in one piece, or in pieces of ``block``
     to ``2 * block - 1`` rows that start where the unblocked GEMV's groups
     of four rows start and end where it ends. And an expert's GEMM piece
-    that starts at a cut spans at least the rest of the position there:
-    never one row, which numpy hands to GEMV, nor the few rows (up to six
-    at hidden 192) that OpenBLAS hands to a small-matrix kernel. Both sum
-    in another order than the unblocked GEMM; these cuts give each row the
-    unblocked call's bits.
+    that starts at a cut spans at least the rest of the position there, so
+    it is neither a one-row product, which numpy hands to GEMV, nor one
+    that OpenBLAS hands to its small-matrix kernel. Both sum in another
+    order than the unblocked GEMM; these cuts give each row the unblocked
+    call's bits.
     """
-    least = max(2, block // 8)
     cuts = [0]
     lo = 0
     for hi in ends:
-        if hi - lo >= least and lo - cuts[-1] >= block:
+        if hi - lo >= EVAL_MIN_PIECE_ROWS and lo - cuts[-1] >= block:
             cuts.append(lo)
         for cut in range(lo + block, hi - block + 1, block):
             if cut - cuts[-1] >= block:
@@ -469,9 +477,10 @@ def forward(
     and computing exactly ``features * scale`` (kept entries scaled by
     1/(1-p)), and keeps every expert's pre-activation and hidden array in
     the trace. Eval mode is inference: deterministic, never drops, and
-    keeps no activations. Its probabilities are bit-identical to those of
-    a train-mode forward without dropout; on ``features * scale`` they are
-    those of the train-mode forward whose trace has that ``dropout_scale``.
+    keeps no activations. Its probabilities are those of a train-mode
+    forward without dropout, bit for bit for the hidden sizes named below;
+    on ``features * scale`` they are those of the train-mode forward whose
+    trace has that ``dropout_scale``.
 
     One row plan (``_row_plan``) gives each expert the rows it runs on and
     the rows whose logit it writes. Without ``positions`` every expert runs

@@ -495,10 +495,7 @@ def ablation_run(
     """Train one model per grid cell with a shared seed; report val accuracy.
 
     Cells are independent (each gets a fresh model from the same seed) and
-    run in grid order, so the output is deterministic row for row. Under
-    the macro objective a cell's accuracy is the last epoch's
-    ``val_macro_acc``, the same bits as scoring the val pairs again; the
-    micro objective and epochs=0 score them.
+    run in grid order, so the output is deterministic row for row.
     """
     grid = grid if grid is not None else default_ablation_grid()
     if not grid:
@@ -511,11 +508,9 @@ def ablation_run(
             activation=Activation(cell.activation),
             dropout_p=cell.dropout_p,
         )
-        params, history = train(store, kin_pairs, val_pairs, cfg, train_config)
-        if objective is Objective.MACRO and history:  # train scored the final model already
-            acc = history[-1].val_macro_acc
-        else:
-            _, acc = calibrate_threshold(score_pairs(params, store, val_pairs), objective=objective)
+        params, _ = train(store, kin_pairs, val_pairs, cfg, train_config)
+        scored = score_pairs(params, store, val_pairs)
+        _, acc = calibrate_threshold(scored, objective=objective)
         results.append(AblationResult(cell, acc))
     return results
 

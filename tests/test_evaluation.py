@@ -364,26 +364,6 @@ def test_ablation_single_cell_equals_plain_train(tiny_world):
     assert history[-1].val_macro_acc == expected  # the array validation path, bit for bit
 
 
-@pytest.mark.parametrize("epochs, objective", [(0, Objective.MACRO), (1, Objective.MICRO)])
-def test_ablation_scores_cells_without_a_macro_history(tiny_world, epochs, objective):
-    # no epoch history, or another objective than train's: the cell scores its val pairs
-    world = tiny_world
-    tcfg = TrainConfig(epochs=epochs, batch_size=64, seed=5)
-    results = ablation_run(
-        world.store,
-        world.kin_pairs["train"],
-        world.eval_pairs["val"],
-        input_dim=2 * world.store.dim,
-        train_config=tcfg,
-        grid=(AblationCell("lrelu", 0.2, 4),),
-        objective=objective,
-    )
-    config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=4, dropout_p=0.2)
-    params, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"], config, tcfg)
-    scored = score_pairs(params, world.store, world.eval_pairs["val"])
-    assert results[0].accuracy == calibrate_threshold(scored, objective)[1]
-
-
 def test_per_relation_thresholds_extension():
     from kinverify.evaluation import calibrate_per_relation
 

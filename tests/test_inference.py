@@ -98,13 +98,13 @@ def test_score_unknown_peak_memory_is_a_few_hidden_blocks():
     assert peak < 4 * block + features.nbytes
 
 
-# Blocked eval forward. With the block size patched down to a few rows, a
-# batch of up to 12 rows runs in several blocks, cut inside positions and at
-# position boundaries. Blocks of one row and hidden layers of one unit are
-# left out: numpy hands such a product to GEMV or dot instead of GEMM, whose
-# sums run in another order, so its last bit can move. The examples put a
-# one-row position right after a boundary that holds a full block: no cut
-# there, and a boundary cut one position later.
+# Blocked eval forward. With the block size patched down to a few rows and
+# the boundary-cut floor to two, a batch of up to 12 rows runs in several
+# blocks, cut inside positions and at position boundaries. Blocks of one row
+# and hidden layers of one unit are left out: numpy hands such a product to
+# GEMV or dot instead of GEMM, whose sums run in another order, so its last
+# bit can move. The examples put a one-row position right after a boundary
+# that holds a full block: no cut there, and a boundary cut one position later.
 EXAMPLE_CONFIG = ComparatorConfig(input_dim=4, hidden=3, relations=CODES[:3])
 
 
@@ -128,6 +128,7 @@ def test_blocked_eval_equals_unblocked_train(case, block):
     train_probs, train_trace = forward(no_dropout, features, mode="train", positions=positions)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
+        mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", 2)
         probs, trace = forward(params, features, mode="eval", positions=positions)
         # training never blocks: one array per expert, over all of that expert's rows
         _, patched_train = forward(no_dropout, features, mode="train", positions=positions)
@@ -143,23 +144,33 @@ def test_blocked_eval_equals_unblocked_train(case, block):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 30) | st.just(1), min_size=1, max_size=8), st.integers(2, 8))
-def test_block_cuts_keep_positions_aligned(sizes, block):
+@given(
+    st.lists(st.integers(0, 30) | st.just(1), min_size=1, max_size=8),
+    st.integers(2, 8).flatmap(lambda block: st.tuples(st.just(block), st.integers(2, block))),
+)
+def test_block_cuts_keep_positions_aligned(sizes, block_and_floor):
+    block, floor = block_and_floor
     ends = list(accumulate(sizes))
     n = ends[-1]
-    cuts = _block_cuts(ends, n, block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", floor)
+        cuts = _block_cuts(ends, n, block)
     spans = [(lo, hi) for lo, hi in zip([0] + ends, ends) if hi > lo]
     assert cuts[0] == 0 and cuts[-1] == n
     for cut in cuts[1:-1]:
         lo, hi = next((lo, hi) for lo, hi in spans if lo <= cut < hi)
-        # a position boundary, or a multiple of block into a position's rows and block before their end
-        assert cut == lo or ((cut - lo) % block == 0 and hi - cut >= block)
-        # the GEMM pieces that start here span at least the rest of this position: never one row
-        assert hi - cut >= 2
+        if cut == lo:  # a position boundary before a position of at least floor rows
+            assert hi - cut >= floor
+        else:  # a multiple of block into a position's rows, block before their end
+            assert (cut - lo) % block == 0 and hi - cut >= block
+        assert hi - cut >= 2  # so no GEMM piece that starts here has one row
     for a, b in zip(cuts, cuts[1:-1]):  # every block but the last
         assert b - a >= block
-    for a, b in zip(cuts, cuts[1:]):  # a position's logit GEMV in a block stays below 2 blocks
+    for a, b in zip(cuts, cuts[1:]):
+        # a position's logit GEMV in a block stays below 2 blocks
         assert all(min(hi, b) - max(lo, a) < 2 * block for lo, hi in spans)
+        if b - a >= 2 * block:  # only positions of fewer than block rows make a block this long
+            assert any(hi - lo < block for lo, hi in spans if lo < b and hi > a)
 
 
 def test_blocked_eval_keeps_bits_past_a_small_position():
