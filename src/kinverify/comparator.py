@@ -351,12 +351,14 @@ class ForwardTrace:
     (see ``_row_plan``). Expert ``i`` ran on trace rows ``lo:hi`` and wrote
     its logit on rows ``first:hi``, where ``(lo, first, hi) = spans[i]``.
 
-    Only a train-mode trace holds the per-expert activations. An eval-mode
-    forward is inference: ``pre_acts`` and ``hidden`` are empty lists, so
-    each expert's arrays are freed once the next expert has read them.
+    Only a train-mode trace holds the inputs and the per-expert activations.
+    An eval-mode forward is inference: ``pre_acts`` and ``hidden`` are empty
+    lists, so each expert's arrays are freed once the next expert has read
+    them, and ``inputs`` is an empty (0, 2d) array, as each block gathers
+    its rows from the caller's features.
     """
 
-    inputs: np.ndarray  # post-dropout features in trace order, shape (n, 2d)
+    inputs: np.ndarray  # train: post-dropout features in trace order (n, 2d); eval: (0, 2d)
     dropout_scale: np.ndarray | None  # multiplier mask in caller order, None in eval mode
     pre_acts: list[np.ndarray]  # train mode: per expert, shape (counts[i], hidden)
     hidden: list[np.ndarray]  # train mode: per expert, shape (counts[i], hidden)
@@ -495,11 +497,13 @@ def forward(
     block, then the next. Train mode takes all rows as one block. Eval mode
     cuts blocks of about ``EVAL_BLOCK_ROWS`` rows at position boundaries
     and inside large positions (see ``_block_cuts``; up to that many rows
-    make one block) and clips each expert's rows to the block, so its
-    hidden arrays stay in cache and each GEMV stays single-threaded. The
-    trace is the same as an unblocked one. So are the probabilities with
-    OpenBLAS for hidden layers of 10 to 127 units, or of a multiple of 8
-    from 16 to 1,024, the default 192 included (see the README).
+    make one block), gathers each block's rows from ``features`` and checks
+    them, and clips each expert's rows to the block, so its hidden arrays
+    stay in cache and each GEMV stays single-threaded. The trace's
+    ``order``, ``spans``, logits and probabilities are those of an
+    unblocked forward: the probabilities bit for bit with OpenBLAS for
+    hidden layers of 10 to 127 units, or of a multiple of 8 from 16 to
+    1,024, the default 192 included (see the README).
     """
     cfg = params.config
     if mode not in ("train", "eval"):
@@ -509,7 +513,8 @@ def forward(
     x = np.atleast_2d(x)
     if x.shape[1] != cfg.input_dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match model input {cfg.input_dim}")
-    if not np.isfinite(x).all():
+    train = mode == "train"
+    if train and not np.isfinite(x).all():  # eval mode checks each block it gathers
         raise FloatingPointError("non-finite entries in input features")
     n = x.shape[0]
     if positions is not None:
@@ -520,7 +525,7 @@ def forward(
             raise ValueError(f"positions must lie in [0, {cfg.n_experts})")
 
     scale = None
-    if mode == "train" and cfg.dropout_p > 0.0:
+    if train and cfg.dropout_p > 0.0:
         if rng is None:
             raise ValueError("train-mode forward with dropout needs an rng")
         keep = 1.0 - cfg.dropout_p
@@ -530,17 +535,19 @@ def forward(
     layers = hidden_layer_plan(cfg)
     local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
     order, spans = _row_plan(positions, n, cfg.n_experts, local)
-    if positions is not None:
-        x = x[order]
+    if train and positions is not None:
+        x = x[order]  # backward reads the inputs in trace order
+    gather = not train and positions is not None
     logits = np.empty((n, cfg.n_experts), dtype=np.float64)  # trace order
     ends = sorted(hi for _, _, hi in spans)
-    cuts = [0, n] if mode == "train" else _block_cuts(ends, n, EVAL_BLOCK_ROWS)
+    cuts = [0, n] if train else _block_cuts(ends, n, EVAL_BLOCK_ROWS)
     for b0, b1 in zip(cuts, cuts[1:]):
+        block = x[order[b0:b1]] if gather else x[b0:b1]
+        if not train and not np.isfinite(block).all():
+            raise FloatingPointError("non-finite entries in input features")
         # each expert's rows clipped to the block, in block coordinates
         clipped = [tuple(min(max(r - b0, 0), b1 - b0) for r in span) for span in spans]
-        pre_acts, hidden = _run_experts(
-            params, layers, x[b0:b1], clipped, logits[b0:b1], mode == "train"
-        )
+        pre_acts, hidden = _run_experts(params, layers, block, clipped, logits[b0:b1], train)
     if positions is not None:  # each row's own column, back in the caller's order
         sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
         logits[order] = sorted_logits[np.arange(n), positions[order]]
@@ -548,7 +555,7 @@ def forward(
         raise FloatingPointError("non-finite expert logits")
     probs = stable_sigmoid(logits)
     trace = ForwardTrace(
-        inputs=x,
+        inputs=x if train else np.empty((0, cfg.input_dim)),
         dropout_scale=scale,
         pre_acts=pre_acts,
         hidden=hidden,
@@ -605,20 +612,59 @@ def attention_forward(params: ComparatorParams, features: np.ndarray) -> np.ndar
     return probs[0] if single else probs
 
 
+def _eval_blocks(
+    params: ComparatorParams,
+    n: int,
+    gather,
+    positions: np.ndarray | None = None,
+    pool=None,
+) -> np.ndarray:
+    """(n,) eval scores of ``n`` rows, one ``forward`` call per block of an eval forward.
+
+    The rows are ordered by ``_row_plan`` and cut by ``_block_cuts``, as
+    ``forward`` orders and cuts them, so each call runs one of its blocks,
+    uncut, with its bits. ``gather(rows)`` returns the features of caller
+    rows ``rows`` (a slice without ``positions``), so no caller builds the
+    n x 2d features. With ``positions`` a block's selected probabilities
+    are written as they are; ``pool(rows, probs)`` reduces a full
+    forward's (rows, n_experts) probabilities to one score per row.
+    """
+    cfg = params.config
+    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
+    order, spans = _row_plan(positions, n, cfg.n_experts, local)
+    cuts = _block_cuts(sorted(hi for _, _, hi in spans), n, EVAL_BLOCK_ROWS)
+    out = np.empty(n, dtype=np.float64)
+    for b0, b1 in zip(cuts, cuts[1:]):
+        rows = slice(b0, b1) if positions is None else order[b0:b1]
+        block_positions = None if positions is None else positions[rows]
+        probs, _ = forward(params, gather(rows), mode="eval", positions=block_positions)
+        out[rows] = probs if pool is None else pool(rows, probs)
+    return out
+
+
 def score_unknown(
     params: ComparatorParams, features: np.ndarray, mode: PoolingMode
 ) -> float | np.ndarray:
-    """Kin score when the relation is unknown, by pooling expert outputs."""
+    """Kin score when the relation is unknown, by pooling expert outputs.
+
+    The cascade, the attention head and the pooling run one eval block at
+    a time (``_eval_blocks``), so only the (n,) result spans all rows.
+    """
+    attention = mode in (PoolingMode.SOFT_ATTENTION, PoolingMode.HARD_ATTENTION)
+    if attention and not params.has_attention:  # before any expert runs
+        raise ValueError("model has no attention head")
     x = np.asarray(features, dtype=np.float64)
-    z2, _ = forward(params, np.atleast_2d(x), mode="eval")
-    if mode is PoolingMode.MEAN_POOL:
-        out = z2.mean(axis=1)
-    elif mode is PoolingMode.MAX_POOL:
-        out = z2.max(axis=1)
-    else:
-        att = attention_forward(params, np.atleast_2d(x))
+    batch = np.atleast_2d(x)
+
+    def pool(rows, z2):
+        if mode is PoolingMode.MEAN_POOL:
+            return z2.mean(axis=1)
+        if mode is PoolingMode.MAX_POOL:
+            return z2.max(axis=1)
+        att = attention_forward(params, batch[rows])
         if mode is PoolingMode.SOFT_ATTENTION:
-            out = (att * z2).sum(axis=1)
-        else:
-            out = z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
+            return (att * z2).sum(axis=1)
+        return z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
+
+    out = _eval_blocks(params, batch.shape[0], lambda rows: batch[rows], pool=pool)
     return float(out[0]) if x.ndim == 1 else out

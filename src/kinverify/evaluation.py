@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparator import ComparatorParams, forward
+from .comparator import ComparatorParams, _eval_blocks
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
-from .data import _write_rows, pairs_to_arrays
+from .data import _gather_features, _pair_rows, _write_rows, pairs_to_arrays
 from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
 from .relations import PARENT_CHILD, relation_index
 
@@ -59,8 +59,9 @@ def score_pairs(
     """Attach a score to every pair.
 
     Comparator scores are each pair's selected expert probability from an
-    eval-mode forward (higher means kin). Cosine scores are cosine
-    distances (lower means kin); negate them before calibrating or ranking.
+    eval-mode forward (higher means kin), gathered one block at a time
+    (see ``_selected_probs``). Cosine scores are cosine distances (lower
+    means kin); negate them before calibrating or ranking.
     """
     plist = list(pairs)
     if not plist:
@@ -76,9 +77,25 @@ def score_pairs(
     else:
         if params is None:
             raise ValueError("comparator scoring needs model parameters")
-        features, pos, _ = pairs_to_arrays(store, plist, params.config.relations)
-        scores, _ = forward(params, features, mode="eval", positions=pos)
+        scores, _ = _selected_probs(params, store, plist)
     return [ScoredPair(p, float(s)) for p, s in zip(plist, scores)]
+
+
+def _selected_probs(
+    params: ComparatorParams, store: EmbeddingStore, pairs: list[KinPair]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's selected eval probability and its kin target, block by block.
+
+    The bits are those of ``forward`` on the ``pairs_to_arrays`` features,
+    but each block's rows are gathered from ``store.matrix`` as it runs, so
+    no n x 2d array is built.
+    """
+    rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
+
+    def gather(rows):
+        return _gather_features(store.matrix, rows1[rows], rows2[rows])
+
+    return _eval_blocks(params, len(pos), gather, positions=pos), targets
 
 
 # The array core: each public function taking ``scored`` converts it once
@@ -216,7 +233,8 @@ def accuracy_report(
     """Per-relation accuracies at a fixed threshold, in canonical row order.
 
     ``threshold`` is normally one global cut; a per-relation mapping (from
-    :func:`calibrate_per_relation`) is accepted as the extension mode.
+    :func:`calibrate_per_relation`) is accepted as the extension mode; it
+    must hold every relation present, or a ValueError names those it lacks.
     Relations absent from the input are left out of the macro mean and
     listed under ``missing`` instead of being counted as zero.
     """
@@ -227,8 +245,12 @@ def accuracy_report(
         raise ValueError("no scored pairs to report on")
     cut = threshold
     if isinstance(threshold, dict):
+        codes = [RELATION_ORDER[i].value for i in present]
+        lacking = [code for code in codes if code not in threshold]
+        if lacking:
+            raise ValueError(f"no threshold for relation(s) {', '.join(lacking)}")
         cut_of = np.zeros(len(RELATION_ORDER))
-        cut_of[present] = [threshold[RELATION_ORDER[i].value] for i in present]
+        cut_of[present] = [threshold[code] for code in codes]
         cut = cut_of[rel]
     correct = (scores >= cut) == is_kin  # ties count as kin
     hits = np.bincount(rel, weights=correct, minlength=len(RELATION_ORDER))
@@ -313,18 +335,19 @@ def score_tris(
     """Vectorized tri scoring: (father scores, mother scores, fused, targets).
 
     A triple splits into a father-child and a mother-child pair (FS/FD and
-    MS/MD by the child's gender); all of them run stacked through one
-    relation-prefix forward. The fusion is the exact mean.
+    MS/MD by the child's gender); all of them run stacked through the
+    blocks of one relation-prefix forward. The fusion is the exact mean.
     """
     samples = list(tris)
     if not samples:
         raise ValueError("empty tri set")
     n = len(samples)
-    rels = [[PARENT_CHILD[g, t.child_gender] for g in Gender] for t in samples]  # father, mother
-    pairs = [KinPair(t.father_id, t.child_id, r[0], t.label) for t, r in zip(samples, rels)]
-    pairs += [KinPair(t.mother_id, t.child_id, r[1], t.label) for t, r in zip(samples, rels)]
-    features, pos, targets = pairs_to_arrays(store, pairs, params.config.relations)
-    z, _ = forward(params, features, mode="eval", positions=pos)
+    pairs = [  # the father-child pairs, then the mother-child pairs
+        KinPair(t.father_id if g is Gender.MALE else t.mother_id, t.child_id,
+                PARENT_CHILD[g, t.child_gender], t.label)
+        for g in Gender for t in samples
+    ]
+    z, targets = _selected_probs(params, store, pairs)
     z_fc, z_mc = z[:n], z[n:]
     return z_fc, z_mc, (z_fc + z_mc) / 2.0, targets[:n]
 

@@ -386,3 +386,24 @@ def serialize_model_v1(params):
         for name, _ in param_layout(cfg, "attention.W" in params.values)
     )
     return head + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def score_unknown_whole_array(params, features, mode):
+    """Unknown-relation pooling over all rows at once: one full-cascade eval
+    forward, the attention head over every row, then the pooling. The
+    reference for the block-streamed ``score_unknown``."""
+    from kinverify.comparator import PoolingMode, attention_forward, forward
+
+    x = np.asarray(features, dtype=np.float64)
+    z2, _ = forward(params, np.atleast_2d(x), mode="eval")
+    if mode is PoolingMode.MEAN_POOL:
+        out = z2.mean(axis=1)
+    elif mode is PoolingMode.MAX_POOL:
+        out = z2.max(axis=1)
+    else:
+        att = attention_forward(params, np.atleast_2d(x))
+        if mode is PoolingMode.SOFT_ATTENTION:
+            out = (att * z2).sum(axis=1)
+        else:
+            out = z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
+    return float(out[0]) if x.ndim == 1 else out

@@ -328,6 +328,20 @@ def test_score_unknown_modes():
         score_unknown(bare, fc, PoolingMode.SOFT_ATTENTION)
 
 
+def test_score_unknown_without_attention_head_fails_before_any_expert_runs(monkeypatch):
+    import kinverify.comparator as comparator
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("an expert ran")
+
+    bare = rand_params(TINY, seed=12)
+    features = np.zeros((4, TINY.input_dim))
+    monkeypatch.setattr(comparator, "forward", no_forward)
+    for mode in (PoolingMode.SOFT_ATTENTION, PoolingMode.HARD_ATTENTION):
+        with pytest.raises(ValueError, match="model has no attention head"):
+            score_unknown(bare, features, mode)
+
+
 def test_stable_sigmoid_extremes():
     vals = stable_sigmoid(np.array([-800.0, -30.0, 0.0, 30.0, 800.0]))
     assert np.isfinite(vals).all()

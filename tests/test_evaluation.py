@@ -111,6 +111,16 @@ def test_accuracy_report_toy_and_order():
     assert all(r.count == 2 for r in report.rows)
 
 
+def test_accuracy_report_names_relations_a_threshold_map_lacks():
+    scored = []
+    for relation in (KinshipRelation.BB, KinshipRelation.FD, KinshipRelation.GMGS):
+        scored += scored_from([0.9], [0.1], relation)
+    with pytest.raises(ValueError, match="no threshold for relation.s. FD, GMGS"):
+        accuracy_report(scored, {"BB": 0.5})
+    report = accuracy_report(scored, {"BB": 0.5, "FD": 0.5, "GMGS": 0.5, "SS": 0.5})
+    assert report.macro_accuracy == 1.0  # a threshold for an absent relation is harmless
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     scored_sets(min_size=1),
@@ -280,7 +290,7 @@ def test_score_pairs_golden_values(tiny_world):
 
 
 def test_tri_score_is_exact_mean(tiny_world, monkeypatch):
-    import kinverify.evaluation as evaluation
+    import kinverify.comparator as comparator
 
     world = tiny_world
     config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=3)
@@ -301,7 +311,7 @@ def test_tri_score_is_exact_mean(tiny_world, monkeypatch):
         calls.append(len(args[1]))
         return forward(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "forward", counting_forward)
+    monkeypatch.setattr(comparator, "forward", counting_forward)
     z_fc, z_mc, fused, targets = score_tris(params, world.store, world.tris["val"])
     npt.assert_array_equal(fused, (z_fc + z_mc) / 2.0)
     n = len(world.tris["val"])

@@ -23,11 +23,18 @@ from kinverify.comparator import (
     PoolingMode,
     SharingMode,
     _block_cuts,
+    add_attention_head,
     forward,
     init_params,
     score_unknown,
 )
+from kinverify.data import EmbeddingStore, KinPair, PairLabel, PairSet, PersonRef, TriSample
+from kinverify.data import TriSet, pairs_to_arrays
+from kinverify.evaluation import score_pairs, score_tris
+from kinverify.relations import CANONICAL_RELATION_CODES, PARENT_CHILD, Gender, KinshipRelation
 from kinverify.training import backward
+
+from oracles import score_unknown_whole_array
 
 CODES = ("BB", "SIBS", "SS", "FD", "FS")
 
@@ -77,7 +84,7 @@ def test_eval_trace_keeps_no_activations():
         probs, trace = forward(params, features, mode="eval", positions=positions)
         assert trace.pre_acts == [] and trace.hidden == []
         assert trace.dropout_scale is None
-        assert trace.inputs.shape == (5, 4)
+        assert trace.inputs.shape == (0, 4)  # each block gathers its rows; none are kept
         assert np.array_equal(trace.probs, probs)
         with pytest.raises(ValueError, match="train-mode trace"):
             backward(trace, params, np.array([2, 0, 1, 1, 0]), np.zeros(5))
@@ -137,7 +144,7 @@ def test_blocked_eval_equals_unblocked_train(case, block):
     assert np.array_equal(patched_train.logits, train_trace.logits)
     assert np.array_equal(probs, train_probs)
     assert np.array_equal(trace.logits, train_trace.logits)
-    assert np.array_equal(trace.inputs, train_trace.inputs)
+    assert trace.inputs.shape == (0, config.input_dim)
     assert np.array_equal(trace.order, train_trace.order)
     assert trace.spans == train_trace.spans
     assert trace.pre_acts == [] and trace.hidden == []
@@ -205,6 +212,134 @@ def test_val_shaped_prefix_forward_peak_memory_is_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the trace keeps a sorted copy of the features; an unblocked forward holds
-    # a few hidden arrays over all 2,736 rows besides (15.1 MB, against 8.6 MB)
+    # an unblocked forward holds a sorted copy of the features and a few hidden
+    # arrays over all 2,736 rows (15.1 MB, against 8.6 MB)
     assert peak < 4 * block + 2 * features.nbytes, (len(positions), peak)
+
+
+# The batch scorers stream: each block of an eval forward gathers its rows and
+# runs alone, so no scorer builds the n x 2d features, their trace-order copy or
+# an (n, n_experts) temporary. The blocks are the eval forward's own, so every
+# score keeps the bits of whole-array scoring.
+PARENT_CHILD_CODES = ("FS", "FD", "MS", "MD")  # score_tris needs these four experts
+
+
+@st.composite
+def scoring_cases(draw):
+    others = [c for c in CANONICAL_RELATION_CODES if c not in PARENT_CHILD_CODES]
+    extra = draw(st.lists(st.sampled_from(others), unique=True, max_size=len(others)))
+    config = ComparatorConfig(
+        input_dim=2 * draw(st.integers(1, 4)),
+        hidden=draw(st.integers(2, 5)),
+        activation=draw(st.sampled_from(Activation)),
+        dropout_p=draw(st.sampled_from([0.0, 0.3])),
+        sharing=draw(st.sampled_from(SharingMode)),
+        relations=tuple(draw(st.permutations(PARENT_CHILD_CODES + tuple(extra)))),
+    )
+    return config, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
+
+
+def _random_people(rng, n_people, dim):
+    refs = [PersonRef(f"p{i}", f"f{i}", Gender.MALE if i % 2 else Gender.FEMALE)
+            for i in range(n_people)]
+    return EmbeddingStore(refs, rng.standard_normal((n_people, dim))), [r.person_id for r in refs]
+
+
+def _random_pairs(rng, ids, codes, n):
+    people = rng.integers(len(ids), size=(n, 2)).tolist()
+    return PairSet(tuple(
+        KinPair(ids[a], ids[b], KinshipRelation(codes[r]), PairLabel.KIN if kin else PairLabel.NONKIN)
+        for (a, b), r, kin in zip(people, rng.integers(len(codes), size=n), rng.integers(2, size=n))
+    ))
+
+
+def _random_tris(rng, ids, n):
+    people = rng.integers(len(ids), size=(n, 3)).tolist()
+    return TriSet(tuple(
+        TriSample(ids[f], ids[m], ids[c], Gender.MALE if male else Gender.FEMALE,
+                  PairLabel.KIN if kin else PairLabel.NONKIN)
+        for (f, m, c), male, kin in zip(people, rng.integers(2, size=n), rng.integers(2, size=n))
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases(), st.integers(2, 4))
+def test_streamed_scorers_equal_whole_array_scoring(case, block):
+    config, n, seed = case
+    rng = np.random.default_rng(seed)
+    params = add_attention_head(init_params(config, seed))
+    for key in params.values:  # a random attention head, too
+        params.values[key] = params.values[key] + 0.4 * rng.standard_normal(params.values[key].shape)
+    store, ids = _random_people(rng, 6, config.input_dim // 2)
+    pairs = _random_pairs(rng, ids, config.relations, n)
+    tris = _random_tris(rng, ids, n)
+    # the father-child pairs, then the mother-child pairs, as score_tris stacks them
+    tri_pairs = [
+        KinPair(t.father_id if g is Gender.MALE else t.mother_id, t.child_id,
+                PARENT_CHILD[g, t.child_gender], t.label)
+        for g in Gender for t in tris
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
+        mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", 2)
+        features, pos, _ = pairs_to_arrays(store, pairs, config.relations)
+        expected, _ = forward(params, features, mode="eval", positions=pos)
+        scores = np.array([s.score for s in score_pairs(params, store, pairs)])
+        assert np.array_equal(scores, expected)
+
+        tri_features, tri_pos, targets = pairs_to_arrays(store, tri_pairs, config.relations)
+        expected, _ = forward(params, tri_features, mode="eval", positions=tri_pos)
+        z_fc, z_mc, fused, tri_targets = score_tris(params, store, tris)
+        assert np.array_equal(np.concatenate([z_fc, z_mc]), expected)
+        assert np.array_equal(fused, (expected[:n] + expected[n:]) / 2.0)
+        assert np.array_equal(tri_targets, targets[:n])
+
+        for mode in PoolingMode:
+            pooled = score_unknown(params, features, mode)
+            assert np.array_equal(pooled, score_unknown_whole_array(params, features, mode))
+            one = score_unknown(params, features[0], mode)
+            assert one == score_unknown_whole_array(params, features[0], mode)
+
+
+def _transient_peak(call) -> int:
+    """Bytes allocated at peak during ``call()`` beyond what its result keeps."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+def test_batch_scorers_peak_does_not_grow_with_n_beyond_index_columns():
+    # A narrow hidden layer keeps the blocks small, so whole-array temporaries
+    # would show: the n x 2d features take 1,024 bytes a row here, their
+    # trace-order copy as many again, and each (n, 11) array of the full
+    # cascade and the pooling 88. Every position holds a multiple of 1,024
+    # rows, so both sizes run in blocks of the same size. What may grow with
+    # n is a few index columns and, for score_pairs and score_tris, one pair
+    # object a row: under 150 bytes a row, against 2,084 and 2,330 for
+    # whole-array scoring, and 536 for whole-array pooling.
+    rng = np.random.default_rng(0)
+    store, ids = _random_people(rng, 400, 64)
+    params = add_attention_head(init_params(ComparatorConfig(input_dim=128, hidden=8), 0))
+    params.values["attention.W"] = rng.standard_normal(params.values["attention.W"].shape)
+
+    def sons(n):  # n triples with a son each: n FS rows, then n MS rows
+        tris = _random_tris(rng, ids, n)
+        return TriSet(tuple(dataclasses.replace(t, child_gender=Gender.MALE) for t in tris))
+
+    scorers = {  # name: (batch of n forward rows, scorer, allowed bytes a row)
+        "score_pairs": (lambda n: _random_pairs(rng, ids, ("GMGS",), n),
+                        lambda pairs: score_pairs(params, store, pairs), 256),
+        "score_tris": (lambda n: sons(n // 2), lambda tris: score_tris(params, store, tris), 256),
+        "score_unknown": (lambda n: rng.standard_normal((n, 128)),
+                          lambda x: score_unknown(params, x, PoolingMode.SOFT_ATTENTION), 32),
+    }
+    small, large = 4 * 1024, 16 * 1024
+    for name, (make, score, allowed) in scorers.items():
+        score(make(10))  # warm caches outside the count
+        peaks = [_transient_peak(lambda: score(batch)) for batch in (make(small), make(large))]
+        assert (peaks[1] - peaks[0]) / (large - small) < allowed, (name, peaks)

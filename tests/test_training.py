@@ -511,13 +511,17 @@ def test_eval_scores_do_not_depend_on_blas_threads():
     # threading cut-off, and half of either is not a multiple of four rows.
     # The third batch has the shape of a validation split, 11 positions of
     # 150-400 rows, which only position-boundary cuts split into blocks.
+    # score_unknown pools the 10,006 rows block by block under all four
+    # poolings, with a random attention head.
     script = textwrap.dedent(
         """
         import hashlib
         import numpy as np
-        from kinverify.comparator import ComparatorConfig, forward, init_params
+        from kinverify.comparator import (
+            ComparatorConfig, PoolingMode, add_attention_head, forward, init_params, score_unknown,
+        )
 
-        params = init_params(ComparatorConfig(input_dim=128), 5)
+        params = add_attention_head(init_params(ComparatorConfig(input_dim=128), 5))
         rng = np.random.default_rng(0)
         features = rng.standard_normal((10_006, 128))
         positions = np.minimum(rng.integers(0, 16, len(features)), 10)
@@ -525,10 +529,15 @@ def test_eval_scores_do_not_depend_on_blas_threads():
         for x, pos in ((features, None), (features, positions), (features[: len(small)], small)):
             probs, _ = forward(params, x, positions=pos)
             print(hashlib.sha256(probs.tobytes()).hexdigest())
+        for key in ("attention.W", "attention.b"):
+            params.values[key] = rng.standard_normal(params.values[key].shape)
+        for mode in PoolingMode:
+            pooled = score_unknown(params, features, mode)
+            print(hashlib.sha256(pooled.tobytes()).hexdigest())
         """
     )
     digests = _stdout_per_blas_threads(script)
-    assert len(digests) == 1 and len(digests.pop().split()) == 3
+    assert len(digests) == 1 and len(digests.pop().split()) == 7
 
 
 def _stdout_per_blas_threads(script: str) -> set[str]:
