@@ -45,6 +45,7 @@ from .evaluation import (
     HistogramTable,
     Objective,
     ScoredPair,
+    ScoredSet,
     Scorer,
     accuracy_report,
     auc,

@@ -94,7 +94,7 @@ class PairLabel(enum.Enum):
             raise ValueError(f"unknown label {code!r}, expected 'kin' or 'nonkin'") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersonRef:
     person_id: str
     family_id: str
@@ -173,7 +173,7 @@ class EmbeddingStore:
         return family, male, names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KinPair:
     id1: str
     id2: str
@@ -181,7 +181,7 @@ class KinPair:
     label: PairLabel | None  # None: unknown, a pair still to be verified
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriSample:
     father_id: str
     mother_id: str

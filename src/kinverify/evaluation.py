@@ -13,8 +13,11 @@ nonkin. Cosine distances run the other way, so callers that calibrate or
 rank them pass the negated distances; negation is exact, so the midpoints,
 sentinels, accuracies and AUC are those of a lower-is-kin rule.
 
-Scored pairs cross the public boundary as ``list[ScoredPair]``; inside,
-every step runs on three aligned arrays (score, relation index, kin bit).
+``score_pairs`` returns a :class:`ScoredSet`: the scored pairs' tuple and
+three aligned columns (score, canonical relation index, kin bit), read as
+a sequence of :class:`ScoredPair` built only when accessed. Every other
+public function here takes a ``ScoredSet`` or a list of ``ScoredPair`` and
+runs on those three columns.
 Nothing here trains: the ablation grid, which trains and then scores one
 model per cell, lives in :mod:`kinverify.training`.
 """
@@ -22,14 +25,15 @@ model per cell, lives in :mod:`kinverify.training`.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .comparator import ComparatorParams, _eval_blocks
+from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _eval_blocks
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
-from .data import _gather_features, _pair_rows, _write_rows, pairs_to_arrays
+from .data import _gather_features, _pair_rows, _write_rows
 from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
 from .relations import PARENT_CHILD, relation_index
 
@@ -44,10 +48,43 @@ class Objective(enum.Enum):
     MICRO = "micro"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredPair:
     pair: KinPair
     score: float
+
+
+@dataclass(frozen=True, eq=False)
+class ScoredSet(Sequence):
+    """Scored pairs as columns: ``pairs[i]`` has score ``scores[i]``.
+
+    ``rel`` holds each pair's canonical relation index and ``is_kin`` its
+    kin bit. The columns are taken over without a copy and marked
+    read-only. An integer index builds one :class:`ScoredPair`, a slice
+    gives a ``ScoredSet`` of those rows, and iteration yields
+    ``ScoredPair`` objects one at a time.
+    """
+
+    pairs: tuple[KinPair, ...]
+    scores: np.ndarray  # float64
+    rel: np.ndarray  # intp
+    is_kin: np.ndarray  # bool
+
+    def __post_init__(self):
+        for column in (self.scores, self.rel, self.is_kin):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ScoredSet(self.pairs[index], self.scores[index], self.rel[index],
+                             self.is_kin[index])
+        return ScoredPair(self.pairs[index], float(self.scores[index]))
+
+    def __iter__(self):
+        return map(ScoredPair, self.pairs, self.scores.tolist())
 
 
 def score_pairs(
@@ -55,55 +92,80 @@ def score_pairs(
     store: EmbeddingStore,
     pairs: PairSet | list[KinPair],
     scorer: Scorer = Scorer.COMPARATOR,
-) -> list[ScoredPair]:
+) -> ScoredSet:
     """Attach a score to every pair.
 
     Comparator scores are each pair's selected expert probability from an
     eval-mode forward (higher means kin), gathered one block at a time
     (see ``_selected_probs``). Cosine scores are cosine distances (lower
-    means kin); negate them before calibrating or ranking.
+    means kin), computed one block of ``EVAL_BLOCK_ROWS`` pairs at a time;
+    negate them before calibrating or ranking. The result keeps a
+    ``PairSet``'s own tuple of pairs.
     """
-    plist = list(pairs)
+    plist = pairs.pairs if isinstance(pairs, PairSet) else tuple(pairs)
     if not plist:
-        return []
+        empty = np.empty(0)
+        return ScoredSet(plist, empty, empty.astype(np.intp), empty.astype(bool))
     if scorer is Scorer.COSINE:
-        features, _, _ = pairs_to_arrays(store, plist, CANONICAL_RELATION_CODES)
-        m1, m2 = features[:, : store.dim], features[:, store.dim :]
+        rows1, rows2, rel, targets = _pair_rows(store, plist, CANONICAL_RELATION_CODES)
+        scores = _cosine_distances(store.matrix, rows1, rows2)
+    else:
+        if params is None:
+            raise ValueError("comparator scoring needs model parameters")
+        scores, pos, targets = _selected_probs(params, store, plist)
+        canonical = [CANONICAL_RELATION_CODES.index(c) for c in params.config.relations]
+        rel = np.array(canonical, dtype=np.intp)[pos]
+    return ScoredSet(plist, scores, rel, targets == 1.0)
+
+
+def _cosine_distances(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """1 - cos of the embeddings of each row pair, one block of pairs at a time.
+
+    Every step is row-wise, so a block's distances have the bits of one
+    pass over all the pairs' concatenated features.
+    """
+    dim = matrix.shape[1]
+    out = np.empty(len(rows1), dtype=np.float64)
+    for b0 in range(0, len(rows1), EVAL_BLOCK_ROWS):
+        b = slice(b0, b0 + EVAL_BLOCK_ROWS)
+        features = _gather_features(matrix, rows1[b], rows2[b])
+        m1, m2 = features[:, :dim], features[:, dim:]
         n1 = np.linalg.norm(m1, axis=1)
         n2 = np.linalg.norm(m2, axis=1)
         if np.any(n1 == 0.0) or np.any(n2 == 0.0):
             raise ValueError("cosine distance is undefined for zero-norm embeddings")
-        scores = 1.0 - np.sum(m1 * m2, axis=1) / (n1 * n2)
-    else:
-        if params is None:
-            raise ValueError("comparator scoring needs model parameters")
-        scores, _ = _selected_probs(params, store, plist)
-    return [ScoredPair(p, float(s)) for p, s in zip(plist, scores)]
+        out[b] = 1.0 - np.sum(m1 * m2, axis=1) / (n1 * n2)
+    return out
 
 
 def _selected_probs(
-    params: ComparatorParams, store: EmbeddingStore, pairs: list[KinPair]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's selected eval probability and its kin target, block by block.
+    params: ComparatorParams, store: EmbeddingStore, pairs: Sequence[KinPair]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair's selected eval probability, expert position and kin target.
 
-    The bits are those of ``forward`` on the ``pairs_to_arrays`` features,
-    but each block's rows are gathered from ``store.matrix`` as it runs, so
-    no n x 2d array is built.
+    The probabilities are those of ``forward`` on the ``pairs_to_arrays``
+    features, bit for bit, but each block's rows are gathered from
+    ``store.matrix`` as it runs, so no n x 2d array is built.
     """
     rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
 
     def gather(rows):
         return _gather_features(store.matrix, rows1[rows], rows2[rows])
 
-    return _eval_blocks(params, len(pos), gather, positions=pos), targets
+    return _eval_blocks(params, len(pos), gather, positions=pos), pos, targets
 
 
-# The array core: each public function taking ``scored`` converts it once
-# into aligned (scores, rel, is_kin) columns and works only on those.
+# The array core: each public function taking ``scored`` gets its aligned
+# (scores, rel, is_kin) columns once and works only on those.
 
 
-def _columns(scored: list[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(scores, canonical relation index, is_kin) of a scored-pair list."""
+def _columns(scored: ScoredSet | list[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(scores, canonical relation index, is_kin) of scored pairs.
+
+    A ``ScoredSet`` hands over its own columns; a list is converted.
+    """
+    if isinstance(scored, ScoredSet):
+        return scored.scores, scored.rel, scored.is_kin
     n = len(scored)
     scores = np.fromiter((s.score for s in scored), dtype=np.float64, count=n)
     rel = np.fromiter((relation_index(s.pair.relation) for s in scored), dtype=np.intp, count=n)
@@ -173,7 +235,7 @@ def _auc(scores: np.ndarray, is_kin: np.ndarray) -> float:
 
 
 def calibrate_threshold(
-    scored: list[ScoredPair], objective: Objective = Objective.MACRO
+    scored: ScoredSet | list[ScoredPair], objective: Objective = Objective.MACRO
 ) -> tuple[float, float]:
     """Best single threshold over all candidate cuts, and its objective value.
 
@@ -185,7 +247,7 @@ def calibrate_threshold(
     return _calibrate(scores, is_kin, rel, objective)
 
 
-def calibrate_per_relation(scored: list[ScoredPair]) -> dict[str, float]:
+def calibrate_per_relation(scored: ScoredSet | list[ScoredPair]) -> dict[str, float]:
     """One threshold per relation, each micro-optimal on its own pairs.
 
     Extension beyond the published protocol, which calibrates a single
@@ -226,7 +288,7 @@ class EvaluationReport:
 
 
 def accuracy_report(
-    scored: list[ScoredPair],
+    scored: ScoredSet | list[ScoredPair],
     threshold: float | dict[str, float],
     include_auc: bool = False,
 ) -> EvaluationReport:
@@ -296,7 +358,7 @@ class HistogramTable:
 
 
 def histogram(
-    scored: list[ScoredPair], n_bins: int, value_range: tuple[float, float]
+    scored: ScoredSet | list[ScoredPair], n_bins: int, value_range: tuple[float, float]
 ) -> HistogramTable:
     """Per-bin kin and nonkin counts over a fixed linear range.
 
@@ -319,7 +381,7 @@ def histogram(
     return HistogramTable(edges=edges, kin_counts=kin_counts, nonkin_counts=nonkin_counts)
 
 
-def auc(scored: list[ScoredPair]) -> float:
+def auc(scored: ScoredSet | list[ScoredPair]) -> float:
     """Probability a random kin pair outranks a random nonkin pair.
 
     Computed from midrank sums, which equals the pairwise count with ties
@@ -347,7 +409,7 @@ def score_tris(
                 PARENT_CHILD[g, t.child_gender], t.label)
         for g in Gender for t in samples
     ]
-    z, targets = _selected_probs(params, store, pairs)
+    z, _, targets = _selected_probs(params, store, pairs)
     z_fc, z_mc = z[:n], z[n:]
     return z_fc, z_mc, (z_fc + z_mc) / 2.0, targets[:n]
 

@@ -108,7 +108,7 @@ class SynthConfig:
         return dict(zip(SPLITS, (self.n_train_families, self.n_val_families, self.n_test_families)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PedigreeEntry:
     person_id: str
     family_id: str

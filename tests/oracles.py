@@ -407,3 +407,16 @@ def score_unknown_whole_array(params, features, mode):
         else:
             out = z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
     return float(out[0]) if x.ndim == 1 else out
+
+
+def cosine_distances_whole_array(store, pairs):
+    """Cosine distances of all pairs from their whole n x 2d features at once.
+    The reference for the block-streamed cosine scorer of ``score_pairs``."""
+    from kinverify.data import pairs_to_arrays
+    from kinverify.relations import CANONICAL_RELATION_CODES
+
+    features, _, _ = pairs_to_arrays(store, pairs, CANONICAL_RELATION_CODES)
+    m1, m2 = features[:, : store.dim], features[:, store.dim :]
+    n1 = np.linalg.norm(m1, axis=1)
+    n2 = np.linalg.norm(m2, axis=1)
+    return 1.0 - np.sum(m1 * m2, axis=1) / (n1 * n2)

@@ -5,23 +5,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinverify.comparator import ComparatorConfig, forward, init_params
-from kinverify.data import EmbeddingStore, KinPair, PairLabel, PersonRef
+from kinverify.data import EmbeddingStore, KinPair, PairLabel, PairSet, PersonRef, pairs_to_arrays
 from kinverify.evaluation import (
     Objective,
     ScoredPair,
+    ScoredSet,
     Scorer,
     accuracy_report,
     auc,
+    calibrate_per_relation,
     calibrate_threshold,
     histogram,
     score_pairs,
     score_tris,
     tri_score,
 )
-from kinverify.relations import Gender, KinshipRelation
+from kinverify.relations import CANONICAL_RELATION_CODES, Gender, KinshipRelation, relation_index
 from kinverify.training import AblationCell, TrainConfig, ablation_run, default_ablation_grid, train
 
-from oracles import auc_bruteforce, best_threshold_bruteforce
+from oracles import auc_bruteforce, best_threshold_bruteforce, cosine_distances_whole_array
 
 
 # Scored sets for the property tests: scores on a coarse lattice (so ties
@@ -276,6 +278,110 @@ def test_score_pairs_cosine_properties():
     npt.assert_allclose(scaled, d, atol=1e-10, rtol=0)
 
 
+def _consumer_outcomes(scored):
+    """repr of every consumer's result on ``scored``, or of the ValueError it raised.
+
+    repr round-trips floats, so equal outcomes mean equal bits.
+    """
+
+    def run(fn, *args, **kwargs):
+        try:
+            return repr(fn(scored, *args, **kwargs))
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    def histogram_counts(scored):
+        table = histogram(scored, 7, (-1.0, float(LATTICE)))
+        return table.edges.tolist(), table.kin_counts.tolist(), table.nonkin_counts.tolist()
+
+    one_each = {code: i / 10 for i, code in enumerate(CANONICAL_RELATION_CODES)}
+    out = [run(calibrate_threshold, objective) for objective in Objective]
+    out += [run(calibrate_per_relation), run(auc), run(histogram_counts)]
+    for threshold in (0.5, float(LATTICE // 2), one_each, {"BB": 0.5}):
+        out += [run(accuracy_report, threshold, include_auc=a) for a in (False, True)]
+    try:
+        per_relation = calibrate_per_relation(scored)
+    except ValueError:
+        return out
+    return out + [run(accuracy_report, per_relation, include_auc=a) for a in (False, True)]
+
+
+@st.composite
+def scored_set_cases(draw):
+    """A model over a random subset of relations in a random expert order, and
+    pairs of six persons under those relations with kin, nonkin or no label."""
+    codes = tuple(draw(st.permutations(CANONICAL_RELATION_CODES))[: draw(st.integers(1, 11))])
+    n = draw(st.integers(1, 60))
+    pairs = tuple(
+        KinPair(f"p{a}", f"p{b}", KinshipRelation(code), label)
+        for a, b, code, label in zip(
+            draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+            draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n)),
+            draw(st.lists(st.sampled_from([PairLabel.KIN, PairLabel.NONKIN, None]),
+                          min_size=n, max_size=n)),
+        )
+    )
+    lattice = draw(st.lists(st.integers(0, LATTICE - 1), min_size=n, max_size=n))
+    return codes, pairs, np.array(lattice, dtype=np.float64), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_set_cases())
+def test_consumers_agree_on_a_scored_set_and_its_list(case):
+    codes, pairs, lattice, seed = case
+    rng = np.random.default_rng(seed)
+    refs = [PersonRef(f"p{i}", f"f{i}", Gender.MALE) for i in range(6)]
+    store = EmbeddingStore(refs, rng.standard_normal((6, 3)))
+    params = init_params(ComparatorConfig(input_dim=6, hidden=3, relations=codes), seed)
+    scored = score_pairs(params, store, PairSet(pairs))
+    tied = ScoredSet(scored.pairs, lattice, scored.rel, scored.is_kin)  # ties on a lattice
+    for scored_set in (scored, score_pairs(None, store, pairs, Scorer.COSINE), tied):
+        assert _consumer_outcomes(scored_set) == _consumer_outcomes(list(scored_set))
+
+
+def test_score_pairs_yields_the_scored_pair_objects_of_whole_array_scoring(tiny_world):
+    world = tiny_world
+    store, pairs = world.store, world.eval_pairs["val"]
+    # a permuted expert order, so the columns must map it back to canonical
+    config = ComparatorConfig(2 * store.dim, hidden=3, relations=CANONICAL_RELATION_CODES[::-1])
+    params = init_params(config, 5)
+    features, pos, _ = pairs_to_arrays(store, pairs, config.relations)
+    expected = {
+        Scorer.COMPARATOR: forward(params, features, mode="eval", positions=pos)[0],
+        Scorer.COSINE: cosine_distances_whole_array(store, pairs),
+    }
+    for scorer, scores in expected.items():
+        scored = score_pairs(params, store, pairs, scorer)
+        assert scored.pairs is pairs.pairs
+        assert list(scored) == [ScoredPair(p, float(s)) for p, s in zip(pairs, scores)]
+        assert all(s.pair is p for s, p in zip(scored, pairs))
+        assert scored.rel.tolist() == [relation_index(p.relation) for p in pairs]
+        assert scored.is_kin.tolist() == [p.label is PairLabel.KIN for p in pairs]
+    from_list = score_pairs(params, store, list(pairs))
+    assert from_list.pairs == pairs.pairs and isinstance(from_list.pairs, tuple)
+
+
+def test_scored_set_reads_as_a_sequence(tiny_world):
+    world = tiny_world
+    params = init_params(ComparatorConfig(input_dim=2 * world.store.dim, hidden=3), 2)
+    scored = score_pairs(params, world.store, world.eval_pairs["val"])
+    items = list(scored)
+    assert scored and len(scored) == len(items) > 10
+    assert scored[0] == items[0] and scored[-1] == items[-1] and scored[-len(items)] == items[0]
+    for index in (slice(5, -3, 2), slice(None, None, -1), slice(-4, None)):
+        part = scored[index]
+        assert isinstance(part, ScoredSet) and list(part) == items[index]
+        assert _consumer_outcomes(part) == _consumer_outcomes(items[index])
+    with pytest.raises(IndexError):
+        scored[len(items)]
+    with pytest.raises(ValueError, match="read-only"):
+        scored.scores[0] = 1.0
+    empty = score_pairs(params, world.store, [])
+    assert not empty and len(empty) == 0 and list(empty) == [] and not scored[3:3]
+    assert scored != ScoredSet(scored.pairs, scored.scores, scored.rel, scored.is_kin)  # identity
+
+
 # Frozen from the first verified run: seeded init params (seed 123) on the
 # tiny world, first three val pairs.
 GOLDEN_SCORES = [0.5027441391262828, 0.501096069140849, 0.4987757679615521]
@@ -375,8 +481,6 @@ def test_ablation_single_cell_equals_plain_train(tiny_world):
 
 
 def test_per_relation_thresholds_extension():
-    from kinverify.evaluation import calibrate_per_relation
-
     # BB pairs separate around 0.5, FD pairs around 0.2: a single global
     # threshold cannot be perfect, per-relation thresholds can
     scored = scored_from([0.6, 0.7], [0.3, 0.4], KinshipRelation.BB)
@@ -390,8 +494,6 @@ def test_per_relation_thresholds_extension():
 
 
 def test_per_relation_thresholds_name_a_relation_without_nonkin():
-    from kinverify.evaluation import calibrate_per_relation
-
     scored = scored_from([0.6, 0.7], [0.3, 0.4], KinshipRelation.BB)
     scored += scored_from([0.25, 0.3], [], KinshipRelation.FD)
     with pytest.raises(ValueError, match="^relation FD: calibration needs both kin and nonkin"):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kinverify import comparator
+from kinverify import comparator, evaluation
 from kinverify.comparator import (
     Activation,
     ComparatorConfig,
@@ -30,11 +30,11 @@ from kinverify.comparator import (
 )
 from kinverify.data import EmbeddingStore, KinPair, PairLabel, PairSet, PersonRef, TriSample
 from kinverify.data import TriSet, pairs_to_arrays
-from kinverify.evaluation import score_pairs, score_tris
+from kinverify.evaluation import Scorer, score_pairs, score_tris
 from kinverify.relations import CANONICAL_RELATION_CODES, PARENT_CHILD, Gender, KinshipRelation
 from kinverify.training import backward
 
-from oracles import score_unknown_whole_array
+from oracles import cosine_distances_whole_array, score_unknown_whole_array
 
 CODES = ("BB", "SIBS", "SS", "FD", "FS")
 
@@ -282,10 +282,13 @@ def test_streamed_scorers_equal_whole_array_scoring(case, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
         mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", 2)
+        mp.setattr(evaluation, "EVAL_BLOCK_ROWS", block)
         features, pos, _ = pairs_to_arrays(store, pairs, config.relations)
         expected, _ = forward(params, features, mode="eval", positions=pos)
         scores = np.array([s.score for s in score_pairs(params, store, pairs)])
         assert np.array_equal(scores, expected)
+        cosine = score_pairs(None, store, pairs, Scorer.COSINE).scores
+        assert np.array_equal(cosine, cosine_distances_whole_array(store, pairs))
 
         tri_features, tri_pos, targets = pairs_to_arrays(store, tri_pairs, config.relations)
         expected, _ = forward(params, tri_features, mode="eval", positions=tri_pos)
@@ -319,9 +322,9 @@ def test_batch_scorers_peak_does_not_grow_with_n_beyond_index_columns():
     # trace-order copy as many again, and each (n, 11) array of the full
     # cascade and the pooling 88. Every position holds a multiple of 1,024
     # rows, so both sizes run in blocks of the same size. What may grow with
-    # n is a few index columns and, for score_pairs and score_tris, one pair
-    # object a row: under 150 bytes a row, against 2,084 and 2,330 for
-    # whole-array scoring, and 536 for whole-array pooling.
+    # n is a few index columns and, for score_tris, one pair object a row:
+    # under 150 bytes a row, against 2,084 and 2,330 for whole-array scoring,
+    # 536 for whole-array pooling and 1,448 for whole-array cosine distances.
     rng = np.random.default_rng(0)
     store, ids = _random_people(rng, 400, 64)
     params = add_attention_head(init_params(ComparatorConfig(input_dim=128, hidden=8), 0))
@@ -334,6 +337,8 @@ def test_batch_scorers_peak_does_not_grow_with_n_beyond_index_columns():
     scorers = {  # name: (batch of n forward rows, scorer, allowed bytes a row)
         "score_pairs": (lambda n: _random_pairs(rng, ids, ("GMGS",), n),
                         lambda pairs: score_pairs(params, store, pairs), 256),
+        "score_pairs cosine": (lambda n: _random_pairs(rng, ids, ("GMGS",), n),
+                               lambda pairs: score_pairs(None, store, pairs, Scorer.COSINE), 256),
         "score_tris": (lambda n: sons(n // 2), lambda tris: score_tris(params, store, tris), 256),
         "score_unknown": (lambda n: rng.standard_normal((n, 128)),
                           lambda x: score_unknown(params, x, PoolingMode.SOFT_ATTENTION), 32),
@@ -343,3 +348,23 @@ def test_batch_scorers_peak_does_not_grow_with_n_beyond_index_columns():
         score(make(10))  # warm caches outside the count
         peaks = [_transient_peak(lambda: score(batch)) for batch in (make(small), make(large))]
         assert (peaks[1] - peaks[0]) / (large - small) < allowed, (name, peaks)
+
+
+def test_held_score_pairs_result_keeps_columns_not_an_object_a_pair():
+    # A held result keeps the PairSet's own tuple and three columns, 17 bytes
+    # a pair (float64 score, intp relation, bool kin bit); a list of
+    # ScoredPair, with a boxed score and a list slot each, kept about 122.
+    rng = np.random.default_rng(2)
+    store, ids = _random_people(rng, 400, 8)
+    params = init_params(ComparatorConfig(input_dim=16, hidden=8), 0)
+    pairs = _random_pairs(rng, ids, CANONICAL_RELATION_CODES, 8192)
+    for model, scorer in ((params, Scorer.COMPARATOR), (None, Scorer.COSINE)):
+        score_pairs(model, store, pairs.pairs[:10], scorer)  # warm caches outside the count
+        tracemalloc.start()
+        try:
+            scored = score_pairs(model, store, pairs, scorer)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scored) == len(pairs)
+        assert held / len(pairs) <= 40, (scorer, held / len(pairs))
