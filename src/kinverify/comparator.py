@@ -372,8 +372,13 @@ class ForwardTrace:
         return tuple(hi - lo for lo, _, hi in self.spans)
 
 
+def _check_width(config: ComparatorConfig, x: np.ndarray) -> None:
+    if x.shape[1] != config.input_dim:
+        raise ValueError(f"feature dim {x.shape[1]} does not match model input {config.input_dim}")
+
+
 def _row_plan(
-    positions: np.ndarray | None, n: int, n_experts: int, local: bool
+    positions: np.ndarray | None, n: int, config: ComparatorConfig
 ) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
     """Trace row order, and each expert's run rows ``lo:hi`` and write rows ``first:hi``.
 
@@ -384,9 +389,10 @@ def _row_plan(
     its block alone in entirely-local mode.
     """
     if positions is None:
-        return np.arange(n), ((0, 0, n),) * n_experts
+        return np.arange(n), ((0, 0, n),) * config.n_experts
+    local = config.sharing is SharingMode.ENTIRELY_LOCAL
     order = np.argsort(-positions, kind="stable")
-    exact = np.bincount(positions, minlength=n_experts)
+    exact = np.bincount(positions, minlength=config.n_experts)
     his = np.cumsum(exact[::-1])[::-1]  # rows with position >= i
     return order, tuple(
         (int(first) if local else 0, int(first), int(hi)) for first, hi in zip(his - exact, his)
@@ -493,17 +499,14 @@ def forward(
     selected probability, in the caller's order. ``backward`` needs the
     trace of a train-mode forward with ``positions``.
 
-    The experts run block by block over the trace rows: all experts on one
-    block, then the next. Train mode takes all rows as one block. Eval mode
-    cuts blocks of about ``EVAL_BLOCK_ROWS`` rows at position boundaries
-    and inside large positions (see ``_block_cuts``; up to that many rows
-    make one block), gathers each block's rows from ``features`` and checks
-    them, and clips each expert's rows to the block, so its hidden arrays
-    stay in cache and each GEMV stays single-threaded. The trace's
-    ``order``, ``spans``, logits and probabilities are those of an
-    unblocked forward: the probabilities bit for bit with OpenBLAS for
-    hidden layers of 10 to 127 units, or of a multiple of 8 from 16 to
-    1,024, the default 192 included (see the README).
+    Train mode runs all rows as one block. Eval mode is one call of
+    ``_eval_blocks``, which runs every expert on one block of about
+    ``EVAL_BLOCK_ROWS`` rows, then the next, so the hidden arrays stay in
+    cache and each GEMV stays single-threaded. The trace's ``order``,
+    ``spans``, logits and probabilities are those of an unblocked forward:
+    the probabilities bit for bit with OpenBLAS for hidden layers of 10 to
+    127 units, or of a multiple of 8 from 16 to 1,024, the default 192
+    included (see the README).
     """
     cfg = params.config
     if mode not in ("train", "eval"):
@@ -511,8 +514,7 @@ def forward(
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    if x.shape[1] != cfg.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match model input {cfg.input_dim}")
+    _check_width(cfg, x)
     train = mode == "train"
     if train and not np.isfinite(x).all():  # eval mode checks each block it gathers
         raise FloatingPointError("non-finite entries in input features")
@@ -524,35 +526,26 @@ def forward(
         if n and (positions.min() < 0 or positions.max() >= cfg.n_experts):
             raise ValueError(f"positions must lie in [0, {cfg.n_experts})")
 
-    scale = None
-    if train and cfg.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("train-mode forward with dropout needs an rng")
-        keep = 1.0 - cfg.dropout_p
-        scale = (rng.random(x.shape) < keep) / keep
-        x = x * scale
-
-    layers = hidden_layer_plan(cfg)
-    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
-    order, spans = _row_plan(positions, n, cfg.n_experts, local)
-    if train and positions is not None:
-        x = x[order]  # backward reads the inputs in trace order
-    gather = not train and positions is not None
-    logits = np.empty((n, cfg.n_experts), dtype=np.float64)  # trace order
-    ends = sorted(hi for _, _, hi in spans)
-    cuts = [0, n] if train else _block_cuts(ends, n, EVAL_BLOCK_ROWS)
-    for b0, b1 in zip(cuts, cuts[1:]):
-        block = x[order[b0:b1]] if gather else x[b0:b1]
-        if not train and not np.isfinite(block).all():
-            raise FloatingPointError("non-finite entries in input features")
-        # each expert's rows clipped to the block, in block coordinates
-        clipped = [tuple(min(max(r - b0, 0), b1 - b0) for r in span) for span in spans]
-        pre_acts, hidden = _run_experts(params, layers, block, clipped, logits[b0:b1], train)
-    if positions is not None:  # each row's own column, back in the caller's order
-        sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
-        logits[order] = sorted_logits[np.arange(n), positions[order]]
-    if not np.isfinite(logits).all():
-        raise FloatingPointError("non-finite expert logits")
+    scale, pre_acts, hidden = None, [], []
+    if not train:
+        order, spans, logits = _eval_blocks(params, n, lambda rows: x[rows], positions)
+    else:
+        if cfg.dropout_p > 0.0:
+            if rng is None:
+                raise ValueError("train-mode forward with dropout needs an rng")
+            keep = 1.0 - cfg.dropout_p
+            scale = (rng.random(x.shape) < keep) / keep
+            x = x * scale
+        order, spans = _row_plan(positions, n, cfg)
+        if positions is not None:
+            x = x[order]  # backward reads the inputs in trace order
+        logits = np.empty((n, cfg.n_experts), dtype=np.float64)  # trace order
+        pre_acts, hidden = _run_experts(params, hidden_layer_plan(cfg), x, spans, logits, True)
+        if positions is not None:  # each row's own column, back in the caller's order
+            sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
+            logits[order] = sorted_logits[np.arange(n), positions[order]]
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("non-finite expert logits")
     probs = stable_sigmoid(logits)
     trace = ForwardTrace(
         inputs=x if train else np.empty((0, cfg.input_dim)),
@@ -607,6 +600,7 @@ def attention_forward(params: ComparatorParams, features: np.ndarray) -> np.ndar
     x = np.asarray(features, dtype=np.float64)
     single = x.ndim == 1
     x = np.atleast_2d(x)
+    _check_width(params.config, x)
     logits = x @ params.values["attention.W"].T + params.values["attention.b"]
     probs = stable_softmax(logits)
     return probs[0] if single else probs
@@ -617,29 +611,35 @@ def _eval_blocks(
     n: int,
     gather,
     positions: np.ndarray | None = None,
-    pool=None,
-) -> np.ndarray:
-    """(n,) eval scores of ``n`` rows, one ``forward`` call per block of an eval forward.
+    reduce=None,
+) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], np.ndarray]:
+    """The eval loop: ``_row_plan``'s order and spans of ``n`` rows, and their logits.
 
-    The rows are ordered by ``_row_plan`` and cut by ``_block_cuts``, as
-    ``forward`` orders and cuts them, so each call runs one of its blocks,
-    uncut, with its bits. ``gather(rows)`` returns the features of caller
-    rows ``rows`` (a slice without ``positions``), so no caller builds the
-    n x 2d features. With ``positions`` a block's selected probabilities
-    are written as they are; ``pool(rows, probs)`` reduces a full
-    forward's (rows, n_experts) probabilities to one score per row.
+    Each ``_block_cuts`` block is gathered once, ``gather(rows)`` for caller
+    rows ``rows`` (a slice without ``positions``), and every expert runs on
+    its rows clipped to the block. The logits, in caller order, are (n,
+    n_experts), each row's own with ``positions``, or each block's ``reduce(rows, logits)``.
     """
     cfg = params.config
-    local = cfg.sharing is SharingMode.ENTIRELY_LOCAL
-    order, spans = _row_plan(positions, n, cfg.n_experts, local)
+    order, spans = _row_plan(positions, n, cfg)
     cuts = _block_cuts(sorted(hi for _, _, hi in spans), n, EVAL_BLOCK_ROWS)
-    out = np.empty(n, dtype=np.float64)
+    out = np.empty((n, cfg.n_experts) if positions is None and reduce is None else n)
     for b0, b1 in zip(cuts, cuts[1:]):
         rows = slice(b0, b1) if positions is None else order[b0:b1]
-        block_positions = None if positions is None else positions[rows]
-        probs, _ = forward(params, gather(rows), mode="eval", positions=block_positions)
-        out[rows] = probs if pool is None else pool(rows, probs)
-    return out
+        block = gather(rows)
+        _check_width(cfg, block)
+        if not np.isfinite(block).all():
+            raise FloatingPointError("non-finite entries in input features")
+        # each expert's rows clipped to the block, in block coordinates
+        clipped = [tuple(min(max(r - b0, 0), b1 - b0) for r in span) for span in spans]
+        logits = np.empty((b1 - b0, cfg.n_experts), dtype=np.float64)
+        _run_experts(params, hidden_layer_plan(cfg), block, clipped, logits, False)
+        if positions is not None:  # each row's own column
+            logits = logits[np.arange(b1 - b0), positions[rows]]
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("non-finite expert logits")
+        out[rows] = logits if reduce is None else reduce(rows, logits)
+    return order, spans, out
 
 
 def score_unknown(
@@ -647,8 +647,8 @@ def score_unknown(
 ) -> float | np.ndarray:
     """Kin score when the relation is unknown, by pooling expert outputs.
 
-    The cascade, the attention head and the pooling run one eval block at
-    a time (``_eval_blocks``), so only the (n,) result spans all rows.
+    The cascade, its sigmoid, the attention head and the pooling run one
+    block at a time (``_eval_blocks``); only the (n,) result spans all rows.
     """
     attention = mode in (PoolingMode.SOFT_ATTENTION, PoolingMode.HARD_ATTENTION)
     if attention and not params.has_attention:  # before any expert runs
@@ -656,7 +656,8 @@ def score_unknown(
     x = np.asarray(features, dtype=np.float64)
     batch = np.atleast_2d(x)
 
-    def pool(rows, z2):
+    def pool(rows, logits):
+        z2 = stable_sigmoid(logits)
         if mode is PoolingMode.MEAN_POOL:
             return z2.mean(axis=1)
         if mode is PoolingMode.MAX_POOL:
@@ -666,5 +667,5 @@ def score_unknown(
             return (att * z2).sum(axis=1)
         return z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
 
-    out = _eval_blocks(params, batch.shape[0], lambda rows: batch[rows], pool=pool)
+    out = _eval_blocks(params, batch.shape[0], lambda rows: batch[rows], reduce=pool)[2]
     return float(out[0]) if x.ndim == 1 else out

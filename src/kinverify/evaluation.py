@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _eval_blocks
+from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _eval_blocks, stable_sigmoid
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
 from .data import _gather_features, _pair_rows, _write_rows
 from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
@@ -144,15 +144,16 @@ def _selected_probs(
     """Each pair's selected eval probability, expert position and kin target.
 
     The probabilities are those of ``forward`` on the ``pairs_to_arrays``
-    features, bit for bit, but each block's rows are gathered from
-    ``store.matrix`` as it runs, so no n x 2d array is built.
+    features, bit for bit, but ``_eval_blocks`` gathers each block's rows
+    from ``store.matrix`` and applies ``stable_sigmoid`` block by block.
     """
     rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
 
     def gather(rows):
         return _gather_features(store.matrix, rows1[rows], rows2[rows])
 
-    return _eval_blocks(params, len(pos), gather, positions=pos), pos, targets
+    z = _eval_blocks(params, len(pos), gather, pos, lambda _, logits: stable_sigmoid(logits))[2]
+    return z, pos, targets
 
 
 # The array core: each public function taking ``scored`` gets its aligned
@@ -397,8 +398,8 @@ def score_tris(
     """Vectorized tri scoring: (father scores, mother scores, fused, targets).
 
     A triple splits into a father-child and a mother-child pair (FS/FD and
-    MS/MD by the child's gender); all of them run stacked through the
-    blocks of one relation-prefix forward. The fusion is the exact mean.
+    MS/MD by the child's gender); all of them run stacked through one
+    relation-prefix eval loop (``_selected_probs``). The fusion is the exact mean.
     """
     samples = list(tris)
     if not samples:

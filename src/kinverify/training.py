@@ -204,7 +204,7 @@ def backward(
         raise ValueError("rel_idx and targets must each have one entry per traced sample")
 
     cascade = cfg.sharing is not SharingMode.ENTIRELY_LOCAL
-    order, spans = _row_plan(rel_idx, n, cfg.n_experts, not cascade)
+    order, spans = _row_plan(rel_idx, n, cfg)
     if not (np.array_equal(order, trace.order) and spans == trace.spans):
         raise ValueError("rel_idx or the model differs from the traced forward")
     dsel = ((trace.probs - targets) / n)[order]

@@ -331,15 +331,23 @@ def test_score_unknown_modes():
 def test_score_unknown_without_attention_head_fails_before_any_expert_runs(monkeypatch):
     import kinverify.comparator as comparator
 
-    def no_forward(*args, **kwargs):
+    def no_experts(*args, **kwargs):
         raise AssertionError("an expert ran")
 
     bare = rand_params(TINY, seed=12)
     features = np.zeros((4, TINY.input_dim))
-    monkeypatch.setattr(comparator, "forward", no_forward)
+    monkeypatch.setattr(comparator, "_run_experts", no_experts)
     for mode in (PoolingMode.SOFT_ATTENTION, PoolingMode.HARD_ATTENTION):
         with pytest.raises(ValueError, match="model has no attention head"):
             score_unknown(bare, features, mode)
+
+
+def test_score_unknown_rejects_features_of_another_width():
+    params = add_attention_head(rand_params(TINY, seed=12))
+    for features in (np.zeros((4, 10)), np.zeros(10)):  # the model reads 8 inputs
+        for mode in PoolingMode:
+            with pytest.raises(ValueError, match="feature dim 10 does not match model input 8"):
+                score_unknown(params, features, mode)
 
 
 def test_stable_sigmoid_extremes():

@@ -397,6 +397,22 @@ def test_predict_relation(model_dir, world_dir, capsys):
     assert "predicted relation:" in out and "kin score" in out
 
 
+def test_queries_reject_embeddings_of_another_width(model_dir, tmp_path, capsys):
+    # the model reads two 8-dim embeddings; this world's embeddings have 6 dims
+    world = tmp_path / "world6"
+    synth = ["synth", "--out", str(world), *SYNTH_ARGS, "--dim", "6", "--identity-dims", "4"]
+    assert main(synth) == 0
+    id1, id2, *_ = (world / "pairs_val.csv").read_text().splitlines()[1].split(",")
+    model = ["--model", str(model_dir / "model.kinc"), "--embeddings", str(world / "embeddings.csv")]
+    capsys.readouterr()
+    pairs = ["--pairs", str(world / "pairs_val.csv")]
+    assert main(["eval", *model, *pairs, "--out", str(tmp_path / "e")]) == 1
+    _one_error_line(capsys, "feature dim 12 does not match model input 16")
+    for pooling in ([], ["--pooling", "mean"]):
+        assert main(["predict-relation", *model, "--id1", id1, "--id2", id2, *pooling]) == 1
+        _one_error_line(capsys, "feature dim 12 does not match model input 16")
+
+
 def test_ablate_command(world_dir, tmp_path):
     out = tmp_path / "ablation.csv"
     code = main(["ablate", "--data", str(world_dir), "--out", str(out), "--epochs", "1", "--seed", "4"])

@@ -412,12 +412,13 @@ def test_tri_score_is_exact_mean(tiny_world, monkeypatch):
         assert fused == ((z_mc + z_fc) / 2.0)  # symmetric in the two scores
 
     calls = []
+    run_experts = comparator._run_experts
 
-    def counting_forward(*args, **kwargs):
-        calls.append(len(args[1]))
-        return forward(*args, **kwargs)
+    def counting_run_experts(*args, **kwargs):
+        calls.append(len(args[2]))  # the rows of the block it runs on
+        return run_experts(*args, **kwargs)
 
-    monkeypatch.setattr(comparator, "forward", counting_forward)
+    monkeypatch.setattr(comparator, "_run_experts", counting_run_experts)
     z_fc, z_mc, fused, targets = score_tris(params, world.store, world.tris["val"])
     npt.assert_array_equal(fused, (z_fc + z_mc) / 2.0)
     n = len(world.tris["val"])

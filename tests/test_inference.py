@@ -350,6 +350,20 @@ def test_batch_scorers_peak_does_not_grow_with_n_beyond_index_columns():
         assert (peaks[1] - peaks[0]) / (large - small) < allowed, (name, peaks)
 
 
+def test_score_pairs_holds_one_copy_of_a_block_features():
+    # 1,024 pairs make one block, whose features take 1 MB at input 128; a
+    # hidden layer of 8 units keeps every other array of the block small, so
+    # a second copy of the features (2.32 blocks at peak, against 1.30) shows
+    rng = np.random.default_rng(3)
+    store, ids = _random_people(rng, 400, 64)
+    params = init_params(ComparatorConfig(input_dim=128, hidden=8), 0)
+    pairs = _random_pairs(rng, ids, CANONICAL_RELATION_CODES, comparator.EVAL_BLOCK_ROWS)
+    block = comparator.EVAL_BLOCK_ROWS * 128 * 8
+    score_pairs(params, store, pairs.pairs[:10])  # warm caches outside the count
+    peak = _transient_peak(lambda: score_pairs(params, store, pairs))
+    assert peak < 1.8 * block, peak / block
+
+
 def test_held_score_pairs_result_keeps_columns_not_an_object_a_pair():
     # A held result keeps the PairSet's own tuple and three columns, 17 bytes
     # a pair (float64 score, intp relation, bool kin bit); a list of

@@ -512,7 +512,8 @@ def test_eval_scores_do_not_depend_on_blas_threads():
     # The third batch has the shape of a validation split, 11 positions of
     # 150-400 rows, which only position-boundary cuts split into blocks.
     # score_unknown pools the 10,006 rows block by block under all four
-    # poolings, with a random attention head.
+    # poolings, with a random attention head. score_pairs and score_tris run
+    # the same blocks on features they gather from a random store.
     script = textwrap.dedent(
         """
         import hashlib
@@ -520,6 +521,10 @@ def test_eval_scores_do_not_depend_on_blas_threads():
         from kinverify.comparator import (
             ComparatorConfig, PoolingMode, add_attention_head, forward, init_params, score_unknown,
         )
+        from kinverify.data import EmbeddingStore, KinPair, PairLabel, PairSet, PersonRef
+        from kinverify.data import TriSample, TriSet
+        from kinverify.evaluation import score_pairs, score_tris
+        from kinverify.relations import Gender, KinshipRelation
 
         params = add_attention_head(init_params(ComparatorConfig(input_dim=128), 5))
         rng = np.random.default_rng(0)
@@ -534,10 +539,23 @@ def test_eval_scores_do_not_depend_on_blas_threads():
         for mode in PoolingMode:
             pooled = score_unknown(params, features, mode)
             print(hashlib.sha256(pooled.tobytes()).hexdigest())
+        refs = [PersonRef(f"p{i}", "f", Gender.MALE if i % 2 else Gender.FEMALE) for i in range(400)]
+        store = EmbeddingStore(refs, rng.standard_normal((400, 64)))
+        people = rng.integers(400, size=(len(features), 3)).tolist()
+        codes = [KinshipRelation(params.config.relations[p]) for p in positions]
+        pairs = PairSet(tuple(
+            KinPair(f"p{a}", f"p{b}", code, PairLabel.KIN) for (a, b, _), code in zip(people, codes)
+        ))
+        print(hashlib.sha256(score_pairs(params, store, pairs).scores.tobytes()).hexdigest())
+        tris = TriSet(tuple(
+            TriSample(f"p{f}", f"p{m}", f"p{c}", Gender.MALE if c % 2 else Gender.FEMALE, None)
+            for f, m, c in people
+        ))
+        print(hashlib.sha256(np.concatenate(score_tris(params, store, tris)[:2]).tobytes()).hexdigest())
         """
     )
     digests = _stdout_per_blas_threads(script)
-    assert len(digests) == 1 and len(digests.pop().split()) == 7
+    assert len(digests) == 1 and len(digests.pop().split()) == 9
 
 
 def _stdout_per_blas_threads(script: str) -> set[str]:
