@@ -20,6 +20,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import os
 import re
 import secrets
@@ -584,38 +585,32 @@ def _pair_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Store rows of both persons, relation indices and kin targets of ``pairs``.
 
-    Relation indices follow ``relation_codes`` (a model's expert order); a
-    pair whose relation is not among them raises ValueError.
+    Relation indices follow ``relation_codes`` (a model's expert order). Every
+    id1 is looked up before any id2; an unknown id raises KeyError, and then
+    a pair whose relation is not among the codes raises ValueError.
     """
     plist = list(pairs)
+    n = len(plist)
+
+    def field(name: str):
+        return map(operator.attrgetter(name), plist)
+
+    try:
+        rows1 = np.fromiter(map(store._row.__getitem__, field("id1")), dtype=np.intp, count=n)
+        rows2 = np.fromiter(map(store._row.__getitem__, field("id2")), dtype=np.intp, count=n)
+    except KeyError as exc:
+        raise KeyError(f"unknown person_id {exc.args[0]!r}") from None
+    # keyed by code: an enum member's hash is a Python-level call, a str's is cached
     idx_of = {code: i for i, code in enumerate(relation_codes)}
-    rows1 = np.fromiter((store.row(p.id1) for p in plist), dtype=np.intp, count=len(plist))
-    rows2 = np.fromiter((store.row(p.id2) for p in plist), dtype=np.intp, count=len(plist))
     try:
         rel_idx = np.fromiter(
-            (idx_of[p.relation.value] for p in plist), dtype=np.intp, count=len(plist)
+            map(idx_of.__getitem__, field("relation._value_")), dtype=np.intp, count=n
         )
     except KeyError as exc:
         raise ValueError(f"relation {exc.args[0]!r} not handled by this model") from None
-    targets = np.array([p.label is PairLabel.KIN for p in plist], dtype=np.float64)
+    kin = map(operator.is_, field("label"), itertools.repeat(PairLabel.KIN))
+    targets = np.fromiter(kin, dtype=np.float64, count=n)
     return rows1, rows2, rel_idx, targets
-
-
-def _symmetric_rows(
-    store: EmbeddingStore, kin_pairs: PairSet, relation_codes: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_pair_rows`` of ``augment_symmetric(kin_pairs)``, computed on the raw pairs.
-
-    The rows of the pairs with a symmetric relation follow, swapped, in pair order.
-    """
-    rows1, rows2, rel_idx, targets = _pair_rows(store, kin_pairs, relation_codes)
-    symmetric = np.array([is_symmetric(KinshipRelation(c)) for c in relation_codes])[rel_idx]
-    return (
-        np.concatenate([rows1, rows2[symmetric]]),
-        np.concatenate([rows2, rows1[symmetric]]),
-        np.concatenate([rel_idx, rel_idx[symmetric]]),
-        np.concatenate([targets, targets[symmetric]]),
-    )
 
 
 def _gather_features(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:

@@ -112,7 +112,8 @@ def score_pairs(
     else:
         if params is None:
             raise ValueError("comparator scoring needs model parameters")
-        scores, pos, targets = _selected_probs(params, store, plist)
+        rows1, rows2, pos, targets = _pair_rows(store, plist, params.config.relations)
+        scores = _selected_probs(params, store.matrix, rows1, rows2, pos)
         canonical = [CANONICAL_RELATION_CODES.index(c) for c in params.config.relations]
         rel = np.array(canonical, dtype=np.intp)[pos]
     return ScoredSet(plist, scores, rel, targets == 1.0)
@@ -138,22 +139,19 @@ def _cosine_distances(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) 
     return out
 
 
-def _selected_probs(
-    params: ComparatorParams, store: EmbeddingStore, pairs: Sequence[KinPair]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each pair's selected eval probability, expert position and kin target.
+def _selected_probs(params: ComparatorParams, matrix, rows1, rows2, pos) -> np.ndarray:
+    """Selected eval probability of each pair, given by the store rows of ``_pair_rows``.
 
     The probabilities are those of ``forward`` on the ``pairs_to_arrays``
     features, bit for bit, but ``_eval_blocks`` gathers each block's rows
-    from ``store.matrix`` and applies ``stable_sigmoid`` block by block.
+    from ``matrix``, the store's embeddings, and applies ``stable_sigmoid``
+    block by block.
     """
-    rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
 
     def gather(rows):
-        return _gather_features(store.matrix, rows1[rows], rows2[rows])
+        return _gather_features(matrix, rows1[rows], rows2[rows])
 
-    z = _eval_blocks(params, len(pos), gather, pos, lambda _, logits: stable_sigmoid(logits))[2]
-    return z, pos, targets
+    return _eval_blocks(params, len(pos), gather, pos, lambda _, logits: stable_sigmoid(logits))[2]
 
 
 # The array core: each public function taking ``scored`` gets its aligned
@@ -163,14 +161,19 @@ def _selected_probs(
 def _columns(scored: ScoredSet | list[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scores, canonical relation index, is_kin) of scored pairs.
 
-    A ``ScoredSet`` hands over its own columns; a list is converted.
+    A ``ScoredSet`` hands over its own columns; a list is converted. A NaN
+    or infinite score raises ValueError naming the first such pair: it
+    would be ranked, binned or calibrated as if it were a score.
     """
     if isinstance(scored, ScoredSet):
-        return scored.scores, scored.rel, scored.is_kin
-    n = len(scored)
-    scores = np.fromiter((s.score for s in scored), dtype=np.float64, count=n)
-    rel = np.fromiter((relation_index(s.pair.relation) for s in scored), dtype=np.intp, count=n)
-    is_kin = np.fromiter((s.pair.label is PairLabel.KIN for s in scored), dtype=bool, count=n)
+        scores, rel, is_kin = scored.scores, scored.rel, scored.is_kin
+    else:
+        scores = np.array([s.score for s in scored], dtype=np.float64)
+        rel = np.array([relation_index(s.pair.relation) for s in scored], dtype=np.intp)
+        is_kin = np.array([s.pair.label is PairLabel.KIN for s in scored], dtype=bool)
+    if not np.isfinite(scores).all():
+        i = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise ValueError(f"scored pair {i} has a non-finite score {float(scores[i])!r}")
     return scores, rel, is_kin
 
 
@@ -298,6 +301,8 @@ def accuracy_report(
     ``threshold`` is normally one global cut; a per-relation mapping (from
     :func:`calibrate_per_relation`) is accepted as the extension mode; it
     must hold every relation present, or a ValueError names those it lacks.
+    A NaN threshold, global or for a relation, raises ValueError; finite
+    thresholds outside [0, 1] are legal, as negated cosine distances need.
     Relations absent from the input are left out of the macro mean and
     listed under ``missing`` instead of being counted as zero.
     """
@@ -312,9 +317,14 @@ def accuracy_report(
         lacking = [code for code in codes if code not in threshold]
         if lacking:
             raise ValueError(f"no threshold for relation(s) {', '.join(lacking)}")
+        nan = [code for code in codes if np.isnan(threshold[code])]
+        if nan:
+            raise ValueError(f"NaN threshold for relation(s) {', '.join(nan)}")
         cut_of = np.zeros(len(RELATION_ORDER))
         cut_of[present] = [threshold[code] for code in codes]
         cut = cut_of[rel]
+    elif np.isnan(threshold):
+        raise ValueError("NaN threshold")
     correct = (scores >= cut) == is_kin  # ties count as kin
     hits = np.bincount(rel, weights=correct, minlength=len(RELATION_ORDER))
 
@@ -410,7 +420,8 @@ def score_tris(
                 PARENT_CHILD[g, t.child_gender], t.label)
         for g in Gender for t in samples
     ]
-    z, _, targets = _selected_probs(params, store, pairs)
+    rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
+    z = _selected_probs(params, store.matrix, rows1, rows2, pos)
     z_fc, z_mc = z[:n], z[n:]
     return z_fc, z_mc, (z_fc + z_mc) / 2.0, targets[:n]
 

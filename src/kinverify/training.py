@@ -50,11 +50,11 @@ from .data import (
     PairSet,
     _gather_features,
     _nonkin_draw,
-    _symmetric_rows,
+    _pair_rows,
     _write_rows,
-    pairs_to_arrays,
+    augment_symmetric,
 )
-from .evaluation import Objective, _calibrate, calibrate_threshold, score_pairs
+from .evaluation import Objective, _calibrate, _selected_probs, calibrate_threshold, score_pairs
 from .seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
 
 GradientSet = dict[str, np.ndarray]
@@ -305,12 +305,13 @@ def adam_step(
     return penalty
 
 
-def _macro_accuracy_curve(params, features, rel_idx, targets):
-    """Calibrated macro accuracy of the current model on a vectorized eval pair set.
+def _macro_accuracy_curve(params, matrix, rows1, rows2, rel_idx, targets):
+    """Calibrated macro accuracy of the current model on eval pairs given by store rows.
 
-    The arguments after ``params`` are those ``pairs_to_arrays`` returns.
+    ``matrix`` holds the store's embeddings and the arguments after it are
+    those ``_pair_rows`` returns; the scores are those of ``score_pairs``.
     """
-    scores = forward(params, features, mode="eval", positions=rel_idx)[0]  # drop the trace
+    scores = _selected_probs(params, matrix, rows1, rows2, rel_idx)
     _, best = _calibrate(scores, targets == 1.0, rel_idx, Objective.MACRO)
     return best
 
@@ -318,14 +319,14 @@ def _macro_accuracy_curve(params, features, rel_idx, targets):
 def _epochs(state, train_config, epoch_data, step, l2_lambda):
     """The epoch loop shared by ``train`` and ``train_attention``.
 
-    For each epoch ``epoch_data(epoch)`` returns the arrays to train on,
-    aligned row for row; they are shuffled together by the epoch's seeded
-    permutation of their rows. Each batch of rows goes through ``step``, which
-    writes the gradients into ``state.grads`` and returns the batch loss,
-    then through one ADAM update with an L2 factor of ``l2_lambda``, whose
-    penalty joins the batch loss. Yields (epoch, lr, batch losses) after
-    every epoch; with epochs=0 it yields nothing and leaves the parameters
-    alone.
+    For each epoch ``epoch_data(epoch)`` returns the store-row, relation and
+    target arrays to train on, aligned row for row; they are shuffled
+    together by the epoch's seeded permutation. Each batch goes through
+    ``step``, which gathers its features from the store, writes the
+    gradients into ``state.grads`` and returns the batch loss, then through
+    one ADAM update with an L2 factor of ``l2_lambda``, whose penalty joins
+    the batch loss. Yields (epoch, lr, batch losses) after every epoch;
+    with epochs=0 it yields nothing and leaves the parameters alone.
     """
     tc = train_config
     for epoch in range(1, tc.epochs + 1):
@@ -353,8 +354,9 @@ def _expert_step(params, grads, dropout_rng, matrix, rows1, rows2, rel_idx, targ
     return float(losses.mean()), backward(trace, params, rel_idx, targets, grads)
 
 
-def _attention_step(params, grads, features, rel_idx):
+def _attention_step(params, grads, matrix, rows1, rows2, rel_idx):
     """Mean softmax cross-entropy of the relation head; its gradients are written into ``grads``."""
+    features = _gather_features(matrix, rows1, rows2)
     rows = np.arange(len(rel_idx))
     logits = features @ params.values["attention.W"].T + params.values["attention.b"]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -392,8 +394,9 @@ def train(
     shuffle touch only index arrays, and each batch gathers its features
     from ``store.matrix``. The parameters, their gradients and both ADAM
     moments share one flat layout (``AdamState``), four copies of the
-    model; beyond them, the val features and one batch, memory is
-    O(persons + pairs) index arrays. The model is returned as a copy.
+    model; beyond them and one batch or block of val pairs (scored as by
+    ``score_pairs``), memory is O(persons + pairs) index arrays. The model
+    is returned as a copy.
     """
     for name, pairs in (("kin", kin_pairs), ("val", val_pairs)):
         if len(pairs) == 0:
@@ -403,9 +406,10 @@ def train(
     # Into the flat layout before the set-up arrays exist: the freed initial arrays then
     # leave no hole under them (about 3 MB less peak RSS over repeated calls, measured).
     state = AdamState.init_like(params)
-    rows1, rows2, rel_idx, targets = _symmetric_rows(store, kin_pairs, comp_config.relations)
-    draw_nonkin = _nonkin_draw(store, rows1, rel_idx, comp_config.relations, seed)
-    val = pairs_to_arrays(store, val_pairs, comp_config.relations)
+    codes = comp_config.relations
+    rows1, rows2, rel_idx, targets = _pair_rows(store, augment_symmetric(kin_pairs), codes)
+    draw_nonkin = _nonkin_draw(store, rows1, rel_idx, codes, seed)
+    val = _pair_rows(store, val_pairs, codes)
     rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])
     targets = np.concatenate([targets, np.zeros_like(targets)])
 
@@ -418,7 +422,7 @@ def train(
     )
     history: list[EpochStats] = []
     for epoch, lr, losses in _epochs(state, train_config, epoch_data, step, train_config.l2_lambda):
-        val_acc = _macro_accuracy_curve(params, *val)
+        val_acc = _macro_accuracy_curve(params, store.matrix, *val)
         history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
     # The model leaves in arrays of its own: a process that kept models holding
     # views of the flat buffer measured ~3 MB more peak RSS per kept model.
@@ -440,14 +444,14 @@ def train_attention(
     epochs=0 it stays zero (the uniform predictor).
     """
     params = add_attention_head(params.copy())
-    rows1, rows2, rel_idx, _ = _symmetric_rows(store, kin_pairs, params.config.relations)
-    features = _gather_features(store.matrix, rows1, rows2)
+    codes = params.config.relations
+    rows1, rows2, rel_idx, _ = _pair_rows(store, augment_symmetric(kin_pairs), codes)
     state = AdamState.init_like(params, keys=params.attention_keys())
 
     def epoch_data(epoch):
-        return features, rel_idx
+        return rows1, rows2, rel_idx
 
-    step = partial(_attention_step, params, state.grads)
+    step = partial(_attention_step, params, state.grads, store.matrix)
     for _ in _epochs(state, train_config, epoch_data, step, 0.0):
         pass
     return params

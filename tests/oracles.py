@@ -262,12 +262,14 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
     ``KinPair`` objects, vectorizes it with ``pairs_to_arrays`` and trains
     on batches of that epoch matrix with ``backward_zero_filled``
     gradients, the per-array ``l2_penalty`` and ``TextbookAdam``. Returns
-    the parameters and the (loss, val macro) history.
+    the parameters and the (loss, val macro) history; the val macro is
+    calibrated on an eval-mode ``forward`` of the val features.
     """
     from kinverify.comparator import forward, init_params
     from kinverify.data import augment_symmetric, pairs_to_arrays, resample_nonkin
+    from kinverify.evaluation import Objective, _calibrate
     from kinverify.seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
-    from kinverify.training import _macro_accuracy_curve, bce_loss
+    from kinverify.training import bce_loss
 
     tc = train_config
     params = init_params(comp_config, tc.seed)
@@ -293,8 +295,12 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
             lr = tc.lr_for_epoch(epoch)
             adam.step(params, grads, lr)
             losses.append(float(loss.mean()) + reg)
-        val = pairs_to_arrays(store, val_pairs, comp_config.relations)
-        history.append((float(np.mean(losses)), _macro_accuracy_curve(params, *val)))
+        val_features, val_rel, val_targets = pairs_to_arrays(
+            store, val_pairs, comp_config.relations
+        )
+        val_scores, _ = forward(params, val_features, mode="eval", positions=val_rel)
+        _, val_macro = _calibrate(val_scores, val_targets == 1.0, val_rel, Objective.MACRO)
+        history.append((float(np.mean(losses)), val_macro))
     return params, history
 
 

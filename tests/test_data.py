@@ -30,7 +30,6 @@ from kinverify.data import (
     TriSet,
     _nonkin_draw,
     _pair_rows,
-    _symmetric_rows,
 )
 from kinverify.relations import RELATION_ORDER, Gender, KinshipRelation
 
@@ -595,14 +594,37 @@ def test_pool_free_draw_matches_per_pair_loop(world):
 @settings(max_examples=200, deadline=None)
 @given(nonkin_worlds(), st.permutations([r.value for r in RELATION_ORDER]))
 def test_train_rows_and_draw_match_the_augmented_pairs(world, codes):
-    # train's walk over the raw pairs gives the rows, the draws and the
-    # first-empty-pair error of augment_symmetric + _pair_rows + resample_nonkin
+    # train's rows of augment_symmetric's pairs are those of a per-pair loop, and
+    # its draws and first-empty-pair error are those of resample_nonkin
     store, kin, seed, epoch = world
     codes = tuple(codes)
     aug = augment_symmetric(kin)
-    rows = _symmetric_rows(store, kin, codes)
-    for got, expected in zip(rows, _pair_rows(store, aug, codes)):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    rows = _pair_rows(store, aug, codes)
+    expected_rows = (
+        [store.row(p.id1) for p in aug],
+        [store.row(p.id2) for p in aug],
+        [codes.index(p.relation.value) for p in aug],
+        [float(p.label is PairLabel.KIN) for p in aug],
+    )
+    for got, expected, dtype in zip(rows, expected_rows, (np.intp, np.intp, np.intp, np.float64)):
+        assert got.dtype == dtype and got.tolist() == expected
+
+    # every id1 is looked up before any id2, then the relations
+    unknown = aug.pairs + (
+        KinPair("p0", "x", KinshipRelation(codes[0]), None),
+        KinPair("y", "p0", KinshipRelation(codes[0]), PairLabel.KIN),
+    )
+    with pytest.raises(KeyError) as exc:
+        _pair_rows(store, unknown, codes)
+    assert exc.value.args == ("unknown person_id 'y'",)
+    with pytest.raises(KeyError) as exc:
+        _pair_rows(store, unknown[:-1], codes)
+    assert exc.value.args == ("unknown person_id 'x'",)
+    unhandled = aug.pairs + (KinPair("p0", "p0", KinshipRelation(codes[0]), None),)
+    with pytest.raises(ValueError) as exc:
+        _pair_rows(store, unhandled, codes[1:])
+    assert str(exc.value) == f"relation {codes[0]!r} not handled by this model"
+
     try:
         expected = resample_nonkin(aug, store, seed, epoch)
     except ValueError as exc:

@@ -123,6 +123,51 @@ def test_accuracy_report_names_relations_a_threshold_map_lacks():
     assert report.macro_accuracy == 1.0  # a threshold for an absent relation is harmless
 
 
+def test_accuracy_report_refuses_a_nan_threshold():
+    scored = []
+    for relation in (KinshipRelation.BB, KinshipRelation.FD, KinshipRelation.GMGS):
+        scored += scored_from([0.9], [0.1], relation)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="^NaN threshold$"):
+        accuracy_report(scored, nan)
+    with pytest.raises(ValueError, match="^NaN threshold for relation.s. FD, GMGS$"):
+        accuracy_report(scored, {"BB": 0.5, "FD": nan, "GMGS": nan})
+    # finite cuts outside [0, 1] stay legal: negated cosine distances need them
+    assert accuracy_report(scored, -2.0).macro_accuracy == 0.5
+    assert accuracy_report(scored, {"BB": 3.0, "FD": -3.0, "GMGS": 0.5}).macro_accuracy == 2 / 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scored_sets(),
+    st.data(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+def test_consumers_refuse_a_non_finite_score(scored, data, bad):
+    at = data.draw(st.sets(st.integers(0, len(scored) - 1), min_size=1))
+    scored = [ScoredPair(s.pair, bad) if i in at else s for i, s in enumerate(scored)]
+    as_set = ScoredSet(
+        tuple(s.pair for s in scored),
+        np.array([s.score for s in scored]),
+        np.array([relation_index(s.pair.relation) for s in scored], dtype=np.intp),
+        np.array([s.pair.label is PairLabel.KIN for s in scored]),
+    )
+    consumers = [
+        lambda s: calibrate_threshold(s, Objective.MACRO),
+        lambda s: calibrate_threshold(s, Objective.MICRO),
+        calibrate_per_relation,
+        auc,
+        lambda s: histogram(s, 5, (0.0, float(LATTICE))),
+        lambda s: accuracy_report(s, 0.5),
+        lambda s: accuracy_report(s, {r.value: 0.5 for r in KinshipRelation}),
+    ]
+    for form in (scored, as_set):
+        for consume in consumers:
+            with pytest.raises(ValueError) as exc:
+                consume(form)
+            assert str(exc.value) == f"scored pair {min(at)} has a non-finite score {bad!r}"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     scored_sets(min_size=1),

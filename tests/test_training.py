@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -432,11 +433,14 @@ def test_attention_step_matches_finite_differences():
     params = add_attention_head(init_params(TINY, 0))
     for key in params.attention_keys():
         params.values[key] = 0.5 * rng.standard_normal(params.values[key].shape)
-    features = rng.standard_normal((6, TINY.input_dim))
+    matrix = rng.standard_normal((4, TINY.input_dim // 2))  # a store's embeddings
+    rows1, rows2 = rng.integers(4, size=6), rng.integers(4, size=6)
+    features = np.concatenate([matrix[rows1], matrix[rows2]], axis=1)
     rel_idx = np.array([0, 1, 2, 1, 0, 2])
+    batch = (matrix, rows1, rows2, rel_idx)
 
     grads = {k: np.empty_like(params.values[k]) for k in params.attention_keys()}
-    loss, analytic = _attention_step(params, grads, features, rel_idx)
+    loss, analytic = _attention_step(params, grads, *batch)
     logits = features @ params.values["attention.W"].T + params.values["attention.b"]
     expected = -np.log(stable_softmax(logits)[np.arange(6), rel_idx]).mean()
     assert loss == pytest.approx(expected, rel=1e-12)
@@ -450,9 +454,9 @@ def test_attention_step_matches_finite_differences():
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            up = _attention_step(params, scratch, features, rel_idx)[0]
+            up = _attention_step(params, scratch, *batch)[0]
             flat[j] = orig - step
-            down = _attention_step(params, scratch, features, rel_idx)[0]
+            down = _attention_step(params, scratch, *batch)[0]
             flat[j] = orig
             numeric[j] = (up - down) / (2.0 * step)
         npt.assert_allclose(grad.reshape(-1), numeric, atol=1e-8)
@@ -467,6 +471,21 @@ def test_train_attention_determinism_bytes(tiny_world):
     b = train_attention(params, world.store, world.kin_pairs["train"], tcfg)
     assert np.any(a.values["attention.W"] != 0.0)
     assert serialize_model(a) == serialize_model(b)
+
+
+def test_train_attention_holds_no_feature_matrix_of_its_pairs(default_world):
+    # The features of the default world's 20,670 augmented kin pairs would take
+    # 21 MB, and an epoch's shuffled copy as much again; gathered batch by batch
+    # from store rows, the call peaks near 6 MB.
+    world = default_world
+    params = init_params(ComparatorConfig(input_dim=2 * world.store.dim), 4)
+    tracemalloc.start()
+    try:
+        train_attention(params, world.store, world.kin_pairs["train"], TrainConfig(epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_train_config_validation():
@@ -485,24 +504,33 @@ def test_train_config_validation():
 
 
 def test_model_bytes_do_not_depend_on_blas_threads():
-    # batch 200 x 128 inputs x 192 hidden is far above OpenBLAS's threading cut-off
+    # batch 200 x 128 inputs x 192 hidden is far above OpenBLAS's threading cut-off;
+    # the history holds each epoch's validation scores, and the attention head is
+    # trained on batches gathered from the store
     script = textwrap.dedent(
         """
         import hashlib
         from kinverify.comparator import ComparatorConfig
         from kinverify.model_io import serialize_model
         from kinverify.synth import SynthConfig, generate_world
-        from kinverify.training import TrainConfig, train
+        from kinverify.training import TrainConfig, train, train_attention
 
         world = generate_world(SynthConfig(n_train_families=40, n_val_families=8,
                                            n_test_families=8, seed=4))
-        params, _ = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"],
-                          ComparatorConfig(input_dim=128), TrainConfig(epochs=2, seed=4))
+        tcfg = TrainConfig(epochs=2, seed=4)
+        params, history = train(world.store, world.kin_pairs["train"], world.eval_pairs["val"],
+                                ComparatorConfig(input_dim=128), tcfg)
         print(hashlib.sha256(serialize_model(params)).hexdigest())
+        print([(h.train_loss, h.val_macro_acc) for h in history])
+        head = train_attention(params, world.store, world.kin_pairs["train"], tcfg)
+        print(hashlib.sha256(head.values["attention.W"].tobytes()
+                             + head.values["attention.b"].tobytes()).hexdigest())
         """
     )
     digests = _stdout_per_blas_threads(script)
-    assert len(digests) == 1 and len(digests.pop()) == 64
+    assert len(digests) == 1
+    model, _, head = digests.pop().splitlines()
+    assert len(model) == len(head) == 64
 
 
 def test_eval_scores_do_not_depend_on_blas_threads():
