@@ -351,11 +351,12 @@ class ForwardTrace:
     (see ``_row_plan``). Expert ``i`` ran on trace rows ``lo:hi`` and wrote
     its logit on rows ``first:hi``, where ``(lo, first, hi) = spans[i]``.
 
-    Only a train-mode trace holds the inputs and the per-expert activations.
-    An eval-mode forward is inference: ``pre_acts`` and ``hidden`` are empty
-    lists, so each expert's arrays are freed once the next expert has read
-    them, and ``inputs`` is an empty (0, 2d) array, as each block gathers
-    its rows from the caller's features.
+    Only a train-mode trace holds the inputs and the per-expert activations:
+    those ``_cascade`` keeps of its one block. An eval-mode forward is
+    inference: ``pre_acts`` and ``hidden`` are empty lists, so each expert's
+    arrays are freed once the next expert has read them, and ``inputs`` is
+    an empty (0, 2d) array, as each block gathers its rows from the
+    caller's features.
     """
 
     inputs: np.ndarray  # train: post-dropout features in trace order (n, 2d); eval: (0, 2d)
@@ -432,43 +433,62 @@ def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
     return cuts + [n]
 
 
-def _run_experts(
+def _cascade(
     params: ComparatorParams,
-    layers: tuple[_HiddenLayer, ...],
-    x: np.ndarray,
-    spans: list[tuple[int, int, int]],
-    logits: np.ndarray,
-    keep: bool,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run every expert on rows of ``x`` and write its logits; the cascade's inner loop.
+    n: int,
+    gather,
+    positions: np.ndarray | None = None,
+    reduce=None,
+    keep: bool = False,
+):
+    """The cascade loop: ``_row_plan``'s order and spans of ``n`` rows, their logits, kept arrays.
 
-    Expert ``i`` runs on rows ``lo:hi`` of ``(lo, first, hi) = spans[i]``,
-    which may be none, and writes column ``i`` of the (n, n_experts)
-    ``logits`` on rows ``first:hi``. With ``keep`` the per-expert
-    pre-activation and hidden arrays are returned for ``backward``.
+    The rows are cut into ``_block_cuts`` blocks, or form one block with
+    ``keep``. Each block is gathered once, ``gather(rows)`` for caller rows
+    ``rows`` (a slice without ``positions``), and checked. Expert ``i``
+    runs on rows ``lo:hi`` of ``(lo, first, hi) = spans[i]`` and writes
+    column ``i`` on rows ``first:hi``, both clipped to the block. The
+    logits, in caller order, are (n, n_experts), each row's own with
+    ``positions``, or each block's ``reduce(rows, logits)``. The last item
+    is None, or with ``keep`` the block's inputs (in trace order) and each
+    expert's pre-activation and hidden arrays, all that ``backward`` needs.
     """
     cfg = params.config
-    pre_acts: list[np.ndarray] = []
-    hidden: list[np.ndarray] = []
-    prev = x
-    for i, (layer, (lo, first, hi)) in enumerate(zip(layers, spans)):
-        inp = x[lo:hi] if layer.reads_input else prev[: hi - lo]
-        w1 = params.values[layer.w_key]
-        b1 = params.values[layer.b_key]
-        slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
-        a = inp @ w1.T
-        a += b1
-        if not np.isfinite(a).all():
-            raise FloatingPointError(f"non-finite pre-activation in expert {i}")
-        z = apply_activation(a, cfg.activation, slope)
-        w2 = params.values[f"expert{i}.W2"]
-        b2 = params.values[f"expert{i}.b2"]
-        logits[first:hi, i] = z[first - lo :] @ w2[0] + b2[0]
-        if keep:
-            pre_acts.append(a)
-            hidden.append(z)
-        prev = z
-    return pre_acts, hidden
+    order, spans = _row_plan(positions, n, cfg)
+    cuts = [0, n] if keep else _block_cuts(sorted(hi for _, _, hi in spans), n, EVAL_BLOCK_ROWS)
+    out = np.empty((n, cfg.n_experts) if positions is None and reduce is None else n)
+    for start, stop in zip(cuts, cuts[1:]):
+        rows = slice(start, stop) if positions is None else order[start:stop]
+        block = gather(rows)
+        _check_width(cfg, block)
+        if not np.isfinite(block).all():
+            raise FloatingPointError("non-finite entries in input features")
+        logits = np.empty((stop - start, cfg.n_experts), dtype=np.float64)
+        pre_acts, hidden, prev = [], [], block
+        for i, (layer, span) in enumerate(zip(hidden_layer_plan(cfg), spans)):
+            lo, first, hi = (min(max(r - start, 0), stop - start) for r in span)  # in the block
+            inp = block[lo:hi] if layer.reads_input else prev[: hi - lo]
+            w1 = params.values[layer.w_key]
+            b1 = params.values[layer.b_key]
+            slope = float(params.values[layer.prelu_key][0]) if layer.prelu_key else None
+            a = inp @ w1.T
+            a += b1
+            if not np.isfinite(a).all():
+                raise FloatingPointError(f"non-finite pre-activation in expert {i}")
+            z = apply_activation(a, cfg.activation, slope)
+            w2 = params.values[f"expert{i}.W2"]
+            b2 = params.values[f"expert{i}.b2"]
+            logits[first:hi, i] = z[first - lo :] @ w2[0] + b2[0]
+            if keep:
+                pre_acts.append(a)
+                hidden.append(z)
+            prev = z
+        if positions is not None:  # each row's own column
+            logits = logits[np.arange(stop - start), positions[rows]]
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("non-finite expert logits")
+        out[rows] = logits if reduce is None else reduce(rows, logits)
+    return order, spans, out, ((block, pre_acts, hidden) if keep else None)
 
 
 def forward(
@@ -499,8 +519,9 @@ def forward(
     selected probability, in the caller's order. ``backward`` needs the
     trace of a train-mode forward with ``positions``.
 
-    Train mode runs all rows as one block. Eval mode is one call of
-    ``_eval_blocks``, which runs every expert on one block of about
+    Both modes are one call of the cascade loop ``_cascade``. Train mode
+    runs all rows as one block and keeps that block's inputs and
+    activations. Eval mode runs every expert on one block of about
     ``EVAL_BLOCK_ROWS`` rows, then the next, so the hidden arrays stay in
     cache and each GEMV stays single-threaded. The trace's ``order``,
     ``spans``, logits and probabilities are those of an unblocked forward:
@@ -516,7 +537,8 @@ def forward(
     x = np.atleast_2d(x)
     _check_width(cfg, x)
     train = mode == "train"
-    if train and not np.isfinite(x).all():  # eval mode checks each block it gathers
+    # before the dropout draw; the loop checks each block it gathers again
+    if train and not np.isfinite(x).all():
         raise FloatingPointError("non-finite entries in input features")
     n = x.shape[0]
     if positions is not None:
@@ -526,29 +548,18 @@ def forward(
         if n and (positions.min() < 0 or positions.max() >= cfg.n_experts):
             raise ValueError(f"positions must lie in [0, {cfg.n_experts})")
 
-    scale, pre_acts, hidden = None, [], []
-    if not train:
-        order, spans, logits = _eval_blocks(params, n, lambda rows: x[rows], positions)
-    else:
-        if cfg.dropout_p > 0.0:
-            if rng is None:
-                raise ValueError("train-mode forward with dropout needs an rng")
-            keep = 1.0 - cfg.dropout_p
-            scale = (rng.random(x.shape) < keep) / keep
-            x = x * scale
-        order, spans = _row_plan(positions, n, cfg)
-        if positions is not None:
-            x = x[order]  # backward reads the inputs in trace order
-        logits = np.empty((n, cfg.n_experts), dtype=np.float64)  # trace order
-        pre_acts, hidden = _run_experts(params, hidden_layer_plan(cfg), x, spans, logits, True)
-        if positions is not None:  # each row's own column, back in the caller's order
-            sorted_logits, logits = logits, np.empty(n, dtype=np.float64)
-            logits[order] = sorted_logits[np.arange(n), positions[order]]
-        if not np.isfinite(logits).all():
-            raise FloatingPointError("non-finite expert logits")
+    scale = None
+    if train and cfg.dropout_p > 0.0:
+        if rng is None:
+            raise ValueError("train-mode forward with dropout needs an rng")
+        keep = 1.0 - cfg.dropout_p
+        scale = (rng.random(x.shape) < keep) / keep
+        x = x * scale
+    order, spans, logits, kept = _cascade(params, n, lambda rows: x[rows], positions, keep=train)
+    inputs, pre_acts, hidden = kept or (np.empty((0, cfg.input_dim)), [], [])
     probs = stable_sigmoid(logits)
     trace = ForwardTrace(
-        inputs=x if train else np.empty((0, cfg.input_dim)),
+        inputs=inputs,
         dropout_scale=scale,
         pre_acts=pre_acts,
         hidden=hidden,
@@ -606,49 +617,13 @@ def attention_forward(params: ComparatorParams, features: np.ndarray) -> np.ndar
     return probs[0] if single else probs
 
 
-def _eval_blocks(
-    params: ComparatorParams,
-    n: int,
-    gather,
-    positions: np.ndarray | None = None,
-    reduce=None,
-) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...], np.ndarray]:
-    """The eval loop: ``_row_plan``'s order and spans of ``n`` rows, and their logits.
-
-    Each ``_block_cuts`` block is gathered once, ``gather(rows)`` for caller
-    rows ``rows`` (a slice without ``positions``), and every expert runs on
-    its rows clipped to the block. The logits, in caller order, are (n,
-    n_experts), each row's own with ``positions``, or each block's ``reduce(rows, logits)``.
-    """
-    cfg = params.config
-    order, spans = _row_plan(positions, n, cfg)
-    cuts = _block_cuts(sorted(hi for _, _, hi in spans), n, EVAL_BLOCK_ROWS)
-    out = np.empty((n, cfg.n_experts) if positions is None and reduce is None else n)
-    for b0, b1 in zip(cuts, cuts[1:]):
-        rows = slice(b0, b1) if positions is None else order[b0:b1]
-        block = gather(rows)
-        _check_width(cfg, block)
-        if not np.isfinite(block).all():
-            raise FloatingPointError("non-finite entries in input features")
-        # each expert's rows clipped to the block, in block coordinates
-        clipped = [tuple(min(max(r - b0, 0), b1 - b0) for r in span) for span in spans]
-        logits = np.empty((b1 - b0, cfg.n_experts), dtype=np.float64)
-        _run_experts(params, hidden_layer_plan(cfg), block, clipped, logits, False)
-        if positions is not None:  # each row's own column
-            logits = logits[np.arange(b1 - b0), positions[rows]]
-        if not np.isfinite(logits).all():
-            raise FloatingPointError("non-finite expert logits")
-        out[rows] = logits if reduce is None else reduce(rows, logits)
-    return order, spans, out
-
-
 def score_unknown(
     params: ComparatorParams, features: np.ndarray, mode: PoolingMode
 ) -> float | np.ndarray:
     """Kin score when the relation is unknown, by pooling expert outputs.
 
     The cascade, its sigmoid, the attention head and the pooling run one
-    block at a time (``_eval_blocks``); only the (n,) result spans all rows.
+    block at a time (``_cascade``); only the (n,) result spans all rows.
     """
     attention = mode in (PoolingMode.SOFT_ATTENTION, PoolingMode.HARD_ATTENTION)
     if attention and not params.has_attention:  # before any expert runs
@@ -667,5 +642,5 @@ def score_unknown(
             return (att * z2).sum(axis=1)
         return z2[np.arange(z2.shape[0]), att.argmax(axis=1)]
 
-    out = _eval_blocks(params, batch.shape[0], lambda rows: batch[rows], reduce=pool)[2]
+    out = _cascade(params, batch.shape[0], lambda rows: batch[rows], reduce=pool)[2]
     return float(out[0]) if x.ndim == 1 else out

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _eval_blocks, stable_sigmoid
+from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _cascade, stable_sigmoid
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
 from .data import _gather_features, _pair_rows, _write_rows
 from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
@@ -143,7 +143,7 @@ def _selected_probs(params: ComparatorParams, matrix, rows1, rows2, pos) -> np.n
     """Selected eval probability of each pair, given by the store rows of ``_pair_rows``.
 
     The probabilities are those of ``forward`` on the ``pairs_to_arrays``
-    features, bit for bit, but ``_eval_blocks`` gathers each block's rows
+    features, bit for bit, but ``_cascade`` gathers each block's rows
     from ``matrix``, the store's embeddings, and applies ``stable_sigmoid``
     block by block.
     """
@@ -151,7 +151,7 @@ def _selected_probs(params: ComparatorParams, matrix, rows1, rows2, pos) -> np.n
     def gather(rows):
         return _gather_features(matrix, rows1[rows], rows2[rows])
 
-    return _eval_blocks(params, len(pos), gather, pos, lambda _, logits: stable_sigmoid(logits))[2]
+    return _cascade(params, len(pos), gather, pos, lambda _, logits: stable_sigmoid(logits))[2]
 
 
 # The array core: each public function taking ``scored`` gets its aligned
@@ -371,7 +371,7 @@ class HistogramTable:
 def histogram(
     scored: ScoredSet | list[ScoredPair], n_bins: int, value_range: tuple[float, float]
 ) -> HistogramTable:
-    """Per-bin kin and nonkin counts over a fixed linear range.
+    """Per-bin kin and nonkin counts over a fixed, finite linear range.
 
     Use range (0, 1) for comparator scores and (0, 2) for cosine distances.
     Every score must fall inside the range so that counts stay conserved.
@@ -382,7 +382,7 @@ def histogram(
     if scores.size == 0:
         raise ValueError("cannot build a histogram from no scores")
     lo, hi = value_range
-    if not lo < hi:
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):  # inf gives NaN edges
         raise ValueError(f"invalid range ({lo}, {hi})")
     if scores.min() < lo or scores.max() > hi:
         raise ValueError("scores fall outside the histogram range")

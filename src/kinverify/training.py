@@ -369,6 +369,18 @@ def _attention_step(params, grads, matrix, rows1, rows2, rel_idx):
     return loss, grads
 
 
+def _check_kin_targets(targets: np.ndarray) -> None:
+    """Raise ValueError naming the first of a kin set's ``targets`` that is not kin.
+
+    ``augment_symmetric`` keeps the caller's pairs first and in order, so
+    the first ``len(kin_pairs)`` targets of the augmented set name them by
+    their index in the caller's set.
+    """
+    bad = np.flatnonzero(targets != 1.0)
+    if bad.size:
+        raise ValueError(f"kin pair {bad[0]} is not labelled kin")
+
+
 def train(
     store: EmbeddingStore,
     kin_pairs: PairSet,
@@ -385,9 +397,11 @@ def train(
     history's macro accuracy (computed at the per-epoch calibrated
     threshold). With epochs=0 the initialized parameters come back
     untouched with empty history; the kin and val pairs are still
-    vectorized and checked first, so an empty kin or val set, an unhandled
-    relation in either set or a kin pair without a nonkin candidate raises
-    ValueError either way.
+    vectorized and checked first, so each of these raises ValueError
+    either way, before any epoch runs: an empty kin or val set, an
+    unhandled relation in either set, a kin pair without a nonkin
+    candidate, a kin set holding a nonkin or unlabelled pair, and a val set
+    without both kin and nonkin pairs (it could not be calibrated).
 
     The epoch works on store-row index arrays, not pair objects: the kin
     and val pairs are vectorized once per call, each epoch's nonkin draw and
@@ -409,7 +423,10 @@ def train(
     codes = comp_config.relations
     rows1, rows2, rel_idx, targets = _pair_rows(store, augment_symmetric(kin_pairs), codes)
     draw_nonkin = _nonkin_draw(store, rows1, rel_idx, codes, seed)
+    _check_kin_targets(targets[: len(kin_pairs)])
     val = _pair_rows(store, val_pairs, codes)
+    if val[3].all() or not val[3].any():  # before an epoch is spent on it
+        raise ValueError("calibration needs both kin and nonkin samples")
     rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])
     targets = np.concatenate([targets, np.zeros_like(targets)])
 
@@ -441,11 +458,13 @@ def train_attention(
     ADAM settings and learning-rate schedule as expert training. Expert
     parameters are never touched, so verification scores are bit-identical
     before and after. A missing head is added zero-initialized; with
-    epochs=0 it stays zero (the uniform predictor).
+    epochs=0 it stays zero (the uniform predictor). A nonkin or unlabelled
+    pair among ``kin_pairs`` raises ValueError, as in ``train``.
     """
     params = add_attention_head(params.copy())
     codes = params.config.relations
-    rows1, rows2, rel_idx, _ = _pair_rows(store, augment_symmetric(kin_pairs), codes)
+    rows1, rows2, rel_idx, targets = _pair_rows(store, augment_symmetric(kin_pairs), codes)
+    _check_kin_targets(targets[: len(kin_pairs)])
     state = AdamState.init_like(params, keys=params.attention_keys())
 
     def epoch_data(epoch):

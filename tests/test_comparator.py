@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -169,6 +170,18 @@ def test_forward_rejects_bad_input():
         forward(params, np.ones(7))
     with pytest.raises(FloatingPointError):
         forward(params, np.array([np.nan] + [0.0] * 7))
+    # train mode rejects them before the dropout draw: the rng does not advance and
+    # no inf * 0 warning fires
+    config = ComparatorConfig(input_dim=8, hidden=3, dropout_p=0.2, relations=("BB", "FD"))
+    dropout = rand_params(config, seed=5)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for bad in (np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite entries in input features"):
+                forward(dropout, np.array([bad] + [0.0] * 7), mode="train", rng=rng, positions=1)
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_zero_equals_eval():
@@ -336,7 +349,7 @@ def test_score_unknown_without_attention_head_fails_before_any_expert_runs(monke
 
     bare = rand_params(TINY, seed=12)
     features = np.zeros((4, TINY.input_dim))
-    monkeypatch.setattr(comparator, "_run_experts", no_experts)
+    monkeypatch.setattr(comparator, "apply_activation", no_experts)
     for mode in (PoolingMode.SOFT_ATTENTION, PoolingMode.HARD_ATTENTION):
         with pytest.raises(ValueError, match="model has no attention head"):
             score_unknown(bare, features, mode)

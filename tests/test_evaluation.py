@@ -231,6 +231,9 @@ def test_histogram_rejects_bad_input():
         histogram(scored_from([0.5], [0.5]), 0, (0.0, 1.0))
     with pytest.raises(ValueError):
         histogram(scored_from([1.5], [0.5]), n_bins=5, value_range=(0.0, 1.0))
+    for value_range in ((0.0, np.inf), (-np.inf, 1.0)):  # would give NaN edges and no counts
+        with pytest.raises(ValueError, match="invalid range"):
+            histogram(scored_from([0.9], [0.5]), 10, value_range)
 
 
 def test_auc_toy_cases():
@@ -441,7 +444,7 @@ def test_score_pairs_golden_values(tiny_world):
 
 
 def test_tri_score_is_exact_mean(tiny_world, monkeypatch):
-    import kinverify.comparator as comparator
+    import kinverify.evaluation as evaluation
 
     world = tiny_world
     config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=3)
@@ -457,13 +460,13 @@ def test_tri_score_is_exact_mean(tiny_world, monkeypatch):
         assert fused == ((z_mc + z_fc) / 2.0)  # symmetric in the two scores
 
     calls = []
-    run_experts = comparator._run_experts
+    cascade = evaluation._cascade
 
-    def counting_run_experts(*args, **kwargs):
-        calls.append(len(args[2]))  # the rows of the block it runs on
-        return run_experts(*args, **kwargs)
+    def counting_cascade(*args, **kwargs):
+        calls.append(args[1])  # the rows it runs on
+        return cascade(*args, **kwargs)
 
-    monkeypatch.setattr(comparator, "_run_experts", counting_run_experts)
+    monkeypatch.setattr(evaluation, "_cascade", counting_cascade)
     z_fc, z_mc, fused, targets = score_tris(params, world.store, world.tris["val"])
     npt.assert_array_equal(fused, (z_fc + z_mc) / 2.0)
     n = len(world.tris["val"])

@@ -23,7 +23,7 @@ from kinverify.comparator import (
     init_params,
     stable_softmax,
 )
-from kinverify.data import PairSet
+from kinverify.data import PairLabel, PairSet
 from kinverify.model_io import serialize_model
 from kinverify.training import (
     ADAM_BETA1,
@@ -344,11 +344,30 @@ def test_train_rejects_an_empty_kin_or_val_set(tiny_world):
     world = tiny_world
     config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=4)
     kin, val = world.kin_pairs["train"], world.eval_pairs["val"]
+    # a val set of one class cannot be calibrated; a kin set must hold only kin pairs
+    kin_val = PairSet(tuple(p for p in val if p.label is PairLabel.KIN))
+    nonkin_val = PairSet(tuple(p for p in val if p.label is PairLabel.NONKIN))
+    pairs = list(kin.pairs)
+    mixed = {}
+    for i, label in ((5, PairLabel.NONKIN), (2, None)):
+        bad = pairs.copy()
+        bad[i] = dataclasses.replace(pairs[i], label=label)
+        bad[i + 3] = dataclasses.replace(pairs[i + 3], label=PairLabel.NONKIN)
+        mixed[i] = PairSet(tuple(bad))
     for epochs in (0, 1):
+        tc = TrainConfig(epochs=epochs)
         with pytest.raises(ValueError, match="non-empty kin pair set"):
-            train(world.store, PairSet(()), val, config, TrainConfig(epochs=epochs))
+            train(world.store, PairSet(()), val, config, tc)
         with pytest.raises(ValueError, match="non-empty val pair set"):
-            train(world.store, kin, PairSet(()), config, TrainConfig(epochs=epochs))
+            train(world.store, kin, PairSet(()), config, tc)
+        for one_class in (kin_val, nonkin_val):
+            with pytest.raises(ValueError, match="calibration needs both kin and nonkin samples"):
+                train(world.store, kin, one_class, config, tc)
+        for i, bad in mixed.items():
+            with pytest.raises(ValueError, match=f"kin pair {i} is not labelled kin"):
+                train(world.store, bad, val, config, tc)
+            with pytest.raises(ValueError, match=f"kin pair {i} is not labelled kin"):
+                train_attention(init_params(config, 0), world.store, bad, tc)
 
 
 @st.composite
