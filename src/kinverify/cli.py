@@ -28,10 +28,11 @@ from .comparator import (
 from .config import RunConfig, parse_config, write_manifest
 from .data import (
     EmbeddingStore,
-    KinPair,
     PairSet,
-    TriSample,
+    _atomic_open,
     _check_people,
+    _checked_pair,
+    _checked_tri,
     _write_rows,
     concat_features,
     load_embeddings,
@@ -39,8 +40,6 @@ from .data import (
     save_embeddings,
     save_pairs,
     save_tri,
-    validate_pair,
-    validate_tri,
 )
 from .evaluation import (
     Objective,
@@ -52,7 +51,7 @@ from .evaluation import (
     score_pairs,
     tri_score,
 )
-from .model_io import load_model, save_model
+from .model_io import load_model, save_model, serialize_model
 from .relations import KinshipRelation
 from .synth import SPLITS, generate_world, save_pedigree
 from .training import ablation_run, gradcheck, save_ablation_csv, train, train_attention
@@ -145,8 +144,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif args.calibrate:
         threshold, best = calibrate_threshold(scored, objective=objective)
         params.threshold = threshold
-        save_model(params, args.model)
-        print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
+        model_blob = serialize_model(params)  # its header check runs before any write
     elif threshold is None:
         raise ValueError("model has no stored threshold; pass --calibrate or --threshold")
     report = accuracy_report(scored, threshold, include_auc=args.auc)
@@ -154,6 +152,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.csv"
     report.save_csv(report_path)
+    if args.calibrate:  # written last but for the manifest: an earlier failure leaves it as it was
+        with _atomic_open(args.model, "wb") as fh:
+            fh.write(model_blob)
+        print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
     # --calibrate rewrote the model file, so the run records its new bytes too
     artifacts = [report_path, args.model] if args.calibrate else [report_path]
     write_manifest(out, "eval", cfg, artifacts)
@@ -171,8 +173,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params, store, threshold = _query_inputs(args)
-    pair = KinPair(args.id1, args.id2, KinshipRelation.from_code(args.relation), None)
-    validate_pair(pair, store)
+    pair = _checked_pair(store, args.id1, args.id2, args.relation, None)
     f1, f2 = store.embedding(pair.id1), store.embedding(pair.id2)
     score, decision = verify(params, f1, f2, pair.relation, threshold)
     print(f"score={score:.6f} threshold={threshold:.6f} decision={decision.value}")
@@ -181,9 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_tri_verify(args: argparse.Namespace) -> int:
     params, store, threshold = _query_inputs(args)
-    sample_gender = store.person(args.child).gender
-    sample = TriSample(args.father, args.mother, args.child, sample_gender, None)
-    validate_tri(sample, store)
+    sample = _checked_tri(store, args.father, args.mother, args.child, None)
     z_fc, z_mc, fused = tri_score(params, store, sample)
     decision = "kin" if fused >= threshold else "nonkin"
     print(f"z_father_child={z_fc:.6f} z_mother_child={z_mc:.6f} fused={fused:.6f} decision={decision}")

@@ -10,7 +10,9 @@ load/save round trip is byte identical):
 Malformed rows and bytes that are not UTF-8 abort with a line-numbered
 error instead of being skipped; silent skips would corrupt downstream
 accuracy statistics. A store and the pair and tri writers reject ids that
-hold a comma or a line break, so every file loads back as saved.
+hold a comma or a line break, so every file loads back as saved. The
+loaders and the CLI queries build every pair and triple through one
+checked constructor per record, so they give the same reasons.
 """
 
 from __future__ import annotations
@@ -314,58 +316,61 @@ def _check_people(store: EmbeddingStore, what: str, *ids: str) -> None:
             raise ValueError(f"{what} references the same person twice: {pid!r}")
 
 
-def validate_pair(pair: KinPair, store: EmbeddingStore) -> None:
-    """Check a pair against the store; raises ValueError with the reason.
+def _checked_pair(
+    store: EmbeddingStore, id1: str, id2: str, relation: str, label: str | None
+) -> KinPair:
+    """The pair of raw fields, checked against the store; raises ValueError with the reason.
 
-    The families are checked against the label only when the label is known.
+    A ``label`` of None makes a pair still to be verified, whose families are
+    not checked.
     """
-    _check_people(store, "pair", pair.id1, pair.id2)
-    g1 = store.person(pair.id1).gender
-    g2 = store.person(pair.id2).gender
-    if not genders_match(pair.relation, g1, g2):
-        raise ValueError(
-            f"genders ({g1.value},{g2.value}) do not fit relation {pair.relation.value}"
-        )
-    same_family = store.family_of(pair.id1) == store.family_of(pair.id2)
-    if pair.label is PairLabel.KIN and not same_family:
+    rel = KinshipRelation.from_code(relation)
+    known = None if label is None else PairLabel.from_code(label)
+    _check_people(store, "pair", id1, id2)
+    p1, p2 = store.person(id1), store.person(id2)
+    if not genders_match(rel, p1.gender, p2.gender):
+        genders = f"({p1.gender.value},{p2.gender.value})"
+        raise ValueError(f"genders {genders} do not fit relation {rel.value}")
+    if known is PairLabel.KIN and p1.family_id != p2.family_id:
         raise ValueError("kin pair spans two families")
-    if pair.label is PairLabel.NONKIN and same_family:
+    if known is PairLabel.NONKIN and p1.family_id == p2.family_id:
         raise ValueError("nonkin pair within a single family")
+    return KinPair(id1, id2, rel, known)
 
 
-def validate_tri(sample: TriSample, store: EmbeddingStore) -> None:
-    """Check a tri-sample against the store; raises ValueError with the reason.
+def _checked_tri(
+    store: EmbeddingStore, father: str, mother: str, child: str, label: str | None
+) -> TriSample:
+    """The triple of raw fields, checked against the store; raises ValueError with the reason.
 
-    The child's family is checked against the label only when the label is
-    known.
+    The child's gender comes from the store. A ``label`` of None makes a
+    triple still to be verified, whose child's family is not checked.
     """
-    _check_people(store, "tri-sample", sample.father_id, sample.mother_id, sample.child_id)
-    if store.person(sample.father_id).gender is not Gender.MALE:
-        raise ValueError(f"father {sample.father_id!r} is not male")
-    if store.person(sample.mother_id).gender is not Gender.FEMALE:
-        raise ValueError(f"mother {sample.mother_id!r} is not female")
-    if store.person(sample.child_id).gender is not sample.child_gender:
-        raise ValueError(f"child gender mismatch for {sample.child_id!r}")
-    fam_f = store.family_of(sample.father_id)
-    fam_m = store.family_of(sample.mother_id)
-    fam_c = store.family_of(sample.child_id)
-    if fam_f != fam_m:
+    known = None if label is None else PairLabel.from_code(label)
+    _check_people(store, "tri-sample", father, mother, child)
+    f, m, c = store.person(father), store.person(mother), store.person(child)
+    if f.gender is not Gender.MALE:
+        raise ValueError(f"father {father!r} is not male")
+    if m.gender is not Gender.FEMALE:
+        raise ValueError(f"mother {mother!r} is not female")
+    if f.family_id != m.family_id:
         raise ValueError("father and mother belong to different families")
-    if sample.label is PairLabel.KIN and fam_c != fam_f:
+    if known is PairLabel.KIN and c.family_id != f.family_id:
         raise ValueError("kin tri-sample child from a different family")
-    if sample.label is PairLabel.NONKIN and fam_c == fam_f:
+    if known is PairLabel.NONKIN and c.family_id == f.family_id:
         raise ValueError("nonkin tri-sample child from the parents' family")
+    return TriSample(father, mother, child, c.gender, known)
 
 
 _PAIR_HEADER = "id1,id2,relation,label"
 _TRI_HEADER = "father_id,mother_id,child_id,label"
 
 
-def _read_rows(path: Path, header: str, build) -> list:
-    """Records of a 4-field CSV after ``header``, one ``build(*fields)`` per row.
+def _read_rows(path: Path, header: str, build, store: EmbeddingStore) -> list:
+    """Records of a 4-field CSV after ``header``, one ``build(store, *fields)`` per row.
 
-    A wrong header, a wrong field count or a ValueError or KeyError from
-    ``build`` aborts with a line-numbered DataFormatError.
+    A wrong header, a wrong field count or a ValueError from ``build``
+    aborts with a line-numbered DataFormatError.
     """
     lines = _read_lines(path)
     if not lines or lines[0] != header:
@@ -376,8 +381,8 @@ def _read_rows(path: Path, header: str, build) -> list:
         if len(parts) != 4:
             raise DataFormatError(f"{path}, line {lineno}: expected 4 fields, got {len(parts)}")
         try:
-            records.append(build(*parts))
-        except (ValueError, KeyError) as exc:
+            records.append(build(store, *parts))
+        except ValueError as exc:
             raise DataFormatError(f"{path}, line {lineno}: {exc}") from None
     return records
 
@@ -395,13 +400,7 @@ def save_pairs(pairs: PairSet, path: str | Path) -> None:
 
 def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
     """Parse a pairs CSV, validating every row against the store."""
-
-    def build(id1, id2, relation, label):
-        pair = KinPair(id1, id2, KinshipRelation.from_code(relation), PairLabel.from_code(label))
-        validate_pair(pair, store)
-        return pair
-
-    return PairSet(tuple(_read_rows(Path(path), _PAIR_HEADER, build)))
+    return PairSet(tuple(_read_rows(Path(path), _PAIR_HEADER, _checked_pair, store)))
 
 
 def save_tri(tris: TriSet, path: str | Path) -> None:
@@ -420,14 +419,7 @@ def save_tri(tris: TriSet, path: str | Path) -> None:
 
 def load_tri(path: str | Path, store: EmbeddingStore) -> TriSet:
     """Parse a tri-subject CSV; child gender comes from the store."""
-
-    def build(father, mother, child, label):
-        child_gender = store.person(child).gender if child in store else Gender.MALE
-        sample = TriSample(father, mother, child, child_gender, PairLabel.from_code(label))
-        validate_tri(sample, store)
-        return sample
-
-    return TriSet(tuple(_read_rows(Path(path), _TRI_HEADER, build)))
+    return TriSet(tuple(_read_rows(Path(path), _TRI_HEADER, _checked_tri, store)))
 
 
 def augment_symmetric(pairs: PairSet) -> PairSet:

@@ -401,7 +401,7 @@ def train(
     either way, before any epoch runs: an empty kin or val set, an
     unhandled relation in either set, a kin pair without a nonkin
     candidate, a kin set holding a nonkin or unlabelled pair, and a val set
-    without both kin and nonkin pairs (it could not be calibrated).
+    holding an unlabelled pair or not both kin and nonkin pairs.
 
     The epoch works on store-row index arrays, not pair objects: the kin
     and val pairs are vectorized once per call, each epoch's nonkin draw and
@@ -425,6 +425,9 @@ def train(
     draw_nonkin = _nonkin_draw(store, rows1, rel_idx, codes, seed)
     _check_kin_targets(targets[: len(kin_pairs)])
     val = _pair_rows(store, val_pairs, codes)
+    labels = [p.label for p in val_pairs]
+    if None in labels:  # _pair_rows would read it as nonkin
+        raise ValueError(f"val pair {labels.index(None)} has no label")
     if val[3].all() or not val[3].any():  # before an epoch is spent on it
         raise ValueError("calibration needs both kin and nonkin samples")
     rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])

@@ -259,6 +259,21 @@ def test_eval_calibrate_refuses_a_threshold_the_model_file_cannot_hold(
     assert not out.exists()
 
 
+def test_failed_eval_calibrate_leaves_the_model_as_it_was(model_dir, world_dir, tmp_path, capsys):
+    model = tmp_path / "model.kinc"
+    model.write_bytes((model_dir / "model.kinc").read_bytes())
+    before = model.read_bytes()
+    out = tmp_path / "taken"
+    out.write_text("a file where the output directory should go\n")
+    code = main(
+        ["eval", "--model", str(model), "--embeddings", str(world_dir / "embeddings.csv"),
+         "--pairs", str(world_dir / "pairs_val.csv"), "--out", str(out), "--calibrate"]
+    )
+    assert code == 1
+    _one_error_line(capsys, "File exists")
+    assert model.read_bytes() == before
+
+
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
     out = tmp_path / "eval_pr"
     code = main(
@@ -699,3 +714,69 @@ def test_bad_config_values_stop_every_command(
     assert main(argv + flags + ["--config", str(path), "--out", str(out)]) == 1
     _one_error_line(capsys, message)
     assert not (out / "manifest.json").exists()
+
+
+# Records over one store: (person, family, gender) rows, written as an embeddings file.
+FAULT_PEOPLE = [("a", "f1", "M"), ("b", "f1", "F"), ("c", "f1", "M"), ("d", "f2", "F"),
+                ("e", "f2", "M")]
+RELATIONS = "BB, SIBS, SS, FD, FS, MD, MS, GFGD, GFGS, GMGD, GMGS"
+# kind, the CSV row, the reason, and whether the fault lies in the label: a query has no
+# label, so then its command scores the same fields instead of failing
+RECORD_FAULTS = [
+    ("pairs", "a,b,XX,kin", f"unknown relation code 'XX', expected one of {RELATIONS}", False),
+    ("pairs", "a,b,FD,maybe", "unknown label 'maybe', expected 'kin' or 'nonkin'", True),
+    ("pairs", "a,zz,FD,kin", "unknown person_id 'zz'", False),
+    ("pairs", "yy,zz,FD,kin", "unknown person_id 'yy'", False),
+    ("pairs", "a,a,FD,kin", "pair references the same person twice: 'a'", False),
+    ("pairs", "a,b,BB,kin", "genders (M,F) do not fit relation BB", False),
+    ("pairs", "a,d,FD,kin", "kin pair spans two families", True),
+    ("pairs", "a,b,FD,nonkin", "nonkin pair within a single family", True),
+    ("tri", "a,b,c,maybe", "unknown label 'maybe', expected 'kin' or 'nonkin'", True),
+    ("tri", "a,b,zz,kin", "unknown person_id 'zz'", False),
+    ("tri", "yy,b,zz,kin", "unknown person_id 'yy'", False),
+    ("tri", "a,b,a,kin", "tri-sample references the same person twice: 'a'", False),
+    ("tri", "d,b,c,kin", "father 'd' is not male", False),
+    ("tri", "a,e,c,kin", "mother 'e' is not female", False),
+    ("tri", "a,d,c,kin", "father and mother belong to different families", False),
+    ("tri", "a,b,e,kin", "kin tri-sample child from a different family", True),
+    ("tri", "a,b,c,nonkin", "nonkin tri-sample child from the parents' family", True),
+]
+
+
+@pytest.mark.parametrize("kind, row, reason, in_label", RECORD_FAULTS)
+def test_loaders_and_queries_give_each_record_fault_one_message(
+    tmp_path, capsys, kind, row, reason, in_label
+):
+    from kinverify.comparator import init_params
+    from kinverify.data import DataFormatError, load_embeddings, load_pairs, load_tri
+    from kinverify.model_io import save_model
+
+    embeddings = tmp_path / "emb.csv"
+    lines = [f"{pid},{fam},{gender},{i}.0,0.5" for i, (pid, fam, gender) in enumerate(FAULT_PEOPLE)]
+    embeddings.write_text("person_id,family_id,gender,f0,f1\n" + "\n".join(lines) + "\n")
+    store = load_embeddings(embeddings)
+    header = {"pairs": "id1,id2,relation,label", "tri": "father_id,mother_id,child_id,label"}[kind]
+    load = {"pairs": load_pairs, "tri": load_tri}[kind]
+    path = tmp_path / f"{kind}.csv"
+    # the fault on line 2 is named before the field-count fault on line 3
+    path.write_text(f"{header}\n{row}\na,b\n")
+    with pytest.raises(DataFormatError) as exc:
+        load(path, store)
+    assert str(exc.value) == f"{path}, line 2: {reason}"
+
+    model = tmp_path / "model.kinc"
+    save_model(init_params(ComparatorConfig(input_dim=4, hidden=2), seed=0), model)
+    fields = row.split(",")[:3]
+    command, flags = {
+        "pairs": ("verify", ["--id1", "--id2", "--relation"]),
+        "tri": ("tri-verify", ["--father", "--mother", "--child"]),
+    }[kind]
+    argv = [command, "--model", str(model), "--embeddings", str(embeddings), "--threshold", "0.5"]
+    capsys.readouterr()
+    code = main(argv + [arg for pair in zip(flags, fields) for arg in pair])
+    captured = capsys.readouterr()
+    if in_label:
+        assert code == 0 and captured.err == "" and "decision=" in captured.out
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {reason}\n"

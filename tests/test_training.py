@@ -347,6 +347,11 @@ def test_train_rejects_an_empty_kin_or_val_set(tiny_world):
     # a val set of one class cannot be calibrated; a kin set must hold only kin pairs
     kin_val = PairSet(tuple(p for p in val if p.label is PairLabel.KIN))
     nonkin_val = PairSet(tuple(p for p in val if p.label is PairLabel.NONKIN))
+    # a val pair without a label would score as nonkin
+    unlabelled_val = PairSet(tuple(
+        dataclasses.replace(p, label=None) if p.label is PairLabel.NONKIN else p for p in val
+    ))
+    first_nonkin = next(i for i, p in enumerate(val) if p.label is PairLabel.NONKIN)
     pairs = list(kin.pairs)
     mixed = {}
     for i, label in ((5, PairLabel.NONKIN), (2, None)):
@@ -363,6 +368,8 @@ def test_train_rejects_an_empty_kin_or_val_set(tiny_world):
         for one_class in (kin_val, nonkin_val):
             with pytest.raises(ValueError, match="calibration needs both kin and nonkin samples"):
                 train(world.store, kin, one_class, config, tc)
+        with pytest.raises(ValueError, match=f"val pair {first_nonkin} has no label"):
+            train(world.store, kin, unlabelled_val, config, tc)
         for i, bad in mixed.items():
             with pytest.raises(ValueError, match=f"kin pair {i} is not labelled kin"):
                 train(world.store, bad, val, config, tc)
