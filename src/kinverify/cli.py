@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 validation, data, file or numeric failure (one
 ``error:`` line on stderr), 2 usage error. Every subcommand that writes
-files also writes a manifest.json with the resolved config, the seed and a
-checksum per artifact.
+files writes them through ``_write_outputs``: its artifacts first, then a
+manifest with the resolved config, the seed and a checksum per artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import enum
+import errno
 import sys
 from pathlib import Path
 
@@ -29,11 +30,9 @@ from .config import RunConfig, parse_config, write_manifest
 from .data import (
     EmbeddingStore,
     PairSet,
-    _atomic_open,
     _check_people,
     _checked_pair,
     _checked_tri,
-    _write_rows,
     concat_features,
     load_embeddings,
     load_pairs,
@@ -42,6 +41,8 @@ from .data import (
     save_tri,
 )
 from .evaluation import (
+    EvaluationReport,
+    HistogramTable,
     Objective,
     Scorer,
     accuracy_report,
@@ -54,7 +55,7 @@ from .evaluation import (
 from .model_io import load_model, save_model, serialize_model
 from .relations import KinshipRelation
 from .synth import SPLITS, generate_world, save_pedigree
-from .training import ablation_run, gradcheck, save_ablation_csv, train, train_attention
+from .training import _save_history, ablation_run, gradcheck, save_ablation_csv, train, train_attention
 
 GRADCHECK_BOUND = 1e-6
 
@@ -76,19 +77,27 @@ def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
     return store, kin, val
 
 
+def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -> None:
+    """Run each ``save(value, path)`` in order, then the manifest; a directory target fails first."""
+    for path in [*(path for path, _, _ in writes), manifest]:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+    manifest.parent.mkdir(parents=True, exist_ok=True)
+    for path, save, value in writes:
+        save(value, path)
+    write_manifest(manifest.parent, command, cfg, [path for path, _, _ in writes], manifest.name)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     world = generate_world(cfg.synth_config())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    writes = [("embeddings.csv", save_embeddings, world.store)]
-    writes.append(("pedigree.csv", save_pedigree, world.pedigree))
-    writes.append(("pairs_train.csv", save_pairs, world.kin_pairs["train"]))
-    writes += [(f"pairs_{s}.csv", save_pairs, world.eval_pairs[s]) for s in ("val", "test")]
-    writes += [(f"tri_{s}.csv", save_tri, world.tris[s]) for s in SPLITS]
-    for name, save, table in writes:
-        save(table, out / name)
-    write_manifest(out, "synth", cfg, [out / name for name, _, _ in writes])
+    out = args.out
+    writes = [(out / "embeddings.csv", save_embeddings, world.store)]
+    writes.append((out / "pedigree.csv", save_pedigree, world.pedigree))
+    writes.append((out / "pairs_train.csv", save_pairs, world.kin_pairs["train"]))
+    writes += [(out / f"pairs_{s}.csv", save_pairs, world.eval_pairs[s]) for s in ("val", "test")]
+    writes += [(out / f"tri_{s}.csv", save_tri, world.tris[s]) for s in SPLITS]
+    _write_outputs(out / "manifest.json", "synth", cfg, writes)
     print(f"world written to {out} ({len(world.store)} persons, dim {world.store.dim})")
     return 0
 
@@ -101,14 +110,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.attention:
         params = train_attention(params, store, kin, cfg.train_config())
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model_path = out / "model.kinc"
-    save_model(params, model_path)
-    history_path = out / "history.csv"
-    rows = ((str(h.epoch), repr(h.lr), repr(h.train_loss), repr(h.val_macro_acc)) for h in history)
-    _write_rows(history_path, "epoch,lr,train_loss,val_macro_acc", rows)
-    write_manifest(out, "train", cfg, [model_path, history_path])
+    model_path = args.out / "model.kinc"
+    writes = [(model_path, save_model, params), (args.out / "history.csv", _save_history, history)]
+    _write_outputs(args.out / "manifest.json", "train", cfg, writes)
     for h in history:
         print(f"epoch {h.epoch}: lr={h.lr} loss={h.train_loss:.4f} val_macro={h.val_macro_acc:.4f}")
     print(f"model written to {model_path}")
@@ -144,21 +148,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif args.calibrate:
         threshold, best = calibrate_threshold(scored, objective=objective)
         params.threshold = threshold
-        model_blob = serialize_model(params)  # its header check runs before any write
+        serialize_model(params)  # its header check runs before any write
     elif threshold is None:
         raise ValueError("model has no stored threshold; pass --calibrate or --threshold")
     report = accuracy_report(scored, threshold, include_auc=args.auc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.csv"
-    report.save_csv(report_path)
-    if args.calibrate:  # written last but for the manifest: an earlier failure leaves it as it was
-        with _atomic_open(args.model, "wb") as fh:
-            fh.write(model_blob)
+    writes = [(args.out / "report.csv", EvaluationReport.save_csv, report)]
+    if args.calibrate:  # the run records the rewritten model's bytes too
+        writes.append((args.model, save_model, params))
+    _write_outputs(args.out / "manifest.json", "eval", cfg, writes)
+    if args.calibrate:
         print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
-    # --calibrate rewrote the model file, so the run records its new bytes too
-    artifacts = [report_path, args.model] if args.calibrate else [report_path]
-    write_manifest(out, "eval", cfg, artifacts)
     for row in report.rows:
         extra = f" auc={row.auc:.4f}" if row.auc is not None else ""
         print(f"{row.relation:5s} accuracy={row.accuracy:.4f} n={row.count}{extra}")
@@ -213,11 +212,9 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     scored = score_pairs(params, store, pairs, scorer)
     value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
     table = histogram(scored, cfg.eval.bins, value_range)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    table.save_csv(out)
-    write_manifest(out.parent, "histogram", cfg, [out], name=f"{out.name}.manifest.json")
-    print(f"histogram written to {out} (overlap {table.overlap():.4f})")
+    manifest = args.out.with_name(f"{args.out.name}.manifest.json")
+    _write_outputs(manifest, "histogram", cfg, [(args.out, HistogramTable.save_csv, table)])
+    print(f"histogram written to {args.out} (overlap {table.overlap():.4f})")
     return 0
 
 
@@ -232,16 +229,14 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         train_config=cfg.train_config(),
         objective=Objective(cfg.eval.objective),
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_ablation_csv(results, out)
-    write_manifest(out.parent, "ablate", cfg, [out], name=f"{out.name}.manifest.json")
+    manifest = args.out.with_name(f"{args.out.name}.manifest.json")
+    _write_outputs(manifest, "ablate", cfg, [(args.out, save_ablation_csv, results)])
     for r in results:
         print(
             f"{r.cell.activation:6s} dropout={r.cell.dropout_p:.1f} "
             f"hidden={r.cell.hidden:4d} accuracy={r.accuracy:.4f}"
         )
-    print(f"ablation table written to {out}")
+    print(f"ablation table written to {args.out}")
     return 0
 
 

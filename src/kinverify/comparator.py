@@ -245,13 +245,12 @@ def init_params(config: ComparatorConfig, seed: int) -> ComparatorParams:
 
 
 def add_attention_head(params: ComparatorParams) -> ComparatorParams:
-    """Return params extended with a zero attention head, the uniform relation predictor."""
-    if params.has_attention:
-        return params
+    """A copy of params with an attention head, zero (the uniform predictor) if it had none."""
     out = params.copy()
-    for name, shape in param_layout(params.config, with_attention=True):
-        if name.startswith("attention."):
-            out.values[name] = np.zeros(shape, dtype=np.float64)
+    if not params.has_attention:
+        for name, shape in param_layout(params.config, with_attention=True):
+            if name.startswith("attention."):
+                out.values[name] = np.zeros(shape, dtype=np.float64)
     return out
 
 

@@ -109,9 +109,11 @@ class EmbeddingStore:
 
     ``EmbeddingStore(refs, matrix)`` holds person ``refs[i]`` with embedding
     ``matrix[i]``, of shape (len(refs), dim) with dim >= 1; rows keep this
-    order, the canonical serialization order. A float64 matrix is taken over
-    without a copy and marked read-only; other input is converted first. The
-    rows are validated in one pass, and a fault names the first bad row.
+    order, the canonical serialization order, in the one person table: the
+    refs as a tuple plus an id -> row dict that every lookup goes through
+    (``row``). A float64 matrix is taken over without a copy and marked
+    read-only; other input is converted first. The rows are validated in one
+    pass, and a fault names the first bad row.
     """
 
     def __init__(self, refs: list[PersonRef], matrix: np.ndarray):
@@ -120,20 +122,20 @@ class EmbeddingStore:
             raise ValueError(
                 f"embedding matrix has shape {matrix.shape}, expected ({len(refs)}, dim), dim >= 1"
             )
-        seen: set[str] = set()
-        for ref, finite in zip(refs, np.isfinite(matrix).all(axis=1).tolist()):
+        self._row: dict[str, int] = {}
+        for i, (ref, finite) in enumerate(zip(refs, np.isfinite(matrix).all(axis=1).tolist())):
             if not finite:
                 raise ValueError(f"embedding for {ref.person_id!r} has non-finite entries")
-            if ref.person_id in seen:
+            if ref.person_id in self._row:
                 raise ValueError(f"duplicate person_id {ref.person_id!r}")
             if not ref.family_id:
                 raise ValueError(f"person {ref.person_id!r} has an empty family_id")
             _check_id("person_id", ref.person_id)
             _check_id("family_id", ref.family_id)
-            seen.add(ref.person_id)
+            self._row[ref.person_id] = i
         self.dim = matrix.shape[1]
-        self._refs = {ref.person_id: ref for ref in refs}
-        self._row = {ref.person_id: i for i, ref in enumerate(refs)}
+        self._refs = tuple(refs)
+        self.person_ids = tuple(self._row)
         matrix.setflags(write=False)
         self.matrix = matrix
 
@@ -141,17 +143,10 @@ class EmbeddingStore:
         return len(self._refs)
 
     def __contains__(self, person_id: str) -> bool:
-        return person_id in self._refs
-
-    @property
-    def person_ids(self) -> tuple[str, ...]:
-        return tuple(self._refs)
+        return person_id in self._row
 
     def person(self, person_id: str) -> PersonRef:
-        try:
-            return self._refs[person_id]
-        except KeyError:
-            raise KeyError(f"unknown person_id {person_id!r}") from None
+        return self._refs[self.row(person_id)]
 
     def embedding(self, person_id: str) -> np.ndarray:
         return self.matrix[self.row(person_id)]
@@ -162,13 +157,10 @@ class EmbeddingStore:
         except KeyError:
             raise KeyError(f"unknown person_id {person_id!r}") from None
 
-    def family_of(self, person_id: str) -> str:
-        return self.person(person_id).family_id
-
     @functools.cached_property
     def _person_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per store row the family index and male flag (1/0), then the sorted family ids."""
-        refs = list(self._refs.values())
+        refs = self._refs
         names, family = np.unique([ref.family_id for ref in refs], return_inverse=True)
         male = np.fromiter((r.gender is Gender.MALE for r in refs), dtype=np.intp, count=len(refs))
         for table in (family, male, names):
@@ -228,7 +220,7 @@ def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
     cols = ",".join(f"f{i}" for i in range(store.dim))
     rows = (
         (ref.person_id, ref.family_id, ref.gender.value, *map(repr, values))
-        for ref, values in zip(store._refs.values(), store.matrix.tolist())
+        for ref, values in zip(store._refs, store.matrix.tolist())
     )
     _write_rows(path, f"person_id,family_id,gender,{cols}", rows)
 

@@ -464,7 +464,7 @@ def train_attention(
     epochs=0 it stays zero (the uniform predictor). A nonkin or unlabelled
     pair among ``kin_pairs`` raises ValueError, as in ``train``.
     """
-    params = add_attention_head(params.copy())
+    params = add_attention_head(params)
     codes = params.config.relations
     rows1, rows2, rel_idx, targets = _pair_rows(store, augment_symmetric(kin_pairs), codes)
     _check_kin_targets(targets[: len(kin_pairs)])
@@ -547,6 +547,11 @@ def save_ablation_csv(results: list[AblationResult], path: str | Path) -> None:
         for r in results
     )
     _write_rows(path, "activation,dropout,hidden,accuracy", rows)
+
+
+def _save_history(history: list[EpochStats], path: str | Path) -> None:
+    rows = ((str(h.epoch), repr(h.lr), repr(h.train_loss), repr(h.val_macro_acc)) for h in history)
+    _write_rows(path, "epoch,lr,train_loss,val_macro_acc", rows)
 
 
 def finite_difference_grads(

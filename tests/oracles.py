@@ -132,9 +132,9 @@ def resample_nonkin_loop(kin_pairs, store, base_seed, epoch):
         ref = store.person(pair.id1)
         want = role2_gender(pair.relation, ref.gender)
         candidates = [
-            pid
-            for pid in store.person_ids
-            if store.person(pid).gender is want and store.family_of(pid) != ref.family_id
+            p.person_id
+            for p in map(store.person, store.person_ids)
+            if p.gender is want and p.family_id != ref.family_id
         ]
         out.append((pair.id1, candidates[rng.integers(len(candidates))]))
     return out
@@ -153,11 +153,11 @@ def nonkin_tris_loop(kin_tris, children, store, seed, split_index):
     rng = derive_rng(seed, STREAM_TRI, split_index)
     out = []
     for t in kin_tris:
-        family = store.family_of(t.child_id)
+        family = store.person(t.child_id).family_id
         candidates = [
-            cid
-            for cid in children
-            if store.person(cid).gender is t.child_gender and store.family_of(cid) != family
+            p.person_id
+            for p in map(store.person, children)
+            if p.gender is t.child_gender and p.family_id != family
         ]
         swapped = candidates[rng.integers(len(candidates))]
         out.append(TriSample(t.father_id, t.mother_id, swapped, t.child_gender, PairLabel.NONKIN))

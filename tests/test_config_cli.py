@@ -8,7 +8,7 @@ import pytest
 from kinverify.cli import _run_config, build_parser, main
 from kinverify.comparator import ComparatorConfig
 from kinverify.config import _SECTIONS, ConfigError, RunConfig, parse_config
-from kinverify.synth import SynthConfig
+from kinverify.synth import SPLITS, SynthConfig
 from kinverify.training import AblationCell, TrainConfig, default_ablation_grid
 
 
@@ -158,23 +158,21 @@ def model_dir(tmp_path_factory, world_dir):
     return out
 
 
+def _assert_outputs(out_dir, manifest_name, files, elsewhere=()):
+    """``out_dir`` holds exactly ``files`` and the manifest, no temp file; the
+    manifest lists ``files`` plus the ``elsewhere`` artifacts. Returns the manifest."""
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*files, manifest_name])
+    manifest = json.loads((out_dir / manifest_name).read_text())
+    assert sorted(manifest["artifacts"]) == sorted([*files, *elsewhere])
+    return manifest
+
+
 def test_synth_outputs(world_dir):
-    for name in (
-        "embeddings.csv",
-        "pairs_train.csv",
-        "pairs_val.csv",
-        "pairs_test.csv",
-        "tri_train.csv",
-        "tri_val.csv",
-        "tri_test.csv",
-        "pedigree.csv",
-        "manifest.json",
-    ):
-        assert (world_dir / name).exists(), name
-    manifest = json.loads((world_dir / "manifest.json").read_text())
+    files = ["embeddings.csv", "pedigree.csv"]
+    files += [f"{kind}_{split}.csv" for kind in ("pairs", "tri") for split in SPLITS]
+    manifest = _assert_outputs(world_dir, "manifest.json", files)
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 4
-    assert len(manifest["artifacts"]) == 8
 
 
 def test_synth_deterministic(world_dir, tmp_path):
@@ -194,7 +192,8 @@ def _write_cfg(tmp_path):
 
 
 def test_train_outputs(model_dir):
-    assert (model_dir / "model.kinc").exists()
+    manifest = _assert_outputs(model_dir, "manifest.json", ["model.kinc", "history.csv"])
+    assert manifest["command"] == "train"
     history = (model_dir / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,lr,train_loss,val_macro_acc"
     assert len(history) == 2
@@ -226,7 +225,8 @@ def test_eval_calibrate_stores_threshold(model_dir, world_dir, tmp_path):
 
     params = load_model(model_dir / "model.kinc")
     assert params.threshold is not None
-    manifest = json.loads((out / "manifest.json").read_text())
+    # the rewritten model lies outside the output directory, but the manifest records it
+    manifest = _assert_outputs(out, "manifest.json", ["report.csv"], elsewhere=["model.kinc"])
     assert manifest["artifacts"]["model.kinc"] == sha256_file(model_dir / "model.kinc")
 
 
@@ -274,6 +274,38 @@ def test_failed_eval_calibrate_leaves_the_model_as_it_was(model_dir, world_dir, 
     assert model.read_bytes() == before
 
 
+def test_eval_calibrate_with_a_directory_manifest_writes_nothing(
+    model_dir, world_dir, tmp_path, capsys
+):
+    model = tmp_path / "model.kinc"
+    model.write_bytes((model_dir / "model.kinc").read_bytes())
+    before = model.read_bytes()
+    out = tmp_path / "eval"
+    (out / "manifest.json").mkdir(parents=True)
+    # the test pairs calibrate to another threshold than any the model may hold
+    args = ["eval", "--model", str(model), "--embeddings", str(world_dir / "embeddings.csv"),
+            "--pairs", str(world_dir / "pairs_test.csv"), "--out", str(out), "--calibrate"]
+    assert main(args) == 1
+    _one_error_line(capsys, f"Is a directory: '{out / 'manifest.json'}'")
+    assert model.read_bytes() == before
+    assert not (out / "report.csv").exists()
+    # the same run with the manifest path free rewrites the model
+    (out / "manifest.json").rmdir()
+    assert main(args) == 0
+    assert model.read_bytes() != before
+
+
+def test_train_with_a_directory_history_writes_no_model(world_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "history.csv").mkdir(parents=True)
+    code = main(["train", "--data", str(world_dir), "--out", str(out), "--epochs", "1",
+                 "--batch-size", "64", "--hidden", "4", "--seed", "4"])
+    assert code == 1
+    _one_error_line(capsys, f"Is a directory: '{out / 'history.csv'}'")
+    assert not (out / "model.kinc").exists()
+    assert [p.name for p in out.iterdir()] == ["history.csv"]
+
+
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
     out = tmp_path / "eval_pr"
     code = main(
@@ -293,7 +325,7 @@ def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
     assert code == 0
     assert "per-relation thresholds" in capsys.readouterr().out
     # the model file is left as it was, so the manifest lists only the report
-    assert list(json.loads((out / "manifest.json").read_text())["artifacts"]) == ["report.csv"]
+    _assert_outputs(out, "manifest.json", ["report.csv"])
 
 
 def test_verify_uses_stored_threshold(model_dir, world_dir, capsys):
@@ -366,6 +398,7 @@ def test_histogram_command(model_dir, world_dir, tmp_path):
         ]
     )
     assert code == 0
+    _assert_outputs(tmp_path, "hist.csv.manifest.json", ["hist.csv"])
     lines = out.read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,kin,nonkin"
     assert len(lines) == 51
@@ -435,7 +468,7 @@ def test_ablate_command(world_dir, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "activation,dropout,hidden,accuracy"
     assert len(lines) == 14  # header + 13 grid rows
-    assert (tmp_path / "ablation.csv.manifest.json").exists()
+    _assert_outputs(tmp_path, "ablation.csv.manifest.json", ["ablation.csv"])
 
 
 def test_gradcheck_command(capsys):

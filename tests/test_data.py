@@ -508,7 +508,8 @@ def test_resample_nonkin_contract(tiny_world):
         from kinverify.relations import role2_gender
 
         assert g2 is role2_gender(swapped.relation, g1)
-        assert world.store.family_of(swapped.id1) != world.store.family_of(swapped.id2)
+        family1 = world.store.person(swapped.id1).family_id
+        assert family1 != world.store.person(swapped.id2).family_id
 
 
 def test_resample_nonkin_matches_per_pair_draws(tiny_world):
@@ -572,14 +573,14 @@ def test_pool_free_draw_matches_per_pair_loop(world):
         for p in kin
         if not any(
             store.person(q).gender is role2_gender(p.relation, store.person(p.id1).gender)
-            and store.family_of(q) != store.family_of(p.id1)
+            and store.person(q).family_id != store.person(p.id1).family_id
             for q in store.person_ids
         )
     ]
     if empty:
         message = (
             f"no eligible nonkin partner for relation {empty[0].relation.value} "
-            f"outside family {store.family_of(empty[0].id1)!r}"
+            f"outside family {store.person(empty[0].id1).family_id!r}"
         )
         with pytest.raises(ValueError) as exc:
             resample_nonkin(kin, store, seed, epoch)

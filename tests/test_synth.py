@@ -185,10 +185,10 @@ def test_tri_sets_shape(tiny_world):
         kin = [t for t in tris if t.label is PairLabel.KIN]
         non = [t for t in tris if t.label is PairLabel.NONKIN]
         assert len(kin) == len(non)
-        fams = tiny_world.store.family_of
+        store = tiny_world.store
         for t in non:
-            assert fams(t.child_id) != fams(t.father_id)
-            assert tiny_world.store.person(t.child_id).gender is t.child_gender
+            assert store.person(t.child_id).family_id != store.person(t.father_id).family_id
+            assert store.person(t.child_id).gender is t.child_gender
 
 
 def test_gender_bias_overlap_gap(default_world):
