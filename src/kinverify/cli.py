@@ -78,10 +78,15 @@ def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
 
 
 def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -> None:
-    """Run each ``save(value, path)`` in order, then the manifest; a directory target fails first."""
+    """Run each ``save(value, path)`` in order, then the manifest. A directory target,
+    or a file name given twice (the manifest's checksum key), fails before any write."""
+    named: dict[str, Path] = {}
     for path in [*(path for path, _, _ in writes), manifest]:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
+        if path.name in named:
+            raise ValueError(f"outputs {named[path.name]} and {path} share a file name")
+        named[path.name] = path
     manifest.parent.mkdir(parents=True, exist_ok=True)
     for path, save, value in writes:
         save(value, path)
@@ -202,7 +207,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
-    if args.relations:
+    if args.relations is not None:
         wanted = {KinshipRelation.from_code(c) for c in args.relations.split(",")}
         pairs = [p for p in pairs if p.relation in wanted]
     scorer = Scorer(args.scorer)
@@ -212,9 +217,10 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     scored = score_pairs(params, store, pairs, scorer)
     value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
     table = histogram(scored, cfg.eval.bins, value_range)
+    overlap = table.overlap()  # a single-class table fails here, before any write
     manifest = args.out.with_name(f"{args.out.name}.manifest.json")
     _write_outputs(manifest, "histogram", cfg, [(args.out, HistogramTable.save_csv, table)])
-    print(f"histogram written to {args.out} (overlap {table.overlap():.4f})")
+    print(f"histogram written to {args.out} (overlap {overlap:.4f})")
     return 0
 
 
@@ -225,7 +231,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         store,
         kin,
         val,
-        input_dim=2 * store.dim,
         train_config=cfg.train_config(),
         objective=Objective(cfg.eval.objective),
     )

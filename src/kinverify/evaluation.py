@@ -14,8 +14,8 @@ rank them pass the negated distances; negation is exact, so the midpoints,
 sentinels, accuracies and AUC are those of a lower-is-kin rule.
 
 ``score_pairs`` returns a :class:`ScoredSet`: the scored pairs' tuple and
-three aligned columns (score, canonical relation index, kin bit), read as
-a sequence of :class:`ScoredPair` built only when accessed. Every other
+three aligned columns (score, canonical relation index, kin bit), which
+iterates as :class:`ScoredPair` objects built one at a time. Every other
 public function here takes a ``ScoredSet`` or a list of ``ScoredPair`` and
 runs on those three columns.
 Nothing here trains: the ablation grid, which trains and then scores one
@@ -25,7 +25,6 @@ model per cell, lives in :mod:`kinverify.training`.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,14 +54,12 @@ class ScoredPair:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoredSet(Sequence):
+class ScoredSet:
     """Scored pairs as columns: ``pairs[i]`` has score ``scores[i]``.
 
     ``rel`` holds each pair's canonical relation index and ``is_kin`` its
     kin bit. The columns are taken over without a copy and marked
-    read-only. An integer index builds one :class:`ScoredPair`, a slice
-    gives a ``ScoredSet`` of those rows, and iteration yields
-    ``ScoredPair`` objects one at a time.
+    read-only. Iteration yields ``ScoredPair`` objects one at a time.
     """
 
     pairs: tuple[KinPair, ...]
@@ -76,12 +73,6 @@ class ScoredSet(Sequence):
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ScoredSet(self.pairs[index], self.scores[index], self.rel[index],
-                             self.is_kin[index])
-        return ScoredPair(self.pairs[index], float(self.scores[index]))
 
     def __iter__(self):
         return map(ScoredPair, self.pairs, self.scores.tolist())
@@ -103,9 +94,6 @@ def score_pairs(
     ``PairSet``'s own tuple of pairs.
     """
     plist = pairs.pairs if isinstance(pairs, PairSet) else tuple(pairs)
-    if not plist:
-        empty = np.empty(0)
-        return ScoredSet(plist, empty, empty.astype(np.intp), empty.astype(bool))
     if scorer is Scorer.COSINE:
         rows1, rows2, rel, targets = _pair_rows(store, plist, CANONICAL_RELATION_CODES)
         scores = _cosine_distances(store.matrix, rows1, rows2)

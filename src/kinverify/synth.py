@@ -119,7 +119,6 @@ class PedigreeEntry:
 
 @dataclass
 class SynthWorld:
-    config: SynthConfig
     store: EmbeddingStore
     kin_pairs: dict[str, PairSet]
     eval_pairs: dict[str, PairSet]
@@ -146,7 +145,7 @@ def _latent(
     male: np.ndarray,
     gender_axis: np.ndarray,
     config: SynthConfig,
-    flip_mask: np.ndarray | None,
+    flip_mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm embeddings and heritable identities of a batch of people, one per row.
 
@@ -168,7 +167,7 @@ def _latent(
     if not founders:
         identity = identity + config.heritability * parent_mean
     signs = np.where(male, 1.0, -1.0)
-    expression = np.where(male[:, None], 1.0, 1.0 if flip_mask is None else flip_mask)
+    expression = np.where(male[:, None], 1.0, flip_mask)
     v = identity * expression + (config.gender_weight * signs)[:, None] * gender_axis
     norm = np.sqrt([row.dot(row) for row in v])  # np.linalg.norm's bits, row by row
     if not norm.all():
@@ -279,7 +278,6 @@ def generate_world(config: SynthConfig) -> SynthWorld:
         tris[split] = TriSet(tuple(kin_tris) + nonkin)
 
     return SynthWorld(
-        config=config,
         store=store,
         kin_pairs=kin_pairs,
         eval_pairs=eval_pairs,

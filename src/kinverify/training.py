@@ -513,7 +513,6 @@ def ablation_run(
     store: EmbeddingStore,
     kin_pairs: PairSet,
     val_pairs: PairSet,
-    input_dim: int,
     train_config: TrainConfig,
     grid: tuple[AblationCell, ...] | None = None,
     objective: Objective = Objective.MACRO,
@@ -529,7 +528,7 @@ def ablation_run(
     results: list[AblationResult] = []
     for cell in grid:
         cfg = ComparatorConfig(
-            input_dim=input_dim,
+            input_dim=2 * store.dim,
             hidden=cell.hidden,
             activation=Activation(cell.activation),
             dropout_p=cell.dropout_p,

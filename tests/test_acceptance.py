@@ -353,7 +353,6 @@ def test_c11_ablation_grid(reduced_world):
         world.store,
         world.kin_pairs["train"],
         world.eval_pairs["val"],
-        input_dim=2 * world.store.dim,
         train_config=TrainConfig(seed=4, epochs=2),
     )
     elapsed = time.time() - start
@@ -377,7 +376,6 @@ def test_hidden_size_trend(default_world):
         world.store,
         world.kin_pairs["train"],
         world.eval_pairs["val"],
-        input_dim=2 * world.store.dim,
         train_config=TrainConfig(seed=4),
         grid=(AblationCell("lrelu", 0.2, 8), AblationCell("lrelu", 0.2, 64)),
     )

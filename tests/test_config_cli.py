@@ -295,6 +295,24 @@ def test_eval_calibrate_with_a_directory_manifest_writes_nothing(
     assert model.read_bytes() != before
 
 
+@pytest.mark.parametrize("model_at", ["eval/manifest.json", "elsewhere/report.csv"])
+def test_eval_calibrate_refuses_a_model_named_like_another_output(
+    model_at, model_dir, world_dir, tmp_path, capsys
+):
+    # the manifest keys checksums by file name, so two outputs of one name would share one
+    out, model = tmp_path / "eval", tmp_path / model_at
+    model.parent.mkdir()
+    model.write_bytes((model_dir / "model.kinc").read_bytes())
+    before = model.read_bytes()
+    code = main(["eval", "--model", str(model), "--embeddings", str(world_dir / "embeddings.csv"),
+                 "--pairs", str(world_dir / "pairs_test.csv"), "--out", str(out), "--calibrate"])
+    assert code == 1
+    twin = out / model.name  # report.csv, or the manifest itself
+    _one_error_line(capsys, f"outputs {twin} and {model} share a file name")
+    assert model.read_bytes() == before
+    assert [p.name for p in out.glob("*")] == ([model.name] if twin == model else [])
+
+
 def test_train_with_a_directory_history_writes_no_model(world_dir, tmp_path, capsys):
     out = tmp_path / "run"
     (out / "history.csv").mkdir(parents=True)
@@ -380,7 +398,7 @@ def test_tri_verify(model_dir, world_dir, capsys):
     assert "fused=" in out
 
 
-def test_histogram_command(model_dir, world_dir, tmp_path):
+def test_histogram_command(model_dir, world_dir, tmp_path, capsys):
     out = tmp_path / "hist.csv"
     code = main(
         [
@@ -405,6 +423,23 @@ def test_histogram_command(model_dir, world_dir, tmp_path):
     pair_lines = (world_dir / "pairs_val.csv").read_text().splitlines()[1:]
     kept = sum(line.split(",")[2] in ("FD", "MS", "SIBS") for line in pair_lines)
     assert sum(int(n) for line in lines[1:] for n in line.split(",")[2:]) == kept
+    # an empty relation list is one unknown code, not every relation
+    code = main(["histogram", "--embeddings", str(world_dir / "embeddings.csv"), "--pairs",
+                 str(world_dir / "pairs_val.csv"), "--scorer", "cosine", "--relations", "",
+                 "--out", str(tmp_path / "none.csv")])
+    assert code == 1
+    _one_error_line(capsys, "unknown relation code ''")
+    assert not (tmp_path / "none.csv").exists()
+
+
+def test_histogram_of_one_class_writes_nothing(world_dir, tmp_path, capsys):
+    # the training pairs are all kin, so the two classes' overlap is undefined
+    code = main(["histogram", "--embeddings", str(world_dir / "embeddings.csv"), "--pairs",
+                 str(world_dir / "pairs_train.csv"), "--scorer", "cosine",
+                 "--out", str(tmp_path / "h.csv")])
+    assert code == 1
+    _one_error_line(capsys, "overlap needs both classes")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["1", "a,b"])

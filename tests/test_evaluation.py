@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -286,7 +288,7 @@ def test_score_pairs_cosine_self_pair():
     )
     pair = KinPair("a", "b", KinshipRelation.BB, PairLabel.KIN)
     scored = score_pairs(None, store, [pair], Scorer.COSINE)
-    assert scored[0].score == pytest.approx(0.0, abs=1e-12)
+    assert scored.scores[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def cosine_scores(vectors, index_pairs):
@@ -410,24 +412,38 @@ def test_score_pairs_yields_the_scored_pair_objects_of_whole_array_scoring(tiny_
     assert from_list.pairs == pairs.pairs and isinstance(from_list.pairs, tuple)
 
 
-def test_scored_set_reads_as_a_sequence(tiny_world):
+def test_scored_set_has_a_length_iteration_and_read_only_columns(tiny_world):
     world = tiny_world
     params = init_params(ComparatorConfig(input_dim=2 * world.store.dim, hidden=3), 2)
     scored = score_pairs(params, world.store, world.eval_pairs["val"])
     items = list(scored)
     assert scored and len(scored) == len(items) > 10
-    assert scored[0] == items[0] and scored[-1] == items[-1] and scored[-len(items)] == items[0]
-    for index in (slice(5, -3, 2), slice(None, None, -1), slice(-4, None)):
-        part = scored[index]
-        assert isinstance(part, ScoredSet) and list(part) == items[index]
-        assert _consumer_outcomes(part) == _consumer_outcomes(items[index])
-    with pytest.raises(IndexError):
-        scored[len(items)]
+    assert items == [ScoredPair(p, float(x)) for p, x in zip(scored.pairs, scored.scores)]
     with pytest.raises(ValueError, match="read-only"):
         scored.scores[0] = 1.0
     empty = score_pairs(params, world.store, [])
-    assert not empty and len(empty) == 0 and list(empty) == [] and not scored[3:3]
+    assert not empty and len(empty) == 0 and list(empty) == []
     assert scored != ScoredSet(scored.pairs, scored.scores, scored.rel, scored.is_kin)  # identity
+
+
+def test_score_pairs_on_no_pairs(tiny_world):
+    empty = score_pairs(None, tiny_world.store, [], Scorer.COSINE)
+    assert empty.pairs == () and list(empty) == []
+    columns = (empty.scores, empty.rel, empty.is_kin)
+    assert [c.dtype for c in columns] == [np.float64, np.intp, bool]
+    assert all(c.shape == (0,) for c in columns)
+    with pytest.raises(ValueError, match="comparator scoring needs model parameters"):
+        score_pairs(None, tiny_world.store, [])
+
+
+def test_negating_cosine_columns_matches_negating_each_scored_pair(tiny_world):
+    # README's recipe for calibrating and ranking lower-is-kin distances
+    scored = score_pairs(None, tiny_world.store, tiny_world.eval_pairs["val"], Scorer.COSINE)
+    negated = dataclasses.replace(scored, scores=-scored.scores)
+    listed = [ScoredPair(s.pair, -s.score) for s in scored]
+    for objective in Objective:
+        assert calibrate_threshold(negated, objective) == calibrate_threshold(listed, objective)
+    assert auc(negated) == auc(listed) > 0.5
 
 
 # Frozen from the first verified run: seeded init params (seed 123) on the
@@ -515,7 +531,6 @@ def test_ablation_single_cell_equals_plain_train(tiny_world):
         world.store,
         world.kin_pairs["train"],
         world.eval_pairs["val"],
-        input_dim=2 * world.store.dim,
         train_config=tcfg,
         grid=(cell,),
     )

@@ -45,7 +45,8 @@ def test_latent_noise_free_founders():
     config = SynthConfig(noise_weight=0.0)
     axis, _ = axis_and_mask(config)
     noise = np.random.default_rng(0).standard_normal((3, config.identity_dims))
-    (m1, m2, f1), _ = _latent(noise, None, np.array([True, True, False]), axis, config, None)
+    unflipped = np.ones(config.dim)
+    (m1, m2, f1), _ = _latent(noise, None, np.array([True, True, False]), axis, config, unflipped)
     np.testing.assert_allclose(m1, m2, atol=1e-15)
     np.testing.assert_allclose(m1, axis, atol=1e-15)
     np.testing.assert_allclose(np.dot(m1, f1), -1.0, atol=1e-12)  # antipodal: distance 2
@@ -338,12 +339,13 @@ def test_latent_rows_match_one_person_at_a_time(dims, n, founders, masked, seed)
     dim, k = dims
     config = SynthConfig(dim=dim, identity_dims=k, parent_blend="convex")
     axis, mask = axis_and_mask(config)
-    mask = mask if masked else None
+    mask = mask if masked else None  # the oracle's unflipped case is a mask of ones here
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((n, k))
     parent_mean = None if founders else rng.standard_normal((n, dim))
     male = rng.integers(2, size=n).astype(bool)
-    vecs, identities = _latent(noise, parent_mean, male, axis, config, mask)
+    flips = np.ones(dim) if mask is None else mask
+    vecs, identities = _latent(noise, parent_mean, male, axis, config, flips)
     for i in range(n):
         pm = None if founders else parent_mean[i]
         vec, identity = latent_scalar(male[i], noise[i], pm, axis, config, mask)
