@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import enum
 import errno
+import json
 import sys
 from pathlib import Path
 
@@ -78,8 +79,8 @@ def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
 
 
 def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -> None:
-    """Run each ``save(value, path)`` in order, then the manifest. A directory target,
-    or a file name given twice (the manifest's checksum key), fails before any write."""
+    """Run each ``save(value, path)`` in order, then the manifest. A directory target, a file
+    name given twice (the manifest's checksum key) or a foreign manifest fails before any write."""
     named: dict[str, Path] = {}
     for path in [*(path for path, _, _ in writes), manifest]:
         if path.is_dir():
@@ -87,6 +88,13 @@ def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -
         if path.name in named:
             raise ValueError(f"outputs {named[path.name]} and {path} share a file name")
         named[path.name] = path
+    if manifest.is_file():
+        try:
+            owner = json.loads(manifest.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8 or not JSON
+            owner = None
+        if not (isinstance(owner, dict) and owner.get("command") == command):
+            raise ValueError(f"{manifest} is not a {command} manifest; refusing to replace it")
     manifest.parent.mkdir(parents=True, exist_ok=True)
     for path, save, value in writes:
         save(value, path)

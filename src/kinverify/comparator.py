@@ -255,14 +255,10 @@ def add_attention_head(params: ComparatorParams) -> ComparatorParams:
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Sigmoid via the branch that never exponentiates a positive argument."""
+    """Sigmoid in one pass, e = exp(-|x|): 1/(1+e) where x >= 0, else e/(1+e)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:

@@ -33,10 +33,10 @@ import numpy as np
 
 from .relations import (
     CANONICAL_RELATION_CODES,
+    SYMMETRIC_RELATIONS,
     Gender,
     KinshipRelation,
     genders_match,
-    is_symmetric,
     role2_gender,
 )
 from .seeding import STREAM_RESAMPLE, STREAM_TRI, derive_rng
@@ -422,8 +422,7 @@ def augment_symmetric(pairs: PairSet) -> PairSet:
     """
     reversed_pairs = [
         KinPair(p.id2, p.id1, p.relation, p.label)
-        for p in pairs
-        if is_symmetric(p.relation)
+        for p in pairs if p.relation in SYMMETRIC_RELATIONS
     ]
     return PairSet(tuple(pairs.pairs) + tuple(reversed_pairs))
 

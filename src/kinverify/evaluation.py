@@ -110,15 +110,13 @@ def score_pairs(
 def _cosine_distances(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
     """1 - cos of the embeddings of each row pair, one block of pairs at a time.
 
-    Every step is row-wise, so a block's distances have the bits of one
-    pass over all the pairs' concatenated features.
+    Each block takes only its two sides' rows of ``matrix``. Every step is
+    row-wise, so a block's distances have the bits of one pass over all pairs.
     """
-    dim = matrix.shape[1]
     out = np.empty(len(rows1), dtype=np.float64)
     for b0 in range(0, len(rows1), EVAL_BLOCK_ROWS):
         b = slice(b0, b0 + EVAL_BLOCK_ROWS)
-        features = _gather_features(matrix, rows1[b], rows2[b])
-        m1, m2 = features[:, :dim], features[:, dim:]
+        m1, m2 = matrix[rows1[b]], matrix[rows2[b]]
         n1 = np.linalg.norm(m1, axis=1)
         n2 = np.linalg.norm(m2, axis=1)
         if np.any(n1 == 0.0) or np.any(n2 == 0.0):

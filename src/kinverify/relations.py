@@ -77,18 +77,12 @@ GRANDPARENT_CHILD = {_ROLE_GENDERS[r]: r for r in RELATION_ORDER[7:]}
 SIBLING = {(g1, g2): KinshipRelation.SIBS for g1 in Gender for g2 in Gender if g1 is not g2}
 SIBLING |= {_ROLE_GENDERS[r]: r for r in (KinshipRelation.BB, KinshipRelation.SS)}
 
-SYMMETRIC_RELATIONS = frozenset(
-    {KinshipRelation.BB, KinshipRelation.SIBS, KinshipRelation.SS}
-)
+SYMMETRIC_RELATIONS = frozenset(SIBLING.values())
 
 
 def relation_index(relation: KinshipRelation) -> int:
     """Canonical index of ``relation``: BB is 0, GMGS is 10."""
     return _INDEX[relation]
-
-
-def is_symmetric(relation: KinshipRelation) -> bool:
-    return relation in SYMMETRIC_RELATIONS
 
 
 def genders_match(relation: KinshipRelation, gender1: Gender, gender2: Gender) -> bool:

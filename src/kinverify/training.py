@@ -369,16 +369,19 @@ def _attention_step(params, grads, matrix, rows1, rows2, rel_idx):
     return loss, grads
 
 
-def _check_kin_targets(targets: np.ndarray) -> None:
-    """Raise ValueError naming the first of a kin set's ``targets`` that is not kin.
+def _kin_rows(store: EmbeddingStore, kin_pairs: PairSet, codes: tuple[str, ...]):
+    """Both trainers' kin intake: ``_pair_rows`` of ``augment_symmetric(kin_pairs)``.
 
-    ``augment_symmetric`` keeps the caller's pairs first and in order, so
-    the first ``len(kin_pairs)`` targets of the augmented set name them by
-    their index in the caller's set.
+    Raises ValueError on an empty set or on the first pair not labelled kin, named by
+    its index in ``kin_pairs`` (``augment_symmetric`` keeps those first, in order).
     """
-    bad = np.flatnonzero(targets != 1.0)
+    if len(kin_pairs) == 0:
+        raise ValueError("train needs a non-empty kin pair set")
+    rows = _pair_rows(store, augment_symmetric(kin_pairs), codes)
+    bad = np.flatnonzero(rows[3][: len(kin_pairs)] != 1.0)
     if bad.size:
         raise ValueError(f"kin pair {bad[0]} is not labelled kin")
+    return rows
 
 
 def train(
@@ -396,12 +399,12 @@ def train(
     pairs. ``val_pairs`` is a fixed kin+nonkin set used only for the
     history's macro accuracy (computed at the per-epoch calibrated
     threshold). With epochs=0 the initialized parameters come back
-    untouched with empty history; the kin and val pairs are still
-    vectorized and checked first, so each of these raises ValueError
-    either way, before any epoch runs: an empty kin or val set, an
-    unhandled relation in either set, a kin pair without a nonkin
-    candidate, a kin set holding a nonkin or unlabelled pair, and a val set
-    holding an unlabelled pair or not both kin and nonkin pairs.
+    untouched with empty history; the kin pairs (by ``_kin_rows``, as in
+    ``train_attention``) and val pairs are still vectorized and checked
+    first, so each of these raises ValueError either way, before any epoch
+    runs: an empty val or kin set, an unhandled relation in either set, a
+    kin set holding a nonkin or unlabelled pair, a kin pair without a nonkin
+    candidate, and a val set holding an unlabelled pair or not both classes.
 
     The epoch works on store-row index arrays, not pair objects: the kin
     and val pairs are vectorized once per call, each epoch's nonkin draw and
@@ -412,18 +415,16 @@ def train(
     ``score_pairs``), memory is O(persons + pairs) index arrays. The model
     is returned as a copy.
     """
-    for name, pairs in (("kin", kin_pairs), ("val", val_pairs)):
-        if len(pairs) == 0:
-            raise ValueError(f"train needs a non-empty {name} pair set")
+    if len(val_pairs) == 0:
+        raise ValueError("train needs a non-empty val pair set")
     seed = train_config.seed
     params = init_params(comp_config, seed)
     # Into the flat layout before the set-up arrays exist: the freed initial arrays then
     # leave no hole under them (about 3 MB less peak RSS over repeated calls, measured).
     state = AdamState.init_like(params)
     codes = comp_config.relations
-    rows1, rows2, rel_idx, targets = _pair_rows(store, augment_symmetric(kin_pairs), codes)
+    rows1, rows2, rel_idx, targets = _kin_rows(store, kin_pairs, codes)
     draw_nonkin = _nonkin_draw(store, rows1, rel_idx, codes, seed)
-    _check_kin_targets(targets[: len(kin_pairs)])
     val = _pair_rows(store, val_pairs, codes)
     labels = [p.label for p in val_pairs]
     if None in labels:  # _pair_rows would read it as nonkin
@@ -461,13 +462,12 @@ def train_attention(
     ADAM settings and learning-rate schedule as expert training. Expert
     parameters are never touched, so verification scores are bit-identical
     before and after. A missing head is added zero-initialized; with
-    epochs=0 it stays zero (the uniform predictor). A nonkin or unlabelled
-    pair among ``kin_pairs`` raises ValueError, as in ``train``.
+    epochs=0 it stays zero (the uniform predictor). An empty kin set, or a
+    nonkin or unlabelled pair in it, raises ``train``'s ValueError (both
+    take the kin pairs through ``_kin_rows``).
     """
     params = add_attention_head(params)
-    codes = params.config.relations
-    rows1, rows2, rel_idx, targets = _pair_rows(store, augment_symmetric(kin_pairs), codes)
-    _check_kin_targets(targets[: len(kin_pairs)])
+    rows1, rows2, rel_idx, _ = _kin_rows(store, kin_pairs, params.config.relations)
     state = AdamState.init_like(params, keys=params.attention_keys())
 
     def epoch_data(epoch):

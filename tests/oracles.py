@@ -63,6 +63,17 @@ def dense_forward_oracle(params, fc):
     return np.array(probs)
 
 
+def sigmoid_masked(x):
+    """Sigmoid filled in two boolean-mask halves, exp(-x) where x >= 0 and exp(x) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def where_activation(a, kind, slope=None):
     """The piecewise activations in their np.where form (kind is the Activation value)."""
     if kind == "lrelu":

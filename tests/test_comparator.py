@@ -30,6 +30,7 @@ from kinverify.data import PairLabel
 
 from oracles import (
     dense_forward_oracle,
+    sigmoid_masked,
     where_activation,
     where_activation_grad,
     where_prelu_slope_term,
@@ -368,3 +369,16 @@ def test_stable_sigmoid_extremes():
     assert np.isfinite(vals).all()
     assert vals[2] == 0.5
     assert vals[0] >= 0.0 and vals[-1] <= 1.0
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 1e308, -1e308, -800.0]
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+                  elements=st.floats() | st.sampled_from(SIGMOID_EDGES)))
+def test_stable_sigmoid_has_the_masked_bits(x):
+    # NaN's sign bit may differ; logits are checked finite before any sigmoid runs
+    got, want = stable_sigmoid(x), sigmoid_masked(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))

@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 from dataclasses import fields
 
@@ -322,6 +323,29 @@ def test_train_with_a_directory_history_writes_no_model(world_dir, tmp_path, cap
     _one_error_line(capsys, f"Is a directory: '{out / 'history.csv'}'")
     assert not (out / "model.kinc").exists()
     assert [p.name for p in out.iterdir()] == ["history.csv"]
+
+
+@pytest.mark.parametrize(
+    "foreign", [None, b"[]\n", b'{"seed": 4}\n', b"\xff not json\n"],
+    ids=["synth", "list", "no-command", "not-utf8"],
+)
+def test_outputs_never_replace_another_commands_manifest(foreign, world_dir, tmp_path, capsys):
+    # the world's manifest holds synth's checksums; train into the world must keep it
+    out = tmp_path / "world"
+    shutil.copytree(world_dir, out)
+    if foreign is not None:
+        (out / "manifest.json").write_bytes(foreign)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    args = ["train", "--data", str(out), "--epochs", "0", "--hidden", "4", "--seed", "4"]
+    assert main([*args, "--out", str(out)]) == 1
+    _one_error_line(capsys, f"{out / 'manifest.json'} is not a train manifest")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # each command still rewrites its own manifest
+    assert main([*args, "--out", str(tmp_path / "run")]) == 0
+    assert main([*args, "--out", str(tmp_path / "run")]) == 0
+    if foreign is None:
+        cfg = str(_write_cfg(tmp_path))
+        assert main(["synth", "--out", str(out), "--config", cfg, *SYNTH_ARGS]) == 0
 
 
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):

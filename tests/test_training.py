@@ -363,6 +363,8 @@ def test_train_rejects_an_empty_kin_or_val_set(tiny_world):
         tc = TrainConfig(epochs=epochs)
         with pytest.raises(ValueError, match="non-empty kin pair set"):
             train(world.store, PairSet(()), val, config, tc)
+        with pytest.raises(ValueError, match="non-empty kin pair set"):
+            train_attention(init_params(config, 0), world.store, PairSet(()), tc)
         with pytest.raises(ValueError, match="non-empty val pair set"):
             train(world.store, kin, PairSet(()), config, tc)
         for one_class in (kin_val, nonkin_val):
