@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 validation, data, file or numeric failure (one
 ``error:`` line on stderr), 2 usage error. Every subcommand that writes
-files writes them through ``_write_outputs``: its artifacts first, then a
-manifest with the resolved config, the seed and a checksum per artifact.
+files first hands their paths to ``_check_outputs``, which refuses a bad
+target before any loading, training or scoring, and at the end writes them
+through ``_write_outputs``: its artifacts first, then a manifest with the
+resolved config, the seed and a checksum per artifact.
 """
 
 from __future__ import annotations
@@ -78,23 +80,41 @@ def _load_world(data: Path) -> tuple[EmbeddingStore, PairSet, PairSet]:
     return store, kin, val
 
 
-def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -> None:
-    """Run each ``save(value, path)`` in order, then the manifest. A directory target, a file
-    name given twice (the manifest's checksum key) or a foreign manifest fails before any write."""
+def _manifest_at(path: Path) -> dict | None:
+    """The manifest in the file at ``path``: a UTF-8 JSON object with a "command" key, else None."""
+    if not path.is_file():
+        return None
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # not UTF-8 or not JSON
+        return None
+    return doc if isinstance(doc, dict) and "command" in doc else None
+
+
+def _check_outputs(manifest: Path, command: str, artifacts: list[Path]) -> None:
+    """Refuse, before any work, targets the write would fail on or lose data to: a file where a
+    directory goes, a directory target, a file name given twice (the manifest's checksum key), a
+    manifest another command wrote, or an artifact target that holds a manifest."""
     named: dict[str, Path] = {}
-    for path in [*(path for path, _, _ in writes), manifest]:
+    for path in [*artifacts, manifest]:
+        parent = next(p for p in path.parents if p.exists())
+        if not parent.is_dir():
+            raise FileExistsError(errno.EEXIST, "File exists", str(parent))
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(path))
         if path.name in named:
             raise ValueError(f"outputs {named[path.name]} and {path} share a file name")
         named[path.name] = path
-    if manifest.is_file():
-        try:
-            owner = json.loads(manifest.read_text(encoding="utf-8"))
-        except ValueError:  # not UTF-8 or not JSON
-            owner = None
-        if not (isinstance(owner, dict) and owner.get("command") == command):
-            raise ValueError(f"{manifest} is not a {command} manifest; refusing to replace it")
+    owner = _manifest_at(manifest)
+    if manifest.is_file() and (owner is None or owner["command"] != command):
+        raise ValueError(f"{manifest} is not a {command} manifest; refusing to replace it")
+    for path in artifacts:
+        if (doc := _manifest_at(path)) is not None:
+            raise ValueError(f"{path} is a {doc['command']!r} manifest; refusing to replace it")
+
+
+def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -> None:
+    """Run each ``save(value, path)`` in order, then the manifest; ``_check_outputs`` ran first."""
     manifest.parent.mkdir(parents=True, exist_ok=True)
     for path, save, value in writes:
         save(value, path)
@@ -103,13 +123,15 @@ def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    world = generate_world(cfg.synth_config())
     out = args.out
-    writes = [(out / "embeddings.csv", save_embeddings, world.store)]
-    writes.append((out / "pedigree.csv", save_pedigree, world.pedigree))
-    writes.append((out / "pairs_train.csv", save_pairs, world.kin_pairs["train"]))
-    writes += [(out / f"pairs_{s}.csv", save_pairs, world.eval_pairs[s]) for s in ("val", "test")]
-    writes += [(out / f"tri_{s}.csv", save_tri, world.tris[s]) for s in SPLITS]
+    names = ["embeddings", "pedigree", *(f"{kind}_{s}" for kind in ("pairs", "tri") for s in SPLITS)]
+    paths = [out / f"{name}.csv" for name in names]
+    _check_outputs(out / "manifest.json", "synth", paths)
+    world = generate_world(cfg.synth_config())
+    pairs = [world.kin_pairs["train"], world.eval_pairs["val"], world.eval_pairs["test"]]
+    saves = [(save_embeddings, world.store), (save_pedigree, world.pedigree)]
+    saves += [(save_pairs, p) for p in pairs] + [(save_tri, world.tris[s]) for s in SPLITS]
+    writes = [(path, save, value) for path, (save, value) in zip(paths, saves)]
     _write_outputs(out / "manifest.json", "synth", cfg, writes)
     print(f"world written to {out} ({len(world.store)} persons, dim {world.store.dim})")
     return 0
@@ -117,14 +139,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    model_path, history_path = args.out / "model.kinc", args.out / "history.csv"
+    _check_outputs(args.out / "manifest.json", "train", [model_path, history_path])
     store, kin, val = _load_world(Path(args.data))
     comp_cfg = cfg.comparator_config(input_dim=2 * store.dim)
     params, history = train(store, kin, val, comp_cfg, cfg.train_config())
     if args.attention:
         params = train_attention(params, store, kin, cfg.train_config())
 
-    model_path = args.out / "model.kinc"
-    writes = [(model_path, save_model, params), (args.out / "history.csv", _save_history, history)]
+    writes = [(model_path, save_model, params), (history_path, _save_history, history)]
     _write_outputs(args.out / "manifest.json", "train", cfg, writes)
     for h in history:
         print(f"epoch {h.epoch}: lr={h.lr} loss={h.train_loss:.4f} val_macro={h.val_macro_acc:.4f}")
@@ -149,6 +172,10 @@ def _query_inputs(args: argparse.Namespace) -> tuple[ComparatorParams, Embedding
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    report_path = args.out / "report.csv"
+    # --calibrate rewrites the model too, and the run records its bytes
+    targets = [report_path, args.model] if args.calibrate else [report_path]
+    _check_outputs(args.out / "manifest.json", "eval", targets)
     params, threshold = _model_and_threshold(args)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
@@ -165,8 +192,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif threshold is None:
         raise ValueError("model has no stored threshold; pass --calibrate or --threshold")
     report = accuracy_report(scored, threshold, include_auc=args.auc)
-    writes = [(args.out / "report.csv", EvaluationReport.save_csv, report)]
-    if args.calibrate:  # the run records the rewritten model's bytes too
+    writes = [(report_path, EvaluationReport.save_csv, report)]
+    if args.calibrate:
         writes.append((args.model, save_model, params))
     _write_outputs(args.out / "manifest.json", "eval", cfg, writes)
     if args.calibrate:
@@ -213,6 +240,8 @@ def _value_range(text: str) -> tuple[float, float]:
 
 def _cmd_histogram(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    manifest = args.out.with_name(f"{args.out.name}.manifest.json")
+    _check_outputs(manifest, "histogram", [args.out])
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
     if args.relations is not None:
@@ -226,7 +255,6 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
     table = histogram(scored, cfg.eval.bins, value_range)
     overlap = table.overlap()  # a single-class table fails here, before any write
-    manifest = args.out.with_name(f"{args.out.name}.manifest.json")
     _write_outputs(manifest, "histogram", cfg, [(args.out, HistogramTable.save_csv, table)])
     print(f"histogram written to {args.out} (overlap {overlap:.4f})")
     return 0
@@ -234,6 +262,8 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
+    manifest = args.out.with_name(f"{args.out.name}.manifest.json")
+    _check_outputs(manifest, "ablate", [args.out])
     store, kin, val = _load_world(Path(args.data))
     results = ablation_run(
         store,
@@ -242,7 +272,6 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         train_config=cfg.train_config(),
         objective=Objective(cfg.eval.objective),
     )
-    manifest = args.out.with_name(f"{args.out.name}.manifest.json")
     _write_outputs(manifest, "ablate", cfg, [(args.out, save_ablation_csv, results)])
     for r in results:
         print(

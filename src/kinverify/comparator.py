@@ -38,12 +38,14 @@ PRELU_INIT_SLOPE = 0.25
 
 # Rows per block of an eval-mode forward over more rows than this (see
 # _block_cuts): a block closes at the first position boundary or in-position
-# cut after it holds this many rows. A block's hidden arrays (about 1,024 x
-# 192 float64, 1.5 MB each) stay in a 2 MB L2 cache, and each GEMV of a
-# blocked forward covers fewer than 2,048 rows, below OpenBLAS's threading
-# cut-off (2,400 rows at hidden 192), so eval scores do not depend on the
-# BLAS thread count. A multiple of 4, because OpenBLAS's GEMV sums rows in
-# groups of four counted from the first row of each call.
+# cut after it holds this many rows. Each GEMV of a blocked forward covers
+# fewer than 2,048 rows, below OpenBLAS's threading cut-off (2,400 rows at
+# hidden 192), so eval scores do not depend on the BLAS thread count, and an
+# eval forward's memory stays bounded by a few blocks' arrays whatever the
+# row count. Cache fit is not the reason: three 1.5 MB arrays per block are
+# live at once, and 512-row blocks gave the same bits and score_eval
+# throughput within run-to-run noise. A multiple of 4, because OpenBLAS's
+# GEMV sums rows in groups of four counted from the first row of each call.
 EVAL_BLOCK_ROWS = 1024
 
 # Fewest rows of the next position for a cut at a position boundary (see
@@ -267,24 +269,15 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _prelu_gate(a: np.ndarray, slope: float) -> np.ndarray:
-    """1.0 where a > 0, else ``slope``: np.where(a > 0, 1.0, slope) by arithmetic.
-
-    A kept entry is 1 + (+-0) and a dropped one slope + 0, both exact for
-    any slope but -0.0, so the gate has np.where's bits without its
-    data-dependent branches.
-    """
-    gate = np.multiply(a <= 0, slope)
-    gate += a > 0
-    return gate
-
-
 def apply_activation(a: np.ndarray, kind: Activation, slope: float | None = None) -> np.ndarray:
     """act(a) elementwise, with the bits of the np.where form, signed zeros included.
 
-    The where-form is lrelu ``np.where(a > 0, a, 0.2 * a)``, relu
-    ``np.where(a > 0, a, 0.0)`` and prelu ``np.where(a > 0, a, slope * a)``;
-    the arithmetic forms here give the same bits for every input but NaN.
+    PReLU is its where-form ``np.where(a > 0, a, slope * a)``. LReLU and ReLU,
+    which the default model and every benchmark workload train, keep
+    arithmetic forms with the bits of ``np.where(a > 0, a, 0.2 * a)`` and
+    ``np.where(a > 0, a, 0.0)`` for every input but NaN: on one default
+    training epoch, the where-forms in both this and ``activation_grad``
+    cost 8-16% more time for the same model bytes (2-vCPU Xeon).
     """
     a = np.asarray(a, dtype=np.float64)
     if kind is Activation.LRELU:
@@ -294,9 +287,7 @@ def apply_activation(a: np.ndarray, kind: Activation, slope: float | None = None
         # np.maximum returns its second operand on a tie, so -0.0 maps to +0.0
         return np.maximum(a, 0.0)
     if kind is Activation.PRELU:
-        z = _prelu_gate(a, slope)
-        z *= a
-        return z
+        return np.where(a > 0, a, slope * a)
     return np.tanh(a)
 
 
@@ -309,19 +300,17 @@ def activation_grad(
 ) -> np.ndarray:
     """upstream * d act(a) / d a, elementwise, with z = act(a) reused for tanh.
 
-    For lrelu and relu the factor (1 where a > 0, else the slope) is built
-    in the output buffer from the comparison as (a > 0) * (1 - slope) +
-    slope, which is exactly 1.0 or the slope for both slopes, then scaled
-    by ``upstream`` in place: the same bits as a np.where mask, without the
-    mask array or np.where's data-dependent branches. PReLU's learned slope
-    takes the gate of ``_prelu_gate`` instead.
+    PReLU's is ``upstream * np.where(a > 0, 1.0, slope)``. For lrelu and
+    relu the factor (1 where a > 0, else the slope) is built in the output
+    buffer from the comparison as (a > 0) * (1 - slope) + slope, which is
+    exactly 1.0 or the slope for both slopes, then scaled by ``upstream`` in
+    place: the same bits as that np.where mask, and on one default training
+    epoch 4-9% less time for the same model bytes.
     """
     if kind is Activation.TANH:
         return upstream * (1.0 - z * z)
     if kind is Activation.PRELU:
-        out = _prelu_gate(a, slope)
-        out *= upstream
-        return out
+        return upstream * np.where(a > 0, 1.0, slope)
     low = LRELU_SLOPE if kind is Activation.LRELU else 0.0
     out = np.multiply(a > 0, 1.0 - low)
     out += low
@@ -330,12 +319,8 @@ def activation_grad(
 
 
 def prelu_slope_grad(upstream: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum(upstream * d prelu(a) / d slope), shape (1,): the gradient of a PReLU slope.
-
-    For finite ``a`` the factor a * (a <= 0) has the bits of
-    np.where(a > 0, 0.0, a), signed zeros included.
-    """
-    return np.sum(upstream * (a * (a <= 0)), keepdims=True).reshape(1)
+    """sum(upstream * d prelu(a) / d slope), shape (1,): the gradient of a PReLU slope."""
+    return np.sum(upstream * np.where(a > 0, 0.0, a), keepdims=True).reshape(1)
 
 
 @dataclass
@@ -517,8 +502,8 @@ def forward(
     Both modes are one call of the cascade loop ``_cascade``. Train mode
     runs all rows as one block and keeps that block's inputs and
     activations. Eval mode runs every expert on one block of about
-    ``EVAL_BLOCK_ROWS`` rows, then the next, so the hidden arrays stay in
-    cache and each GEMV stays single-threaded. The trace's ``order``,
+    ``EVAL_BLOCK_ROWS`` rows, then the next, so memory stays bounded and
+    each GEMV stays single-threaded. The trace's ``order``,
     ``spans``, logits and probabilities are those of an unblocked forward:
     the probabilities bit for bit with OpenBLAS for hidden layers of 10 to
     127 units, or of a multiple of 8 from 16 to 1,024, the default 192

@@ -53,6 +53,7 @@ from .data import (
     PersonRef,
     TriSample,
     TriSet,
+    _check_id,
     _nonkin_tris,
     _write_rows,
     resample_nonkin,
@@ -287,6 +288,11 @@ def generate_world(config: SynthConfig) -> SynthWorld:
 
 
 def save_pedigree(pedigree: tuple[PedigreeEntry, ...], path: str | Path) -> None:
+    """Write a pedigree CSV; a bad id is rejected before any write."""
+    for e in pedigree:
+        for what in ("person_id", "family_id", "father_id", "mother_id"):
+            if (value := getattr(e, what)) is not None:  # a founder has no parent ids
+                _check_id(what, value)
     rows = (
         (e.person_id, e.family_id, e.gender.value, e.father_id or "", e.mother_id or "")
         for e in pedigree

@@ -1,5 +1,4 @@
 import itertools
-import math
 import warnings
 
 import numpy as np
@@ -65,11 +64,8 @@ def _blocks(elements):
 # forward rejects a non-finite pre-activation before any activation runs.
 SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf])
 PRE_ACTS = _blocks(st.floats(allow_nan=False) | SPECIAL)
-# A learned slope is finite (the loader rejects anything else); -0.0 is the
-# one slope the arithmetic gate turns into +0.0.
-SLOPES = st.floats(allow_nan=False, allow_infinity=False).filter(
-    lambda s: s != 0.0 or math.copysign(1.0, s) > 0
-)
+# A learned slope is finite (the loader rejects anything else); -0.0 included.
+SLOPES = st.floats(allow_nan=False, allow_infinity=False)
 PIECEWISE = [Activation.LRELU, Activation.RELU, Activation.PRELU]
 
 

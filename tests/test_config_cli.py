@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from kinverify import cli
 from kinverify.cli import _run_config, build_parser, main
 from kinverify.comparator import ComparatorConfig
 from kinverify.config import _SECTIONS, ConfigError, RunConfig, parse_config
@@ -346,6 +347,73 @@ def test_outputs_never_replace_another_commands_manifest(foreign, world_dir, tmp
     if foreign is None:
         cfg = str(_write_cfg(tmp_path))
         assert main(["synth", "--out", str(out), "--config", cfg, *SYNTH_ARGS]) == 0
+
+
+def _run_args(command, out, world_dir, model_dir):
+    """argv of ``command`` writing to ``out``; its manifest path; its first artifact path."""
+    emb, pairs = str(world_dir / "embeddings.csv"), str(world_dir / "pairs_val.csv")
+    argv = {
+        "synth": ["synth", *SYNTH_ARGS, "--identity-dims", "4"],
+        "train": ["train", "--data", str(world_dir), "--epochs", "1", "--hidden", "4"],
+        "eval": ["eval", "--model", str(model_dir / "model.kinc"), "--embeddings", emb,
+                 "--pairs", pairs],
+        "histogram": ["histogram", "--embeddings", emb, "--pairs", pairs, "--scorer", "cosine"],
+        "ablate": ["ablate", "--data", str(world_dir), "--epochs", "1"],
+    }[command]
+    if command in ("histogram", "ablate"):
+        manifest, artifact = out.with_name(f"{out.name}.manifest.json"), out
+    else:
+        first = {"synth": "embeddings.csv", "train": "model.kinc", "eval": "report.csv"}[command]
+        manifest, artifact = out / "manifest.json", out / first
+    return [*argv, "--out", str(out)], manifest, artifact
+
+
+def _refuse_work(*_args, **_kwargs):
+    raise AssertionError("the run started its work before refusing its outputs")
+
+
+@pytest.mark.parametrize("fault", ["foreign-manifest", "directory", "artifact-over-manifest",
+                                   "file-as-directory"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "histogram", "ablate"])
+def test_refused_outputs_fail_before_the_work(
+    command, fault, world_dir, model_dir, tmp_path, capsys, monkeypatch
+):
+    for name in ("generate_world", "train", "score_pairs", "ablation_run"):
+        monkeypatch.setattr(cli, name, _refuse_work)
+    out = tmp_path / ("taken" if fault == "file-as-directory" else "run") / "out"
+    argv, manifest, artifact = _run_args(command, out, world_dir, model_dir)
+    foreign = json.dumps({"command": "other", "artifacts": {}})
+    if fault == "file-as-directory":  # --out, or the directory it is in, is a file
+        (tmp_path / "taken").write_text("a file where a directory goes\n")
+        message = f"File exists: '{tmp_path / 'taken'}'"
+    else:
+        manifest.parent.mkdir(parents=True)
+    if fault == "foreign-manifest":
+        manifest.write_text(foreign)
+        message = f"{manifest} is not a {command} manifest; refusing to replace it"
+    elif fault == "directory":
+        artifact.mkdir()
+        message = f"Is a directory: '{artifact}'"
+    elif fault == "artifact-over-manifest":
+        artifact.write_text(foreign)
+        message = f"{artifact} is a 'other' manifest; refusing to replace it"
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(argv) == 1
+    _one_error_line(capsys, message)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("command", ["histogram", "ablate"])
+def test_file_outputs_never_replace_a_manifest(command, world_dir, model_dir, tmp_path, capsys):
+    # histogram and ablate write the file --out names, which may be another run's manifest
+    world = tmp_path / "world"
+    shutil.copytree(world_dir, world)
+    target = world / "manifest.json"
+    before = sorted((p.name, p.read_bytes()) for p in world.iterdir())
+    argv, _, _ = _run_args(command, target, world, model_dir)
+    assert main(argv) == 1
+    _one_error_line(capsys, f"{target} is a 'synth' manifest; refusing to replace it")
+    assert sorted((p.name, p.read_bytes()) for p in world.iterdir()) == before
 
 
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):

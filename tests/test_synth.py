@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,15 @@ from kinverify.evaluation import (
 )
 from kinverify.relations import Gender, KinshipRelation
 from kinverify.seeding import STREAM_GENDER_AXIS, derive_rng
-from kinverify.synth import SPLITS, SynthConfig, _latent, expression_mask, generate_world
+from kinverify.synth import (
+    SPLITS,
+    PedigreeEntry,
+    SynthConfig,
+    _latent,
+    expression_mask,
+    generate_world,
+    save_pedigree,
+)
 
 from conftest import TINY_SYNTH
 
@@ -205,6 +215,19 @@ def test_gender_bias_overlap_gap(default_world):
         _, acc = calibrate_threshold(subset, Objective.MICRO)
         overlaps[name] = 1.0 - acc
     assert overlaps["opposite"] > overlaps["same"]
+
+
+@pytest.mark.parametrize("field", ["person_id", "family_id", "father_id", "mother_id"])
+def test_save_pedigree_rejects_separator_ids(field, tmp_path):
+    ids = {"person_id": "c", "family_id": "f1", "father_id": "a", "mother_id": "b"}
+    ids[field] = "a,b"
+    path = tmp_path / "pedigree.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{field} 'a,b' contains a CSV field")):
+        save_pedigree((PedigreeEntry(gender=Gender.MALE, **ids),), path)
+    assert list(tmp_path.iterdir()) == []
+    # a founder's missing parent ids are written as empty fields
+    save_pedigree((PedigreeEntry("a", "f1", Gender.MALE),), path)
+    assert path.read_text().splitlines()[1] == "a,f1,M,,"
 
 
 def test_config_validation():
