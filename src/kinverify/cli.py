@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 validation, data, file or numeric failure (one
 ``error:`` line on stderr), 2 usage error. Every subcommand that writes
-files first hands their paths to ``_check_outputs``, which refuses a bad
-target before any loading, training or scoring, and at the end writes them
-through ``_write_outputs``: its artifacts first, then a manifest with the
-resolved config, the seed and a checksum per artifact.
+files lists them once, as (path, save) pairs, and hands them to
+``_check_outputs``, which refuses a bad target before any loading, training
+or scoring. At the end ``_write_outputs`` checks them again, since the work
+may have run for hours, then writes them: its artifacts first, then a
+manifest with the resolved config, the seed and a checksum per artifact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import enum
 import errno
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -84,17 +86,25 @@ def _manifest_at(path: Path) -> dict | None:
     """The manifest in the file at ``path``: a UTF-8 JSON object with a "command" key, else None."""
     if not path.is_file():
         return None
+    with path.open("rb") as fh:
+        # JSON whitespace is ASCII, so a first other byte that is not "{" rules out a
+        # JSON object without reading the rest of, say, a 3 MB model
+        head = fh.read(4096).lstrip(b" \t\n\r")
+        if head[:1] not in (b"{", b""):
+            return None
+        raw = head + fh.read()
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(raw.decode("utf-8"))
     except ValueError:  # not UTF-8 or not JSON
         return None
     return doc if isinstance(doc, dict) and "command" in doc else None
 
 
-def _check_outputs(manifest: Path, command: str, artifacts: list[Path]) -> None:
-    """Refuse, before any work, targets the write would fail on or lose data to: a file where a
-    directory goes, a directory target, a file name given twice (the manifest's checksum key), a
-    manifest another command wrote, or an artifact target that holds a manifest."""
+def _check_outputs(manifest: Path, command: str, outputs: list[tuple[Path, Callable]]) -> None:
+    """Refuse targets the write would fail on or lose data to: a file where a directory goes, a
+    directory target, a file name given twice (the manifest's checksum key), a manifest another
+    command wrote, or an artifact target that holds a manifest."""
+    artifacts = [path for path, _ in outputs]
     named: dict[str, Path] = {}
     for path in [*artifacts, manifest]:
         parent = next(p for p in path.parents if p.exists())
@@ -113,42 +123,48 @@ def _check_outputs(manifest: Path, command: str, artifacts: list[Path]) -> None:
             raise ValueError(f"{path} is a {doc['command']!r} manifest; refusing to replace it")
 
 
-def _write_outputs(manifest: Path, command: str, cfg: RunConfig, writes: list) -> None:
-    """Run each ``save(value, path)`` in order, then the manifest; ``_check_outputs`` ran first."""
+def _write_outputs(
+    manifest: Path, command: str, cfg: RunConfig, outputs: list[tuple[Path, Callable]], values: list
+) -> None:
+    """Check the outputs again, as a target may have changed during the work, then run each
+    ``save(value, path)`` in order, one value per output, and write the manifest."""
+    _check_outputs(manifest, command, outputs)
     manifest.parent.mkdir(parents=True, exist_ok=True)
-    for path, save, value in writes:
+    for (path, save), value in zip(outputs, values, strict=True):
         save(value, path)
-    write_manifest(manifest.parent, command, cfg, [path for path, _, _ in writes], manifest.name)
+    write_manifest(manifest.parent, command, cfg, [path for path, _ in outputs], manifest.name)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    out = args.out
-    names = ["embeddings", "pedigree", *(f"{kind}_{s}" for kind in ("pairs", "tri") for s in SPLITS)]
-    paths = [out / f"{name}.csv" for name in names]
-    _check_outputs(out / "manifest.json", "synth", paths)
+    manifest = args.out / "manifest.json"
+    saves = {"embeddings": save_embeddings, "pedigree": save_pedigree}
+    saves |= {f"{kind}_{s}": save for kind, save in (("pairs", save_pairs), ("tri", save_tri))
+              for s in SPLITS}
+    outputs = [(args.out / f"{name}.csv", save) for name, save in saves.items()]
+    _check_outputs(manifest, "synth", outputs)
     world = generate_world(cfg.synth_config())
-    pairs = [world.kin_pairs["train"], world.eval_pairs["val"], world.eval_pairs["test"]]
-    saves = [(save_embeddings, world.store), (save_pedigree, world.pedigree)]
-    saves += [(save_pairs, p) for p in pairs] + [(save_tri, world.tris[s]) for s in SPLITS]
-    writes = [(path, save, value) for path, (save, value) in zip(paths, saves)]
-    _write_outputs(out / "manifest.json", "synth", cfg, writes)
-    print(f"world written to {out} ({len(world.store)} persons, dim {world.store.dim})")
+    values = {"embeddings": world.store, "pedigree": world.pedigree}
+    values |= {"pairs_train": world.kin_pairs["train"]}
+    values |= {f"pairs_{s}": world.eval_pairs[s] for s in ("val", "test")}
+    values |= {f"tri_{s}": world.tris[s] for s in SPLITS}
+    _write_outputs(manifest, "synth", cfg, outputs, [values[path.stem] for path, _ in outputs])
+    print(f"world written to {args.out} ({len(world.store)} persons, dim {world.store.dim})")
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    model_path, history_path = args.out / "model.kinc", args.out / "history.csv"
-    _check_outputs(args.out / "manifest.json", "train", [model_path, history_path])
+    manifest, model_path = args.out / "manifest.json", args.out / "model.kinc"
+    outputs = [(model_path, save_model), (args.out / "history.csv", _save_history)]
+    _check_outputs(manifest, "train", outputs)
     store, kin, val = _load_world(Path(args.data))
     comp_cfg = cfg.comparator_config(input_dim=2 * store.dim)
     params, history = train(store, kin, val, comp_cfg, cfg.train_config())
     if args.attention:
         params = train_attention(params, store, kin, cfg.train_config())
 
-    writes = [(model_path, save_model, params), (history_path, _save_history, history)]
-    _write_outputs(args.out / "manifest.json", "train", cfg, writes)
+    _write_outputs(manifest, "train", cfg, outputs, [params, history])
     for h in history:
         print(f"epoch {h.epoch}: lr={h.lr} loss={h.train_loss:.4f} val_macro={h.val_macro_acc:.4f}")
     print(f"model written to {model_path}")
@@ -172,10 +188,11 @@ def _query_inputs(args: argparse.Namespace) -> tuple[ComparatorParams, Embedding
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
-    report_path = args.out / "report.csv"
-    # --calibrate rewrites the model too, and the run records its bytes
-    targets = [report_path, args.model] if args.calibrate else [report_path]
-    _check_outputs(args.out / "manifest.json", "eval", targets)
+    manifest = args.out / "manifest.json"
+    outputs = [(args.out / "report.csv", EvaluationReport.save_csv)]
+    if args.calibrate:  # it rewrites the model too, and the run records its bytes
+        outputs.append((args.model, save_model))
+    _check_outputs(manifest, "eval", outputs)
     params, threshold = _model_and_threshold(args)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
@@ -192,10 +209,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif threshold is None:
         raise ValueError("model has no stored threshold; pass --calibrate or --threshold")
     report = accuracy_report(scored, threshold, include_auc=args.auc)
-    writes = [(report_path, EvaluationReport.save_csv, report)]
-    if args.calibrate:
-        writes.append((args.model, save_model, params))
-    _write_outputs(args.out / "manifest.json", "eval", cfg, writes)
+    _write_outputs(manifest, "eval", cfg, outputs, [report, params][: len(outputs)])
     if args.calibrate:
         print(f"calibrated threshold {threshold:.6f} ({objective.value} accuracy {best:.4f})")
     for row in report.rows:
@@ -241,7 +255,8 @@ def _value_range(text: str) -> tuple[float, float]:
 def _cmd_histogram(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     manifest = args.out.with_name(f"{args.out.name}.manifest.json")
-    _check_outputs(manifest, "histogram", [args.out])
+    outputs = [(args.out, HistogramTable.save_csv)]
+    _check_outputs(manifest, "histogram", outputs)
     store = load_embeddings(args.embeddings)
     pairs = load_pairs(args.pairs, store)
     if args.relations is not None:
@@ -255,7 +270,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     value_range = args.range or ((0.0, 2.0) if scorer is Scorer.COSINE else (0.0, 1.0))
     table = histogram(scored, cfg.eval.bins, value_range)
     overlap = table.overlap()  # a single-class table fails here, before any write
-    _write_outputs(manifest, "histogram", cfg, [(args.out, HistogramTable.save_csv, table)])
+    _write_outputs(manifest, "histogram", cfg, outputs, [table])
     print(f"histogram written to {args.out} (overlap {overlap:.4f})")
     return 0
 
@@ -263,7 +278,8 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _run_config(args)
     manifest = args.out.with_name(f"{args.out.name}.manifest.json")
-    _check_outputs(manifest, "ablate", [args.out])
+    outputs = [(args.out, save_ablation_csv)]
+    _check_outputs(manifest, "ablate", outputs)
     store, kin, val = _load_world(Path(args.data))
     results = ablation_run(
         store,
@@ -272,7 +288,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
         train_config=cfg.train_config(),
         objective=Objective(cfg.eval.objective),
     )
-    _write_outputs(manifest, "ablate", cfg, [(args.out, save_ablation_csv, results)])
+    _write_outputs(manifest, "ablate", cfg, outputs, [results])
     for r in results:
         print(
             f"{r.cell.activation:6s} dropout={r.cell.dropout_p:.1f} "

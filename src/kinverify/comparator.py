@@ -272,20 +272,20 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
 def apply_activation(a: np.ndarray, kind: Activation, slope: float | None = None) -> np.ndarray:
     """act(a) elementwise, with the bits of the np.where form, signed zeros included.
 
-    PReLU is its where-form ``np.where(a > 0, a, slope * a)``. LReLU and ReLU,
-    which the default model and every benchmark workload train, keep
-    arithmetic forms with the bits of ``np.where(a > 0, a, 0.2 * a)`` and
-    ``np.where(a > 0, a, 0.0)`` for every input but NaN: on one default
-    training epoch, the where-forms in both this and ``activation_grad``
-    cost 8-16% more time for the same model bytes (2-vCPU Xeon).
+    ReLU and PReLU are their where-forms ``np.where(a > 0, a, 0.0)`` and
+    ``np.where(a > 0, a, slope * a)``. LReLU, the default model's activation
+    and the only one a benchmark workload trains, keeps an arithmetic form
+    with the bits of ``np.where(a > 0, a, 0.2 * a)`` for every input but
+    NaN: on one default training epoch, the where-forms in both this and
+    ``activation_grad`` cost 8-16% more time for the same model bytes
+    (2-vCPU Xeon).
     """
     a = np.asarray(a, dtype=np.float64)
     if kind is Activation.LRELU:
         z = np.multiply(a, LRELU_SLOPE, out=np.empty_like(a))
         return np.maximum(a, z, out=z)
     if kind is Activation.RELU:
-        # np.maximum returns its second operand on a tie, so -0.0 maps to +0.0
-        return np.maximum(a, 0.0)
+        return np.where(a > 0, a, 0.0)
     if kind is Activation.PRELU:
         return np.where(a > 0, a, slope * a)
     return np.tanh(a)
@@ -300,12 +300,13 @@ def activation_grad(
 ) -> np.ndarray:
     """upstream * d act(a) / d a, elementwise, with z = act(a) reused for tanh.
 
-    PReLU's is ``upstream * np.where(a > 0, 1.0, slope)``. For lrelu and
-    relu the factor (1 where a > 0, else the slope) is built in the output
-    buffer from the comparison as (a > 0) * (1 - slope) + slope, which is
-    exactly 1.0 or the slope for both slopes, then scaled by ``upstream`` in
-    place: the same bits as that np.where mask, and on one default training
-    epoch 4-9% less time for the same model bytes.
+    PReLU's is ``upstream * np.where(a > 0, 1.0, slope)``. For lrelu the
+    factor (1 where a > 0, else the slope) is built in the output buffer
+    from the comparison as (a > 0) * (1 - slope) + slope, which is exactly
+    1.0 or the slope, then scaled by ``upstream`` in place: the same bits as
+    that np.where mask, and on one default training epoch 4-9% less time
+    for the same model bytes. ReLU shares that code with a slope of 0.0,
+    exact too, but no workload measures it.
     """
     if kind is Activation.TANH:
         return upstream * (1.0 - z * z)

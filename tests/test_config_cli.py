@@ -373,7 +373,7 @@ def _refuse_work(*_args, **_kwargs):
 
 
 @pytest.mark.parametrize("fault", ["foreign-manifest", "directory", "artifact-over-manifest",
-                                   "file-as-directory"])
+                                   "file-as-directory", "out-is-a-world-manifest"])
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "histogram", "ablate"])
 def test_refused_outputs_fail_before_the_work(
     command, fault, world_dir, model_dir, tmp_path, capsys, monkeypatch
@@ -381,11 +381,20 @@ def test_refused_outputs_fail_before_the_work(
     for name in ("generate_world", "train", "score_pairs", "ablation_run"):
         monkeypatch.setattr(cli, name, _refuse_work)
     out = tmp_path / ("taken" if fault == "file-as-directory" else "run") / "out"
+    if fault == "out-is-a-world-manifest":  # the manifest of a synth run
+        shutil.copytree(world_dir, tmp_path / "world")
+        out = tmp_path / "world" / "manifest.json"
     argv, manifest, artifact = _run_args(command, out, world_dir, model_dir)
-    foreign = json.dumps({"command": "other", "artifacts": {}})
+    # leading JSON whitespace, which the check skips before it looks for "{"
+    foreign = " \r\n\t" + json.dumps({"command": "other", "artifacts": {}})
     if fault == "file-as-directory":  # --out, or the directory it is in, is a file
         (tmp_path / "taken").write_text("a file where a directory goes\n")
         message = f"File exists: '{tmp_path / 'taken'}'"
+    elif fault == "out-is-a-world-manifest":
+        if command in ("histogram", "ablate"):  # --out names the file they write
+            message = f"{out} is a 'synth' manifest; refusing to replace it"
+        else:
+            message = f"File exists: '{out}'"
     else:
         manifest.parent.mkdir(parents=True)
     if fault == "foreign-manifest":
@@ -403,17 +412,31 @@ def test_refused_outputs_fail_before_the_work(
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-@pytest.mark.parametrize("command", ["histogram", "ablate"])
-def test_file_outputs_never_replace_a_manifest(command, world_dir, model_dir, tmp_path, capsys):
-    # histogram and ablate write the file --out names, which may be another run's manifest
-    world = tmp_path / "world"
-    shutil.copytree(world_dir, world)
-    target = world / "manifest.json"
-    before = sorted((p.name, p.read_bytes()) for p in world.iterdir())
-    argv, _, _ = _run_args(command, target, world, model_dir)
+@pytest.mark.parametrize("fault", ["foreign-manifest", "directory"])
+def test_outputs_are_checked_again_after_the_work(fault, world_dir, tmp_path, capsys, monkeypatch):
+    # a target that changes while the run trains is refused before the first write
+    out = tmp_path / "run"
+    taken = out / ("manifest.json" if fault == "foreign-manifest" else "history.csv")
+    train = cli.train
+
+    def train_then_take(*args, **kwargs):
+        result = train(*args, **kwargs)
+        out.mkdir()
+        if fault == "foreign-manifest":
+            taken.write_text(json.dumps({"command": "other", "artifacts": {}}))
+        else:
+            taken.mkdir()
+        return result
+
+    monkeypatch.setattr(cli, "train", train_then_take)
+    argv, _, _ = _run_args("train", out, world_dir, tmp_path)
     assert main(argv) == 1
-    _one_error_line(capsys, f"{target} is a 'synth' manifest; refusing to replace it")
-    assert sorted((p.name, p.read_bytes()) for p in world.iterdir()) == before
+    if fault == "foreign-manifest":
+        _one_error_line(capsys, f"{out / 'manifest.json'} is not a train manifest")
+        assert json.loads(taken.read_text())["command"] == "other"
+    else:
+        _one_error_line(capsys, f"Is a directory: '{taken}'")
+    assert [p.name for p in out.iterdir()] == [taken.name]
 
 
 def test_eval_per_relation_extension(model_dir, world_dir, tmp_path, capsys):
