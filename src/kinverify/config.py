@@ -1,11 +1,15 @@
 """Run configuration: JSON file plus flag overrides, strictly validated.
 
-The resolved configuration is echoed into every run manifest so a run can
-be replayed from its manifest alone. Unknown keys are rejected by name
-rather than ignored; a typo that silently falls back to a default would
-invalidate a whole experiment. Numbers must be finite. Each default has
-one home: the synth and train sections take theirs from the library's
-config classes.
+The resolved configuration is echoed into every run manifest; passed back
+as ``--config``, that block parses to the run's ``RunConfig``. Flags that
+are not config keys go unrecorded (ROADMAP.md item 6), so a run that set
+one does not replay from its manifest: ``train --attention`` (the replay's
+model lacks the head), eval's ``--calibrate``, ``--threshold``,
+``--per-relation``, ``--auc``, histogram's ``--scorer``, ``--model``,
+``--relations``, ``--range``. Unknown keys are rejected by name rather than
+ignored; a typo that silently falls back to a default would invalidate a
+whole experiment. Numbers must be finite. Each default has one home: the
+synth and train sections take theirs from the library's config classes.
 """
 
 from __future__ import annotations
@@ -104,11 +108,10 @@ class RunConfig:
 _SECTIONS = {"synth": SynthSection, "model": ModelSection, "train": TrainSection, "eval": EvalSection}
 
 
-# annotation -> (accepted types, what the error says); a bool passes only as "bool"
+# annotation -> (accepted types, what the error says); a JSON bool is neither int nor float
 _SCALARS = {
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
-    "bool": (bool, "a boolean"),
     "str": (str, "a string"),
 }
 
@@ -116,7 +119,7 @@ _SCALARS = {
 def _coerce(value: Any, annotation: str, key: str) -> Any:
     if annotation in _SCALARS:
         types, what = _SCALARS[annotation]
-        if not isinstance(value, types) or (isinstance(value, bool) and annotation != "bool"):
+        if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
         if annotation != "float":
             return value

@@ -11,10 +11,10 @@ males and -1 for females, and ``eta_k`` is standard normal noise confined
 to the first ``k = identity_dims`` coordinates. ``scale`` is the noise
 weight for children and founder_scale times that for founders, so family
 lines start with much more identity variation than each generation adds.
-Founders use a zero parent mean; children inherit the mean of both
-parents' identity vectors. ``express`` flips the sign of a fixed fraction
-of identity coordinates for females (one mask per world), modeling that
-the same heritable traits surface differently in male and female faces.
+Founders use a zero parent mean; a child's is 0.5 * (father + mother) of
+the parents' identity vectors. ``express`` flips the sign of a fixed
+fraction of identity coordinates for females (one mask per world), modeling
+that the same heritable traits surface differently in male and female faces.
 
 Together these two ingredients reproduce the gender bias of real face
 identification features: the gender term puts unrelated same-gender faces
@@ -77,7 +77,6 @@ class SynthConfig:
     noise_weight: float = 0.33
     founder_scale: float = 3.0
     expression_flip_fraction: float = 0.55
-    parent_blend: str = "mean"  # "mean" or "convex"
     seed: int = 4
 
     def __post_init__(self):
@@ -100,8 +99,6 @@ class SynthConfig:
             raise ValueError("founder_scale must be positive and finite")
         if not 0.0 <= self.expression_flip_fraction <= 1.0:
             raise ValueError("expression_flip_fraction must lie in [0, 1]")
-        if self.parent_blend not in ("mean", "convex"):
-            raise ValueError(f"unknown parent_blend {self.parent_blend!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -190,12 +187,11 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     gender_axis /= np.linalg.norm(gender_axis)
     flip_mask = expression_mask(config, axis_rng)
 
-    convex = config.parent_blend == "convex"
     n_families = sum(config.families_per_split().values())
     noise = np.empty((n_families * (4 + max(config.children_choices)), config.identity_dims))
     refs: list[PersonRef] = []
     pedigree: list[PedigreeEntry] = []
-    # per generation: (row,) of a founder, (row, father row, mother row, convex weight) of the rest
+    # per generation: (row,) of a founder, (row, father row, mother row) of the rest
     founders: list[tuple] = []
     lineals: list[tuple] = []
     offspring: list[tuple] = []
@@ -204,9 +200,9 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     split_tri_kin: dict[str, list[TriSample]] = {s: [] for s in SPLITS}
 
     def add_person(pid, fid, gender, rng, generation, parents=()) -> int:
-        """Append a person's records, drawing a child's convex weight, then the noise."""
+        """Append a person's records and draw their noise."""
         row = len(refs)
-        generation.append((row, *parents, rng.uniform() if convex else 0.5) if parents else (row,))
+        generation.append((row, *parents))
         rng.standard_normal(config.identity_dims, out=noise[row])
         refs.append(PersonRef(pid, fid, gender))
         pedigree.append(PedigreeEntry(pid, fid, gender, *(refs[r].person_id for r in parents)))
@@ -253,10 +249,7 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     identity = np.empty_like(matrix)
     for generation in (founders, lineals, offspring):
         rows, *parents = (np.array(column) for column in zip(*generation))
-        parent_mean = None
-        if parents:  # "mean" is the convex blend at weight 1/2, with the same bits as 0.5 * (f + m)
-            father, mother, lam = parents[0], parents[1], parents[2][:, None]
-            parent_mean = lam * identity[father] + (1.0 - lam) * identity[mother]
+        parent_mean = 0.5 * (identity[parents[0]] + identity[parents[1]]) if parents else None
         matrix[rows], identity[rows] = _latent(
             noise[rows], parent_mean, male[rows], gender_axis, config, flip_mask
         )

@@ -11,14 +11,14 @@ it against central finite differences of the full cascade's loss.
 
 Training follows a fixed recipe: symmetric duplication of the kin pairs
 once, a fresh 1:1 nonkin resample every epoch, seeded shuffling, batches of
-200, binary sigmoid cross-entropy plus an L2 penalty on the trainable
-parameters, ADAM (betas 0.9 and 0.999, eps 1e-8: the module constants
-ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with learning rate 0.001 dropped to
-0.0005 after the second epoch, and 20% inverted dropout on the
-concatenated feature. Every stream is seeded, so a (seed, data, config)
-triple reproduces the model byte for byte. The ablation grid of the
-published parameter study (``ablation_run``) trains one model per cell
-with this recipe and scores it with :mod:`kinverify.evaluation`.
+200, binary sigmoid cross-entropy plus an L2 penalty on every trainable
+parameter, ADAM with learning rate 0.001 dropped to 0.0005 after the second
+epoch, and 20% inverted dropout on the concatenated feature. The numbers
+are the paper's, module constants (ADAM_*, LR_*, L2_LAMBDA), not options.
+Every stream is seeded, so a (seed, data, config) triple reproduces the
+model byte for byte. The ablation grid of the published parameter study
+(``ablation_run``) trains one model per cell with this recipe and scores it
+with :mod:`kinverify.evaluation`.
 """
 
 from __future__ import annotations
@@ -59,21 +59,21 @@ from .seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
 
 GradientSet = dict[str, np.ndarray]
 
-# ADAM's moment decays and denominator offset: the paper's fixed values, not options.
+# The paper's fixed recipe, not options: ADAM's moment decays and denominator offset,
+# the learning rate before and after the switch epoch, and the L2 factor.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LR_INITIAL = 0.001
+LR_LATE = 0.0005
+LR_SWITCH_AFTER_EPOCH = 2
+L2_LAMBDA = 2e-4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 4
     batch_size: int = 200
-    lr_initial: float = 0.001
-    lr_late: float = 0.0005
-    lr_switch_after_epoch: int = 2
-    l2_lambda: float = 2e-4
-    l2_includes_biases: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -81,15 +81,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        # written so that NaN fails them
-        if not (0 < self.lr_initial < np.inf and 0 < self.lr_late < np.inf):
-            raise ValueError("learning rates must be positive and finite")
-        if not 0 <= self.l2_lambda < np.inf:
-            raise ValueError("l2_lambda must be non-negative and finite")
 
-    def lr_for_epoch(self, epoch: int) -> float:
+    @staticmethod
+    def lr_for_epoch(epoch: int) -> float:
         """Epochs are 1-based; the late rate starts after the switch epoch."""
-        return self.lr_initial if epoch <= self.lr_switch_after_epoch else self.lr_late
+        return LR_INITIAL if epoch <= LR_SWITCH_AFTER_EPOCH else LR_LATE
 
 
 @dataclass
@@ -115,7 +111,7 @@ class AdamState:
     order; ``grads`` maps the keys to views into ``grad``, which every step's
     gradients are written into; ``m`` and ``v`` share the layout. ``chunks``
     cut it at array boundaries into runs of at most CHUNK elements (a larger
-    array is a run of its own), each with its arrays' (start, stop, is_bias).
+    array is a run of its own), each with its arrays' (start, stop).
     """
 
     param: np.ndarray
@@ -123,7 +119,7 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     grads: GradientSet
-    chunks: list[tuple[int, int, list[tuple[int, int, bool]]]]
+    chunks: list[tuple[int, int, list[tuple[int, int]]]]
     work: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
@@ -143,7 +139,7 @@ class AdamState:
             if spans and hi + size - lo > CHUNK:
                 chunks.append((lo, hi, spans))
                 spans, lo = [], hi
-            spans.append((hi - lo, hi + size - lo, k.endswith((".b1", ".b2", "attention.b"))))
+            spans.append((hi - lo, hi + size - lo))
             hi += size
         if spans:
             chunks.append((lo, hi, spans))
@@ -260,17 +256,14 @@ def backward(
     return grads
 
 
-def adam_step(
-    state: AdamState, lr: float, l2_lambda: float = 0.0, l2_includes_biases: bool = True
-) -> float:
+def adam_step(state: AdamState, lr: float, l2_lambda: float = 0.0) -> float:
     """One bias-corrected ADAM update of the state's parameters, L2 folded in.
 
     Returns the penalty l2_lambda * sum(p^2) of the parameters before the
-    update, summed array by array in key order (biases left out unless
-    ``l2_includes_biases``). One pass over the chunks of the flat layout
-    first adds the penalty's gradient 2*l2_lambda*p to the state's
-    gradients, then runs the textbook sequence, operation for operation,
-    every intermediate in the work buffers, with b1, b2 and eps the ADAM_*
+    update, summed array by array in key order. One pass over the chunks of
+    the flat layout first adds the penalty's gradient 2*l2_lambda*p to the
+    state's gradients, then runs the textbook sequence, operation for
+    operation, every intermediate in the work buffers, with b1, b2 and eps the ADAM_*
     constants: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
     p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps).
     With l2_lambda 0 there is no L2 term. Elementwise results do not depend
@@ -284,13 +277,10 @@ def adam_step(
         p, g, m, v = (a[lo:hi] for a in (state.param, state.grad, state.m, state.v))
         step, denom = (w[: hi - lo] for w in state.work)
         if l2_lambda:
-            counted = [(a, b) for a, b, bias in spans if l2_includes_biases or not bias]
             np.multiply(p, p, out=step)
-            for a, b in counted:  # the per-array sums fix the bits of the loss
+            for a, b in spans:  # the per-array sums fix the bits of the loss
                 penalty += l2_lambda * float(np.sum(step[a:b]))
-            np.multiply(p, 2.0 * l2_lambda, out=step)
-            for a, b in [(0, hi - lo)] if l2_includes_biases else counted:
-                g[a:b] += step[a:b]
+            g += np.multiply(p, 2.0 * l2_lambda, out=step)
         m *= ADAM_BETA1
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         v *= ADAM_BETA2
@@ -338,7 +328,7 @@ def _epochs(state, train_config, epoch_data, step, l2_lambda):
         losses = []
         for start in range(0, len(order), tc.batch_size):
             loss, _ = step(*(a[start : start + tc.batch_size] for a in arrays))
-            penalty = adam_step(state, lr, l2_lambda, tc.l2_includes_biases)
+            penalty = adam_step(state, lr, l2_lambda)
             losses.append(loss + penalty)
         yield epoch, lr, losses
 
@@ -443,7 +433,7 @@ def train(
         _expert_step, params, state.grads, derive_rng(seed, STREAM_DROPOUT), store.matrix
     )
     history: list[EpochStats] = []
-    for epoch, lr, losses in _epochs(state, train_config, epoch_data, step, train_config.l2_lambda):
+    for epoch, lr, losses in _epochs(state, train_config, epoch_data, step, L2_LAMBDA):
         val_acc = _macro_accuracy_curve(params, store.matrix, *val)
         history.append(EpochStats(epoch, lr, float(np.mean(losses)), val_acc))
     # The model leaves in arrays of its own: a process that kept models holding

@@ -231,16 +231,13 @@ def backward_zero_filled(trace, params, rel_idx, targets):
     return grads
 
 
-def l2_penalty(params, lam, include_biases, grads):
+def l2_penalty(params, lam, grads):
     """Squared-norm penalty lam * sum(p^2) over the keys of ``grads``, one array at a time.
 
-    The gradient 2*lam*p is added into ``grads`` in place. Biases (b1, b2,
-    attention.b) count only with ``include_biases``.
+    The gradient 2*lam*p is added into ``grads`` in place.
     """
     loss = 0.0
     for name, g in grads.items():
-        if name.endswith((".b1", ".b2", "attention.b")) and not include_biases:
-            continue
         p = params.values[name]
         loss += lam * float(np.sum(p * p))
         g += p * (2.0 * lam)
@@ -280,7 +277,7 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
     from kinverify.data import augment_symmetric, pairs_to_arrays, resample_nonkin
     from kinverify.evaluation import Objective, _calibrate
     from kinverify.seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
-    from kinverify.training import bce_loss
+    from kinverify.training import L2_LAMBDA, bce_loss
 
     tc = train_config
     params = init_params(comp_config, tc.seed)
@@ -302,7 +299,7 @@ def train_object_path(store, kin_pairs, val_pairs, comp_config, train_config):
             )
             loss = bce_loss(trace.logits, targets[batch])
             grads = backward_zero_filled(trace, params, rel_idx[batch], targets[batch])
-            reg, grads = l2_penalty(params, tc.l2_lambda, tc.l2_includes_biases, grads=grads)
+            reg, grads = l2_penalty(params, L2_LAMBDA, grads=grads)
             lr = tc.lr_for_epoch(epoch)
             adam.step(params, grads, lr)
             losses.append(float(loss.mean()) + reg)

@@ -11,7 +11,15 @@ from kinverify.cli import _run_config, build_parser, main
 from kinverify.comparator import ComparatorConfig
 from kinverify.config import _SECTIONS, ConfigError, RunConfig, parse_config
 from kinverify.synth import SPLITS, SynthConfig
-from kinverify.training import AblationCell, TrainConfig, default_ablation_grid
+from kinverify.training import (
+    L2_LAMBDA,
+    LR_INITIAL,
+    LR_LATE,
+    LR_SWITCH_AFTER_EPOCH,
+    AblationCell,
+    TrainConfig,
+    default_ablation_grid,
+)
 
 
 def test_defaults_match_published_training_recipe():
@@ -21,10 +29,8 @@ def test_defaults_match_published_training_recipe():
     assert config.model.activation == "lrelu"
     assert config.train.batch_size == 200
     assert config.train.epochs == 4
-    assert config.train.l2_lambda == 2e-4
-    assert config.train.lr_initial == 0.001
-    assert config.train.lr_late == 0.0005
-    assert config.train.lr_switch_after_epoch == 2
+    # the rest of the recipe is fixed, not configured
+    assert (LR_INITIAL, LR_LATE, LR_SWITCH_AFTER_EPOCH, L2_LAMBDA) == (0.001, 0.0005, 2, 2e-4)
 
 
 def test_parse_config_empty_gives_defaults(tmp_path):
@@ -75,23 +81,17 @@ DEFAULT_CONFIG_DICT = {
         "n_train_families": 900,
         "n_val_families": 90,
         "noise_weight": 0.33,
-        "parent_blend": "mean",
     },
-    "train": {
-        "batch_size": 200,
-        "epochs": 4,
-        "l2_includes_biases": True,
-        "l2_lambda": 0.0002,
-        "lr_initial": 0.001,
-        "lr_late": 0.0005,
-        "lr_switch_after_epoch": 2,
-    },
+    "train": {"batch_size": 200, "epochs": 4},
 }
 
 
 def test_config_surface_is_pinned():
     assert RunConfig().to_dict() == DEFAULT_CONFIG_DICT
-    for key in ("train.adam_beta1", "train.seed", "synth.seed"):
+    # the fixed recipe and the one heredity rule are not keys; an old file naming one fails
+    for key in ("train.adam_beta1", "train.seed", "synth.seed", "train.lr_initial",
+                "train.lr_late", "train.lr_switch_after_epoch", "train.l2_lambda",
+                "train.l2_includes_biases", "synth.parent_blend"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             parse_config(overrides={key: 1})
 
@@ -774,11 +774,11 @@ def _one_error_line(capsys, text):
 @pytest.mark.parametrize(
     "document,key",
     [
-        ('{"train": {"lr_initial": NaN}}', "train.lr_initial"),
-        ('{"train": {"l2_lambda": Infinity}}', "train.l2_lambda"),
+        ('{"model": {"dropout": NaN}}', "model.dropout"),
+        ('{"synth": {"noise_weight": Infinity}}', "synth.noise_weight"),
         ('{"synth": {"heritability": -Infinity}}', "synth.heritability"),
         ('{"model": {"dropout": 1e400}}', "model.dropout"),
-        ('{"train": {"lr_late": 1%s}}' % ("0" * 400), "train.lr_late"),
+        ('{"synth": {"gender_weight": 1%s}}' % ("0" * 400), "synth.gender_weight"),
     ],
     ids=["nan", "infinity", "minus-infinity", "1e400", "long-integer"],
 )
@@ -805,6 +805,8 @@ def test_histogram_range_must_be_finite(value, world_dir, tmp_path, capsys):
 
 
 def test_file_and_numeric_failures_end_in_one_error_line(model_dir, world_dir, tmp_path, capsys):
+    from kinverify.data import EmbeddingStore, load_embeddings, save_embeddings
+
     small = ["--data", str(world_dir), "--epochs", "1", "--batch-size", "64", "--hidden", "4"]
     # a directory given as the model file: IsADirectoryError
     code = main(["verify", "--model", str(tmp_path), "--embeddings",
@@ -817,12 +819,18 @@ def test_file_and_numeric_failures_end_in_one_error_line(model_dir, world_dir, t
     assert main(["train", *small, "--out", str(taken)]) == 1
     _one_error_line(capsys, "File exists")
     assert taken.read_text() == "x"
-    # a learning rate that makes training diverge: FloatingPointError, and no numpy warnings
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"train": {"lr_initial": 1e300}}))
+    # embeddings of magnitude 1.5e308, which overflow when dropout scales them by 1/(1-p):
+    # training fails with FloatingPointError, and no numpy warnings
+    huge = tmp_path / "huge"
+    shutil.copytree(world_dir, huge)
+    store = load_embeddings(huge / "embeddings.csv")
+    refs = [store.person(pid) for pid in store.person_ids]
+    matrix = np.copysign(1.5e308, store.matrix)
+    save_embeddings(EmbeddingStore(refs, matrix), huge / "embeddings.csv")
+    small[1] = str(huge)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["train", *small, "--config", str(config), "--out", str(tmp_path / "run")])
+        code = main(["train", *small, "--out", str(tmp_path / "run")])
     assert code == 1
     _one_error_line(capsys, "non-finite")
 
@@ -864,6 +872,40 @@ def test_config_flags_set_their_config_keys(command):
         for part in key.split("."):
             node = getattr(node, part)
         assert node == value, key
+
+
+# non-default config flags of each command whose run the replay check repeats
+REPLAY_FLAGS = {
+    "synth": ["--seed", "5", "--dim", "9", "--identity-dims", "3", "--train-families", "5",
+              "--val-families", "3", "--test-families", "3"],
+    "train": ["--seed", "6", "--hidden", "5", "--activation", "prelu", "--dropout", "0.3",
+              "--sharing", "shared-trunk", "--epochs", "1", "--batch-size", "17"],
+    "eval": ["--seed", "7", "--objective", "micro", "--threshold", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_FLAGS))
+def test_manifest_config_replays_the_run_config(command, model_dir, world_dir, tmp_path):
+    # a manifest's config block, passed back as --config, parses to the config the run used
+    inputs = {
+        "synth": [],
+        "train": ["--data", str(world_dir)],
+        "eval": ["--model", str(model_dir / "model.kinc"), "--embeddings",
+                 str(world_dir / "embeddings.csv"), "--pairs", str(world_dir / "pairs_val.csv")],
+    }
+    argv = [command, *inputs[command], *REPLAY_FLAGS[command], "--out", str(tmp_path / "run")]
+    used = _run_config(build_parser().parse_args(argv))
+    assert used != RunConfig()
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps(manifest["config"]))
+    assert parse_config(config) == used
+    if command == "synth":  # and the replay writes the same eight files
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "replay")]) == 0
+        replay = json.loads((tmp_path / "replay" / "manifest.json").read_text())
+        assert len(manifest["artifacts"]) == 8
+        assert replay["artifacts"] == manifest["artifacts"]
 
 
 @pytest.mark.parametrize(

@@ -239,28 +239,12 @@ def test_config_validation():
         SynthConfig(heritability=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(identity_dims=100)
-    with pytest.raises(ValueError):
-        SynthConfig(parent_blend="nope")
     nan = float("nan")
     for bad in ({"heritability": nan}, {"gender_weight": float("inf")},
                 {"heritability": nan, "gender_weight": nan, "noise_weight": nan},
                 {"founder_scale": nan}):
         with pytest.raises(ValueError):
             SynthConfig(**bad)
-
-
-def test_convex_blend_mode():
-    config = SynthConfig(
-        dim=8,
-        identity_dims=4,
-        n_train_families=2,
-        n_val_families=1,
-        n_test_families=1,
-        parent_blend="convex",
-        seed=9,
-    )
-    world = generate_world(config)
-    assert len(world.store) > 0
 
 
 @pytest.mark.parametrize("seed", [4, 1])
@@ -298,53 +282,37 @@ def test_nonkin_tris_without_cross_family_child():
 # sha256 of TINY_SYNTH's store matrix bytes and of the eight files `kinverify synth`
 # writes for it, recorded before synthesis moved to array passes.
 PINNED_SYNTH_SHA256 = {
-    "mean": {
-        "matrix": "775d37c0d485df70a6a4a5379a4c2b69311aa4100aef259c889a92ff9f93ba0d",
-        "embeddings.csv": "f2ddbfecd0a7ed6d89a28c3fea0577d2b85ac9b32fcca60ea6c7d5a73b86cfd4",
-        "pedigree.csv": "5998e7d1844ce24dfa396e84b1e50efbe877ae19adb3a23356ac33b9a6ecb0f8",
-        "pairs_train.csv": "1b314f86012a8fa96072e3cef030aa6b5862a4fc4295c0fd4bb12d73f7d4d316",
-        "pairs_val.csv": "43ff830476923010528a955fdd8c7bb3a9e7ebc1f823e4fe7da575c8bcf710c5",
-        "pairs_test.csv": "ce5773d9af992f5fb60b7ad574ddb4ae566fadb1541c3aad7860658541846279",
-        "tri_train.csv": "31d2d125e21fecf0171769aa0ba39608e5e870f0d58d7c867d26837a386cb316",
-        "tri_val.csv": "6dbb4d168ebeff7b9b19b621ce0de230e70ef4eb5a1e18ec116baa2cdc945677",
-        "tri_test.csv": "d6c19e6ef490c7a9906ab674f121f5142d5ccb2ef1c9e7bb282d30ef7dc3dee8",
-    },
-    "convex": {
-        "matrix": "b1c6a028aad702aead9782d8f89f99c2cfc7b3f6a66bd2ac4645284e266d4445",
-        "embeddings.csv": "e8f68d596d2d010b9c1f66f809b82bd66175da1f128efb78b5e1ada8c7ed3d82",
-        "pedigree.csv": "c1b0b3770411ded74a6659f8b97ffb657cc414b5aeb4acdaf6b9e847351bc77b",
-        "pairs_train.csv": "8a7602bdc793aaa6c937ff9446719ead73b4ba381aade1a7c4f472378b7fe5ae",
-        "pairs_val.csv": "1d3c5a0cffcfcaaf8cd10e80ca437c6383d59d2174b32507de96a64d30e50497",
-        "pairs_test.csv": "b05eccc0902b21467c26f0f33039a6c18d65067780f129064c7bc806ea1c916a",
-        "tri_train.csv": "dfe3eb20e9540006b67f9b010f314f501e7879d9258552d170919f82516d9874",
-        "tri_val.csv": "7bcb347b00c453c0a1e38f60d0cad496030de493b0820810338578fee77d4b68",
-        "tri_test.csv": "9ef1eb5e6483c031f7347c5ef57e8f730c64e08e1d1d5f61ef10ed6fbd2014f0",
-    },
+    "matrix": "775d37c0d485df70a6a4a5379a4c2b69311aa4100aef259c889a92ff9f93ba0d",
+    "embeddings.csv": "f2ddbfecd0a7ed6d89a28c3fea0577d2b85ac9b32fcca60ea6c7d5a73b86cfd4",
+    "pedigree.csv": "5998e7d1844ce24dfa396e84b1e50efbe877ae19adb3a23356ac33b9a6ecb0f8",
+    "pairs_train.csv": "1b314f86012a8fa96072e3cef030aa6b5862a4fc4295c0fd4bb12d73f7d4d316",
+    "pairs_val.csv": "43ff830476923010528a955fdd8c7bb3a9e7ebc1f823e4fe7da575c8bcf710c5",
+    "pairs_test.csv": "ce5773d9af992f5fb60b7ad574ddb4ae566fadb1541c3aad7860658541846279",
+    "tri_train.csv": "31d2d125e21fecf0171769aa0ba39608e5e870f0d58d7c867d26837a386cb316",
+    "tri_val.csv": "6dbb4d168ebeff7b9b19b621ce0de230e70ef4eb5a1e18ec116baa2cdc945677",
+    "tri_test.csv": "d6c19e6ef490c7a9906ab674f121f5142d5ccb2ef1c9e7bb282d30ef7dc3dee8",
 }
 
 
-@pytest.mark.parametrize("blend", ["mean", "convex"])
-def test_synthesis_bytes_are_pinned(blend, tmp_path):
+def test_synthesis_bytes_are_pinned(tmp_path):
     import hashlib
     import json
-    from dataclasses import replace
 
     from kinverify.cli import main
 
     def sha256(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    pinned = PINNED_SYNTH_SHA256[blend]
-    world = generate_world(replace(TINY_SYNTH, parent_blend=blend))
-    assert sha256(world.store.matrix.tobytes()) == pinned["matrix"]
+    world = generate_world(TINY_SYNTH)
+    assert sha256(world.store.matrix.tobytes()) == PINNED_SYNTH_SHA256["matrix"]
 
     config = tmp_path / "cfg.json"
     sections = ("dim", "identity_dims", "n_train_families", "n_val_families", "n_test_families")
     synth = {name: getattr(TINY_SYNTH, name) for name in sections}
-    config.write_text(json.dumps({"seed": TINY_SYNTH.seed, "synth": {**synth, "parent_blend": blend}}))
+    config.write_text(json.dumps({"seed": TINY_SYNTH.seed, "synth": synth}))
     assert main(["synth", "--config", str(config), "--out", str(tmp_path / "world")]) == 0
     written = {p.name: sha256(p.read_bytes()) for p in (tmp_path / "world").glob("*.csv")}
-    assert written == {name: digest for name, digest in pinned.items() if name != "matrix"}
+    assert written == {k: digest for k, digest in PINNED_SYNTH_SHA256.items() if k != "matrix"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,7 +328,7 @@ def test_latent_rows_match_one_person_at_a_time(dims, n, founders, masked, seed)
     from oracles import latent_scalar
 
     dim, k = dims
-    config = SynthConfig(dim=dim, identity_dims=k, parent_blend="convex")
+    config = SynthConfig(dim=dim, identity_dims=k)
     axis, mask = axis_and_mask(config)
     mask = mask if masked else None  # the oracle's unflipped case is a mask of ones here
     rng = np.random.default_rng(seed)
