@@ -13,6 +13,10 @@ accuracy statistics. A store and the pair and tri writers reject ids that
 hold a comma or a line break, so every file loads back as saved. The
 loaders and the CLI queries build every pair and triple through one
 checked constructor per record, so they give the same reasons.
+
+A ``PairSet`` holds aligned columns. ``augment_symmetric``,
+``resample_nonkin``, ``save_pairs`` and ``_pair_rows`` work on them alone,
+so a set built from columns makes its ``KinPair`` objects only when read.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import numpy as np
 
 from .relations import (
     CANONICAL_RELATION_CODES,
+    GENDER_BY_MALE,
+    RELATION_ORDER,
     SYMMETRIC_RELATIONS,
     Gender,
     KinshipRelation,
@@ -185,15 +191,68 @@ class TriSample:
     label: PairLabel | None  # None: unknown, a triple still to be verified
 
 
-@dataclass(frozen=True)
+# A PairSet's label codes are the labels' indices in _LABELS.
+_LABELS = (PairLabel.NONKIN, PairLabel.KIN, None)
+_NONKIN, _KIN, _UNKNOWN = range(3)
+_SYMMETRIC = np.array([r in SYMMETRIC_RELATIONS for r in RELATION_ORDER])
+
+
 class PairSet:
-    pairs: tuple[KinPair, ...]
+    """Pairs as aligned columns: ``id1`` and ``id2`` (tuples of person ids),
+    ``rel`` (canonical relation index) and ``label`` (code 0 nonkin, 1 kin,
+    2 unknown), both read-only arrays. Sets with equal columns are equal.
+
+    ``PairSet(pairs)`` takes a tuple of ``KinPair``, which is then its
+    ``pairs``. A set made from columns builds its ``pairs``, which iteration
+    yields, once, on first use.
+    """
+
+    def __init__(self, pairs: tuple[KinPair, ...] = ()):
+        pairs, field = tuple(pairs), operator.attrgetter
+        # tuple.index compares by identity first, so no lookup hashes an Enum member
+        rel = np.fromiter(map(RELATION_ORDER.index, map(field("relation"), pairs)), np.intp)
+        label = np.fromiter(map(_LABELS.index, map(field("label"), pairs)), np.int8)
+        ids = (tuple(map(field("id1"), pairs)), tuple(map(field("id2"), pairs)))
+        vars(self).update(vars(PairSet._from_columns(*ids, rel, label)), pairs=pairs)
+
+    @classmethod
+    def _from_columns(cls, id1, id2, rel, label, parts=()) -> "PairSet":
+        """The set of these columns; its ``pairs`` are those of ``parts`` joined, if given."""
+        rel.setflags(write=False)
+        label.setflags(write=False)
+        pairs = cls.__new__(cls)
+        vars(pairs).update(id1=id1, id2=id2, rel=rel, label=label, _parts=parts)
+        return pairs
+
+    def _then(self, other: "PairSet") -> "PairSet":
+        """This set's pairs, then those of ``other``, sharing both sets' ``KinPair`` objects."""
+        rel = np.concatenate([self.rel, other.rel])
+        label = np.concatenate([self.label, other.label])
+        ids = (self.id1 + other.id1, self.id2 + other.id2)
+        return PairSet._from_columns(*ids, rel, label, (self, other))
+
+    @functools.cached_property
+    def pairs(self) -> tuple[KinPair, ...]:
+        if self._parts:
+            return tuple(itertools.chain.from_iterable(s.pairs for s in self._parts))
+        rels = map(RELATION_ORDER.__getitem__, self.rel.tolist())
+        labels = map(_LABELS.__getitem__, self.label.tolist())
+        return tuple(map(KinPair, self.id1, self.id2, rels, labels))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.id1)
 
     def __iter__(self):
         return iter(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PairSet):
+            return NotImplemented
+        same = (self.id1, self.id2) == (other.id1, other.id2)
+        return same and all(map(np.array_equal, (self.rel, self.label), (other.rel, other.label)))
+
+    def __hash__(self) -> int:
+        return hash((self.id1, self.id2))
 
 
 @dataclass(frozen=True)
@@ -218,9 +277,9 @@ def concat_features(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
 
 def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
     cols = ",".join(f"f{i}" for i in range(store.dim))
-    rows = (
-        (ref.person_id, ref.family_id, ref.gender.value, *map(repr, values))
-        for ref, values in zip(store._refs, store.matrix.tolist())
+    rows = (  # one row's floats at a time, not the whole matrix's
+        (ref.person_id, ref.family_id, ref.gender.value, *map(repr, values.tolist()))
+        for ref, values in zip(store._refs, store.matrix)
     )
     _write_rows(path, f"person_id,family_id,gender,{cols}", rows)
 
@@ -381,12 +440,14 @@ def _read_rows(path: Path, header: str, build, store: EmbeddingStore) -> list:
 
 def save_pairs(pairs: PairSet, path: str | Path) -> None:
     """Write a pairs CSV; a bad id or a missing label is rejected before any write."""
-    for p in pairs:
-        _check_id("id1", p.id1)
-        _check_id("id2", p.id2)
-        if p.label is None:
-            raise ValueError(f"pair ({p.id1!r}, {p.id2!r}) has no label")
-    rows = ((p.id1, p.id2, p.relation.value, p.label.value) for p in pairs)
+    labels = pairs.label.tolist()
+    for id1, id2, label in zip(pairs.id1, pairs.id2, labels):
+        _check_id("id1", id1)
+        _check_id("id2", id2)
+        if label == _UNKNOWN:
+            raise ValueError(f"pair ({id1!r}, {id2!r}) has no label")
+    relations = map(CANONICAL_RELATION_CODES.__getitem__, pairs.rel.tolist())
+    rows = zip(pairs.id1, pairs.id2, relations, (_LABELS[code].value for code in labels))
     _write_rows(path, _PAIR_HEADER, rows)
 
 
@@ -420,11 +481,10 @@ def augment_symmetric(pairs: PairSet) -> PairSet:
     Originals keep their order; reversed copies are appended afterwards, so
     the output size is 2*n_symmetric + n_asymmetric.
     """
-    reversed_pairs = [
-        KinPair(p.id2, p.id1, p.relation, p.label)
-        for p in pairs if p.relation in SYMMETRIC_RELATIONS
-    ]
-    return PairSet(tuple(pairs.pairs) + tuple(reversed_pairs))
+    sym = np.flatnonzero(_SYMMETRIC[pairs.rel]).tolist()
+    ids1, ids2 = (tuple(map(ids.__getitem__, sym)) for ids in (pairs.id1, pairs.id2))
+    reverse = PairSet._from_columns(ids2, ids1, pairs.rel[sym], pairs.label[sym])
+    return pairs._then(reverse)
 
 
 def _cross_family_draw(
@@ -495,9 +555,9 @@ def _nonkin_draw(
     """
     family, male, family_names = store._person_tables
     relations = [KinshipRelation(code) for code in relation_codes]
-    genders = (Gender.FEMALE, Gender.MALE)  # indexed by the male flag of id1
-    role2_male = np.array(
-        [[role2_gender(r, g) is Gender.MALE for r in relations] for g in genders], dtype=np.intp
+    role2_male = np.array(  # by the male flag of id1
+        [[role2_gender(r, g) is Gender.MALE for r in relations] for g in GENDER_BY_MALE],
+        dtype=np.intp,
     )
     want = role2_male[male[rows1], rel_idx]
     sizes, draw = _cross_family_draw(store, np.arange(len(store)), want, rows1)
@@ -522,16 +582,15 @@ def resample_nonkin(
     uniformly from persons whose gender fits role 2 and whose family differs
     from id1's. The draw order is the input pair order with one draw per
     pair, seeded from (base_seed, epoch) via :mod:`kinverify.seeding`, so a
-    given epoch replays exactly while distinct epochs differ. The candidate
-    pools are never materialised: the draw works on tables of
-    O(persons + pairs) memory, the same tables ``train`` draws from each
-    epoch.
+    given epoch replays exactly while distinct epochs differ. The draw is
+    ``_nonkin_draw``, which ``train`` runs each epoch; the output shares
+    the kin set's ``id1`` and ``rel`` columns.
     """
     rows1, _, rel_idx, _ = _pair_rows(store, kin_pairs, CANONICAL_RELATION_CODES)
     draw = _nonkin_draw(store, rows1, rel_idx, CANONICAL_RELATION_CODES, base_seed)
-    ids = store.person_ids
-    out = zip(kin_pairs, draw(epoch).tolist())
-    return PairSet(tuple(KinPair(p.id1, ids[r], p.relation, PairLabel.NONKIN) for p, r in out))
+    partners = tuple(map(store.person_ids.__getitem__, draw(epoch).tolist()))
+    label = np.full(len(partners), _NONKIN, dtype=np.int8)
+    return PairSet._from_columns(kin_pairs.id1, partners, kin_pairs.rel, label)
 
 
 def _nonkin_tris(
@@ -570,30 +629,25 @@ def _pair_rows(
 
     Relation indices follow ``relation_codes`` (a model's expert order). Every
     id1 is looked up before any id2; an unknown id raises KeyError, and then
-    a pair whose relation is not among the codes raises ValueError.
+    a pair whose relation is not among the codes raises ValueError. A list
+    of pairs is read as the ``PairSet`` of its tuple.
     """
-    plist = list(pairs)
-    n = len(plist)
-
-    def field(name: str):
-        return map(operator.attrgetter(name), plist)
-
+    if not isinstance(pairs, PairSet):
+        pairs = PairSet(tuple(pairs))
+    n = len(pairs)
     try:
-        rows1 = np.fromiter(map(store._row.__getitem__, field("id1")), dtype=np.intp, count=n)
-        rows2 = np.fromiter(map(store._row.__getitem__, field("id2")), dtype=np.intp, count=n)
+        rows1 = np.fromiter(map(store._row.__getitem__, pairs.id1), dtype=np.intp, count=n)
+        rows2 = np.fromiter(map(store._row.__getitem__, pairs.id2), dtype=np.intp, count=n)
     except KeyError as exc:
         raise KeyError(f"unknown person_id {exc.args[0]!r}") from None
-    # keyed by code: an enum member's hash is a Python-level call, a str's is cached
-    idx_of = {code: i for i, code in enumerate(relation_codes)}
-    try:
-        rel_idx = np.fromiter(
-            map(idx_of.__getitem__, field("relation._value_")), dtype=np.intp, count=n
-        )
-    except KeyError as exc:
-        raise ValueError(f"relation {exc.args[0]!r} not handled by this model") from None
-    kin = map(operator.is_, field("label"), itertools.repeat(PairLabel.KIN))
-    targets = np.fromiter(kin, dtype=np.float64, count=n)
-    return rows1, rows2, rel_idx, targets
+    canonical = [CANONICAL_RELATION_CODES.index(code) for code in relation_codes]
+    position = np.full(len(CANONICAL_RELATION_CODES), -1, dtype=np.intp)
+    position[canonical] = range(len(canonical))
+    rel_idx = position[pairs.rel]
+    if (rel_idx < 0).any():
+        code = CANONICAL_RELATION_CODES[pairs.rel[np.argmax(rel_idx < 0)]]
+        raise ValueError(f"relation {code!r} not handled by this model")
+    return rows1, rows2, rel_idx, (pairs.label == _KIN).astype(np.float64)
 
 
 def _gather_features(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:

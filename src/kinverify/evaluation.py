@@ -32,9 +32,9 @@ import numpy as np
 
 from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _cascade, stable_sigmoid
 from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
-from .data import _gather_features, _pair_rows, _write_rows
-from .relations import CANONICAL_RELATION_CODES, RELATION_ORDER, Gender
-from .relations import PARENT_CHILD, relation_index
+from .data import _LABELS, _gather_features, _pair_rows, _write_rows
+from .relations import CANONICAL_RELATION_CODES, PARENT_CHILD_INDEX, RELATION_ORDER, Gender
+from .relations import relation_index
 
 
 class Scorer(enum.Enum):
@@ -91,20 +91,18 @@ def score_pairs(
     (see ``_selected_probs``). Cosine scores are cosine distances (lower
     means kin), computed one block of ``EVAL_BLOCK_ROWS`` pairs at a time;
     negate them before calibrating or ranking. The result keeps a
-    ``PairSet``'s own tuple of pairs.
+    ``PairSet``'s own tuple of pairs and its ``rel`` column.
     """
-    plist = pairs.pairs if isinstance(pairs, PairSet) else tuple(pairs)
+    pairs = pairs if isinstance(pairs, PairSet) else PairSet(tuple(pairs))
     if scorer is Scorer.COSINE:
-        rows1, rows2, rel, targets = _pair_rows(store, plist, CANONICAL_RELATION_CODES)
+        rows1, rows2, _, targets = _pair_rows(store, pairs, CANONICAL_RELATION_CODES)
         scores = _cosine_distances(store.matrix, rows1, rows2)
     else:
         if params is None:
             raise ValueError("comparator scoring needs model parameters")
-        rows1, rows2, pos, targets = _pair_rows(store, plist, params.config.relations)
+        rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
         scores = _selected_probs(params, store.matrix, rows1, rows2, pos)
-        canonical = [CANONICAL_RELATION_CODES.index(c) for c in params.config.relations]
-        rel = np.array(canonical, dtype=np.intp)[pos]
-    return ScoredSet(plist, scores, rel, targets == 1.0)
+    return ScoredSet(pairs.pairs, scores, pairs.rel, targets == 1.0)
 
 
 def _cosine_distances(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
@@ -397,15 +395,17 @@ def score_tris(
     MS/MD by the child's gender); all of them run stacked through one
     relation-prefix eval loop (``_selected_probs``). The fusion is the exact mean.
     """
-    samples = list(tris)
+    samples = tris.samples
     if not samples:
         raise ValueError("empty tri set")
     n = len(samples)
-    pairs = [  # the father-child pairs, then the mother-child pairs
-        KinPair(t.father_id if g is Gender.MALE else t.mother_id, t.child_id,
-                PARENT_CHILD[g, t.child_gender], t.label)
-        for g in Gender for t in samples
-    ]
+    male = [t.child_gender is Gender.MALE for t in samples]
+    pairs = PairSet._from_columns(  # the father-child pairs, then the mother-child pairs
+        tuple(t.father_id for t in samples) + tuple(t.mother_id for t in samples),
+        tuple(t.child_id for t in samples) * 2,
+        np.array([PARENT_CHILD_INDEX[parent][child] for parent in (1, 0) for child in male]),
+        np.array([_LABELS.index(t.label) for t in samples] * 2, dtype=np.int8),
+    )
     rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
     z = _selected_probs(params, store.matrix, rows1, rows2, pos)
     z_fc, z_mc = z[:n], z[n:]

@@ -79,6 +79,13 @@ SIBLING |= {_ROLE_GENDERS[r]: r for r in (KinshipRelation.BB, KinshipRelation.SS
 
 SYMMETRIC_RELATIONS = frozenset(SIBLING.values())
 
+# The three as canonical indices by the male flags of role 1 and 2: no lookup hashes an Enum.
+GENDER_BY_MALE = (Gender.FEMALE, Gender.MALE)
+SIBLING_INDEX, PARENT_CHILD_INDEX, GRANDPARENT_CHILD_INDEX = (
+    tuple(tuple(_INDEX[table[g1, g2]] for g2 in GENDER_BY_MALE) for g1 in GENDER_BY_MALE)
+    for table in (SIBLING, PARENT_CHILD, GRANDPARENT_CHILD)
+)
+
 
 def relation_index(relation: KinshipRelation) -> int:
     """Canonical index of ``relation``: BB is 0, GMGS is 10."""

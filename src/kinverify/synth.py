@@ -40,6 +40,7 @@ triples swap every kin triple's child in one seeded pass.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,18 +48,19 @@ import numpy as np
 
 from .data import (
     EmbeddingStore,
-    KinPair,
     PairLabel,
     PairSet,
     PersonRef,
     TriSample,
     TriSet,
+    _KIN,
     _check_id,
     _nonkin_tris,
     _write_rows,
     resample_nonkin,
 )
-from .relations import GRANDPARENT_CHILD, PARENT_CHILD, SIBLING, Gender, KinshipRelation
+from .relations import GENDER_BY_MALE, GRANDPARENT_CHILD_INDEX, PARENT_CHILD_INDEX, Gender
+from .relations import SIBLING_INDEX
 from .seeding import STREAM_FAMILY, STREAM_GENDER_AXIS, derive_rng
 
 SPLITS = ("train", "val", "test")
@@ -195,15 +197,17 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     founders: list[tuple] = []
     lineals: list[tuple] = []
     offspring: list[tuple] = []
-    split_kin: dict[str, list[tuple[int, int, KinshipRelation]]] = {s: [] for s in SPLITS}
+    # per split, the kin links as flat (role 1 row, role 2 row, canonical relation index) runs
+    split_kin: dict[str, list[int]] = {s: [] for s in SPLITS}
     split_children: dict[str, list[int]] = {s: [] for s in SPLITS}
     split_tri_kin: dict[str, list[TriSample]] = {s: [] for s in SPLITS}
 
-    def add_person(pid, fid, gender, rng, generation, parents=()) -> int:
-        """Append a person's records and draw their noise."""
+    def add_person(pid, fid, male, rng, generation, parents=()) -> int:
+        """Append a person's records and draw their noise; ``male`` is a bool."""
         row = len(refs)
         generation.append((row, *parents))
         rng.standard_normal(config.identity_dims, out=noise[row])
+        gender = GENDER_BY_MALE[male]
         refs.append(PersonRef(pid, fid, gender))
         pedigree.append(PedigreeEntry(pid, fid, gender, *(refs[r].person_id for r in parents)))
         return row
@@ -214,34 +218,32 @@ def generate_world(config: SynthConfig) -> SynthWorld:
             rng = derive_rng(config.seed, STREAM_FAMILY, family_counter)
             family_counter += 1
             fid = f"{split}_f{j:04d}"
-            gf = add_person(f"{fid}_gf", fid, Gender.MALE, rng, founders)
-            gm = add_person(f"{fid}_gm", fid, Gender.FEMALE, rng, founders)
-            lineal_gender = Gender.MALE if rng.integers(2) == 0 else Gender.FEMALE
-            lineal = add_person(f"{fid}_p", fid, lineal_gender, rng, lineals, (gf, gm))
-            spouse = add_person(f"{fid}_sp", fid, lineal_gender.opposite, rng, founders)
-            father, mother = (lineal, spouse) if lineal_gender is Gender.MALE else (spouse, lineal)
+            gf = add_person(f"{fid}_gf", fid, True, rng, founders)
+            gm = add_person(f"{fid}_gm", fid, False, rng, founders)
+            lineal_male = not rng.integers(2)
+            lineal = add_person(f"{fid}_p", fid, lineal_male, rng, lineals, (gf, gm))
+            spouse = add_person(f"{fid}_sp", fid, not lineal_male, rng, founders)
+            father, mother = (lineal, spouse) if lineal_male else (spouse, lineal)
 
             # the same draw as rng.choice(np.asarray(children_choices))
             n_children = config.children_choices[rng.integers(len(config.children_choices))]
-            children: list[tuple[int, Gender]] = []
+            children: list[tuple[int, bool]] = []
             for c in range(n_children):
-                cg = Gender.MALE if rng.integers(2) == 0 else Gender.FEMALE
-                child = add_person(f"{fid}_c{c}", fid, cg, rng, offspring, (father, mother))
-                children.append((child, cg))
+                cm = not rng.integers(2)
+                child = add_person(f"{fid}_c{c}", fid, cm, rng, offspring, (father, mother))
+                children.append((child, cm))
                 split_children[split].append(child)
 
             kin = split_kin[split]
-            for a in range(len(children)):
-                for b in range(a + 1, len(children)):
-                    (c1, g1), (c2, g2) = children[a], children[b]
-                    kin.append((c1, c2, SIBLING[g1, g2]))
-            for child, cg in children:
-                kin.append((father, child, PARENT_CHILD[(Gender.MALE, cg)]))
-                kin.append((mother, child, PARENT_CHILD[(Gender.FEMALE, cg)]))
-                kin.append((gf, child, GRANDPARENT_CHILD[(Gender.MALE, cg)]))
-                kin.append((gm, child, GRANDPARENT_CHILD[(Gender.FEMALE, cg)]))
+            for (c1, m1), (c2, m2) in itertools.combinations(children, 2):
+                kin += (c1, c2, SIBLING_INDEX[m1][m2])
+            for child, cm in children:
+                kin += (father, child, PARENT_CHILD_INDEX[1][cm])
+                kin += (mother, child, PARENT_CHILD_INDEX[0][cm])
+                kin += (gf, child, GRANDPARENT_CHILD_INDEX[1][cm])
+                kin += (gm, child, GRANDPARENT_CHILD_INDEX[0][cm])
                 trio = (refs[father].person_id, refs[mother].person_id, refs[child].person_id)
-                split_tri_kin[split].append(TriSample(*trio, cg, PairLabel.KIN))
+                split_tri_kin[split].append(TriSample(*trio, GENDER_BY_MALE[cm], PairLabel.KIN))
 
     # identities generation by generation, each from its parents' finished ones
     male = np.array([ref.gender is Gender.MALE for ref in refs])
@@ -255,17 +257,17 @@ def generate_world(config: SynthConfig) -> SynthWorld:
         )
     store = EmbeddingStore(refs, matrix)
 
-    ids = store.person_ids
+    ids = store.person_ids.__getitem__
     pool = np.array([row for s in SPLITS for row in split_children[s]], dtype=np.intp)
     kin_pairs: dict[str, PairSet] = {}
     eval_pairs: dict[str, PairSet] = {}
     tris: dict[str, TriSet] = {}
     for index, split in enumerate(SPLITS):
-        links = split_kin[split]
-        kin_set = PairSet(tuple(KinPair(ids[a], ids[b], rel, PairLabel.KIN) for a, b, rel in links))
+        rows1, rows2, rel = np.array(split_kin[split], dtype=np.intp).reshape(-1, 3).T
+        id1, id2 = (tuple(map(ids, rows.tolist())) for rows in (rows1, rows2))
+        kin_set = PairSet._from_columns(id1, id2, rel, np.full(len(rel), _KIN, dtype=np.int8))
         kin_pairs[split] = kin_set
-        nonkin_set = resample_nonkin(kin_set, store, config.seed, 0)
-        eval_pairs[split] = PairSet(kin_set.pairs + nonkin_set.pairs)
+        eval_pairs[split] = kin_set._then(resample_nonkin(kin_set, store, config.seed, 0))
         kin_tris = split_tri_kin[split]
         child_rows = np.array(split_children[split], dtype=np.intp)
         nonkin = _nonkin_tris(kin_tris, pool, child_rows, store, config.seed, index)

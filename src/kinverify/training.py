@@ -48,6 +48,8 @@ from .comparator import (
 from .data import (
     EmbeddingStore,
     PairSet,
+    _KIN,
+    _UNKNOWN,
     _gather_features,
     _nonkin_draw,
     _pair_rows,
@@ -317,7 +319,9 @@ def _epochs(state, train_config, epoch_data, step, l2_lambda):
     gradients into ``state.grads`` and returns the batch loss, then through
     one ADAM update with an L2 factor of ``l2_lambda``, whose penalty joins
     the batch loss. Yields (epoch, lr, batch losses) after every epoch;
-    with epochs=0 it yields nothing and leaves the parameters alone.
+    with epochs=0 it yields nothing and leaves the parameters alone. An
+    epoch that leaves a parameter or a second moment non-finite raises
+    FloatingPointError naming the epoch and the first such key.
     """
     tc = train_config
     for epoch in range(1, tc.epochs + 1):
@@ -330,6 +334,11 @@ def _epochs(state, train_config, epoch_data, step, l2_lambda):
             loss, _ = step(*(a[start : start + tc.batch_size] for a in arrays))
             penalty = adam_step(state, lr, l2_lambda)
             losses.append(loss + penalty)
+        finite = np.isfinite(state.param) & np.isfinite(state.v)
+        if not finite.all():
+            ends = np.cumsum([g.size for g in state.grads.values()])
+            key = list(state.grads)[np.searchsorted(ends, np.argmin(finite), side="right")]
+            raise FloatingPointError(f"training diverged in epoch {epoch}: {key} is not finite")
         yield epoch, lr, losses
 
 
@@ -364,12 +373,12 @@ def _kin_rows(store: EmbeddingStore, kin_pairs: PairSet, codes: tuple[str, ...])
     """Both trainers' kin intake: ``_pair_rows`` of ``augment_symmetric(kin_pairs)``.
 
     Raises ValueError on an empty set or on the first pair not labelled kin, named by
-    its index in ``kin_pairs`` (``augment_symmetric`` keeps those first, in order).
+    its index in ``kin_pairs``.
     """
     if len(kin_pairs) == 0:
         raise ValueError("train needs a non-empty kin pair set")
     rows = _pair_rows(store, augment_symmetric(kin_pairs), codes)
-    bad = np.flatnonzero(rows[3][: len(kin_pairs)] != 1.0)
+    bad = np.flatnonzero(kin_pairs.label != _KIN)
     if bad.size:
         raise ValueError(f"kin pair {bad[0]} is not labelled kin")
     return rows
@@ -397,14 +406,14 @@ def train(
     kin set holding a nonkin or unlabelled pair, a kin pair without a nonkin
     candidate, and a val set holding an unlabelled pair or not both classes.
 
-    The epoch works on store-row index arrays, not pair objects: the kin
-    and val pairs are vectorized once per call, each epoch's nonkin draw and
-    shuffle touch only index arrays, and each batch gathers its features
-    from ``store.matrix``. The parameters, their gradients and both ADAM
-    moments share one flat layout (``AdamState``), four copies of the
-    model; beyond them and one batch or block of val pairs (scored as by
-    ``score_pairs``), memory is O(persons + pairs) index arrays. The model
-    is returned as a copy.
+    The epoch works on store-row index arrays, not pair objects: the
+    columns of the kin and val pairs are vectorized once per call, each
+    epoch's nonkin draw and shuffle touch only index arrays, and each batch
+    gathers its features from ``store.matrix``. The parameters, their
+    gradients and both ADAM moments share one flat layout (``AdamState``),
+    four copies of the model; beyond them and one batch or block of val
+    pairs (scored as by ``score_pairs``), memory is O(persons + pairs)
+    index arrays. The model is returned as a copy.
     """
     if len(val_pairs) == 0:
         raise ValueError("train needs a non-empty val pair set")
@@ -417,9 +426,9 @@ def train(
     rows1, rows2, rel_idx, targets = _kin_rows(store, kin_pairs, codes)
     draw_nonkin = _nonkin_draw(store, rows1, rel_idx, codes, seed)
     val = _pair_rows(store, val_pairs, codes)
-    labels = [p.label for p in val_pairs]
-    if None in labels:  # _pair_rows would read it as nonkin
-        raise ValueError(f"val pair {labels.index(None)} has no label")
+    unlabelled = np.flatnonzero(val_pairs.label == _UNKNOWN)
+    if unlabelled.size:  # _pair_rows would read it as nonkin
+        raise ValueError(f"val pair {unlabelled[0]} has no label")
     if val[3].all() or not val[3].any():  # before an epoch is spent on it
         raise ValueError("calibration needs both kin and nonkin samples")
     rows1, rel_idx = np.concatenate([rows1, rows1]), np.concatenate([rel_idx, rel_idx])
@@ -511,7 +520,8 @@ def ablation_run(
     """Train one model per grid cell with a shared seed; report val accuracy.
 
     Cells are independent (each gets a fresh model from the same seed) and
-    run in grid order, so the output is deterministic row for row.
+    run in grid order, so the output is deterministic row for row. Under the
+    macro objective a cell's accuracy is its history's last val macro, if any.
     """
     grid = grid if grid is not None else default_ablation_grid()
     if not grid:
@@ -524,9 +534,11 @@ def ablation_run(
             activation=Activation(cell.activation),
             dropout_p=cell.dropout_p,
         )
-        params, _ = train(store, kin_pairs, val_pairs, cfg, train_config)
-        scored = score_pairs(params, store, val_pairs)
-        _, acc = calibrate_threshold(scored, objective=objective)
+        params, history = train(store, kin_pairs, val_pairs, cfg, train_config)
+        if objective is Objective.MACRO and history:
+            acc = history[-1].val_macro_acc
+        else:
+            _, acc = calibrate_threshold(score_pairs(params, store, val_pairs), objective=objective)
         results.append(AblationResult(cell, acc))
     return results
 

@@ -151,6 +151,44 @@ def resample_nonkin_loop(kin_pairs, store, base_seed, epoch):
     return out
 
 
+def pair_rows_loop(store, pairs, relation_codes):
+    """``data._pair_rows`` one ``KinPair`` at a time, as lists.
+
+    Every id1 is looked up before any id2, then every relation; the first
+    unknown id raises KeyError and then the first relation not among
+    ``relation_codes`` raises ValueError, with ``_pair_rows``' messages.
+    """
+    from kinverify.data import PairLabel
+
+    rows = []
+    for side in ("id1", "id2"):
+        column = []
+        for pair in pairs:
+            pid = getattr(pair, side)
+            if pid not in store:
+                raise KeyError(f"unknown person_id {pid!r}")
+            column.append(store.row(pid))
+        rows.append(column)
+    positions = []
+    for pair in pairs:
+        if pair.relation.value not in relation_codes:
+            raise ValueError(f"relation {pair.relation.value!r} not handled by this model")
+        positions.append(relation_codes.index(pair.relation.value))
+    targets = [1.0 if pair.label is PairLabel.KIN else 0.0 for pair in pairs]
+    return rows[0], rows[1], positions, targets
+
+
+def augment_symmetric_loop(pairs):
+    """The pairs, then a swapped copy of each pair whose relation is symmetric, in order."""
+    from kinverify.data import KinPair
+    from kinverify.relations import SYMMETRIC_RELATIONS
+
+    swapped = [
+        KinPair(p.id2, p.id1, p.relation, p.label) for p in pairs if p.relation in SYMMETRIC_RELATIONS
+    ]
+    return list(pairs) + swapped
+
+
 def nonkin_tris_loop(kin_tris, children, store, seed, split_index):
     """Nonkin triples the way ``synth`` once drew them: a child-pool mask per triple.
 

@@ -771,6 +771,23 @@ def _one_error_line(capsys, text):
     assert text in err
 
 
+def test_train_refuses_a_diverging_run(tmp_path, capsys):
+    from kinverify.data import EmbeddingStore, load_embeddings, save_embeddings
+
+    world, run = tmp_path / "world", tmp_path / "run"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"synth": {"identity_dims": 4}}))
+    assert main(["synth", "--config", str(config), "--out", str(world), "--seed", "1"] + SYNTH_ARGS) == 0
+    store = load_embeddings(world / "embeddings.csv")
+    refs = [store.person(pid) for pid in store.person_ids]
+    save_embeddings(EmbeddingStore(refs, store.matrix * 1e300), world / "embeddings.csv")
+    capsys.readouterr()
+    argv = ["train", "--data", str(world), "--out", str(run), "--hidden", "4", "--epochs", "2"]
+    assert main(argv) == 1
+    _one_error_line(capsys, "error: training diverged in epoch 1: expert0.W1 is not finite")
+    assert not run.exists()
+
+
 @pytest.mark.parametrize(
     "document,key",
     [

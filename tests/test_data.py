@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import re
@@ -31,9 +32,9 @@ from kinverify.data import (
     _nonkin_draw,
     _pair_rows,
 )
-from kinverify.relations import RELATION_ORDER, Gender, KinshipRelation
+from kinverify.relations import RELATION_ORDER, Gender, KinshipRelation, relation_index
 
-from oracles import resample_nonkin_loop
+from oracles import augment_symmetric_loop, pair_rows_loop, resample_nonkin_loop
 
 
 def small_store():
@@ -635,6 +636,74 @@ def test_train_rows_and_draw_match_the_augmented_pairs(world, codes):
         return
     partners = _nonkin_draw(store, rows[0], rows[2], codes, seed)(epoch)
     assert [store.person_ids[r] for r in partners] == [p.id2 for p in expected]
+
+
+@st.composite
+def pair_cases(draw):
+    """Pairs of any relation and label over a ``nonkin_worlds`` store, at most one with an
+    unknown id, and a prefix of a permutation of the relation codes."""
+    store, _, seed, epoch = draw(nonkin_worlds())
+    person = st.sampled_from(store.person_ids)
+    labels = st.sampled_from([PairLabel.KIN, PairLabel.NONKIN, None])
+    picks = st.tuples(person, person, st.sampled_from(KinshipRelation), labels)
+    pairs = [KinPair(*pick) for pick in draw(st.lists(picks, max_size=12))]
+    if draw(st.booleans()):
+        i, side = draw(st.integers(0, len(pairs))), draw(st.sampled_from(["id1", "id2"]))
+        ghost = KinPair(store.person_ids[0], store.person_ids[0], KinshipRelation.BB, None)
+        pairs.insert(i, dataclasses.replace(ghost, **{side: "ghost"}))
+    codes = draw(st.permutations([r.value for r in RELATION_ORDER]))
+    return store, pairs, tuple(codes[: draw(st.integers(1, len(codes)))]), seed, epoch
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (KeyError, ValueError) as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_cases())
+def test_column_and_object_pair_sets_agree(case):
+    store, pairs, codes, seed, epoch = case
+    objects = PairSet(tuple(pairs))
+    code = {PairLabel.NONKIN: 0, PairLabel.KIN: 1, None: 2}
+    columns = PairSet._from_columns(
+        tuple(p.id1 for p in pairs),
+        tuple(p.id2 for p in pairs),
+        np.array([relation_index(p.relation) for p in pairs], dtype=np.intp),
+        np.array([code[p.label] for p in pairs], dtype=np.int8),
+    )
+    assert columns.pairs == objects.pairs == tuple(pairs)
+    assert len(columns) == len(objects) == len(pairs)
+    assert list(columns) == list(objects) == pairs
+    assert columns == objects and hash(columns) == hash(objects)
+    if pairs:  # the same ids under other labels
+        relabelled = (columns.label + 1) % 3
+        assert PairSet._from_columns(columns.id1, columns.id2, columns.rel, relabelled) != objects
+
+    # _pair_rows against the pair-by-pair oracle, errors and messages included
+    expected = _outcome(pair_rows_loop, store, pairs, codes)
+    for pair_set in (objects, columns):
+        got = _outcome(_pair_rows, store, pair_set, codes)
+        if expected[0] == "error":
+            assert got == expected
+        else:
+            dtypes = (np.intp, np.intp, np.intp, np.float64)
+            assert [a.tolist() for a in got[1]] == list(expected[1])
+            assert [a.dtype for a in got[1]] == list(dtypes)
+
+    augmented = [augment_symmetric(pair_set) for pair_set in (objects, columns)]
+    assert augmented[0].pairs == augmented[1].pairs == tuple(augment_symmetric_loop(pairs))
+    assert augmented[0] == augmented[1]
+
+    drawn = [_outcome(resample_nonkin, s, store, seed, epoch) for s in (objects, columns)]
+    if drawn[0][0] == "error":
+        assert drawn[1] == drawn[0]
+        return
+    swapped = resample_nonkin_loop(pairs, store, seed, epoch)
+    expected = tuple(KinPair(a, b, p.relation, PairLabel.NONKIN) for p, (a, b) in zip(pairs, swapped))
+    assert drawn[0][1].pairs == drawn[1][1].pairs == expected
 
 
 def test_train_raises_the_empty_pool_error():

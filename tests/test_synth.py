@@ -315,6 +315,41 @@ def test_synthesis_bytes_are_pinned(tmp_path):
     assert written == {k: digest for k, digest in PINNED_SYNTH_SHA256.items() if k != "matrix"}
 
 
+# sha256 of the default world's store matrix bytes, and one over every split's pair
+# columns (kin, then eval) and triple columns, recorded before pair sets became columns.
+PINNED_DEFAULT_WORLD_SHA256 = {
+    "matrix": "683a5d4c04d99a578c5057ec5ba65db915d1513a17b45db38081bd401828fb75",
+    "pairs and triples": "e036a4acdc56194af65d9a73635ea5cd96ee399edba7ba2e389465d219f50204",
+}
+
+
+def test_default_world_is_pinned(default_world):
+    import hashlib
+
+    world = default_world
+    assert hashlib.sha256(world.store.matrix.tobytes()).hexdigest() == (
+        PINNED_DEFAULT_WORLD_SHA256["matrix"]
+    )
+    digest = hashlib.sha256()
+    for split in SPLITS:
+        for pairs in (world.kin_pairs[split], world.eval_pairs[split]):
+            digest.update(repr((list(pairs.id1), list(pairs.id2), pairs.rel.tolist(),
+                                pairs.label.tolist())).encode())
+        tris = world.tris[split]
+        columns = [[getattr(t, f) for t in tris] for f in ("father_id", "mother_id", "child_id")]
+        columns += [[t.child_gender.value for t in tris], [t.label.value for t in tris]]
+        digest.update(repr(columns).encode())
+    assert digest.hexdigest() == PINNED_DEFAULT_WORLD_SHA256["pairs and triples"]
+
+
+def test_eval_pairs_share_the_kin_pairs_objects(tiny_world):
+    # both views are built on first use; the eval set's first half is its kin set's
+    for split in SPLITS:
+        kin, evals = tiny_world.kin_pairs[split], tiny_world.eval_pairs[split]
+        assert len(evals) == 2 * len(kin)
+        assert all(a is b for a, b in zip(evals.pairs, kin.pairs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 9).flatmap(lambda dim: st.tuples(st.just(dim), st.integers(1, dim))),

@@ -366,6 +366,27 @@ def test_train_rejects_an_empty_kin_or_val_set(tiny_world):
                 train_attention(init_params(config, 0), world.store, bad, tc)
 
 
+def test_divergence_is_an_error():
+    # an ADAM second moment that overflows to inf makes every later step 0.0, which froze
+    # the parameters without a word; the epoch loop refuses a non-finite moment or parameter
+    from kinverify.data import EmbeddingStore
+    from kinverify.synth import SynthConfig, generate_world
+
+    world = generate_world(SynthConfig(
+        dim=8, identity_dims=4, n_train_families=8, n_val_families=3, n_test_families=3, seed=1
+    ))
+    refs = [world.store.person(pid) for pid in world.store.person_ids]
+    store = EmbeddingStore(refs, world.store.matrix * 1e300)
+    config, tc = ComparatorConfig(input_dim=16, hidden=4), TrainConfig(epochs=2, seed=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as exc:
+            train(store, world.kin_pairs["train"], world.eval_pairs["val"], config, tc)
+        assert str(exc.value) == "training diverged in epoch 1: expert0.W1 is not finite"
+        with pytest.raises(FloatingPointError) as exc:
+            train_attention(init_params(config, 1), store, world.kin_pairs["train"], tc)
+        assert str(exc.value) == "training diverged in epoch 1: attention.W is not finite"
+
+
 @st.composite
 def backward_cases(draw):
     codes = ("BB", "SIBS", "SS", "FD", "FS")
