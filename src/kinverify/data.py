@@ -14,9 +14,9 @@ hold a comma or a line break, so every file loads back as saved. The
 loaders and the CLI queries build every pair and triple through one
 checked constructor per record, so they give the same reasons.
 
-A ``PairSet`` holds aligned columns. ``augment_symmetric``,
-``resample_nonkin``, ``save_pairs`` and ``_pair_rows`` work on them alone,
-so a set built from columns makes its ``KinPair`` objects only when read.
+A ``PairSet`` holds aligned columns, and the functions typed to take one
+read only those; a set built from columns makes its ``KinPair`` objects
+only when they are read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 
 from .relations import (
     CANONICAL_RELATION_CODES,
-    GENDER_BY_MALE,
     RELATION_ORDER,
     SYMMETRIC_RELATIONS,
     Gender,
@@ -198,13 +197,10 @@ _SYMMETRIC = np.array([r in SYMMETRIC_RELATIONS for r in RELATION_ORDER])
 
 
 class PairSet:
-    """Pairs as aligned columns: ``id1`` and ``id2`` (tuples of person ids),
-    ``rel`` (canonical relation index) and ``label`` (code 0 nonkin, 1 kin,
-    2 unknown), both read-only arrays. Sets with equal columns are equal.
-
-    ``PairSet(pairs)`` takes a tuple of ``KinPair``, which is then its
-    ``pairs``. A set made from columns builds its ``pairs``, which iteration
-    yields, once, on first use.
+    """Pairs as read-only aligned columns: ``id1`` and ``id2`` (tuples of person
+    ids), ``rel`` (canonical relation indices) and ``label`` (0 nonkin, 1 kin,
+    2 unknown). ``PairSet(pairs)`` keeps its ``KinPair`` tuple as ``pairs``; a set
+    built from columns builds ``pairs``, which iteration yields, on first use.
     """
 
     def __init__(self, pairs: tuple[KinPair, ...] = ()):
@@ -239,6 +235,11 @@ class PairSet:
         labels = map(_LABELS.__getitem__, self.label.tolist())
         return tuple(map(KinPair, self.id1, self.id2, rels, labels))
 
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a PairSet is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
     def __len__(self) -> int:
         return len(self.id1)
 
@@ -250,9 +251,6 @@ class PairSet:
             return NotImplemented
         same = (self.id1, self.id2) == (other.id1, other.id2)
         return same and all(map(np.array_equal, (self.rel, self.label), (other.rel, other.label)))
-
-    def __hash__(self) -> int:
-        return hash((self.id1, self.id2))
 
 
 @dataclass(frozen=True)
@@ -555,9 +553,9 @@ def _nonkin_draw(
     """
     family, male, family_names = store._person_tables
     relations = [KinshipRelation(code) for code in relation_codes]
-    role2_male = np.array(  # by the male flag of id1
-        [[role2_gender(r, g) is Gender.MALE for r in relations] for g in GENDER_BY_MALE],
-        dtype=np.intp,
+    genders = (Gender.FEMALE, Gender.MALE)  # indexed by the male flag of id1
+    role2_male = np.array(
+        [[role2_gender(r, g) is Gender.MALE for r in relations] for g in genders], dtype=np.intp
     )
     want = role2_male[male[rows1], rel_idx]
     sizes, draw = _cross_family_draw(store, np.arange(len(store)), want, rows1)

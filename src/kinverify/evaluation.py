@@ -395,7 +395,7 @@ def score_tris(
     MS/MD by the child's gender); all of them run stacked through one
     relation-prefix eval loop (``_selected_probs``). The fusion is the exact mean.
     """
-    samples = tris.samples
+    samples = list(tris)
     if not samples:
         raise ValueError("empty tri set")
     n = len(samples)

@@ -48,7 +48,6 @@ from .comparator import (
 from .data import (
     EmbeddingStore,
     PairSet,
-    _KIN,
     _UNKNOWN,
     _gather_features,
     _nonkin_draw,
@@ -373,12 +372,12 @@ def _kin_rows(store: EmbeddingStore, kin_pairs: PairSet, codes: tuple[str, ...])
     """Both trainers' kin intake: ``_pair_rows`` of ``augment_symmetric(kin_pairs)``.
 
     Raises ValueError on an empty set or on the first pair not labelled kin, named by
-    its index in ``kin_pairs``.
+    its index in ``kin_pairs`` (``augment_symmetric`` keeps those first, in order).
     """
     if len(kin_pairs) == 0:
         raise ValueError("train needs a non-empty kin pair set")
     rows = _pair_rows(store, augment_symmetric(kin_pairs), codes)
-    bad = np.flatnonzero(kin_pairs.label != _KIN)
+    bad = np.flatnonzero(rows[3][: len(kin_pairs)] != 1.0)
     if bad.size:
         raise ValueError(f"kin pair {bad[0]} is not labelled kin")
     return rows
@@ -406,14 +405,14 @@ def train(
     kin set holding a nonkin or unlabelled pair, a kin pair without a nonkin
     candidate, and a val set holding an unlabelled pair or not both classes.
 
-    The epoch works on store-row index arrays, not pair objects: the
-    columns of the kin and val pairs are vectorized once per call, each
-    epoch's nonkin draw and shuffle touch only index arrays, and each batch
-    gathers its features from ``store.matrix``. The parameters, their
-    gradients and both ADAM moments share one flat layout (``AdamState``),
-    four copies of the model; beyond them and one batch or block of val
-    pairs (scored as by ``score_pairs``), memory is O(persons + pairs)
-    index arrays. The model is returned as a copy.
+    The epoch works on store-row index arrays, not pair objects: the kin
+    and val pairs are vectorized once per call, each epoch's nonkin draw and
+    shuffle touch only index arrays, and each batch gathers its features
+    from ``store.matrix``. The parameters, their gradients and both ADAM
+    moments share one flat layout (``AdamState``), four copies of the
+    model; beyond them and one batch or block of val pairs (scored as by
+    ``score_pairs``), memory is O(persons + pairs) index arrays. The model
+    is returned as a copy.
     """
     if len(val_pairs) == 0:
         raise ValueError("train needs a non-empty val pair set")
@@ -520,8 +519,7 @@ def ablation_run(
     """Train one model per grid cell with a shared seed; report val accuracy.
 
     Cells are independent (each gets a fresh model from the same seed) and
-    run in grid order, so the output is deterministic row for row. Under the
-    macro objective a cell's accuracy is its history's last val macro, if any.
+    run in grid order, so the output is deterministic row for row.
     """
     grid = grid if grid is not None else default_ablation_grid()
     if not grid:
@@ -534,11 +532,9 @@ def ablation_run(
             activation=Activation(cell.activation),
             dropout_p=cell.dropout_p,
         )
-        params, history = train(store, kin_pairs, val_pairs, cfg, train_config)
-        if objective is Objective.MACRO and history:
-            acc = history[-1].val_macro_acc
-        else:
-            _, acc = calibrate_threshold(score_pairs(params, store, val_pairs), objective=objective)
+        params, _ = train(store, kin_pairs, val_pairs, cfg, train_config)
+        scored = score_pairs(params, store, val_pairs)
+        _, acc = calibrate_threshold(scored, objective=objective)
         results.append(AblationResult(cell, acc))
     return results
 

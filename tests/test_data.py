@@ -677,7 +677,11 @@ def test_column_and_object_pair_sets_agree(case):
     assert columns.pairs == objects.pairs == tuple(pairs)
     assert len(columns) == len(objects) == len(pairs)
     assert list(columns) == list(objects) == pairs
-    assert columns == objects and hash(columns) == hash(objects)
+    assert columns == objects
+    for pair_set in (objects, columns):  # read-only: no column can drift from the cached pairs
+        assert not (pair_set.rel.flags.writeable or pair_set.label.flags.writeable)
+        with pytest.raises(AttributeError, match="read-only"):
+            pair_set.id1 = ()
     if pairs:  # the same ids under other labels
         relabelled = (columns.label + 1) % 3
         assert PairSet._from_columns(columns.id1, columns.id2, columns.rel, relabelled) != objects

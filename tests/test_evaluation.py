@@ -544,20 +544,6 @@ def test_ablation_single_cell_equals_plain_train(tiny_world):
     assert history[-1].val_macro_acc == expected  # the array validation path, bit for bit
 
 
-def test_ablation_scores_again_under_micro_or_without_epochs(tiny_world):
-    # only a macro cell with a history takes its accuracy from it
-    world = tiny_world
-    kin, val = world.kin_pairs["train"], world.eval_pairs["val"]
-    config = ComparatorConfig(input_dim=2 * world.store.dim, hidden=4, dropout_p=0.2)
-    for epochs, objective in ((1, Objective.MICRO), (0, Objective.MACRO)):
-        tcfg = TrainConfig(epochs=epochs, batch_size=64, seed=5)
-        grid = (AblationCell("lrelu", 0.2, 4),)
-        [result] = ablation_run(world.store, kin, val, tcfg, grid=grid, objective=objective)
-        params, _ = train(world.store, kin, val, config, tcfg)
-        _, expected = calibrate_threshold(score_pairs(params, world.store, val), objective)
-        assert result.accuracy == expected
-
-
 def test_per_relation_thresholds_extension():
     # BB pairs separate around 0.5, FD pairs around 0.2: a single global
     # threshold cannot be perfect, per-relation thresholds can
