@@ -226,9 +226,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params, store, threshold = _query_inputs(args)
-    pair = _checked_pair(store, args.id1, args.id2, args.relation, None)
-    f1, f2 = store.embedding(pair.id1), store.embedding(pair.id2)
-    score, decision = verify(params, f1, f2, pair.relation, threshold)
+    id1, id2, relation, _ = _checked_pair(store, args.id1, args.id2, args.relation, None)
+    f1, f2 = store.embedding(id1), store.embedding(id2)
+    score, decision = verify(params, f1, f2, relation, threshold)
     print(f"score={score:.6f} threshold={threshold:.6f} decision={decision.value}")
     return 0
 

@@ -9,7 +9,8 @@ model lacks the head), eval's ``--calibrate``, ``--threshold``,
 ``--relations``, ``--range``. Unknown keys are rejected by name rather than
 ignored; a typo that silently falls back to a default would invalidate a
 whole experiment. Numbers must be finite. Each default has one home: the
-synth and train sections take theirs from the library's config classes.
+synth and train sections take theirs from the library's config classes,
+the seed from ``seeding.DEFAULT_SEED``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Any
 from .comparator import Activation, ComparatorConfig, SharingMode
 from .data import _atomic_open
 from .evaluation import Objective
+from .seeding import DEFAULT_SEED
 from .synth import SynthConfig
 from .training import TrainConfig
 
@@ -33,9 +35,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(name: str, library: type, leave_out: set[str]) -> type:
-    """A file section with the fields and defaults of a library config class."""
-    kept = [f for f in fields(library) if f.name not in leave_out]
+def _section(name: str, library: type) -> type:
+    """A file section with the fields and defaults of a library config class but the seed."""
+    kept = [f for f in fields(library) if f.name != "seed"]
     return make_dataclass(
         name,
         [(f.name, f.type, field(default=f.default)) for f in kept],
@@ -44,9 +46,8 @@ def _section(name: str, library: type, leave_out: set[str]) -> type:
     )
 
 
-# The seed comes from the top level.
-SynthSection = _section("SynthSection", SynthConfig, {"seed"})
-TrainSection = _section("TrainSection", TrainConfig, {"seed"})
+SynthSection = _section("SynthSection", SynthConfig)
+TrainSection = _section("TrainSection", TrainConfig)
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class EvalSection:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = SynthConfig.seed
+    seed: int = DEFAULT_SEED
     synth: SynthSection = field(default_factory=SynthSection)
     model: ModelSection = field(default_factory=ModelSection)
     train: TrainSection = field(default_factory=TrainSection)
@@ -100,9 +101,7 @@ class RunConfig:
         return TrainConfig(**dataclasses.asdict(self.train), seed=self.seed)
 
     def to_dict(self) -> dict[str, Any]:
-        out = dataclasses.asdict(self)
-        out["synth"]["children_choices"] = list(self.synth.children_choices)
-        return out
+        return dataclasses.asdict(self)
 
 
 _SECTIONS = {"synth": SynthSection, "model": ModelSection, "train": TrainSection, "eval": EvalSection}
@@ -117,26 +116,19 @@ _SCALARS = {
 
 
 def _coerce(value: Any, annotation: str, key: str) -> Any:
-    if annotation in _SCALARS:
-        types, what = _SCALARS[annotation]
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
-        if annotation != "float":
-            return value
-        # json reads NaN, Infinity and 1e400 as floats, and a long integer may not fit one
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"config key '{key}' must be a finite number, got {value!r}")
-        return number
-    # tuple[int, ...]
-    if isinstance(value, (list, tuple)) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        return tuple(value)
-    raise ConfigError(f"config key '{key}' must be a list of integers, got {value!r}")
+    types, what = _SCALARS[annotation]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"config key '{key}' must be {what}, got {value!r}")
+    if annotation != "float":
+        return value
+    # json reads NaN, Infinity and 1e400 as floats, and a long integer may not fit one
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config key '{key}' must be a finite number, got {value!r}")
+    return number
 
 
 def _build_section(cls: type, data: dict[str, Any], prefix: str) -> Any:

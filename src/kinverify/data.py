@@ -204,12 +204,17 @@ class PairSet:
     """
 
     def __init__(self, pairs: tuple[KinPair, ...] = ()):
-        pairs, field = tuple(pairs), operator.attrgetter
+        pairs = tuple(pairs)
+        fields = (tuple(map(operator.attrgetter(f), pairs)) for f in KinPair.__slots__)
+        vars(self).update(vars(PairSet._from_fields(*fields)), pairs=pairs)
+
+    @classmethod
+    def _from_fields(cls, id1, id2, relations, labels) -> "PairSet":
+        """The set of these ``KinPair`` field columns (``relation`` and ``label`` members)."""
         # tuple.index compares by identity first, so no lookup hashes an Enum member
-        rel = np.fromiter(map(RELATION_ORDER.index, map(field("relation"), pairs)), np.intp)
-        label = np.fromiter(map(_LABELS.index, map(field("label"), pairs)), np.int8)
-        ids = (tuple(map(field("id1"), pairs)), tuple(map(field("id2"), pairs)))
-        vars(self).update(vars(PairSet._from_columns(*ids, rel, label)), pairs=pairs)
+        rel = np.fromiter(map(RELATION_ORDER.index, relations), np.intp, len(id1))
+        label = np.fromiter(map(_LABELS.index, labels), np.int8, len(id1))
+        return cls._from_columns(id1, id2, rel, label)
 
     @classmethod
     def _from_columns(cls, id1, id2, rel, label, parts=()) -> "PairSet":
@@ -367,8 +372,8 @@ def _check_people(store: EmbeddingStore, what: str, *ids: str) -> None:
 
 def _checked_pair(
     store: EmbeddingStore, id1: str, id2: str, relation: str, label: str | None
-) -> KinPair:
-    """The pair of raw fields, checked against the store; raises ValueError with the reason.
+) -> tuple[str, str, KinshipRelation, PairLabel | None]:
+    """The ``KinPair`` fields of raw fields, checked against the store; raises ValueError.
 
     A ``label`` of None makes a pair still to be verified, whose families are
     not checked.
@@ -384,7 +389,7 @@ def _checked_pair(
         raise ValueError("kin pair spans two families")
     if known is PairLabel.NONKIN and p1.family_id == p2.family_id:
         raise ValueError("nonkin pair within a single family")
-    return KinPair(id1, id2, rel, known)
+    return id1, id2, rel, known
 
 
 def _checked_tri(
@@ -450,8 +455,9 @@ def save_pairs(pairs: PairSet, path: str | Path) -> None:
 
 
 def load_pairs(path: str | Path, store: EmbeddingStore) -> PairSet:
-    """Parse a pairs CSV, validating every row against the store."""
-    return PairSet(tuple(_read_rows(Path(path), _PAIR_HEADER, _checked_pair, store)))
+    """Parse a pairs CSV, validating every row against the store; builds no ``KinPair``."""
+    rows = _read_rows(Path(path), _PAIR_HEADER, _checked_pair, store)
+    return PairSet._from_fields(*(tuple(zip(*rows)) or ((),) * 4))
 
 
 def save_tri(tris: TriSet, path: str | Path) -> None:

@@ -13,11 +13,11 @@ nonkin. Cosine distances run the other way, so callers that calibrate or
 rank them pass the negated distances; negation is exact, so the midpoints,
 sentinels, accuracies and AUC are those of a lower-is-kin rule.
 
-``score_pairs`` returns a :class:`ScoredSet`: the scored pairs' tuple and
-three aligned columns (score, canonical relation index, kin bit), which
-iterates as :class:`ScoredPair` objects built one at a time. Every other
-public function here takes a ``ScoredSet`` or a list of ``ScoredPair`` and
-runs on those three columns.
+``score_pairs`` returns a :class:`ScoredSet`: the scored ``PairSet`` and
+its score column, which iterates as :class:`ScoredPair` objects built one
+at a time. Every other public function here takes a ``ScoredSet`` or a
+list of ``ScoredPair`` and runs on three columns: the scores and the pair
+set's relation index and kin bit.
 Nothing here trains: the ablation grid, which trains and then scores one
 model per cell, lives in :mod:`kinverify.training`.
 """
@@ -31,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .comparator import EVAL_BLOCK_ROWS, ComparatorParams, _cascade, stable_sigmoid
-from .data import EmbeddingStore, KinPair, PairLabel, PairSet, TriSample, TriSet
-from .data import _LABELS, _gather_features, _pair_rows, _write_rows
+from .data import EmbeddingStore, KinPair, PairSet, TriSample, TriSet
+from .data import _KIN, _LABELS, _gather_features, _pair_rows, _write_rows
 from .relations import CANONICAL_RELATION_CODES, PARENT_CHILD_INDEX, RELATION_ORDER, Gender
-from .relations import relation_index
 
 
 class Scorer(enum.Enum):
@@ -55,24 +54,21 @@ class ScoredPair:
 
 @dataclass(frozen=True, eq=False)
 class ScoredSet:
-    """Scored pairs as columns: ``pairs[i]`` has score ``scores[i]``.
+    """A scored ``PairSet``: pair ``i`` of ``pairs`` has score ``scores[i]``.
 
-    ``rel`` holds each pair's canonical relation index and ``is_kin`` its
-    kin bit. The columns are taken over without a copy and marked
-    read-only. Iteration yields ``ScoredPair`` objects one at a time.
+    The scores column is taken over without a copy and marked read-only.
+    Iteration yields ``ScoredPair`` objects one at a time, from the pair
+    set's ``KinPair`` tuple.
     """
 
-    pairs: tuple[KinPair, ...]
+    pairs: PairSet
     scores: np.ndarray  # float64
-    rel: np.ndarray  # intp
-    is_kin: np.ndarray  # bool
 
     def __post_init__(self):
-        for column in (self.scores, self.rel, self.is_kin):
-            column.setflags(write=False)
+        self.scores.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.scores)
 
     def __iter__(self):
         return map(ScoredPair, self.pairs, self.scores.tolist())
@@ -91,18 +87,18 @@ def score_pairs(
     (see ``_selected_probs``). Cosine scores are cosine distances (lower
     means kin), computed one block of ``EVAL_BLOCK_ROWS`` pairs at a time;
     negate them before calibrating or ranking. The result keeps a
-    ``PairSet``'s own tuple of pairs and its ``rel`` column.
+    ``PairSet`` itself; a list is scored as the ``PairSet`` of its pairs.
     """
     pairs = pairs if isinstance(pairs, PairSet) else PairSet(tuple(pairs))
     if scorer is Scorer.COSINE:
-        rows1, rows2, _, targets = _pair_rows(store, pairs, CANONICAL_RELATION_CODES)
+        rows1, rows2, _, _ = _pair_rows(store, pairs, CANONICAL_RELATION_CODES)
         scores = _cosine_distances(store.matrix, rows1, rows2)
     else:
         if params is None:
             raise ValueError("comparator scoring needs model parameters")
-        rows1, rows2, pos, targets = _pair_rows(store, pairs, params.config.relations)
+        rows1, rows2, pos, _ = _pair_rows(store, pairs, params.config.relations)
         scores = _selected_probs(params, store.matrix, rows1, rows2, pos)
-    return ScoredSet(pairs.pairs, scores, pairs.rel, targets == 1.0)
+    return ScoredSet(pairs, scores)
 
 
 def _cosine_distances(matrix: np.ndarray, rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
@@ -145,16 +141,15 @@ def _selected_probs(params: ComparatorParams, matrix, rows1, rows2, pos) -> np.n
 def _columns(scored: ScoredSet | list[ScoredPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scores, canonical relation index, is_kin) of scored pairs.
 
-    A ``ScoredSet`` hands over its own columns; a list is converted. A NaN
-    or infinite score raises ValueError naming the first such pair: it
-    would be ranked, binned or calibrated as if it were a score.
+    A ``ScoredSet`` hands over its scores and its pairs' columns; a list is
+    converted to one first. A NaN or infinite score raises ValueError naming
+    the first such pair: it would be ranked, binned or calibrated as if it
+    were a score.
     """
-    if isinstance(scored, ScoredSet):
-        scores, rel, is_kin = scored.scores, scored.rel, scored.is_kin
-    else:
+    if not isinstance(scored, ScoredSet):
         scores = np.array([s.score for s in scored], dtype=np.float64)
-        rel = np.array([relation_index(s.pair.relation) for s in scored], dtype=np.intp)
-        is_kin = np.array([s.pair.label is PairLabel.KIN for s in scored], dtype=bool)
+        scored = ScoredSet(PairSet(tuple(s.pair for s in scored)), scores)
+    scores, rel, is_kin = scored.scores, scored.pairs.rel, scored.pairs.label == _KIN
     if not np.isfinite(scores).all():
         i = int(np.flatnonzero(~np.isfinite(scores))[0])
         raise ValueError(f"scored pair {i} has a non-finite score {float(scores[i])!r}")

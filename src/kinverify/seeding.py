@@ -4,12 +4,14 @@ All randomness flows through ``derive_rng``. A stream is identified by a
 base seed, a stream tag and optional extra integers (epoch number, family
 index), mixed as ``numpy.random.SeedSequence([base_seed, tag, *extra])``.
 Two runs with the same base seed therefore replay bit-identically, while
-distinct tags never collide.
+distinct tags never collide. ``DEFAULT_SEED`` is every config's default.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+DEFAULT_SEED = 4
 
 STREAM_GENDER_AXIS = 0
 STREAM_FAMILY = 1

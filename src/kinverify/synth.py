@@ -3,14 +3,14 @@
 Each person carries a heritable identity vector and an embedding derived
 from it:
 
-    identity  = w_h * parent_mean + scale * eta_k / sqrt(k)
-    embedding = normalize(express(identity, gender) + w_g * s * g)
+    identity  = HERITABILITY * parent_mean + scale * eta_k / sqrt(k)
+    embedding = normalize(express(identity, gender) + gender_weight * s * g)
 
 where ``g`` is one global unit "gender axis" per world, ``s`` is +1 for
 males and -1 for females, and ``eta_k`` is standard normal noise confined
-to the first ``k = identity_dims`` coordinates. ``scale`` is the noise
-weight for children and founder_scale times that for founders, so family
-lines start with much more identity variation than each generation adds.
+to the first ``k = identity_dims`` coordinates. ``scale`` is NOISE_WEIGHT
+for children and FOUNDER_SCALE times that for founders, so family lines
+start with much more identity variation than each generation adds.
 Founders use a zero parent mean; a child's is 0.5 * (father + mother) of
 the parents' identity vectors. ``express`` flips the sign of a fixed
 fraction of identity coordinates for females (one mask per world), modeling
@@ -25,7 +25,7 @@ sees raw coordinates can undo the fixed flip and recover the heredity
 signal.
 
 Every family holds a grandfather, a grandmother, their child (the lineal
-parent), a married-in spouse and two or more children, so a world
+parent), a married-in spouse and 3 or 4 children (CHILDREN_CHOICES), so a world
 instantiates all eleven relation types. Kin pairs are enumerated with the
 children in role 2: sibling pairs among the children, parent-child pairs
 from both parents, grandparent pairs from both grandparents through the
@@ -61,9 +61,15 @@ from .data import (
 )
 from .relations import GENDER_BY_MALE, GRANDPARENT_CHILD_INDEX, PARENT_CHILD_INDEX, Gender
 from .relations import SIBLING_INDEX
-from .seeding import STREAM_FAMILY, STREAM_GENDER_AXIS, derive_rng
+from .seeding import DEFAULT_SEED, STREAM_FAMILY, STREAM_GENDER_AXIS, derive_rng
 
 SPLITS = ("train", "val", "test")
+
+# The world's fixed recipe (see the module docstring), this package's own tuning, not options.
+CHILDREN_CHOICES = (3, 4)
+HERITABILITY = 1.414
+NOISE_WEIGHT = 0.33
+FOUNDER_SCALE = 3.0
 
 
 @dataclass(frozen=True)
@@ -73,13 +79,9 @@ class SynthConfig:
     n_train_families: int = 900
     n_val_families: int = 90
     n_test_families: int = 90
-    children_choices: tuple[int, ...] = (3, 4)
-    heritability: float = 1.414
     gender_weight: float = 0.45
-    noise_weight: float = 0.33
-    founder_scale: float = 3.0
     expression_flip_fraction: float = 0.55
-    seed: int = 4
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.dim < 2:
@@ -89,16 +91,8 @@ class SynthConfig:
         for name in ("n_train_families", "n_val_families", "n_test_families"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not self.children_choices or min(self.children_choices) < 2:
-            raise ValueError("children_choices must contain integers >= 2")
-        # written so that NaN fails them
-        weights = (self.heritability, self.gender_weight, self.noise_weight)
-        if not all(0 <= w < np.inf for w in weights):
-            raise ValueError("latent weights must be non-negative and finite")
-        if not sum(weights) > 0:
-            raise ValueError("at least one latent weight must be positive")
-        if not 0 < self.founder_scale < np.inf:
-            raise ValueError("founder_scale must be positive and finite")
+        if not 0 <= self.gender_weight < np.inf:  # written so that NaN fails it
+            raise ValueError("gender_weight must be non-negative and finite")
         if not 0.0 <= self.expression_flip_fraction <= 1.0:
             raise ValueError("expression_flip_fraction must lie in [0, 1]")
         if self.seed < 0:
@@ -152,8 +146,8 @@ def _latent(
     The heritable identity is the weighted parent mean plus personal noise,
     confined to the first ``identity_dims`` coordinates (the standard normal
     rows of ``noise`` scaled by 1/sqrt(identity_dims), so its expected norm
-    equals the noise weight). Founders (``parent_mean`` None) use a zero
-    parent mean and draw their identity at ``founder_scale`` times the noise
+    equals NOISE_WEIGHT). Founders (``parent_mean`` None) use a zero
+    parent mean and draw their identity at FOUNDER_SCALE times the noise
     weight, so family lines start with far more identity variation than each
     generation adds. Females express the identity through the world's flip
     mask before the gender axis is added. Each row takes the operations of
@@ -161,17 +155,15 @@ def _latent(
     """
     k = config.identity_dims
     founders = parent_mean is None
-    scale = config.founder_scale * config.noise_weight if founders else config.noise_weight
+    scale = FOUNDER_SCALE * NOISE_WEIGHT if founders else NOISE_WEIGHT
     identity = np.zeros((len(noise), config.dim), dtype=np.float64)
     identity[:, :k] = scale * noise / np.sqrt(k)
     if not founders:
-        identity = identity + config.heritability * parent_mean
+        identity = identity + HERITABILITY * parent_mean
     signs = np.where(male, 1.0, -1.0)
     expression = np.where(male[:, None], 1.0, flip_mask)
     v = identity * expression + (config.gender_weight * signs)[:, None] * gender_axis
     norm = np.sqrt([row.dot(row) for row in v])  # np.linalg.norm's bits, row by row
-    if not norm.all():
-        raise ValueError("degenerate latent configuration produced a zero embedding")
     return v / norm[:, None], identity
 
 
@@ -190,7 +182,7 @@ def generate_world(config: SynthConfig) -> SynthWorld:
     flip_mask = expression_mask(config, axis_rng)
 
     n_families = sum(config.families_per_split().values())
-    noise = np.empty((n_families * (4 + max(config.children_choices)), config.identity_dims))
+    noise = np.empty((n_families * (4 + max(CHILDREN_CHOICES)), config.identity_dims))
     refs: list[PersonRef] = []
     pedigree: list[PedigreeEntry] = []
     # per generation: (row,) of a founder, (row, father row, mother row) of the rest
@@ -225,8 +217,8 @@ def generate_world(config: SynthConfig) -> SynthWorld:
             spouse = add_person(f"{fid}_sp", fid, not lineal_male, rng, founders)
             father, mother = (lineal, spouse) if lineal_male else (spouse, lineal)
 
-            # the same draw as rng.choice(np.asarray(children_choices))
-            n_children = config.children_choices[rng.integers(len(config.children_choices))]
+            # the same draw as rng.choice(np.asarray(CHILDREN_CHOICES))
+            n_children = CHILDREN_CHOICES[rng.integers(len(CHILDREN_CHOICES))]
             children: list[tuple[int, bool]] = []
             for c in range(n_children):
                 cm = not rng.integers(2)

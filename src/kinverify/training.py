@@ -56,7 +56,7 @@ from .data import (
     augment_symmetric,
 )
 from .evaluation import Objective, _calibrate, _selected_probs, calibrate_threshold, score_pairs
-from .seeding import STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
+from .seeding import DEFAULT_SEED, STREAM_DROPOUT, STREAM_SHUFFLE, derive_rng
 
 GradientSet = dict[str, np.ndarray]
 
@@ -75,7 +75,7 @@ L2_LAMBDA = 2e-4
 class TrainConfig:
     epochs: int = 4
     batch_size: int = 200
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.epochs < 0:

@@ -393,12 +393,14 @@ def load_embeddings_loop(path):
 
 def latent_scalar(male, noise, parent_mean, gender_axis, config, flip_mask):
     """One person's (embedding, identity), one vector at a time, as ``synth`` once computed them."""
+    from kinverify.synth import FOUNDER_SCALE, HERITABILITY, NOISE_WEIGHT
+
     k = config.identity_dims
-    scale = config.noise_weight if parent_mean is not None else config.founder_scale * config.noise_weight
+    scale = NOISE_WEIGHT if parent_mean is not None else FOUNDER_SCALE * NOISE_WEIGHT
     identity = np.zeros(config.dim, dtype=np.float64)
     identity[:k] = scale * noise / np.sqrt(k)
     if parent_mean is not None:
-        identity = identity + config.heritability * parent_mean
+        identity = identity + HERITABILITY * parent_mean
     expressed = identity
     if flip_mask is not None and not male:
         expressed = identity * flip_mask

@@ -70,17 +70,13 @@ DEFAULT_CONFIG_DICT = {
     "model": {"activation": "lrelu", "dropout": 0.2, "hidden": 192, "sharing": "per-expert"},
     "seed": 4,
     "synth": {
-        "children_choices": [3, 4],
         "dim": 64,
         "expression_flip_fraction": 0.55,
-        "founder_scale": 3.0,
         "gender_weight": 0.45,
-        "heritability": 1.414,
         "identity_dims": 32,
         "n_test_families": 90,
         "n_train_families": 900,
         "n_val_families": 90,
-        "noise_weight": 0.33,
     },
     "train": {"batch_size": 200, "epochs": 4},
 }
@@ -88,10 +84,11 @@ DEFAULT_CONFIG_DICT = {
 
 def test_config_surface_is_pinned():
     assert RunConfig().to_dict() == DEFAULT_CONFIG_DICT
-    # the fixed recipe and the one heredity rule are not keys; an old file naming one fails
+    # the fixed recipes and the one heredity rule are not keys; an old file naming one fails
     for key in ("train.adam_beta1", "train.seed", "synth.seed", "train.lr_initial",
                 "train.lr_late", "train.lr_switch_after_epoch", "train.l2_lambda",
-                "train.l2_includes_biases", "synth.parent_blend"):
+                "train.l2_includes_biases", "synth.parent_blend", "synth.children_choices",
+                "synth.heritability", "synth.noise_weight", "synth.founder_scale"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             parse_config(overrides={key: 1})
 
@@ -100,7 +97,7 @@ def test_section_defaults_are_the_library_defaults():
     config = RunConfig()
     assert config.seed == SynthConfig().seed
     assert config.synth_config() == SynthConfig()
-    assert config.train_config() == TrainConfig(seed=config.seed)
+    assert config.train_config() == TrainConfig()
     assert config.comparator_config(input_dim=128) == ComparatorConfig(input_dim=128)
     # the synth and train sections take every library field but the seed
     for section, library in (("synth", SynthConfig), ("train", TrainConfig)):
@@ -792,8 +789,8 @@ def test_train_refuses_a_diverging_run(tmp_path, capsys):
     "document,key",
     [
         ('{"model": {"dropout": NaN}}', "model.dropout"),
-        ('{"synth": {"noise_weight": Infinity}}', "synth.noise_weight"),
-        ('{"synth": {"heritability": -Infinity}}', "synth.heritability"),
+        ('{"synth": {"gender_weight": Infinity}}', "synth.gender_weight"),
+        ('{"synth": {"expression_flip_fraction": -Infinity}}', "synth.expression_flip_fraction"),
         ('{"model": {"dropout": 1e400}}', "model.dropout"),
         ('{"synth": {"gender_weight": 1%s}}' % ("0" * 400), "synth.gender_weight"),
     ],
@@ -936,10 +933,13 @@ def test_manifest_config_replays_the_run_config(command, model_dir, world_dir, t
         ("synth", {"eval": {"bins": 0}}, [], "eval.bins must be at least 1, got 0"),
         ("synth", {}, ["--dim", "1"], "dim must be at least 2, got 1"),
         ("train", {"synth": {"dim": 1}}, [], "dim must be at least 2, got 1"),
-        ("train", {"synth": {"founder_scale": -1.0}}, [], "founder_scale must be positive"),
+        ("train", {"synth": {"gender_weight": -1.0}}, [], "gender_weight must be non-negative"),
+        # founder_scale is a constant now: naming it stops a run as any unknown key does
+        ("train", {"synth": {"founder_scale": -1.0}}, [],
+         "unknown config key 'synth.founder_scale'"),
     ],
     ids=["epochs", "batch-size", "activation", "hidden", "objective", "bins", "dim-flag", "dim",
-         "founder-scale"],
+         "gender-weight", "founder-scale"],
 )
 def test_bad_config_values_stop_every_command(
     command, document, flags, message, world_dir, tmp_path, capsys

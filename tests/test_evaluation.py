@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kinverify.comparator import ComparatorConfig, forward, init_params
 from kinverify.data import EmbeddingStore, KinPair, PairLabel, PairSet, PersonRef, pairs_to_arrays
+from kinverify.data import load_pairs, save_pairs
 from kinverify.evaluation import (
     Objective,
     ScoredPair,
@@ -23,8 +24,10 @@ from kinverify.evaluation import (
     tri_score,
 )
 from kinverify.relations import CANONICAL_RELATION_CODES, Gender, KinshipRelation, relation_index
+from kinverify.synth import generate_world
 from kinverify.training import AblationCell, TrainConfig, ablation_run, default_ablation_grid, train
 
+from conftest import TINY_SYNTH
 from oracles import auc_bruteforce, best_threshold_bruteforce, cosine_distances_whole_array
 
 
@@ -148,12 +151,7 @@ def test_accuracy_report_refuses_a_nan_threshold():
 def test_consumers_refuse_a_non_finite_score(scored, data, bad):
     at = data.draw(st.sets(st.integers(0, len(scored) - 1), min_size=1))
     scored = [ScoredPair(s.pair, bad) if i in at else s for i, s in enumerate(scored)]
-    as_set = ScoredSet(
-        tuple(s.pair for s in scored),
-        np.array([s.score for s in scored]),
-        np.array([relation_index(s.pair.relation) for s in scored], dtype=np.intp),
-        np.array([s.pair.label is PairLabel.KIN for s in scored]),
-    )
+    as_set = ScoredSet(PairSet(tuple(s.pair for s in scored)), np.array([s.score for s in scored]))
     consumers = [
         lambda s: calibrate_threshold(s, Objective.MACRO),
         lambda s: calibrate_threshold(s, Objective.MICRO),
@@ -385,7 +383,7 @@ def test_consumers_agree_on_a_scored_set_and_its_list(case):
     store = EmbeddingStore(refs, rng.standard_normal((6, 3)))
     params = init_params(ComparatorConfig(input_dim=6, hidden=3, relations=codes), seed)
     scored = score_pairs(params, store, PairSet(pairs))
-    tied = ScoredSet(scored.pairs, lattice, scored.rel, scored.is_kin)  # ties on a lattice
+    tied = ScoredSet(scored.pairs, lattice)  # ties on a lattice
     for scored_set in (scored, score_pairs(None, store, pairs, Scorer.COSINE), tied):
         assert _consumer_outcomes(scored_set) == _consumer_outcomes(list(scored_set))
 
@@ -403,13 +401,31 @@ def test_score_pairs_yields_the_scored_pair_objects_of_whole_array_scoring(tiny_
     }
     for scorer, scores in expected.items():
         scored = score_pairs(params, store, pairs, scorer)
-        assert scored.pairs is pairs.pairs
+        assert scored.pairs is pairs
         assert list(scored) == [ScoredPair(p, float(s)) for p, s in zip(pairs, scores)]
         assert all(s.pair is p for s, p in zip(scored, pairs))
-        assert scored.rel.tolist() == [relation_index(p.relation) for p in pairs]
-        assert scored.is_kin.tolist() == [p.label is PairLabel.KIN for p in pairs]
+        assert scored.pairs.rel.tolist() == [relation_index(p.relation) for p in pairs]
+        assert (scored.pairs.label == 1).tolist() == [p.label is PairLabel.KIN for p in pairs]
     from_list = score_pairs(params, store, list(pairs))
-    assert from_list.pairs == pairs.pairs and isinstance(from_list.pairs, tuple)
+    assert from_list.pairs == pairs and from_list.pairs.pairs == pairs.pairs
+
+
+def test_scoring_and_loading_build_no_kin_pair_objects(tmp_path):
+    # a column-built or loaded set makes its KinPair tuple only when it is read
+    world = generate_world(TINY_SYNTH)
+    store, val = world.store, world.eval_pairs["val"]
+    params = init_params(ComparatorConfig(input_dim=2 * store.dim, hidden=3), 2)
+    save_pairs(val, tmp_path / "pairs.csv")
+    loaded = load_pairs(tmp_path / "pairs.csv", store)
+    assert loaded == val
+    for pairs in (val, loaded):
+        for scorer in Scorer:
+            scored = score_pairs(params, store, pairs, scorer)
+            threshold, _ = calibrate_threshold(scored)
+            accuracy_report(scored, threshold, include_auc=True)
+            auc(scored)
+        assert "pairs" not in vars(pairs)
+    assert len(list(scored)) == len(val) and "pairs" in vars(loaded)  # iteration builds them
 
 
 def test_scored_set_has_a_length_iteration_and_read_only_columns(tiny_world):
@@ -423,14 +439,14 @@ def test_scored_set_has_a_length_iteration_and_read_only_columns(tiny_world):
         scored.scores[0] = 1.0
     empty = score_pairs(params, world.store, [])
     assert not empty and len(empty) == 0 and list(empty) == []
-    assert scored != ScoredSet(scored.pairs, scored.scores, scored.rel, scored.is_kin)  # identity
+    assert scored != ScoredSet(scored.pairs, scored.scores)  # identity
 
 
 def test_score_pairs_on_no_pairs(tiny_world):
     empty = score_pairs(None, tiny_world.store, [], Scorer.COSINE)
-    assert empty.pairs == () and list(empty) == []
-    columns = (empty.scores, empty.rel, empty.is_kin)
-    assert [c.dtype for c in columns] == [np.float64, np.intp, bool]
+    assert empty.pairs == PairSet() and list(empty) == []
+    columns = (empty.scores, empty.pairs.rel, empty.pairs.label)
+    assert [c.dtype for c in columns] == [np.float64, np.intp, np.int8]
     assert all(c.shape == (0,) for c in columns)
     with pytest.raises(ValueError, match="comparator scoring needs model parameters"):
         score_pairs(None, tiny_world.store, [])

@@ -365,9 +365,9 @@ def test_score_pairs_holds_one_copy_of_a_block_features():
 
 
 def test_held_score_pairs_result_keeps_columns_not_an_object_a_pair():
-    # A held result keeps the PairSet's own tuple and three columns, 17 bytes
-    # a pair (float64 score, intp relation, bool kin bit); a list of
-    # ScoredPair, with a boxed score and a list slot each, kept about 122.
+    # A held result keeps the scored PairSet itself and one float64 score
+    # column, 8 bytes a pair; a list of ScoredPair, with a boxed score and a
+    # list slot each, kept about 122.
     rng = np.random.default_rng(2)
     store, ids = _random_people(rng, 400, 8)
     params = init_params(ComparatorConfig(input_dim=16, hidden=8), 0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kinverify.synth as synth
 from kinverify.data import PairLabel
 from kinverify.evaluation import (
     Objective,
@@ -51,8 +52,9 @@ def axis_and_mask(config):
     return axis, expression_mask(config, rng)
 
 
-def test_latent_noise_free_founders():
-    config = SynthConfig(noise_weight=0.0)
+def test_latent_noise_free_founders(monkeypatch):
+    monkeypatch.setattr(synth, "NOISE_WEIGHT", 0.0)
+    config = SynthConfig()
     axis, _ = axis_and_mask(config)
     noise = np.random.default_rng(0).standard_normal((3, config.identity_dims))
     unflipped = np.ones(config.dim)
@@ -127,17 +129,17 @@ def test_default_train_kin_counts(default_world):
         assert counts[code] >= 500
 
 
-def test_single_family_pedigree_inventory():
+def test_single_family_pedigree_inventory(monkeypatch):
     # One family whose two children are one boy and one girl: exactly one
     # kin pair per sibling/parent-child relation and the four grandparent
     # relations through those children.
+    monkeypatch.setattr(synth, "CHILDREN_CHOICES", (2,))
     config = SynthConfig(
         dim=8,
         identity_dims=4,
         n_train_families=1,
         n_val_families=1,
         n_test_families=1,
-        children_choices=(2,),
         seed=0,
     )
     world = generate_world(config)
@@ -234,15 +236,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(dim=1)
     with pytest.raises(ValueError):
-        SynthConfig(children_choices=(1,))
-    with pytest.raises(ValueError):
-        SynthConfig(heritability=-0.1)
+        SynthConfig(gender_weight=-0.1)
     with pytest.raises(ValueError):
         SynthConfig(identity_dims=100)
     nan = float("nan")
-    for bad in ({"heritability": nan}, {"gender_weight": float("inf")},
-                {"heritability": nan, "gender_weight": nan, "noise_weight": nan},
-                {"founder_scale": nan}):
+    for bad in ({"gender_weight": nan}, {"gender_weight": float("inf")},
+                {"expression_flip_fraction": nan}):
         with pytest.raises(ValueError):
             SynthConfig(**bad)
 
