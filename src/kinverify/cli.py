@@ -59,6 +59,7 @@ from .evaluation import (
 )
 from .model_io import load_model, save_model, serialize_model
 from .relations import KinshipRelation
+from .seeding import DEFAULT_SEED
 from .synth import SPLITS, generate_world, save_pedigree
 from .training import _save_history, ablation_run, gradcheck, save_ablation_csv, train, train_attention
 
@@ -299,7 +300,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    err = gradcheck(seed=args.seed if args.seed is not None else 0)
+    err = gradcheck(seed=args.seed)
     print(f"max relative gradient error: {err:.3e} (bound {GRADCHECK_BOUND:.0e})")
     return 0 if err < GRADCHECK_BOUND else 1
 
@@ -412,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="verify backprop against finite differences")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser(

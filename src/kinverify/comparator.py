@@ -36,26 +36,14 @@ from .seeding import STREAM_INIT, derive_rng
 LRELU_SLOPE = 0.2
 PRELU_INIT_SLOPE = 0.25
 
-# Rows per block of an eval-mode forward over more rows than this (see
-# _block_cuts): a block closes at the first position boundary or in-position
-# cut after it holds this many rows. Each GEMV of a blocked forward covers
-# fewer than 2,048 rows, below OpenBLAS's threading cut-off (2,400 rows at
-# hidden 192), so eval scores do not depend on the BLAS thread count, and an
-# eval forward's memory stays bounded by a few blocks' arrays whatever the
-# row count. Cache fit is not the reason: three 1.5 MB arrays per block are
-# live at once, and 512-row blocks gave the same bits and score_eval
-# throughput within run-to-run noise. A multiple of 4, because OpenBLAS's
-# GEMV sums rows in groups of four counted from the first row of each call.
+# Rows per block of an eval-mode forward: its trace rows are cut every this many
+# rows, and the remainder joins the last block, so a block holds 1,024 to 2,047
+# rows unless the batch is smaller. An eval forward's memory stays bounded by a
+# few blocks' arrays whatever the row count, and each GEMV covers fewer than
+# 2,048 rows, below OpenBLAS's threading cut-off (2,400 rows at hidden 192), so
+# eval scores do not depend on the BLAS thread count. Cache fit is not the
+# reason: 512-row blocks moved score_eval throughput only within the noise.
 EVAL_BLOCK_ROWS = 1024
-
-# Fewest rows of the next position for a cut at a position boundary (see
-# _block_cuts), so every GEMM piece that starts at a cut spans at least this
-# many rows. With OpenBLAS 0.3.31's SkylakeX kernels a product of at most
-# about 1,200 rows x hidden units (and, at two threads, of at most ``hidden``
-# rows for a hidden size that is not a multiple of 8) goes to a small-matrix
-# kernel that sums in another order than GEMM; 128 rows clear both for
-# hidden layers of 10 to 127 units and every multiple of 8 from 16 to 1,024.
-EVAL_MIN_PIECE_ROWS = 128
 
 
 class Activation(enum.Enum):
@@ -381,39 +369,6 @@ def _row_plan(
     )
 
 
-def _block_cuts(ends: list[int], n: int, block: int) -> list[int]:
-    """Row cuts of a blocked eval forward over ``n`` trace rows.
-
-    ``ends`` lists, ascending, the trace row where each position's rows end
-    (``n`` alone for a full forward). Every cut lies at least ``block`` rows
-    after the previous one, so every block but the last holds at least
-    ``block`` rows. A cut is one of two kinds:
-    - a position boundary, where the next position holds at least
-      ``EVAL_MIN_PIECE_ROWS`` rows;
-    - inside a position, a multiple of ``block`` rows after the start of
-      its rows and at least ``block`` rows before their end.
-
-    So each position's logits come in one piece, or in pieces of ``block``
-    to ``2 * block - 1`` rows that start where the unblocked GEMV's groups
-    of four rows start and end where it ends. And an expert's GEMM piece
-    that starts at a cut spans at least the rest of the position there, so
-    it is neither a one-row product, which numpy hands to GEMV, nor one
-    that OpenBLAS hands to its small-matrix kernel. Both sum in another
-    order than the unblocked GEMM; these cuts give each row the unblocked
-    call's bits.
-    """
-    cuts = [0]
-    lo = 0
-    for hi in ends:
-        if hi - lo >= EVAL_MIN_PIECE_ROWS and lo - cuts[-1] >= block:
-            cuts.append(lo)
-        for cut in range(lo + block, hi - block + 1, block):
-            if cut - cuts[-1] >= block:
-                cuts.append(cut)
-        lo = hi
-    return cuts + [n]
-
-
 def _cascade(
     params: ComparatorParams,
     n: int,
@@ -424,19 +379,20 @@ def _cascade(
 ):
     """The cascade loop: ``_row_plan``'s order and spans of ``n`` rows, their logits, kept arrays.
 
-    The rows are cut into ``_block_cuts`` blocks, or form one block with
-    ``keep``. Each block is gathered once, ``gather(rows)`` for caller rows
-    ``rows`` (a slice without ``positions``), and checked. Expert ``i``
-    runs on rows ``lo:hi`` of ``(lo, first, hi) = spans[i]`` and writes
-    column ``i`` on rows ``first:hi``, both clipped to the block. The
-    logits, in caller order, are (n, n_experts), each row's own with
-    ``positions``, or each block's ``reduce(rows, logits)``. The last item
-    is None, or with ``keep`` the block's inputs (in trace order) and each
-    expert's pre-activation and hidden arrays, all that ``backward`` needs.
+    The trace rows are cut every ``EVAL_BLOCK_ROWS`` rows, the remainder
+    joining the last block, or form one block with ``keep``. Each block is
+    gathered once, ``gather(rows)`` for caller rows ``rows`` (a slice
+    without ``positions``), and checked. Expert ``i`` runs on rows ``lo:hi``
+    of ``(lo, first, hi) = spans[i]`` and writes column ``i`` on rows
+    ``first:hi``, both clipped to the block. The logits, in caller order,
+    are (n, n_experts), each row's own with ``positions``, or each block's
+    ``reduce(rows, logits)``. The last item is None, or with ``keep`` the
+    block's inputs (in trace order) and each expert's pre-activation and
+    hidden arrays, all that ``backward`` needs.
     """
     cfg = params.config
     order, spans = _row_plan(positions, n, cfg)
-    cuts = [0, n] if keep else _block_cuts(sorted(hi for _, _, hi in spans), n, EVAL_BLOCK_ROWS)
+    cuts = [0, n] if keep else [*(range(0, n - EVAL_BLOCK_ROWS + 1, EVAL_BLOCK_ROWS) or [0]), n]
     out = np.empty((n, cfg.n_experts) if positions is None and reduce is None else n)
     for start, stop in zip(cuts, cuts[1:]):
         rows = slice(start, stop) if positions is None else order[start:stop]
@@ -487,8 +443,8 @@ def forward(
     1/(1-p)), and keeps every expert's pre-activation and hidden array in
     the trace. Eval mode is inference: deterministic, never drops, and
     keeps no activations. Its probabilities are those of a train-mode
-    forward without dropout, bit for bit for the hidden sizes named below;
-    on ``features * scale`` they are those of the train-mode forward whose
+    forward without dropout, bit for bit within one block (see below); on
+    ``features * scale`` they are those of the train-mode forward whose
     trace has that ``dropout_scale``.
 
     One row plan (``_row_plan``) gives each expert the rows it runs on and
@@ -502,13 +458,13 @@ def forward(
 
     Both modes are one call of the cascade loop ``_cascade``. Train mode
     runs all rows as one block and keeps that block's inputs and
-    activations. Eval mode runs every expert on one block of about
-    ``EVAL_BLOCK_ROWS`` rows, then the next, so memory stays bounded and
-    each GEMV stays single-threaded. The trace's ``order``,
-    ``spans``, logits and probabilities are those of an unblocked forward:
-    the probabilities bit for bit with OpenBLAS for hidden layers of 10 to
-    127 units, or of a multiple of 8 from 16 to 1,024, the default 192
-    included (see the README).
+    activations. Eval mode runs every expert on one block of
+    ``EVAL_BLOCK_ROWS`` to ``2 * EVAL_BLOCK_ROWS - 1`` trace rows, then the
+    next, so memory stays bounded and each GEMV stays single-threaded. The
+    trace's ``order`` and ``spans`` are those of an unblocked forward. Over
+    more than one block its logits and probabilities may differ from the
+    unblocked ones in the last bit, as BLAS may sum a block's products in
+    another order (see the README).
     """
     cfg = params.config
     if mode not in ("train", "eval"):

@@ -3,15 +3,15 @@
 Verification accuracy is reported per relation with an unweighted macro
 average, at a single global threshold calibrated to maximize either that
 macro average (default) or plain micro accuracy. The calibrator sweeps the
-midpoints of consecutive distinct scores plus one sentinel below and above,
-which is exhaustively optimal among all real thresholds for either
-objective.
+midpoints of consecutive distinct scores, the smallest score and the next
+float above the largest, which is exhaustively optimal among all real
+thresholds for either objective.
 
 Scores are higher-is-kin everywhere: a pair whose score is at or above the
 threshold is called kin (ties count as kin), and AUC ranks kin above
 nonkin. Cosine distances run the other way, so callers that calibrate or
 rank them pass the negated distances; negation is exact, so the midpoints,
-sentinels, accuracies and AUC are those of a lower-is-kin rule.
+accuracies and AUC are those of a lower-is-kin rule.
 
 ``score_pairs`` returns a :class:`ScoredSet`: the scored ``PairSet`` and
 its score column, which iterates as :class:`ScoredPair` objects built one
@@ -186,7 +186,7 @@ def _calibrate(
 
     distinct = np.unique(scores)
     candidates = np.concatenate(
-        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
+        [distinct[:1], (distinct[:-1] + distinct[1:]) / 2.0, [np.nextafter(distinct[-1], np.inf)]]
     )
     if objective is Objective.MICRO:
         correct = _correct_counts(scores[is_kin], scores[~is_kin], candidates)
@@ -222,9 +222,11 @@ def calibrate_threshold(
 ) -> tuple[float, float]:
     """Best single threshold over all candidate cuts, and its objective value.
 
-    Candidates are the midpoints between consecutive distinct scores plus
-    one sentinel below the minimum and one above the maximum. Ties are
-    broken toward the smallest threshold.
+    Candidates are the midpoints between consecutive distinct scores, the
+    smallest score, which calls every pair kin, and the next float above the
+    largest, which calls none kin. So a probability's cut lies in [0, 1]
+    unless a score is exactly 1.0.
+    Ties are broken toward the smallest threshold.
     """
     scores, rel, is_kin = _columns(scored)
     return _calibrate(scores, is_kin, rel, objective)

@@ -601,7 +601,7 @@ def _tiny_config(activation: Activation, sharing: SharingMode) -> ComparatorConf
     )
 
 
-def gradcheck(seed: int = 0) -> float:
+def gradcheck(seed: int = DEFAULT_SEED) -> float:
     """Max relative error between backward and central finite differences.
 
     Runs tiny configurations over every activation and sharing mode, with

@@ -232,20 +232,24 @@ def test_eval_calibrate_stores_threshold(model_dir, world_dir, tmp_path):
 def test_eval_calibrate_refuses_a_threshold_the_model_file_cannot_hold(
     model_dir, world_dir, tmp_path, capsys
 ):
-    # the lowest-scoring kin pair below the highest-scoring nonkin pair: the best
-    # cut is the sentinel below every score, which lies outside [0, 1]
+    # a model whose every probability saturates to 1.0, on one kin and two nonkin
+    # pairs of one relation: the best cut calls none kin, the next float above
+    # 1.0, which lies outside [0, 1]
     from kinverify.data import PairLabel, PairSet, load_embeddings, load_pairs, save_pairs
     from kinverify.evaluation import score_pairs
-    from kinverify.model_io import load_model
+    from kinverify.model_io import load_model, save_model
 
+    params = load_model(model_dir / "model.kinc")
+    for i in range(params.config.n_experts):
+        params.values[f"expert{i}.b2"][:] = 100.0
     model = tmp_path / "model.kinc"
-    model.write_bytes((model_dir / "model.kinc").read_bytes())
+    save_model(params, model)
     store = load_embeddings(world_dir / "embeddings.csv")
-    scored = score_pairs(load_model(model), store, load_pairs(world_dir / "pairs_val.csv", store))
-    kin = min((s for s in scored if s.pair.label is PairLabel.KIN), key=lambda s: s.score)
-    nonkin = max((s for s in scored if s.pair.label is PairLabel.NONKIN), key=lambda s: s.score)
-    assert kin.score < nonkin.score
-    save_pairs(PairSet((kin.pair, nonkin.pair)), tmp_path / "pairs.csv")
+    pairs = load_pairs(world_dir / "pairs_val.csv", store).pairs
+    kin = next(p for p in pairs if p.label is PairLabel.KIN)
+    nonkin = [p for p in pairs if p.label is PairLabel.NONKIN and p.relation is kin.relation][:2]
+    save_pairs(PairSet((kin, *nonkin)), tmp_path / "pairs.csv")
+    assert set(score_pairs(params, store, (kin, *nonkin)).scores) == {1.0}
     before = model.read_bytes()
     out = tmp_path / "eval"
     code = main(
@@ -253,9 +257,41 @@ def test_eval_calibrate_refuses_a_threshold_the_model_file_cannot_hold(
          "--pairs", str(tmp_path / "pairs.csv"), "--out", str(out), "--calibrate"]
     )
     assert code == 1
-    _one_error_line(capsys, f"threshold {kin.score - 1.0} is not in [0, 1]")
+    _one_error_line(capsys, f"threshold {np.nextafter(1.0, 2.0)} is not in [0, 1]")
     assert model.read_bytes() == before
     assert not out.exists()
+
+
+def test_eval_calibrate_stores_the_smallest_score_when_every_pair_is_called_kin(
+    tmp_path, capsys
+):
+    # an untrained model scores the one kin SIBS pair below the one nonkin
+    # SIBS pair: calling every pair kin is as good as any cut, and its cut is
+    # the kin pair's score, inside [0, 1]
+    from kinverify.data import PairLabel, PairSet, load_embeddings, load_pairs, save_pairs
+    from kinverify.evaluation import score_pairs
+    from kinverify.model_io import load_model
+
+    world, run = tmp_path / "world", tmp_path / "run"
+    families = ["--train-families", "4", "--val-families", "2", "--test-families", "2"]
+    assert main(["synth", "--out", str(world), "--seed", "1", *families]) == 0
+    assert main(["train", "--data", str(world), "--out", str(run), "--epochs", "0"]) == 0
+    model = run / "model.kinc"
+    store = load_embeddings(world / "embeddings.csv")
+    scored = score_pairs(load_model(model), store, load_pairs(world / "pairs_val.csv", store))
+    sibs = [s for s in scored if s.pair.relation.value == "SIBS"]
+    kin = min((s for s in sibs if s.pair.label is PairLabel.KIN), key=lambda s: s.score)
+    nonkin = max((s for s in sibs if s.pair.label is PairLabel.NONKIN), key=lambda s: s.score)
+    assert kin.score < nonkin.score
+    save_pairs(PairSet((kin.pair, nonkin.pair)), tmp_path / "pairs.csv")
+    capsys.readouterr()
+    code = main(
+        ["eval", "--model", str(model), "--embeddings", str(world / "embeddings.csv"),
+         "--pairs", str(tmp_path / "pairs.csv"), "--out", str(tmp_path / "eval"), "--calibrate"]
+    )
+    assert code == 0, capsys.readouterr().err
+    params = load_model(model)
+    assert params.threshold == score_pairs(params, store, (kin.pair, nonkin.pair)).scores[0]
 
 
 def test_failed_eval_calibrate_leaves_the_model_as_it_was(model_dir, world_dir, tmp_path, capsys):
@@ -621,6 +657,14 @@ def test_ablate_command(world_dir, tmp_path):
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     assert "max relative gradient error" in capsys.readouterr().out
+
+
+def test_gradcheck_command_defaults_to_the_default_seed(capsys):
+    from kinverify.seeding import DEFAULT_SEED
+    from kinverify.training import gradcheck
+
+    assert main(["gradcheck"]) == 0
+    assert f"error: {gradcheck(DEFAULT_SEED):.3e} " in capsys.readouterr().out
 
 
 def test_error_exit_codes(tmp_path, capsys):

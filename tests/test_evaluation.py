@@ -86,7 +86,7 @@ def test_calibrate_degenerate_identical_scores():
     scored = scored_from([0.4, 0.4, 0.4], [0.4])
     threshold, best = calibrate_threshold(scored, Objective.MICRO)
     assert best == pytest.approx(0.75)  # majority-class prior
-    assert threshold < 0.4  # sentinel below the single score, ties go to kin
+    assert threshold == 0.4  # the smallest score calls every pair kin, ties go to kin
 
 
 def test_calibrate_single_class_rejected():

@@ -1,18 +1,17 @@
 """Eval-mode forward is inference: same bits as training's arithmetic, no activations kept.
 
-An eval forward must give exactly the probabilities of a train-mode forward
-without dropout, full or relation-prefix, while its trace keeps no
-per-expert array, so that pooling a large pair set holds a few hidden
-blocks at a time instead of two per expert.
+An eval forward of one block must give exactly the probabilities of a
+train-mode forward without dropout, full or relation-prefix, while its
+trace keeps no per-expert array, so that pooling a large pair set holds a
+few hidden blocks at a time instead of two per expert.
 """
 
 import dataclasses
 import tracemalloc
-from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinverify import comparator, evaluation
@@ -22,7 +21,6 @@ from kinverify.comparator import (
     ComparatorParams,
     PoolingMode,
     SharingMode,
-    _block_cuts,
     add_attention_head,
     forward,
     init_params,
@@ -40,7 +38,7 @@ CODES = ("BB", "SIBS", "SS", "FD", "FS")
 
 
 @st.composite
-def cases(draw, min_hidden=1):
+def cases(draw, min_hidden=1, prefix=True):
     n_experts = draw(st.integers(1, len(CODES)))
     config = ComparatorConfig(
         input_dim=2 * draw(st.integers(1, 4)),
@@ -51,9 +49,8 @@ def cases(draw, min_hidden=1):
         relations=CODES[:n_experts],
     )
     n = draw(st.integers(1, 12))
-    positions = draw(
-        st.none() | st.lists(st.integers(0, n_experts - 1), min_size=n, max_size=n).map(np.array)
-    )
+    rows = st.lists(st.integers(0, n_experts - 1), min_size=n, max_size=n).map(np.array)
+    positions = draw(st.none() | rows) if prefix else None
     return config, n, positions, draw(st.integers(0, 2**32 - 1))
 
 
@@ -105,25 +102,37 @@ def test_score_unknown_peak_memory_is_a_few_hidden_blocks():
     assert peak < 4 * block + features.nbytes
 
 
-# Blocked eval forward. With the block size patched down to a few rows and
-# the boundary-cut floor to two, a batch of up to 12 rows runs in several
-# blocks, cut inside positions and at position boundaries. Blocks of one row
-# and hidden layers of one unit are left out: numpy hands such a product to
-# GEMV or dot instead of GEMM, whose sums run in another order, so its last
-# bit can move. The examples put a one-row position right after a boundary
-# that holds a full block: no cut there, and a boundary cut one position later.
-EXAMPLE_CONFIG = ComparatorConfig(input_dim=4, hidden=3, relations=CODES[:3])
+# Blocked eval forward. With the block size patched down to a few rows, a batch
+# of up to 12 rows runs in several blocks of block to 2 * block - 1 trace rows.
+@settings(max_examples=300, deadline=None)
+@given(cases(), st.integers(2, 4))
+def test_blocked_eval_equals_eval_of_each_block_alone(case, block):
+    # row for row, at any hidden size, full or relation-prefix: a block's
+    # products are those of an eval forward over its rows alone, one block
+    config, n, positions, seed = case
+    rng = np.random.default_rng(seed)
+    params = init_params(config, seed)
+    for key in params.values:
+        params.values[key] += 0.4 * rng.standard_normal(params.values[key].shape)
+    features = rng.standard_normal((n, config.input_dim))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
+        probs, trace = forward(params, features, mode="eval", positions=positions)
+        cuts = [*(range(0, n - block + 1, block) or [0]), n]
+        for start, stop in zip(cuts, cuts[1:]):
+            rows = slice(start, stop) if positions is None else trace.order[start:stop]
+            alone, _ = forward(params, features[rows], mode="eval",
+                               positions=None if positions is None else positions[rows])
+            assert np.array_equal(probs[rows], alone), (start, stop)
 
 
 @settings(max_examples=300, deadline=None)
-@given(cases(min_hidden=2), st.integers(2, 4))
-@example((EXAMPLE_CONFIG, 6, np.array([2, 1, 0, 2, 0, 0]), 1), 2)
-@example(
-    (dataclasses.replace(EXAMPLE_CONFIG, sharing=SharingMode.ENTIRELY_LOCAL),
-     8, np.array([0, 2, 1, 2, 0, 2, 0, 0]), 2),
-    3,
-)
+@given(cases(min_hidden=2, prefix=False), st.integers(2, 4))
 def test_blocked_eval_equals_unblocked_train(case, block):
+    # A full cascade's blocks are slices of at least two rows, and with inputs
+    # this small every product of two or more rows keeps the unblocked GEMM's
+    # bits. Hidden layers of one unit are left out: numpy hands such a product
+    # to GEMV or dot, whose sums run in another order.
     config, n, positions, seed = case
     rng = np.random.default_rng(seed)
     params = init_params(config, seed)
@@ -135,7 +144,6 @@ def test_blocked_eval_equals_unblocked_train(case, block):
     train_probs, train_trace = forward(no_dropout, features, mode="train", positions=positions)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
-        mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", 2)
         probs, trace = forward(params, features, mode="eval", positions=positions)
         # training never blocks: one array per expert, over all of that expert's rows
         _, patched_train = forward(no_dropout, features, mode="train", positions=positions)
@@ -150,55 +158,9 @@ def test_blocked_eval_equals_unblocked_train(case, block):
     assert trace.pre_acts == [] and trace.hidden == []
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.integers(0, 30) | st.just(1), min_size=1, max_size=8),
-    st.integers(2, 8).flatmap(lambda block: st.tuples(st.just(block), st.integers(2, block))),
-)
-def test_block_cuts_keep_positions_aligned(sizes, block_and_floor):
-    block, floor = block_and_floor
-    ends = list(accumulate(sizes))
-    n = ends[-1]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", floor)
-        cuts = _block_cuts(ends, n, block)
-    spans = [(lo, hi) for lo, hi in zip([0] + ends, ends) if hi > lo]
-    assert cuts[0] == 0 and cuts[-1] == n
-    for cut in cuts[1:-1]:
-        lo, hi = next((lo, hi) for lo, hi in spans if lo <= cut < hi)
-        if cut == lo:  # a position boundary before a position of at least floor rows
-            assert hi - cut >= floor
-        else:  # a multiple of block into a position's rows, block before their end
-            assert (cut - lo) % block == 0 and hi - cut >= block
-        assert hi - cut >= 2  # so no GEMM piece that starts here has one row
-    for a, b in zip(cuts, cuts[1:-1]):  # every block but the last
-        assert b - a >= block
-    for a, b in zip(cuts, cuts[1:]):
-        # a position's logit GEMV in a block stays below 2 blocks
-        assert all(min(hi, b) - max(lo, a) < 2 * block for lo, hi in spans)
-        if b - a >= 2 * block:  # only positions of fewer than block rows make a block this long
-            assert any(hi - lo < block for lo, hi in spans if lo < b and hi > a)
-
-
-def test_blocked_eval_keeps_bits_past_a_small_position():
-    # At hidden 192 OpenBLAS may send a product of a few rows to a small-matrix
-    # kernel that sums in another order, so no cut may fall right before them
-    config = ComparatorConfig(input_dim=128, relations=CODES[:3])
-    params = init_params(config, 1)
-    for small in (2, 3, 6, 127):
-        positions = np.repeat([2, 1, 0], [1100, small, 500])
-        features = np.random.default_rng(small).standard_normal((len(positions), 128))
-        probs, _ = forward(params, features, mode="eval", positions=positions)
-        train_probs, _ = forward(
-            ComparatorParams(dataclasses.replace(config, dropout_p=0.0), params.values),
-            features, mode="train", positions=positions,
-        )
-        assert np.array_equal(probs, train_probs), small
-
-
 def test_val_shaped_prefix_forward_peak_memory_is_a_few_blocks():
-    # The shape of a validation split: 11 positions of 150-400 rows each, so
-    # no position alone reaches a block and only boundary cuts can split it
+    # The shape of a validation split: 11 positions of 150-400 rows each,
+    # about 2,700 rows in two blocks
     params = init_params(ComparatorConfig(input_dim=128), 0)
     rng = np.random.default_rng(0)
     positions = np.repeat(np.arange(11), rng.integers(150, 401, 11))
@@ -281,7 +243,6 @@ def test_streamed_scorers_equal_whole_array_scoring(case, block):
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(comparator, "EVAL_BLOCK_ROWS", block)
-        mp.setattr(comparator, "EVAL_MIN_PIECE_ROWS", 2)
         mp.setattr(evaluation, "EVAL_BLOCK_ROWS", block)
         features, pos, _ = pairs_to_arrays(store, pairs, config.relations)
         expected, _ = forward(params, features, mode="eval", positions=pos)
